@@ -105,10 +105,9 @@ def _remap_rows_array(
 def _nbytes(*arrays) -> int:
     """Total bytes of the given arrays, deduped by identity.
 
-    State fields may alias each other (``QConv2d._prev_cols`` IS one of the
-    ping-pong ``_cols_bufs`` after a forward); counting an aliased buffer
-    twice would inflate the measured per-row footprint and make the serving
-    pool budget refuse batch sizes that actually fit.
+    State fields may alias each other; counting an aliased buffer twice
+    would inflate the measured per-row footprint and make the serving pool
+    budget refuse batch sizes that actually fit.
     """
     seen = {}
     for a in arrays:
@@ -431,15 +430,6 @@ class QConv2d(QLayerBase):
             weight, bits, per_channel
         )
         self.bias = None if bias is None else np.array(bias, dtype=np.float64)
-        # Previous-step im2col columns in the transposed (N, C*k*k, P)
-        # layout of :func:`repro.nn.functional.im2col_t`.
-        self._prev_cols: Optional[np.ndarray] = None
-        # Ping-pong pair of per-layer im2col buffers: the forward pass
-        # unfolds into one while the other still holds the previous step's
-        # cols (the temporal-difference operand), avoiding a multi-hundred-KB
-        # allocation per conv execution.
-        self._cols_bufs: list = [None, None]
-        self._cols_flip = 0
         # Single-precision integer GEMM, used only when provably exact: every
         # partial dot product must stay inside float32's 2^24 exact-integer
         # range for the worst-case operands (see _max_product - temporal
@@ -453,14 +443,6 @@ class QConv2d(QLayerBase):
         )
         self._cols_dtype = np.dtype(np.float32 if self._use_f32 else np.float64)
 
-    def _cols_buffer(self, shape: Tuple[int, int, int]) -> np.ndarray:
-        self._cols_flip ^= 1
-        buf = self._cols_bufs[self._cols_flip]
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape, dtype=self._cols_dtype)
-            self._cols_bufs[self._cols_flip] = buf
-        return buf
-
     @classmethod
     def from_float(
         cls, layer: Conv2d, bits: int = 8, per_channel: bool = False
@@ -470,25 +452,24 @@ class QConv2d(QLayerBase):
             layer.weight.data, bias, layer.stride, layer.padding, bits, per_channel
         )
 
-    def reset_state(self) -> None:
-        super().reset_state()
-        self._prev_cols = None
+    def _unfold(self, x: np.ndarray):
+        """Blocked transposed im2col of ``x`` into the shared scratch pool.
 
-    def _invalidate_rows(self, mask: np.ndarray) -> None:
-        super()._invalidate_rows(mask)
-        prev_cols = self._prev_cols
-        if prev_cols is not None and prev_cols.shape[0] == mask.shape[0]:
-            prev_cols[mask] = 0
-
-    def remap_rows(self, mapping, old_batch: int) -> None:
-        super().remap_rows(mapping, old_batch)
-        self.__dict__["_prev_cols"] = _remap_rows_array(
-            self._prev_cols, mapping, old_batch
-        )
-
-    def state_nbytes(self) -> int:
-        return super().state_nbytes() + _nbytes(
-            self._prev_cols, *self._cols_bufs
+        Every caller consumes the columns (GEMM or spatial stats) before the
+        next unfold, so one pooled buffer per shape serves all conv layers.
+        """
+        n, _, h, w = x.shape
+        out_h = (h + 2 * self.padding - self.kernel_size) // self.stride + 1
+        out_w = (w + 2 * self.padding - self.kernel_size) // self.stride + 1
+        dot_len = self.in_channels * self.kernel_size * self.kernel_size
+        return backends.active().im2col_t(
+            x,
+            self.kernel_size,
+            self.stride,
+            self.padding,
+            out=F.scratch_buffer(
+                "qconv-cols", (n, dot_len, out_h * out_w), self._cols_dtype
+            ),
         )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -498,56 +479,31 @@ class QConv2d(QLayerBase):
             x, out_dtype=np.float32 if self._use_f32 else None
         )
         diff = self._temporal_diff(q_in)
-        mode = self._effective_mode(diff)
-        # Single-pass instrumentation: unfold once (blocked transposed
-        # im2col - k*k shifted contiguous block copies for stride 1), share
-        # the patch columns between the integer matmul and the
-        # spatial-difference stats (and, via the cached previous-step cols,
-        # the temporal-difference matmul: im2col is linear, so
-        # im2col_t(q_in - prev) == cols_t - prev_cols_t).
-        n, _, h, w = q_in.shape
-        out_h = (h + 2 * self.padding - self.kernel_size) // self.stride + 1
-        out_w = (w + 2 * self.padding - self.kernel_size) // self.stride + 1
-        dot_len = self.in_channels * self.kernel_size * self.kernel_size
-        bk = backends.active()
-        cols, out_hw = bk.im2col_t(
-            q_in,
-            self.kernel_size,
-            self.stride,
-            self.padding,
-            out=self._cols_buffer((n, dot_len, out_h * out_w)),
-        )
-        prev_cols = getattr(self, "_prev_cols", None)
+        temporal = self._effective_mode(diff) is ExecutionMode.TEMPORAL
+        # Temporal mode unfolds the input-sized difference, not the input:
+        # im2col is linear and the zero padding border unfolds to zero in
+        # both operands, so conv(im2col(q - prev_q)) == conv(q) - conv(prev_q)
+        # exactly (the f32 gate already bounds difference operands).
+        cols, out_hw = self._unfold(diff if temporal else q_in)
         q_weight = self._q_weight_f32 if self._use_f32 else self.q_weight
-        if mode is ExecutionMode.TEMPORAL:
-            if prev_cols is not None and prev_cols.shape == cols.shape:
-                diff_cols = np.subtract(
-                    cols,
-                    prev_cols,
-                    out=F.scratch_buffer("tdiff", cols.shape, cols.dtype),
-                )
-                conv = bk.conv2d_from_cols_t(diff_cols, q_weight, out_hw)
-            else:  # state predates the cols cache (defensive)
-                conv = bk.conv2d(diff, self.q_weight, None, self.stride, self.padding)
+        conv = backends.active().conv2d_from_cols_t(cols, q_weight, out_hw)
+        if temporal:
             # float64 + float32 upcasts exactly; the sum runs in float64.
             out_int = self._prev_out_int + conv
         else:
-            out_int = bk.conv2d_from_cols_t(cols, q_weight, out_hw)
-            if out_int.dtype != np.float64:
-                out_int = out_int.astype(np.float64)
+            out_int = conv if conv.dtype == np.float64 else conv.astype(np.float64)
         w_scale = self.weight_scale
         if self.per_channel:
             w_scale = np.asarray(w_scale).reshape(1, -1, 1, 1)
         out = out_int * (self.input_quant.scale * w_scale)
         if self.bias is not None:
             out += self.bias.reshape(1, -1, 1, 1)
-        self._record(q_in, diff, out_int, cols)
+        self._record(q_in, diff, out_int, None if temporal else cols)
         # Plain state fields: skip Module.__setattr__'s registration checks.
         d = self.__dict__
         d["_prev_q_in"] = q_in
         d["_prev_out_int"] = out_int
         d["_prev_scale"] = self.input_quant.scale
-        d["_prev_cols"] = cols
         return out
 
     def _record(
@@ -555,13 +511,16 @@ class QConv2d(QLayerBase):
         q_in: np.ndarray,
         diff: Optional[np.ndarray],
         out_int: np.ndarray,
-        cols: np.ndarray,
+        cols: Optional[np.ndarray],
     ) -> None:
         if TraceRecorder.current() is None:
             return  # nobody is listening; skip the stats passes entirely
         # Spatial (Diffy) differences live between consecutive sliding
         # windows, i.e. consecutive *positions* of the transposed im2col
-        # matrix - reused from the forward pass instead of unfolding again.
+        # matrix - reused from a dense forward; a temporal forward unfolded
+        # the difference, so the input is unfolded here (GEMM already done).
+        if cols is None:
+            cols, _ = self._unfold(q_in)
         dot_len = self.in_channels * self.kernel_size * self.kernel_size
         macs = (out_int.size // self.out_channels) * dot_len * self.out_channels
         record_step(

@@ -959,8 +959,9 @@ def estimate_row_footprint(engine: DittoEngine) -> int:
     scratch paths) at batch 2 - under the engine's compute backend, so
     backend workspaces that only materialize at batch >= 2 (the
     ``blas-batched`` gather buffer is a free view at batch 1) are captured -
-    and tallies the thread's scratch pool, every layer's cached state and
-    im2col buffers, plus any backend-private scratch held outside the pool
+    and tallies the thread's scratch pool (which holds the shared conv
+    unfold buffers), every layer's cached temporal state, plus any
+    backend-private scratch held outside the pool
     (:meth:`~repro.nn.backends.ComputeBackend.scratch_nbytes`).  All of it
     grows linearly with the batch, so half the batch-2 total is one row and
     ``budget // row_bytes`` bounds the admissible batch size.

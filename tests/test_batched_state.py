@@ -2,8 +2,8 @@
 
 A batch-N engine run must be bit-exact with N independent batch-1 runs
 seeded per element: every quantized layer's cached temporal state
-(``_prev_q_in`` / ``_prev_out_int``, QConv2d's ``_prev_cols``, attention's
-``_prev`` dicts) differences along the batch axis, and every sticky
+(``_prev_q_in`` / ``_prev_out_int`` / ``_prev_scale``, attention's ``_prev``
+dicts) differences along the batch axis, and every sticky
 quantizer scale freezes batch-independently (the engine's probe tiles one
 sample).  These tests pin that contract for a conv-only benchmark, a
 CFG/attention benchmark, and a TDQ cluster-boundary crossing at batch > 1.
@@ -469,29 +469,31 @@ def test_step_failure_after_partial_draws_keeps_streams_exact():
         np.testing.assert_array_equal(out[i], reference)
 
 
-def test_conv_state_nbytes_dedupes_aliased_cols():
-    """_prev_cols aliases one of the im2col ping-pong buffers after a
-    forward; the measured footprint must count that memory once (the pool
-    budget cap derives from it)."""
-    engine = _conv_engine(calibrate=False, num_steps=2)
-    engine.run(batch_size=1, seed=0, record_trace=False)
+def test_conv_state_is_base_temporal_state_only():
+    """A temporal conv keeps no unfold state: it unfolds the input-sized
+    difference into the shared scratch pool, so its cached state is exactly
+    the base ``_prev_q_in`` / ``_prev_out_int`` / ``_prev_scale`` and
+    ``state_nbytes`` (which the pool budget cap derives from) is their
+    deduplicated sum."""
+    engine = _conv_engine(calibrate=False, num_steps=3)
+    engine.run(batch_size=2, seed=0, record_trace=False)
     from repro.quant.qlayers import QConv2d
 
     convs = [
         q for _, q in iter_qlayers(engine.qmodel) if isinstance(q, QConv2d)
     ]
     assert convs
+    base = {"_prev_q_in", "_prev_out_int", "_prev_scale"}
     for conv in convs:
-        assert conv._prev_cols is not None
-        assert any(buf is conv._prev_cols for buf in conv._cols_bufs)
-        unique = {
-            id(a): a.nbytes
-            for a in (
-                conv._prev_q_in, conv._prev_out_int,
-                conv._prev_cols, *conv._cols_bufs,
-            )
-            if a is not None
+        buffers = {
+            name for name, value in vars(conv).items()
+            if isinstance(value, np.ndarray)
+            and name not in ("q_weight", "_q_weight_f32", "bias", "weight_scale")
         }
+        assert buffers <= base, buffers - base
+        assert conv._prev_q_in is not None and conv._prev_out_int is not None
+        state = (conv._prev_q_in, conv._prev_out_int, conv._prev_scale)
+        unique = {id(a): a.nbytes for a in state if isinstance(a, np.ndarray)}
         assert conv.state_nbytes() == sum(unique.values())
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.modes import ExecutionMode
 from repro.core.trace import TraceRecorder
-from repro.nn import Attention, Conv2d, Linear
+from repro.nn import Attention, Conv2d, Linear, backends
 from repro.quant import (
     QAttention,
     QConv2d,
@@ -105,27 +105,51 @@ def test_qlinear_shape_change_resets_diff(rng):
 # QConv2d
 # ---------------------------------------------------------------------------
 
+# (in_c, out_c, kernel, stride, padding, hw): both paddings, the stride-2
+# Downsample, the 1x1 skip, and a 3x3 past the exact-f32 gate (64 * 9 *
+# 2^15 >= 2^24), which takes the float64 path.
+_CONV_CASES = [
+    (3, 5, 3, 1, 0, 6),
+    (3, 5, 3, 1, 1, 6),
+    (2, 4, 3, 2, 1, 8),
+    (4, 6, 1, 1, 0, 5),
+    (64, 4, 3, 1, 1, 4),
+]
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 5000))
 def test_qconv_temporal_exactness(seed):
-    rng = np.random.default_rng(seed)
-    fp = Conv2d(3, 5, 3, padding=1, rng=rng)
-    q_dense = QConv2d.from_float(fp)
-    q_temp = QConv2d.from_float(fp)
-    q_temp.mode = ExecutionMode.TEMPORAL
-    a, b = _drifted(rng, (1, 3, 6, 6))
-    np.testing.assert_array_equal(q_dense(a), q_temp(a))
-    np.testing.assert_array_equal(q_dense(b), q_temp(b))
-
-
-def test_qconv_strided_temporal_exactness(rng):
-    fp = Conv2d(2, 4, 3, stride=2, padding=1, rng=rng)
-    q_dense = QConv2d.from_float(fp)
-    q_temp = QConv2d.from_float(fp)
-    q_temp.mode = ExecutionMode.TEMPORAL
-    a, b = _drifted(rng, (1, 2, 8, 8))
-    np.testing.assert_array_equal(q_dense(a), q_temp(a))
-    np.testing.assert_array_equal(q_dense(b), q_temp(b))
+    """Temporal (unfolded-difference) forwards stay bit-identical to dense
+    ones over several steps, on every backend, including a step where a
+    per-row grid change invalidates some rows' state (a TDQ boundary)."""
+    for backend in backends.available_backends():
+        for in_c, out_c, kernel, stride, padding, hw in _CONV_CASES:
+            rng = np.random.default_rng(seed)
+            fp = Conv2d(in_c, out_c, kernel, stride=stride, padding=padding, rng=rng)
+            q_dense = QConv2d.from_float(fp)
+            q_temp = QConv2d.from_float(fp)
+            q_temp.mode = ExecutionMode.TEMPORAL
+            assert q_temp._use_f32 == (in_c < 64)
+            x = rng.normal(size=(3, in_c, hw, hw))
+            scales = np.full((3, 1, 1, 1), np.abs(x).max() / 127.0)
+            modes = []
+            with backends.use_backend(backend):
+                for step in range(4):
+                    if step == 2:  # rows 0 and 2 cross a cluster boundary
+                        scales = scales * np.array([1.5, 1.0, 0.75])[:, None, None, None]
+                    steps = []
+                    for q in (q_dense, q_temp):
+                        q.input_quant.scale = scales
+                        with TraceRecorder() as rec:
+                            steps.append((q(x), rec.trace.steps[0]))
+                    (out_d, rec_d), (out_t, rec_t) = steps
+                    np.testing.assert_array_equal(out_d, out_t)
+                    # The spatial stats re-unfold the input after the GEMM.
+                    assert rec_t.stats_spatial == rec_d.stats_spatial
+                    modes.append(rec_t.executed_mode)
+                    x = x + rng.normal(0.0, 0.05, size=x.shape)
+            assert modes == [ExecutionMode.DENSE] + [ExecutionMode.TEMPORAL] * 3
 
 
 def test_qconv_records_trace(rng):

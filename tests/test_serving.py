@@ -380,6 +380,22 @@ def test_row_footprint_measured_positive():
         pool_budget_row_cap(engine, 0.0)
 
 
+def test_ddpm_row_footprint_guard():
+    """Regression guard: temporal convs unfold into the shared scratch pool
+    and keep no per-layer unfold state, so one DDPM row measures ~4.4 MiB
+    (it was ~9.9 MiB when every conv cached its previous-step im2col
+    columns).  Per-layer unfold buffers creeping back in trip this bound.
+    Pinned to the reference backend: ``blas-batched`` adds its own gather
+    workspace on top (~1.5 MiB), which is not conv state."""
+    from repro.core import DittoEngine
+    from repro.workloads import get_benchmark
+
+    engine = DittoEngine.from_benchmark(
+        get_benchmark("DDPM"), num_steps=2, calibrate=False, backend="reference"
+    )
+    assert estimate_row_footprint(engine) <= 6 * 2**20
+
+
 def test_pool_budget_refusal_names_footprint_and_floor():
     """The refusal must be actionable: it reports the measured per-row
     footprint (MB and bytes) AND the smallest --pool-budget-mb that would
