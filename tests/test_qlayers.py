@@ -152,6 +152,16 @@ def test_qconv_temporal_exactness(seed):
             assert modes == [ExecutionMode.DENSE] + [ExecutionMode.TEMPORAL] * 3
 
 
+def test_qconv_strided_temporal_exactness(rng):
+    fp = Conv2d(2, 4, 3, stride=2, padding=1, rng=rng)
+    q_dense = QConv2d.from_float(fp)
+    q_temp = QConv2d.from_float(fp)
+    q_temp.mode = ExecutionMode.TEMPORAL
+    a, b = _drifted(rng, (1, 2, 8, 8))
+    np.testing.assert_array_equal(q_dense(a), q_temp(a))
+    np.testing.assert_array_equal(q_dense(b), q_temp(b))
+
+
 def test_qconv_records_trace(rng):
     fp = Conv2d(2, 4, 3, padding=1, rng=rng)
     q = QConv2d.from_float(fp)
