@@ -110,7 +110,11 @@ def _bench_one_batch_size(
     stride-2 unfold can be *gated* against the stride-1 scheme rather than
     asserted: ``im2col_s1`` / ``im2col_s2`` accumulate seconds and
     ``im2col_s1_elems`` / ``im2col_s2_elems`` the elements written, and
-    ``scripts/check_bench.py`` compares the per-element rates.
+    ``scripts/check_bench.py`` compares the per-element rates.  Only
+    ``im2col_t`` feeds the sub-buckets; the stride-1 quantized convs'
+    row-shift unfold (``unfold_rows``) is timed in ``im2col`` alone, so a
+    run phase's ``im2col_s1`` is absent and ``im2col`` exceeds the sum of
+    its sub-buckets.
 
     Plan-then-execute (PR 9) adds three steady-state fields per record:
     ``plan_derive_s`` (the one-time instrumented derivation of the

@@ -588,7 +588,9 @@ class ProfilerPhaseChecker(Checker):
 
     # path suffix -> function names that must contain a profiling hook
     entry_points: Dict[str, Set[str]] = {
-        "nn/functional.py": {"group_norm", "layer_norm", "im2col", "im2col_t"},
+        "nn/functional.py": {
+            "group_norm", "layer_norm", "im2col", "im2col_t", "unfold_rows"
+        },
         "core/engine.py": {"from_model"},
     }
     # files that must know every bucket name used at a phase call site

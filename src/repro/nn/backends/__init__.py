@@ -2,9 +2,9 @@
 
 Every integer GEMM the quantized layers execute - ``conv2d_from_cols_t``,
 ``linear``, the two attention activation x activation matmuls - plus the
-float conv/linear calibration paths and the ``im2col_t`` unfold, dispatch
-through one small interface, :class:`ComputeBackend`.  Two implementations
-ship:
+float conv/linear calibration paths and the ``im2col_t`` / ``unfold_rows``
+unfolds, dispatch through one small interface, :class:`ComputeBackend`.
+Two implementations ship:
 
 * ``reference`` - the pure-numpy kernels in :mod:`repro.nn.functional`,
   verbatim.  This is the default and the bit-exactness anchor.
@@ -68,8 +68,9 @@ class ComputeBackend:
     *name*), and MUST be bit-exact for integer-valued operands within the
     exact-f32 gate bounds - that is the whole license to reorder the math.
     ``im2col_t`` output must be C-contiguous in the reference
-    ``(N, C*k*k, positions)`` layout: the gate reasoning and the
-    spatial-difference stats both assume it.
+    ``(N, C*k*k, positions)`` layout, and ``unfold_rows`` output in the
+    reference ``(N, C*k, Hp*Wp)`` row-shift layout: the gate reasoning and
+    the spatial-difference stats both assume them.
     """
 
     name = "abstract"
@@ -108,6 +109,16 @@ class ComputeBackend:
         out: Optional[np.ndarray] = None,
     ):
         return F.im2col_t(x, kernel, stride, padding, out=out)
+
+    def unfold_rows(
+        self,
+        x: np.ndarray,
+        kernel: int,
+        padding: int = 0,
+        out: Optional[np.ndarray] = None,
+    ):
+        """Row-shift unfold for stride-1 convs (see ``F.unfold_rows``)."""
+        return F.unfold_rows(x, kernel, padding, out=out)
 
     def conv2d(
         self,

@@ -74,16 +74,15 @@ class BlasBatchedBackend(ComputeBackend):
     ) -> np.ndarray:
         flat_w = weight if weight.ndim == 2 else weight.reshape(weight.shape[0], -1)
         n, dot, positions = cols_t.shape
-        if not cols_t.flags.c_contiguous:
-            return F.conv2d_from_cols_t(cols_t, weight, out_hw, bias)
-        if n == 1:
+        if n == 1 and cols_t.flags.c_contiguous:
             # (1, dot, P) -> (dot, P) is a free view: batch 1 *is* 2-D.
             # repro-lint: assume[c-contiguous]
             cols2d = cols_t.reshape(dot, positions)
         else:
             # Gather (N, dot, P) -> (dot, N*P): N contiguous P-runs per
             # feature row, staged in the shared pool so the serving memory
-            # accounting sees it.
+            # accounting sees it.  The same copy compacts a non-contiguous
+            # operand, so the C-layout GEMM kernels never see one.
             cols2d = F.scratch_buffer("blas-cols2d", (dot, n * positions), cols_t.dtype)
             np.copyto(cols2d.reshape(dot, n, positions).transpose(1, 0, 2), cols_t)
         out2d = np.matmul(flat_w, cols2d)

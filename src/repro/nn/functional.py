@@ -37,6 +37,7 @@ __all__ = [
     "layer_norm",
     "im2col",
     "im2col_t",
+    "unfold_rows",
     "conv2d",
     "conv2d_from_cols",
     "conv2d_from_cols_t",
@@ -50,8 +51,9 @@ __all__ = [
 ]
 
 # Re-exported for the layer hot paths; see repro.scratch for the contract
-# (the "pad" tag's zero border is this module's own invariant - only the
-# interior of that buffer is ever written, so the border stays zero).
+# (the "pad" / "rowpad" tags' zero borders are this module's own invariant -
+# only the interior of those buffers is ever written, so the border stays
+# zero).
 from ..scratch import scratch_buffer
 
 _perf_counter = time.perf_counter
@@ -370,6 +372,67 @@ def im2col_t(
             prof.add("im2col_s2", elapsed)
             prof.add("im2col_s2_elems", float(cols_t.size))
     return cols_t, (out_h, out_w)
+
+
+def unfold_rows(
+    x: np.ndarray,
+    kernel: int,
+    padding: int = 0,
+    out: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """Row-shift unfold of ``(N, C, H, W)`` for a stride-1 ``k x k`` conv.
+
+    Each channel of the zero-padded ``(Hp, Wp)`` input is read as one flat
+    row of ``Hp*Wp`` values, and only the ``k`` horizontal taps are unfolded:
+    ``rows[n, c*k + kj, j] == padded_flat[n, c, j + kj]``, shape
+    ``(N, C*k, Hp*Wp)``.  That is ``k`` contiguous copies with runs of about
+    ``Hp*Wp`` elements, against ``k*k`` block copies with ``out_w``-element
+    runs for :func:`im2col_t`.
+
+    The vertical taps need no copy: tap ``ki`` of the output at ``(r, c)``
+    is ``rows[..., (r + ki)*Wp + c]``, so for each ``ki`` the slice
+    ``rows[..., ki*Wp : ki*Wp + out_h*Wp]`` is an ``(out_h, Wp)`` grid whose
+    first ``out_w`` columns are exactly the im2col columns of tap row
+    ``ki`` (``c + kj <= Wp - 1``, so a valid column never wraps into the
+    next row).  A conv is then ``k`` GEMMs over those slices, summed, with
+    the ``Wp - out_w`` wrap-around columns of each row dropped afterwards.
+
+    The last slice reads up to ``k - 1`` values past the flattened image;
+    they come from a spare zero row below it and reach wrap-around columns
+    only.  The padded copy lives in its own ``rowpad{p}`` scratch key: the
+    key's shape fixes ``(H, W)`` for its padding, so no caller ever writes
+    its border or spare row.  (A ``pad{p}`` workspace of the same shape
+    belongs to an input one row taller, whose interior covers that row.)
+
+    Returns ``(rows, (out_h, out_w))``; ``out`` must have the rows shape
+    and receives the unfold (with a cast, e.g. float64 into float32).
+    """
+    prof = profiling.active()
+    t0 = _perf_counter() if prof is not None else 0.0
+    n, c, h, w = x.shape
+    ph, pw = h + 2 * padding, w + 2 * padding
+    length = ph * pw
+    padded = scratch_buffer(f"rowpad{padding}", (n, c, ph + 1, pw), x.dtype)
+    padded[:, :, padding : padding + h, padding : padding + w] = x
+    flat = padded.reshape(n, c, (ph + 1) * pw)
+    if out is not None:
+        # A mis-shaped buffer is a caller bug, as for im2col_t.
+        if out.shape != (n, c * kernel, length):
+            raise ValueError(
+                f"unfold_rows out buffer has shape {out.shape}, need "
+                f"{(n, c * kernel, length)}"
+            )
+        rows = out
+    else:
+        rows = np.empty((n, c * kernel, length), dtype=x.dtype)
+    taps = rows.reshape(n, c, kernel, length)
+    for kj in range(kernel):
+        np.copyto(taps[:, :, kj], flat[:, :, kj : kj + length])
+    if prof is not None:
+        # The whole-unfold bucket only: the im2col_s1 / im2col_s2 sub-buckets
+        # keep timing im2col_t's square-kernel gather for the parity gate.
+        prof.add("im2col", _perf_counter() - t0)
+    return rows, (ph - kernel + 1, pw - kernel + 1)
 
 
 def conv2d_from_cols(

@@ -174,6 +174,48 @@ def _cols_spatial_stats_t(cols_t: np.ndarray) -> BitWidthStats:
     return classify_many(cols_t[:, :, :1], diff)
 
 
+def _rows_spatial_stats(
+    rows: np.ndarray, kernel: int, out_hw: Tuple[int, int]
+) -> BitWidthStats:
+    """Diffy stats over a stride-1 row-shift unfold ``(N, C*k, Hp*Wp)``.
+
+    Viewed as ``(N, C*k, Hp, Wp)``, vertical tap ``ki``'s sliding-window
+    values are rows ``[ki, ki + out_h)`` cut to ``[..., :out_w]``.  Per
+    ``ki``, the first window plus the within-row differences (consecutive
+    columns) and across-row differences (first column of row ``r + 1``
+    minus last valid column of row ``r``) are the value multiset
+    :func:`_cols_spatial_stats_t` classifies over the im2col positions, so
+    the histogram is identical.  Both difference sets are taken once over
+    all ``Hp`` rows and each tap reads its ``out_h``-row window of them.
+    """
+    out_h, out_w = out_hw
+    n, dot, length = rows.shape
+    wp = out_w + kernel - 1
+    img = rows.reshape(n, dot, length // wp, wp)
+    hp = img.shape[2]
+    dtype = _diff_scratch_dtype(rows.dtype)
+    within = np.subtract(
+        img[..., 1:out_w],
+        img[..., : out_w - 1],
+        out=F.scratch_buffer("rowdiff-within", (n, dot, hp, out_w - 1), dtype),
+        casting="unsafe",
+    )
+    across = np.subtract(
+        img[:, :, 1:, 0],
+        img[:, :, :-1, out_w - 1],
+        out=F.scratch_buffer("rowdiff-across", (n, dot, hp - 1), dtype),
+        casting="unsafe",
+    )
+    pieces = []
+    for ki in range(kernel):
+        pieces += (
+            img[:, :, ki, :1],
+            within[:, :, ki : ki + out_h],
+            across[:, :, ki : ki + out_h - 1],
+        )
+    return classify_many(*pieces)
+
+
 class QLayerBase(Module):
     """Shared machinery: mode flag, input quantizer, temporal state."""
 
@@ -442,6 +484,17 @@ class QConv2d(QLayerBase):
             self.q_weight.astype(np.float32) if self._use_f32 else None
         )
         self._cols_dtype = np.dtype(np.float32 if self._use_f32 else np.float64)
+        # Stride-1 convs run the row-shift GEMMs (see _conv), one per
+        # vertical tap: _w_rows[ki][o, c*k + kj] == q_weight[o, c, ki, kj],
+        # in the dtype of the weight this layer's GEMM runs.
+        self._w_rows = None
+        if stride == 1:
+            gemm_w = self._q_weight_f32 if self._use_f32 else self.q_weight
+            self._w_rows = np.ascontiguousarray(
+                gemm_w.transpose(2, 0, 1, 3).reshape(
+                    self.kernel_size, self.out_channels, -1
+                )
+            )
 
     @classmethod
     def from_float(
@@ -453,24 +506,62 @@ class QConv2d(QLayerBase):
         )
 
     def _unfold(self, x: np.ndarray):
-        """Blocked transposed im2col of ``x`` into the shared scratch pool.
+        """Unfold ``x`` for :meth:`_conv` into the shared scratch pool.
 
-        Every caller consumes the columns (GEMM or spatial stats) before the
+        Stride 1 takes the row-shift layout (``unfold_rows``); a 1x1
+        unpadded conv's contiguous operand already is that layout, so it is
+        used as is.  Larger strides take the blocked transposed im2col.
+        Every caller consumes the result (GEMM or spatial stats) before the
         next unfold, so one pooled buffer per shape serves all conv layers.
         """
-        n, _, h, w = x.shape
-        out_h = (h + 2 * self.padding - self.kernel_size) // self.stride + 1
-        out_w = (w + 2 * self.padding - self.kernel_size) // self.stride + 1
-        dot_len = self.in_channels * self.kernel_size * self.kernel_size
-        return backends.active().im2col_t(
+        n, c, h, w = x.shape
+        k, p = self.kernel_size, self.padding
+        bk = backends.active()
+        if self.stride == 1:
+            if k == 1 and not p:
+                return x.reshape(n, c, h * w), (h, w)
+            length = (h + 2 * p) * (w + 2 * p)
+            return bk.unfold_rows(
+                x,
+                k,
+                p,
+                out=F.scratch_buffer(
+                    "qconv-rows", (n, c * k, length), self._cols_dtype
+                ),
+            )
+        out_h = (h + 2 * p - k) // self.stride + 1
+        out_w = (w + 2 * p - k) // self.stride + 1
+        return bk.im2col_t(
             x,
-            self.kernel_size,
+            k,
             self.stride,
-            self.padding,
+            p,
             out=F.scratch_buffer(
-                "qconv-cols", (n, dot_len, out_h * out_w), self._cols_dtype
+                "qconv-cols", (n, c * k * k, out_h * out_w), self._cols_dtype
             ),
         )
+
+    def _conv(self, cols: np.ndarray, out_hw: Tuple[int, int]) -> np.ndarray:
+        """Integer conv product ``(N, out_c, out_h, out_w)`` of an unfold.
+
+        Stride 1: vertical tap ``ki`` is the row buffer read ``ki`` padded
+        rows further on, so the conv is ``k`` GEMMs over overlapping slices
+        of it, summed.  Each slice spans ``out_h`` whole padded rows; the
+        ``Wp - out_w`` columns per row that wrap into the next row are
+        dropped by the returned view.  Every partial sum is an integer
+        inside the exact-f32 gate's bound, so the k-way sum is exact.
+        """
+        bk = backends.active()
+        if self.stride != 1:
+            q_weight = self._q_weight_f32 if self._use_f32 else self.q_weight
+            return bk.conv2d_from_cols_t(cols, q_weight, out_hw)
+        out_h, out_w = out_hw
+        wp = out_w + self.kernel_size - 1
+        span = out_h * wp
+        conv = bk.matmul(self._w_rows[0], cols[:, :, :span])
+        for ki in range(1, self.kernel_size):
+            conv += bk.matmul(self._w_rows[ki], cols[:, :, ki * wp : ki * wp + span])
+        return conv.reshape(cols.shape[0], self.out_channels, out_h, wp)[..., :out_w]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         # Values are exact small integers; float32 halves the memory traffic
@@ -481,17 +572,16 @@ class QConv2d(QLayerBase):
         diff = self._temporal_diff(q_in)
         temporal = self._effective_mode(diff) is ExecutionMode.TEMPORAL
         # Temporal mode unfolds the input-sized difference, not the input:
-        # im2col is linear and the zero padding border unfolds to zero in
-        # both operands, so conv(im2col(q - prev_q)) == conv(q) - conv(prev_q)
-        # exactly (the f32 gate already bounds difference operands).
+        # the unfold is linear and the zero padding border unfolds to zero
+        # in both operands, so conv(unfold(q - prev_q)) == conv(q) -
+        # conv(prev_q) exactly (the f32 gate already bounds differences).
         cols, out_hw = self._unfold(diff if temporal else q_in)
-        q_weight = self._q_weight_f32 if self._use_f32 else self.q_weight
-        conv = backends.active().conv2d_from_cols_t(cols, q_weight, out_hw)
+        conv = self._conv(cols, out_hw)
         if temporal:
             # float64 + float32 upcasts exactly; the sum runs in float64.
             out_int = self._prev_out_int + conv
         else:
-            out_int = conv if conv.dtype == np.float64 else conv.astype(np.float64)
+            out_int = np.ascontiguousarray(conv, dtype=np.float64)
         w_scale = self.weight_scale
         if self.per_channel:
             w_scale = np.asarray(w_scale).reshape(1, -1, 1, 1)
@@ -516,11 +606,15 @@ class QConv2d(QLayerBase):
         if TraceRecorder.current() is None:
             return  # nobody is listening; skip the stats passes entirely
         # Spatial (Diffy) differences live between consecutive sliding
-        # windows, i.e. consecutive *positions* of the transposed im2col
-        # matrix - reused from a dense forward; a temporal forward unfolded
-        # the difference, so the input is unfolded here (GEMM already done).
+        # windows - reused from a dense forward's unfold; a temporal forward
+        # unfolded the difference, so the input is unfolded here (the GEMM
+        # is already done).
         if cols is None:
             cols, _ = self._unfold(q_in)
+        if self.stride == 1:
+            spatial = _rows_spatial_stats(cols, self.kernel_size, out_int.shape[2:])
+        else:
+            spatial = _cols_spatial_stats_t(cols)
         dot_len = self.in_channels * self.kernel_size * self.kernel_size
         macs = (out_int.size // self.out_channels) * dot_len * self.out_channels
         record_step(
@@ -534,7 +628,7 @@ class QConv2d(QLayerBase):
                 weight_elems=int(self.q_weight.size),
                 data_elems=int(q_in.size),
                 stats_dense=classify(q_in),
-                stats_spatial=_cols_spatial_stats_t(cols),
+                stats_spatial=spatial,
                 stats_temporal=None if diff is None else classify(diff),
                 sub_ops_temporal=1,
                 vpu_elems=int(out_int.size) if self.nonlinear_after else 0,
@@ -731,6 +825,7 @@ class QAttention(QLayerBase):
             d_other=dk,
             other_is_weight=self.is_cross,
             vpu_out=True,  # softmax + requantization follow
+            executed_mode=mode,
         )
         self._prev["q"] = qq
         self._prev["k"] = qk
@@ -767,6 +862,7 @@ class QAttention(QLayerBase):
             d_other=dv,
             other_is_weight=self.is_cross,
             vpu_out=False,  # output feeds the linear projection directly
+            executed_mode=mode,
         )
         self._prev["p"] = qp
         self._prev["v"] = qv
@@ -783,6 +879,7 @@ class QAttention(QLayerBase):
         d_other: Optional[np.ndarray],
         other_is_weight: bool,
         vpu_out: bool,
+        executed_mode: ExecutionMode,
     ) -> None:
         if TraceRecorder.current() is None:
             return  # nobody is listening; skip the stats passes entirely
@@ -826,7 +923,7 @@ class QAttention(QLayerBase):
                 nonlinear_after=vpu_out,
                 chained_input=False,
                 producer_kind="other",
-                executed_mode=self.mode,
+                executed_mode=executed_mode,
             )
         )
 

@@ -5,6 +5,9 @@ Covers the dispatch contract end to end:
 * the blocked ``im2col_t`` stride-2 path matches a naive patch gather bit
   for bit, in the reference ``(N, C*k*k, positions)`` layout, C-contiguous,
   through the ``out=`` buffer-reuse gate;
+* the stride-1 row-shift unfold (``unfold_rows``) plus its k-slice GEMM is
+  bit-identical to ``im2col_t`` + ``conv2d_from_cols_t`` on every backend,
+  including across reuse of its pooled buffers;
 * integer-valued GEMMs are *bit-identical* across backends (the exact-f32
   license: any accumulation order yields the same bits under the gate);
 * unavailable/unknown backends degrade to ``reference`` with a recorded
@@ -103,6 +106,78 @@ def test_im2col_t_stride2_out_buffer_gate():
     wrong = np.empty((2, 27, out_h * out_w + 1))
     with pytest.raises(ValueError, match="out buffer"):
         F.im2col_t(x, 3, 2, 1, out=wrong)
+
+
+# -- stride-1 row-shift unfold ----------------------------------------------
+
+def naive_rows(x, kernel, padding):
+    """The unfold_rows layout built by explicit loops, zero past the image."""
+    n, c, h, w = x.shape
+    padded = np.pad(
+        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
+    )
+    length = padded.shape[2] * padded.shape[3]
+    flat = np.zeros((n, c, length + kernel - 1), dtype=x.dtype)
+    flat[:, :, :length] = padded.reshape(n, c, length)
+    rows = np.empty((n, c * kernel, length), dtype=x.dtype)
+    for ch in range(c):
+        for kj in range(kernel):
+            rows[:, ch * kernel + kj] = flat[:, ch, kj : kj + length]
+    return rows
+
+
+def _row_shift_conv(bk, rows, weight, out_hw):
+    """The k-slice GEMM QConv2d runs over a row-shift unfold."""
+    out_c, _, kernel, _ = weight.shape
+    out_h, out_w = out_hw
+    wp = out_w + kernel - 1
+    span = out_h * wp
+    w_rows = np.ascontiguousarray(
+        weight.transpose(2, 0, 1, 3).reshape(kernel, out_c, -1)
+    )
+    conv = bk.matmul(w_rows[0], rows[:, :, :span])
+    for ki in range(1, kernel):
+        conv += bk.matmul(w_rows[ki], rows[:, :, ki * wp : ki * wp + span])
+    return conv.reshape(rows.shape[0], out_c, out_h, wp)[..., :out_w]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_unfold_rows_conv_bit_identical_to_im2col(kernel, padding, batch, dtype, backend):
+    """Row-shift unfold + k-slice GEMM == im2col_t + conv2d_from_cols_t.
+
+    Integer operands at the exact-f32 gate's extremes (differences up to
+    255 against 8-bit weights), a non-square input, and two calls through
+    the same ``out`` buffer and pooled pad workspace.  Before the first
+    call the ``pad{p}`` workspace of an input one row taller - the shape a
+    spare-row pad buffer would share a key with - is filled with nonzero
+    data, so a tail or border read from that key would surface here.
+    """
+    bk = backends.get_backend(backend)
+    rng = np.random.default_rng(11)
+    c, h, w = 4, 5, 9
+    weight = rng.integers(-127, 128, size=(6, c, kernel, kernel)).astype(dtype)
+    flat_w = weight.reshape(6, -1)
+    taller = rng.integers(1, 200, size=(batch, c, h + 1, w)).astype(dtype)
+    bk.im2col_t(taller, 3, 1, padding)
+    length = (h + 2 * padding) * (w + 2 * padding)
+    out = np.full((batch, c * kernel, length), np.nan, dtype=dtype)
+    for _ in range(2):
+        x = rng.integers(-255, 256, size=(batch, c, h, w)).astype(dtype)
+        rows, out_hw = bk.unfold_rows(x, kernel, padding, out=out)
+        assert rows is out and rows.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(rows, naive_rows(x, kernel, padding))
+        cols, ref_hw = bk.im2col_t(x, kernel, 1, padding)
+        assert out_hw == ref_hw
+        got = _row_shift_conv(bk, rows, weight, out_hw)
+        ref = bk.conv2d_from_cols_t(cols, flat_w, ref_hw)
+        assert got.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(got, ref)
+    with pytest.raises(ValueError, match="out buffer"):
+        bk.unfold_rows(x, kernel, padding, out=out[:, :, 1:])
 
 
 # -- cross-backend integer bit-equality --------------------------------------

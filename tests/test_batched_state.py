@@ -364,6 +364,34 @@ def test_continuous_session_cfg_attention():
         np.testing.assert_array_equal(out[i], reference)
 
 
+def test_session_first_step_records_dense_attention_matmuls():
+    """A session opens in TEMPORAL mode with empty attention state, so the
+    first step's QK / PV matmuls run dense: their trace records must carry
+    the mode that actually executed, not the layer's mode flag."""
+    from repro.core import ExecutionMode
+    from repro.core.trace import TraceRecorder
+
+    engine = _cfg_engine(calibrate=False)
+    shape = (1,) + engine.pipeline.sample_shape
+    traces = []
+    with engine.open_session() as session:
+        session.admit(np.random.default_rng(5).standard_normal(shape), tag=0)
+        for _ in range(2):
+            with TraceRecorder() as rec:
+                session.step()
+            traces.append(
+                [s for s in rec.trace if s.kind in ("attn_qk", "attn_pv")]
+            )
+    first, second = traces
+    assert {s.kind for s in first} == {"attn_qk", "attn_pv"}
+    for step in first:
+        assert step.executed_mode is ExecutionMode.DENSE, step.layer_name
+        assert step.stats_temporal is None
+    for step in second:
+        assert step.executed_mode is ExecutionMode.TEMPORAL, step.layer_name
+        assert step.stats_temporal is not None
+
+
 def test_session_rejects_multistep_samplers():
     engine = DittoEngine.from_model(
         _unet("none", attention_levels=()),
@@ -488,7 +516,9 @@ def test_conv_state_is_base_temporal_state_only():
         buffers = {
             name for name, value in vars(conv).items()
             if isinstance(value, np.ndarray)
-            and name not in ("q_weight", "_q_weight_f32", "bias", "weight_scale")
+            and name not in (
+                "q_weight", "_q_weight_f32", "_w_rows", "bias", "weight_scale"
+            )
         }
         assert buffers <= base, buffers - base
         assert conv._prev_q_in is not None and conv._prev_out_int is not None

@@ -75,6 +75,16 @@ def test_im2col_t_stride2_reports_its_own_bucket():
     assert "im2col_s1" not in prof.buckets
 
 
+def test_unfold_rows_reports_whole_im2col_bucket_only():
+    """The stride-1 row-shift unfold is im2col time, but not im2col_t's
+    square-kernel gather that the stride-parity sub-buckets compare."""
+    x = np.random.default_rng(2).standard_normal((1, 4, 8, 8))
+    with profiling.profile() as prof:
+        F.unfold_rows(x, 3, 1)
+    assert prof.buckets["im2col"] > 0.0
+    assert set(prof.snapshot()) == {"im2col"}
+
+
 # -- the bench record --------------------------------------------------------
 
 def test_bench_records_per_phase_medians(tmp_path):

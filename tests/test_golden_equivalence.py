@@ -198,15 +198,30 @@ def _reference_conv_record(layer: QConv2d, q_in, diff):
     )
 
 
+# id -> (padding, stride, kernel, (H, W)).  Every stride-1 case runs the
+# row-shift spatial stats: padding 0/1/2, the 1x1 no-copy operand, a
+# non-square input, and out_w == 1 (no within-row differences at all).
+_CONV_STATS_CASES = {
+    "1-1": (1, 1, 3, (8, 8)),
+    "0-1": (0, 1, 3, (8, 8)),
+    "1-2": (1, 2, 3, (8, 8)),
+    "2-1": (2, 1, 3, (8, 8)),
+    "1x1": (0, 1, 1, (8, 8)),
+    "nonsquare": (1, 1, 3, (5, 9)),
+    "outw1": (0, 1, 3, (6, 3)),
+}
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("padding,stride", [(1, 1), (0, 1), (1, 2)])
-def test_conv_stats_match_naive_reference(padding, stride, backend):
+@pytest.mark.parametrize("case", list(_CONV_STATS_CASES))
+def test_conv_stats_match_naive_reference(case, backend):
+    padding, stride, kernel, (h, w) = _CONV_STATS_CASES[case]
     rng = np.random.default_rng(5)
-    weight = rng.standard_normal((6, 3, 3, 3))
+    weight = rng.standard_normal((6, 3, kernel, kernel))
     layer = QConv2d(weight, None, stride=stride, padding=padding)
     layer.layer_name = "conv"
-    x0 = rng.standard_normal((2, 3, 8, 8))
-    x1 = x0 + 0.05 * rng.standard_normal((2, 3, 8, 8))
+    x0 = rng.standard_normal((2, 3, h, w))
+    x1 = x0 + 0.05 * rng.standard_normal((2, 3, h, w))
     for mode, x in [
         (ExecutionMode.DENSE, x0),
         (ExecutionMode.TEMPORAL, x1),
@@ -238,6 +253,7 @@ def test_f32_and_f64_conv_paths_identical(backend):
     slow._use_f32 = False
     slow._q_weight_f32 = None
     slow._cols_dtype = np.dtype(np.float64)
+    slow._w_rows = slow._w_rows.astype(np.float64)
     for step in range(3):
         x = rng.standard_normal((1, 2, 6, 6))
         for layer in (fast, slow):
