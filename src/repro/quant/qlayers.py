@@ -60,10 +60,12 @@ def _max_product(bits: int) -> int:
     Quantized values are clipped to |q| <= 2^(bits-1), but *temporal and
     spatial differences* of two such values span up to 2^bits - 1.  Every
     GEMM in the Ditto paths multiplies at most (difference x quantized
-    value), so the per-term bound that the float32 exactness gate must
-    honour is 2^(2*bits - 1), not 2^(2*(bits-1)).
+    value), so the exact per-term bound that the float32 exactness gate
+    must honour is (2^bits - 1) * 2^(bits-1) (255 * 128 = 32,640 at 8
+    bits), not the dense 2^(2*(bits-1)).  As 514 * 32,640 < 2^24 <
+    515 * 32,640, the longest gated 8-bit dot product has 514 terms.
     """
-    return 1 << (2 * bits - 1)
+    return ((1 << bits) - 1) << (bits - 1)
 
 
 def _remap_rows_array(
@@ -375,9 +377,9 @@ class QLinear(QLayerBase):
         # See QConv2d: the f32 integer GEMM is exact while every partial dot
         # product stays inside float32's 2^24 exact-integer range.
         self._use_f32 = self.in_features * _max_product(bits) < (1 << 24)
-        self._q_weight_f32 = (
-            self.q_weight.astype(np.float32) if self._use_f32 else None
-        )
+        # One integer weight copy, in the dtype this layer's GEMM runs.
+        if self._use_f32:
+            self.q_weight = self.q_weight.astype(np.float32)
 
     @classmethod
     def from_float(
@@ -392,15 +394,14 @@ class QLinear(QLayerBase):
         )
         diff = self._temporal_diff(q_in)
         mode = self._effective_mode(diff)
-        q_weight = self._q_weight_f32 if self._use_f32 else self.q_weight
         bk = backends.active()
         if mode is ExecutionMode.TEMPORAL:
             # float64 + float32 upcasts exactly; the sum runs in float64.
-            out_int = self._prev_out_int + bk.linear(diff, q_weight)
+            out_int = self._prev_out_int + bk.linear(diff, self.q_weight)
         else:
             # Dense and spatial paths share arithmetic: the spatial path's
             # row-cumulative reconstruction telescopes to the plain matmul.
-            out_int = bk.linear(q_in, q_weight)
+            out_int = bk.linear(q_in, self.q_weight)
             if out_int.dtype != np.float64:
                 out_int = out_int.astype(np.float64)
         # weight_scale is a scalar (per-tensor) or an (out,) vector
@@ -480,18 +481,16 @@ class QConv2d(QLayerBase):
         # GEMM rate.
         dot_len = self.in_channels * self.kernel_size * self.kernel_size
         self._use_f32 = dot_len * _max_product(bits) < (1 << 24)
-        self._q_weight_f32 = (
-            self.q_weight.astype(np.float32) if self._use_f32 else None
-        )
         self._cols_dtype = np.dtype(np.float32 if self._use_f32 else np.float64)
+        # One integer weight copy, in the dtype this layer's GEMM runs.
+        if self._use_f32:
+            self.q_weight = self.q_weight.astype(np.float32)
         # Stride-1 convs run the row-shift GEMMs (see _conv), one per
-        # vertical tap: _w_rows[ki][o, c*k + kj] == q_weight[o, c, ki, kj],
-        # in the dtype of the weight this layer's GEMM runs.
+        # vertical tap: _w_rows[ki][o, c*k + kj] == q_weight[o, c, ki, kj].
         self._w_rows = None
         if stride == 1:
-            gemm_w = self._q_weight_f32 if self._use_f32 else self.q_weight
             self._w_rows = np.ascontiguousarray(
-                gemm_w.transpose(2, 0, 1, 3).reshape(
+                self.q_weight.transpose(2, 0, 1, 3).reshape(
                     self.kernel_size, self.out_channels, -1
                 )
             )
@@ -553,8 +552,7 @@ class QConv2d(QLayerBase):
         """
         bk = backends.active()
         if self.stride != 1:
-            q_weight = self._q_weight_f32 if self._use_f32 else self.q_weight
-            return bk.conv2d_from_cols_t(cols, q_weight, out_hw)
+            return bk.conv2d_from_cols_t(cols, self.q_weight, out_hw)
         out_h, out_w = out_hw
         wp = out_w + self.kernel_size - 1
         span = out_h * wp

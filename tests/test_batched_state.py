@@ -516,9 +516,7 @@ def test_conv_state_is_base_temporal_state_only():
         buffers = {
             name for name, value in vars(conv).items()
             if isinstance(value, np.ndarray)
-            and name not in (
-                "q_weight", "_q_weight_f32", "_w_rows", "bias", "weight_scale"
-            )
+            and name not in ("q_weight", "_w_rows", "bias", "weight_scale")
         }
         assert buffers <= base, buffers - base
         assert conv._prev_q_in is not None and conv._prev_out_int is not None

@@ -251,7 +251,7 @@ def test_f32_and_f64_conv_paths_identical(backend):
     slow = QConv2d(weight, None, padding=1)
     assert fast._use_f32
     slow._use_f32 = False
-    slow._q_weight_f32 = None
+    slow.q_weight = slow.q_weight.astype(np.float64)
     slow._cols_dtype = np.dtype(np.float64)
     slow._w_rows = slow._w_rows.astype(np.float64)
     for step in range(3):
@@ -281,7 +281,7 @@ def test_f32_gate_covers_difference_range():
     wide = QConv2d(rng.standard_normal((4, 64, 3, 3)), None, padding=1)
     assert not wide._use_f32  # dot_len 576 > 2^24 / 2^15
     narrow = QConv2d(rng.standard_normal((4, 32, 3, 3)), None, padding=1)
-    assert narrow._use_f32  # dot_len 288 <= 511
+    assert narrow._use_f32  # dot_len 288 <= 514
     # The reviewer's counterexample, end to end: saturated differences whose
     # exact dot product is odd and above 2^24 must survive bit-exactly.
     from repro.quant.qlayers import QLinear
@@ -297,6 +297,44 @@ def test_f32_gate_covers_difference_range():
     # exactly 1000 * 127 * 127 / 127 - any f32 rounding in the temporal
     # reconstruction (int dot 16_129_000 > 2^24) would show here.
     assert float(out.ravel()[0]) == 1000 * 127
+
+
+def test_f32_gate_edge_is_exact_worst_case_product():
+    """The gate is ``dot_len * 255 * 128 < 2^24``: 514 terms take float32,
+    515 do not (the naive ``2^15`` per-term bound would stop at 511)."""
+    from repro.quant.qlayers import QLinear
+
+    assert 514 * 255 * 128 < 2**24 < 515 * 255 * 128
+    assert QLinear(np.ones((2, 514)), None)._use_f32
+    assert not QLinear(np.ones((2, 515)), None)._use_f32
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_f32_gate_edge_saturated_temporal_step_exact(backend):
+    """At the 514-term edge, a saturated temporal step runs bit-identical
+    to a forced-float64 twin: every difference is 127 - (-128) = 255 and
+    one weight is the -128 end of the grid."""
+    from repro.quant.qlayers import QLinear
+
+    fast = QLinear(np.ones((1, 514)), None)
+    slow = QLinear(np.ones((1, 514)), None)
+    assert fast._use_f32 and fast.q_weight.dtype == np.float32
+    slow._use_f32 = False
+    slow.q_weight = slow.q_weight.astype(np.float64)
+    for layer in (fast, slow):
+        layer.q_weight[0, 0] = -128.0
+        layer.input_quant.scale = 1.0
+    outs = []
+    for layer in (fast, slow):
+        with backends.use_backend(backend):
+            layer.mode = ExecutionMode.DENSE
+            layer(np.full((1, 514), -128.0))
+            layer.mode = ExecutionMode.TEMPORAL
+            outs.append(layer(np.full((1, 514), 127.0)))
+    np.testing.assert_array_equal(outs[0], outs[1])
+    # The temporal dot product 255 * (513 * 127 - 128) is odd and within
+    # 2^24; the integer accumulator holds (-128 + 255) times the weight sum.
+    assert fast._prev_out_int.ravel()[0] == 127 * (513 * 127 - 128)
 
 
 def test_pad_workspace_not_shared_across_padding_widths():

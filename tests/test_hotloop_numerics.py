@@ -23,6 +23,22 @@ here with explicit, measured bounds:
 
 This file is the documented waiver ISSUE 5 asks for: the float calibration
 path is *not* bit-exact with PR 4, and these bounds are why that is safe.
+
+It also holds the GELU waiver.  :func:`repro.nn.functional.gelu` cubes as
+``x * x * x`` instead of ``x ** 3`` (libm ``pow``, which is not correctly
+rounded), so GELU outputs move by a few ulps:
+
+* **Kernel equivalence** - within ``4 * eps * max(1, |x|)`` of the ``x ** 3``
+  formula in float64 and float32 (observed <= 1 eps); the pooled in-place
+  evaluation is bit-identical to the plain ``x * x * x`` formula.
+* **Which samples move** - only benchmarks whose models contain a GELU: the
+  transformer MLPs of IMG, SDM, DiT and Latte.  Their calibration scales
+  stay within ``F32_SCALE_BOUND`` of an ``x ** 3`` build; their samples
+  move through rounding flips at quantization-grid boundaries, the same
+  mechanism and magnitude as the float32-calibration drift above (at 10
+  steps, b1: relative L1 0 for DiT, ~3e-7 Latte, ~2e-2 IMG, ~4e-2 SDM).
+  DDPM, BED and CHUR run no GELU; their scales and samples are
+  bit-identical.
 """
 
 import numpy as np
@@ -31,7 +47,7 @@ import pytest
 from repro.core import DittoEngine
 from repro.diffusion import DiffusionSchedule, GenerationPipeline, make_sampler
 from repro.nn import functional as F
-from repro.nn.layers import Conv2d
+from repro.nn.layers import GELU, Conv2d
 from repro.quant.calibration import calibrate_model, calibration_precision
 from repro.runtime.hashing import engine_key
 from repro.workloads import SUITE, get_benchmark
@@ -171,18 +187,103 @@ def test_fused_variance_never_goes_negative():
     assert np.all(np.isfinite(ln))
 
 
+# -- GELU without libm pow ---------------------------------------------------
+
+def ref_gelu(x):
+    """The ``x ** 3`` (libm ``pow``) formulation the kernel replaced."""
+    inner = F._GELU_C * (x + 0.044715 * x ** 3)
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def plain_gelu(x):
+    """The kernel's formula, written plainly: fresh temporaries, no pool."""
+    inner = F._GELU_C * (x + 0.044715 * (x * x * x))
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gelu_matches_pow_reference(dtype):
+    """Absolute, not relative, error: in the far-negative tail GELU is a
+    tiny difference of order-one terms, so ulps of the output mean
+    nothing there."""
+    x = np.linspace(-12.0, 12.0, 200_001).astype(dtype)
+    got, want = F.gelu(x), ref_gelu(x)
+    assert got.dtype == want.dtype == dtype
+    err = np.abs(got.astype(np.float64) - want.astype(np.float64))
+    eps = float(np.finfo(dtype).eps)
+    assert np.all(err <= 4 * eps * np.maximum(1.0, np.abs(x)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gelu_pooled_bit_identical_to_plain_formula(dtype):
+    rng = np.random.default_rng(8)
+    base = (rng.standard_normal((2, 64, 40)) * 4).astype(dtype)
+    for x in (base, base.transpose(0, 2, 1)):  # contiguous and strided
+        before = x.copy()
+        first = F.gelu(x)
+        second = F.gelu(x)
+        np.testing.assert_array_equal(x, before)  # input untouched
+        assert first.dtype == dtype
+        assert first.tobytes() == plain_gelu(x).tobytes()
+        # Outputs are fresh arrays: the pooled buffer never escapes.
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
+
+
+GELU_BENCHMARKS = ["IMG", "SDM", "DiT", "Latte"]
+NO_GELU_BENCHMARKS = ["DDPM", "BED", "CHUR"]
+
+
+def test_gelu_benchmark_split_matches_models():
+    assert sorted(GELU_BENCHMARKS + NO_GELU_BENCHMARKS) == sorted(BENCHMARKS)
+    for name in BENCHMARKS:
+        model = get_benchmark(name).build_model()
+        has_gelu = any(isinstance(m, GELU) for _, m in model.named_modules())
+        assert has_gelu == (name in GELU_BENCHMARKS), name
+
+
+@pytest.mark.parametrize("bench_name", GELU_BENCHMARKS)
+def test_gelu_cube_scale_drift_bounded(bench_name):
+    """The GELU change moves calibration scales far below the integer grid."""
+    spec = get_benchmark(bench_name)
+    cube = _calibration_scales(spec, dtype="float32")
+    pow_ref = _calibration_scales(spec, dtype="float32", ref_gelu_cube=True)
+    assert _max_rel_drift(cube, pow_ref) < F32_SCALE_BOUND
+
+
+@pytest.mark.parametrize("bench_name", NO_GELU_BENCHMARKS)
+def test_gelu_cube_leaves_gelu_free_benchmarks_bit_identical(bench_name):
+    spec = get_benchmark(bench_name)
+    cube = _calibration_scales(spec, dtype="float32")
+    pow_ref = _calibration_scales(spec, dtype="float32", ref_gelu_cube=True)
+    assert cube == pow_ref
+    samples = []
+    for gelu in (F.gelu, ref_gelu):
+        saved, F.gelu = F.gelu, gelu
+        try:
+            engine = DittoEngine.from_benchmark(spec, num_steps=3)
+            samples.append(engine.run(batch_size=1, seed=0).samples)
+        finally:
+            F.gelu = saved
+    assert samples[0].tobytes() == samples[1].tobytes()
+
+
 # -- calibration-scale invariance (all seven benchmarks) ---------------------
 
-def _calibration_scales(spec, dtype="float64", ref_norms=False, steps=3):
+def _calibration_scales(
+    spec, dtype="float64", ref_norms=False, steps=3, ref_gelu_cube=False
+):
     """Per-layer scales from one short calibration trajectory.
 
     Mirrors ``DittoEngine.from_model``'s calibration setup (same seed, same
     pipeline shape) without quantizing, so two arms differing only in the
-    norm kernels / trajectory dtype are directly comparable.
+    norm / GELU kernels or the trajectory dtype are directly comparable.
     """
-    saved = (F.group_norm, F.layer_norm)
+    saved = (F.group_norm, F.layer_norm, F.gelu)
     if ref_norms:
         F.group_norm, F.layer_norm = ref_group_norm, ref_layer_norm
+    if ref_gelu_cube:
+        F.gelu = ref_gelu
     try:
         model = spec.build_model()
         pipeline = GenerationPipeline(
@@ -195,7 +296,7 @@ def _calibration_scales(spec, dtype="float64", ref_norms=False, steps=3):
         with calibration_precision(model, pipeline, dtype):
             return calibrate_model(model, lambda: pipeline.generate(1, rng))
     finally:
-        F.group_norm, F.layer_norm = saved
+        F.group_norm, F.layer_norm, F.gelu = saved
 
 
 def _max_rel_drift(a, b):
