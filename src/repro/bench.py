@@ -26,8 +26,7 @@ import numpy as np
 from . import profiling
 from .core import DittoEngine
 from .core.bitwidth import clear_classification_pool
-from .defaults import resolve_backend, resolve_calibration_dtype
-from .nn import backends as compute_backends
+from .defaults import resolve_calibration_dtype
 from .runtime import ResultCache, default_cache_dir, normalize_batch_sizes
 from .runtime.hashing import engine_key
 from .scratch import clear_scratch
@@ -140,7 +139,6 @@ def _bench_one_batch_size(
                 calibration_seed=params["calibration_seed"],
                 step_clusters=params["step_clusters"],
                 calibration_dtype=params.get("calibration_dtype"),
-                backend=params.get("backend"),
             )
             t1 = time.perf_counter()
         with profiling.profile() as run_prof:
@@ -213,12 +211,8 @@ def _bench_one_batch_size(
         replay_times.append(time.perf_counter() - t0)
     assert plan.num_records == len(trace)  # same engine, same trajectory
 
-    requested = engine.backend
     return {
         "batch_size": batch,
-        "backend": requested,
-        "backend_effective": engine.effective_backend,
-        "backend_fallback_reason": engine.backend_fallback_reason,
         "cold_build_s": round(build_s, 4),
         "cold_run_s": round(run_s, 4),
         "cold_total_s": round(total_s, 4),
@@ -245,7 +239,6 @@ def bench_benchmark(
     batch_sizes: Optional[Sequence[int]] = None,
     cache_dir=None,
     calibration_dtype: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """Cold/warm timings for one benchmark; returns a JSON-ready record.
 
@@ -271,14 +264,12 @@ def bench_benchmark(
             "seed": seed,
             "batch_size": size,
             "calibration_dtype": calibration_dtype,
-            "backend": backend,
         }
         by_size[str(size)] = _bench_one_batch_size(spec, params, repeats, cache_dir)
     headline = by_size[str(sizes[0])]
     record = {
         key: headline[key]
         for key in (
-            "backend", "backend_effective", "backend_fallback_reason",
             "cold_build_s", "cold_run_s", "cold_total_s", "cold_best_total_s",
             "cold_runs", "phases", "warm_load_s", "plan_derive_s",
             "plan_replay_run_s", "plain_run_s", "records", "steps",
@@ -301,7 +292,6 @@ def run_bench(
     baseline_ref: Optional[str] = None,
     cache_dir=None,
     calibration_dtype: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """Bench the given benchmarks (default: whole Table I suite) to JSON."""
     from .workloads import SUITE
@@ -317,7 +307,7 @@ def run_bench(
         results[name] = bench_benchmark(
             name, repeats=repeats, seed=seed, num_steps=num_steps,
             batch_sizes=sizes, cache_dir=cache_dir,
-            calibration_dtype=calibration_dtype, backend=backend,
+            calibration_dtype=calibration_dtype,
         )
     payload: Dict[str, object] = {
         # Schema 3 (PR 5): cold_* headline timings are per-phase medians
@@ -327,8 +317,8 @@ def run_bench(
         # PR 9 adds per-record plan-then-execute fields (plan_derive_s /
         # plan_replay_run_s / plain_run_s) without changing the schema: the
         # gate treats absent metrics as "fewer comparisons", never failures.
-        # PR 10 adds per-record backend fields and the im2col stride
-        # sub-buckets (seconds + element counters) the same additive way.
+        # PR 10 adds the im2col stride sub-buckets (seconds + element
+        # counters) the same additive way.
         "schema": 3,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "host": {
@@ -350,12 +340,6 @@ def run_bench(
             "calibration_dtype": resolve_calibration_dtype(
                 None, calibration_dtype
             ),
-            # The requested backend through the shared resolution rule plus
-            # what this host actually ran (probe fallback recorded, never
-            # silent) - per-record fields repeat this per benchmark.
-            "backend": resolve_backend(None, backend),
-            "backend_effective": compute_backends.probe_backend(backend)[0],
-            "backends_available": list(compute_backends.available_backends()),
         },
         "benchmarks": results,
     }

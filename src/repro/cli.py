@@ -78,18 +78,6 @@ def _add_runtime_flags(
     )
 
 
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    from .nn.backends import registered_backends
-
-    parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        choices=list(registered_backends()),
-        help="compute backend for the GEMM/im2col hot path (default: "
-             "$REPRO_BACKEND or 'reference'); an unavailable backend "
-             "degrades to reference with a recorded reason",
-    )
-
-
 def _make_runner(args: argparse.Namespace) -> EngineRunner:
     return EngineRunner(
         jobs=getattr(args, "jobs", 1),
@@ -122,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=1, metavar="N",
         help="samples per generation batch (batch-N is bit-exact with N batch-1 runs)",
     )
-    _add_backend_flag(run_p)
     # A single-benchmark run builds one engine, so --jobs has nothing to
     # parallelize; only the cache flags apply.
     _add_runtime_flags(run_p, jobs=False)
@@ -137,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=1, metavar="N",
         help="generation batch size for every benchmark run",
     )
-    _add_backend_flag(sweep_p)
     _add_runtime_flags(sweep_p)
 
     serve_p = sub.add_parser(
@@ -170,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--eta", type=float, default=None, metavar="ETA",
         help="stochastic DDIM eta (> 0 draws per-request posterior noise)",
     )
-    _add_backend_flag(serve_p)
     serve_p.add_argument(
         "--requests", type=int, default=16, metavar="N",
         help="number of requests in the simulated queue",
@@ -270,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH",
         help="output JSON path (default: BENCH_PR10.json)",
     )
-    _add_backend_flag(bench_p)
     bench_p.add_argument(
         "--calibration-dtype", default=None, metavar="DTYPE",
         choices=["float32", "float64"], dest="calibration_dtype",
@@ -325,7 +309,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         step_clusters=args.clusters,
         seed=args.seed,
         batch_size=args.batch_size,
-        backend=args.backend,
     )
     study = run_study(args.benchmark, engine_result=result)
     print(study.summary())
@@ -360,7 +343,7 @@ def _cmd_similarity(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
-    results = runner.run_suite(batch_size=args.batch_size, backend=args.backend)
+    results = runner.run_suite(batch_size=args.batch_size)
     rows = []
     for name in SUITE:
         study = run_study(name, engine_result=results[name])
@@ -400,7 +383,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         verify_invariance=args.verify,
         scheduler=args.scheduler,
         pool_budget_mb=args.pool_budget_mb,
-        backend=args.backend,
         sampler=args.sampler,
         sampler_eta=args.eta,
         deadline_s=args.deadline_s,
@@ -441,7 +423,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         baseline_ref=args.baseline_ref,
         cache_dir=args.cache_dir,
         calibration_dtype=args.calibration_dtype,
-        backend=args.backend,
     )
     rows = []
     for name, rec in payload["benchmarks"].items():

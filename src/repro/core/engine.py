@@ -25,9 +25,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .. import profiling
-from ..defaults import resolve_backend
 from ..diffusion.pipeline import GenerationPipeline, PerElementRNG
-from ..nn import backends
 from ..diffusion.samplers import make_sampler
 from ..diffusion.schedule import DiffusionSchedule
 from ..nn.module import Module
@@ -67,40 +65,21 @@ class EngineResult:
 class DittoEngine:
     """Runs a quantized diffusion model and records the Ditto-rich trace."""
 
+    # The one compute path (``repro.nn.backends``), named for run records.
+    backend = "reference"
+    effective_backend = "reference"
+    backend_fallback_reason = None
+
     def __init__(
         self,
         qmodel: Module,
         pipeline: GenerationPipeline,
         benchmark: str = "custom",
-        backend: Optional[str] = None,
     ) -> None:
         self.qmodel = qmodel
         self.pipeline = pipeline
         self.benchmark = benchmark
         self.step_clusters = 1
-        # The *requested* compute backend name - what the cache keys embed.
-        # Availability fallback (recorded in backend_fallback_reason) happens
-        # per-process at dispatch time; a pickled engine carries only the
-        # name, so an engine cached on a BLAS-capable host degrades cleanly
-        # when reloaded somewhere poorer.
-        self.backend = resolve_backend(None, backend)
-
-    @property
-    def effective_backend(self) -> str:
-        """The backend this process actually dispatches to (after fallback)."""
-        effective, _ = backends.probe_backend(self.backend)
-        return effective
-
-    @property
-    def backend_fallback_reason(self) -> Optional[str]:
-        """Why the requested backend degraded here, or ``None`` if native.
-
-        A property, not a stored field: an engine unpickled from the result
-        cache re-probes on the *current* host, so the reason reflects this
-        process rather than the one that built the engine.
-        """
-        _, reason = backends.probe_backend(self.backend)
-        return reason
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -120,7 +99,6 @@ class DittoEngine:
         uncond_conditioning: Optional[dict] = None,
         sampler_eta: Optional[float] = None,
         calibration_dtype: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> "DittoEngine":
         """Quantize ``fp_model`` (optionally trajectory-calibrated) and wrap it.
 
@@ -140,10 +118,6 @@ class DittoEngine:
         peaks move by ulps, far below quantization resolution; see
         :func:`repro.quant.calibration.calibration_precision`) or
         ``"float64"`` for the legacy exact trajectory.
-
-        ``backend`` selects the compute backend (see
-        :mod:`repro.nn.backends`); the calibration trajectory runs under it
-        too, so an engine's scales are wholly a product of one backend.
         """
         schedule = DiffusionSchedule(num_train_steps)
         sampler = make_sampler(sampler_name, schedule, num_steps, eta=sampler_eta)
@@ -162,12 +136,10 @@ class DittoEngine:
 
         rng = np.random.default_rng(calibration_seed)
         cal_dtype = resolve_calibration_dtype(None, calibration_dtype)
-        backend = resolve_backend(None, backend)
 
         def run_trajectory():
             with profiling.phase("trajectory"):
-                with backends.use_backend(backend):
-                    return pipeline.generate(1, rng)
+                return pipeline.generate(1, rng)
 
         if step_clusters > 1:
             from ..quant.calibration import calibrate_model_clustered
@@ -208,7 +180,7 @@ class DittoEngine:
             with profiling.phase("quantize"):
                 qmodel = quantize_model(fp_model, calibration=scales)
         pipeline.model = qmodel
-        engine = cls(qmodel, pipeline, benchmark=benchmark, backend=backend)
+        engine = cls(qmodel, pipeline, benchmark=benchmark)
         engine.step_clusters = step_clusters
         return engine
 
@@ -224,7 +196,6 @@ class DittoEngine:
         sampler: Optional[str] = None,
         sampler_eta: Optional[float] = None,
         calibration_dtype: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> "DittoEngine":
         """Build an engine from a Table I :class:`BenchmarkSpec`.
 
@@ -235,16 +206,13 @@ class DittoEngine:
         serve a benchmark under stochastic DDPM ancestral sampling).
         ``calibration_dtype`` overrides the spec's calibration-trajectory
         precision (default: the float32 fast path; ``"float64"`` is the
-        escape hatch - see :meth:`from_model`).  ``backend`` overrides the
-        spec's compute-backend pin (resolution:
-        :func:`repro.defaults.resolve_backend`).
+        escape hatch - see :meth:`from_model`).
         """
         from ..defaults import resolve_calibration_dtype
 
         fp_model = spec.build_model()
         conditioning = spec.build_conditioning()
         calibration_dtype = resolve_calibration_dtype(spec, calibration_dtype)
-        backend = resolve_backend(spec, backend)
         if guidance_scale is None:
             guidance_scale = getattr(spec, "guidance_scale", None)
         uncond_conditioning = None
@@ -270,7 +238,6 @@ class DittoEngine:
             guidance_scale=guidance_scale,
             uncond_conditioning=uncond_conditioning,
             calibration_dtype=calibration_dtype,
-            backend=backend,
         )
 
     # -- static analysis -----------------------------------------------------
@@ -290,8 +257,7 @@ class DittoEngine:
         reset_model_state(self.qmodel)
         set_model_mode(self.qmodel, ExecutionMode.DENSE)
         probe_fn = self._probe_fn(batch_size)
-        with backends.use_backend(self.backend):
-            info = GraphAnalyzer(self.qmodel).analyze(probe_fn)
+        info = GraphAnalyzer(self.qmodel).analyze(probe_fn)
         reset_model_state(self.qmodel)
         return info
 
@@ -319,8 +285,7 @@ class DittoEngine:
 
         reset_model_state(self.qmodel)
         set_model_mode(self.qmodel, ExecutionMode.DENSE)
-        with backends.use_backend(self.backend):
-            self._probe_fn(batch_size)()
+        self._probe_fn(batch_size)()
         reset_model_state(self.qmodel)
 
     def _scales_frozen(self) -> bool:
@@ -481,15 +446,12 @@ class DittoEngine:
         self.pipeline.predict_noise = counted_predict
         try:
             if record_trace:
-                with recorder, backends.use_backend(self.backend):
+                with recorder:
                     samples = self.pipeline.generate(
                         batch_size, rng, x_init=x_init
                     )
             else:
-                with backends.use_backend(self.backend):
-                    samples = self.pipeline.generate(
-                        batch_size, rng, x_init=x_init
-                    )
+                samples = self.pipeline.generate(batch_size, rng, x_init=x_init)
         finally:
             self.pipeline.predict_noise = original_predict
             set_active_step(None)

@@ -61,7 +61,6 @@ import numpy as np
 # repro.core.bitwidth, which initializes this package, which imports this
 # module - a module-level quant import here would therefore break
 # ``import repro.quant`` whenever quant is the first repro package touched.
-from ..nn import backends
 from ..scratch import clear_scratch
 from .modes import ExecutionMode
 
@@ -345,11 +344,7 @@ class EngineSession:
             plan = faults.active()
             if plan is not None:
                 plan.on_step_attempt([row.tag for row in self._rows], steps)
-            # The forward dispatches on the engine's backend, exactly like
-            # DittoEngine.run - a session must reproduce its engine's
-            # batch-1 references whatever backend the engine was built for.
-            with backends.use_backend(engine.backend):
-                eps = pipeline.predict_noise_rows(self._x, t_rows)
+            eps = pipeline.predict_noise_rows(self._x, t_rows)
             x_new = sampler.step_rows(
                 eps, steps, self._x, [row.rng for row in self._rows]
             )

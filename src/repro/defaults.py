@@ -7,28 +7,17 @@ actually runs), ``BenchmarkSpec.signature`` and
 ``repro.runtime.hashing.engine_key`` (result identity).  If one site
 resolved the default differently, a float64-calibrated result could be
 served from a float32 cache entry or equivalent runs would stop sharing
-entries.  The compute-backend selection (PR 10) has the same shape: the
-backend an engine runs on and the backend its cache keys record must come
-from one rule, or a ``blas-batched`` result could be served from a
-``reference`` entry.  This module is import-cycle-free (no repro imports),
-so every layer can use the one resolution rule.
+entries.  This module is import-cycle-free (no repro imports), so every
+layer can use the one resolution rule.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-__all__ = [
-    "DEFAULT_BACKEND",
-    "DEFAULT_CALIBRATION_DTYPE",
-    "resolve_backend",
-    "resolve_calibration_dtype",
-]
+__all__ = ["DEFAULT_CALIBRATION_DTYPE", "resolve_calibration_dtype"]
 
 DEFAULT_CALIBRATION_DTYPE = "float32"
-
-DEFAULT_BACKEND = "reference"
 
 
 def resolve_calibration_dtype(spec=None, override: Optional[str] = None) -> str:
@@ -45,27 +34,3 @@ def resolve_calibration_dtype(spec=None, override: Optional[str] = None) -> str:
         return str(pinned)
     return DEFAULT_CALIBRATION_DTYPE
 
-
-def resolve_backend(spec=None, override: Optional[str] = None) -> str:
-    """The compute backend a run *requests* (by name).
-
-    Resolution order: explicit ``override`` argument, else the spec's
-    ``backend`` pin, else the ``REPRO_BACKEND`` environment variable (how
-    the CI backend matrix leg steers a whole test run), else
-    :data:`DEFAULT_BACKEND`.
-
-    The result is the *requested* backend name.  Availability fallback (an
-    unavailable backend degrading to ``reference`` with a recorded reason)
-    happens inside :mod:`repro.nn.backends` and deliberately does NOT
-    collapse this name: cache keys embed the requested backend, so a
-    degraded run never aliases a native ``reference`` entry.
-    """
-    if override is not None:
-        return str(override)
-    pinned = getattr(spec, "backend", None)
-    if pinned is not None:
-        return str(pinned)
-    env = os.environ.get("REPRO_BACKEND")
-    if env:
-        return env
-    return DEFAULT_BACKEND

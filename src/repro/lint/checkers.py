@@ -684,7 +684,7 @@ _GEMM_SINKS = {"conv2d_from_cols", "conv2d_from_cols_t", "linear", "matmul", "do
 _VIEW_METHODS = {"transpose", "swapaxes", "reshape"}
 
 
-# Receiver spellings of the compute-backend dispatch surface (PR 10):
+# Receiver spellings of the compute-backend dispatch surface:
 # ``bk = backends.active(); bk.matmul(...)`` or ``backends.active().linear(...)``.
 _BACKEND_RECEIVERS = {"bk", "backend", "backends"}
 
@@ -692,11 +692,10 @@ _BACKEND_RECEIVERS = {"bk", "backend", "backends"}
 def is_backend_dispatch(node: ast.AST) -> bool:
     """True for calls routed through the compute-backend dispatch.
 
-    The dispatch surface owns operand layout - a backend may materialize or
-    re-block strided views internally (the blas-batched gather does exactly
-    that) - so the layout rules treat dispatched calls as sanctioned and
-    keep watching the raw kernels, including the backend implementations
-    themselves.
+    The dispatch surface owns operand layout - it may materialize or
+    re-block strided views internally - so the layout rules treat
+    dispatched calls as sanctioned and keep watching the raw kernels,
+    including the dispatch implementation itself.
     """
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
         return False
@@ -861,9 +860,9 @@ class SwallowedExceptionChecker(Checker):
 # RPL011 - quantized GEMMs must go through the compute-backend dispatch
 # ---------------------------------------------------------------------------
 
-# The backend package is the one place allowed to spell raw products: it IS
+# The backends module is the one place allowed to spell raw products: it IS
 # the dispatch target.
-_BACKEND_DIR_RE = re.compile(r"src/repro/nn/backends/")
+_BACKEND_DIR_RE = re.compile(r"src/repro/nn/backends\.py$")
 _RAW_GEMM_CALLS = {"matmul", "einsum"}
 
 # Operand spellings that carry quantized-integer evidence in this codebase:
@@ -882,16 +881,14 @@ _QUANT_NAME_RE = re.compile(
 class BackendDispatchChecker(Checker):
     """RPL011: raw ``@`` / ``np.matmul`` / ``np.einsum`` on quantized operands.
 
-    PR 10 routes every integer GEMM through
-    ``repro.nn.backends.active()`` so alternative backends (``blas-batched``)
-    can re-block the products under the exact-f32 gate and so the backend
-    axis in the engine cache key actually governs the math that runs.  A raw
-    matmul on quantized operands outside ``src/repro/nn/backends/`` silently
-    pins that product to numpy regardless of the selected backend - the
-    bench records a backend the hot loop never used.  Use
-    ``backends.active().matmul(...)`` (or ``linear`` /
-    ``conv2d_from_cols_t``), or annotate ``# repro-lint: ignore[RPL011]``
-    when the product is genuinely backend-independent.
+    Every integer GEMM goes through ``repro.nn.backends.active()``: that
+    dispatch is the entry point a profiler wraps to count GEMM calls and
+    MACs per layer.  A raw matmul on quantized operands outside
+    ``src/repro/nn/backends.py`` runs untraced, so the per-layer ledger
+    silently misses its cost.  Use ``backends.active().matmul(...)`` (or
+    ``linear`` / ``conv2d_from_cols_t``), or annotate
+    ``# repro-lint: ignore[RPL011]`` when the product is genuinely not a
+    GEMM worth counting.
 
     The operand test is the name heuristic above refined by the dataflow
     engine: operands it proves non-array (plain scalars that merely reuse a
@@ -941,8 +938,8 @@ class BackendDispatchChecker(Checker):
                     message=(
                         f"raw {site} on quantized operand(s) {shown} bypasses "
                         f"the compute-backend dispatch; route through "
-                        f"repro.nn.backends.active() so the selected backend "
-                        f"owns every integer GEMM"
+                        f"repro.nn.backends.active() so the per-layer ledger "
+                        f"counts every integer GEMM"
                     ),
                 )
             )

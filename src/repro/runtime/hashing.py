@@ -24,7 +24,8 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from ..defaults import resolve_backend, resolve_calibration_dtype
+from ..defaults import resolve_calibration_dtype
+from ..nn.backends import get_backend
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -131,9 +132,6 @@ def spec_signature(spec) -> Dict[str, Any]:
         # Normalized like BenchmarkSpec.signature(): an explicit default pin
         # is behaviorally identical to None and must share cache entries.
         "calibration_dtype": resolve_calibration_dtype(spec),
-        # The *requested* compute backend; availability fallback never
-        # collapses this axis, so degraded runs cannot alias native ones.
-        "backend": resolve_backend(spec),
     }
 
 
@@ -147,7 +145,6 @@ def engine_key(
     batch_size: int = 1,
     guidance_scale: Optional[float] = None,
     calibration_dtype: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> str:
     """Cache key for one instrumented :class:`EngineResult`.
 
@@ -155,10 +152,7 @@ def engine_key(
     :func:`repro.defaults.resolve_calibration_dtype` rule -
     exactly how ``DittoEngine.from_benchmark`` resolves it - so equivalent
     invocations share one entry while differently-calibrated engines can
-    never collide.  ``backend`` normalizes the same way through
-    :func:`repro.defaults.resolve_backend`: the float calibration products
-    may drift in the last ulp across backends, so their results must never
-    share an entry.
+    never collide.
     """
     resolved_cal_dtype = resolve_calibration_dtype(spec, calibration_dtype)
     return stable_hash(
@@ -174,7 +168,6 @@ def engine_key(
             "batch_size": batch_size,
             "guidance_scale": guidance_scale,
             "calibration_dtype": str(resolved_cal_dtype),
-            "backend": resolve_backend(spec, backend),
         }
     )
 
@@ -189,7 +182,6 @@ def engine_build_key(
     sampler: Optional[str] = None,
     sampler_eta: Optional[float] = None,
     calibration_dtype: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> str:
     """Cache key for one built :class:`DittoEngine` *object*.
 
@@ -213,7 +205,6 @@ def engine_build_key(
             "sampler": sampler,
             "sampler_eta": sampler_eta,
             "calibration_dtype": str(resolved_cal_dtype),
-            "backend": resolve_backend(spec, backend),
         }
     )
 
@@ -243,7 +234,12 @@ def plan_key(
     the Defo hardware model, and the plan payload format.  Embeds
     :func:`code_fingerprint`, so every source edit strands stale plans
     exactly like every other cache entry.
+
+    ``backend`` names the compute path the plan was derived on; there is
+    one, so it only accepts ``"reference"`` and leaves the key unchanged.
     """
+    if backend is not None:
+        get_backend(backend)  # raises ValueError for any other name
     resolved_cal_dtype = resolve_calibration_dtype(spec, calibration_dtype)
     return stable_hash(
         {
@@ -258,7 +254,6 @@ def plan_key(
             "sampler": sampler,
             "sampler_eta": sampler_eta,
             "calibration_dtype": str(resolved_cal_dtype),
-            "backend": resolve_backend(spec, backend),
             "derivation_seed": derivation_seed,
             "derivation_batch_size": derivation_batch_size,
             "hardware": hardware,

@@ -83,7 +83,6 @@ def _compute_engine_result(spec, params: dict) -> EngineResult:
         step_clusters=params["step_clusters"],
         guidance_scale=params.get("guidance_scale"),
         calibration_dtype=params.get("calibration_dtype"),
-        backend=params.get("backend"),
     )
     return engine.run(batch_size=params["batch_size"], seed=params["seed"])
 
@@ -186,7 +185,6 @@ class EngineRunner:
         batch_size: int = 1,
         guidance_scale: Optional[float] = None,
         calibration_dtype: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> EngineResult:
         """One cached instrumented run (serial; use :meth:`run_suite` to fan out)."""
         params = {
@@ -198,7 +196,6 @@ class EngineRunner:
             "batch_size": batch_size,
             "guidance_scale": guidance_scale,
             "calibration_dtype": calibration_dtype,
-            "backend": backend,
         }
         return _run_one("engine", spec_or_name, params, self._cache)[1]
 
@@ -213,7 +210,6 @@ class EngineRunner:
         sampler: Optional[str] = None,
         sampler_eta: Optional[float] = None,
         calibration_dtype: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> DittoEngine:
         """One cached engine *build* (quantization + calibration, no run).
 
@@ -238,7 +234,6 @@ class EngineRunner:
             sampler=sampler,
             sampler_eta=sampler_eta,
             calibration_dtype=calibration_dtype,
-            backend=backend,
         )
         engine = self._cache.get(key)
         if engine is None:
@@ -252,7 +247,6 @@ class EngineRunner:
                 sampler=sampler,
                 sampler_eta=sampler_eta,
                 calibration_dtype=calibration_dtype,
-                backend=backend,
             )
             try:
                 self._cache.put(key, engine)
@@ -274,7 +268,6 @@ class EngineRunner:
         seed: int = 0,
         guidance_scale: Optional[float] = None,
         calibration_dtype: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> Dict[int, EngineResult]:
         """Cached instrumented runs of one benchmark across batch sizes.
 
@@ -296,7 +289,6 @@ class EngineRunner:
                     "batch_size": size,
                     "guidance_scale": guidance_scale,
                     "calibration_dtype": calibration_dtype,
-                    "backend": backend,
                 },
             )
             for size in sizes
@@ -337,7 +329,6 @@ class EngineRunner:
         batch_size: int = 1,
         guidance_scale: Optional[float] = None,
         calibration_dtype: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> Dict[str, EngineResult]:
         """Instrumented runs for every benchmark, cache-first then pooled."""
         params = {
@@ -349,7 +340,6 @@ class EngineRunner:
             "batch_size": batch_size,
             "guidance_scale": guidance_scale,
             "calibration_dtype": calibration_dtype,
-            "backend": backend,
         }
         return self._map("engine", self._default_suite(benchmarks), params)
 

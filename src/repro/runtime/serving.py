@@ -398,11 +398,6 @@ class ServingReport:
     invariance_checked: bool
     scheduler: str = "fixed"
     sampler: Optional[str] = None
-    # The requested compute backend, what it resolved to in this process,
-    # and why it degraded (None when running natively).
-    backend: Optional[str] = None
-    backend_effective: Optional[str] = None
-    backend_fallback_reason: Optional[str] = None
     pool_budget_mb: Optional[float] = None
     pool_row_cap: Optional[int] = None
     fault_spec: Optional[str] = None
@@ -491,15 +486,12 @@ class ServingReport:
             f"window {self.window_s * 1e3:g} ms, {self.num_steps} steps, "
             f"{self.scheduler} scheduler"
             + (f" [{self.sampler}]" if self.sampler else "")
-            + (f", backend {self.backend}" if self.backend else "")
             + (
                 f", CFG x{self.guidance_scale:g}"
                 if self.guidance_scale is not None
                 else ""
             )
         )
-        if self.backend_fallback_reason:
-            head += f"\nbackend fallback: {self.backend_fallback_reason}"
         if self.pool_row_cap is not None:
             head += (
                 f"\npool budget {self.pool_budget_mb:g} MB caps the batch at "
@@ -560,9 +552,6 @@ class ServingReport:
             "invariance_checked": self.invariance_checked,
             "scheduler": self.scheduler,
             "sampler": self.sampler,
-            "backend": self.backend,
-            "backend_effective": self.backend_effective,
-            "backend_fallback_reason": self.backend_fallback_reason,
             "pool_budget_mb": self.pool_budget_mb,
             "pool_row_cap": self.pool_row_cap,
             "fault_spec": self.fault_spec,
@@ -956,18 +945,13 @@ def estimate_row_footprint(engine: DittoEngine) -> int:
     """Measured scratch + temporal-state bytes of one batch row.
 
     Runs two probe forwards (the second exercises the temporal-difference
-    scratch paths) at batch 2 - under the engine's compute backend, so
-    backend workspaces that only materialize at batch >= 2 (the
-    ``blas-batched`` gather buffer is a free view at batch 1) are captured -
-    and tallies the thread's scratch pool (which holds the shared conv
-    unfold buffers), every layer's cached temporal state, plus any
-    backend-private scratch held outside the pool
-    (:meth:`~repro.nn.backends.ComputeBackend.scratch_nbytes`).  All of it
-    grows linearly with the batch, so half the batch-2 total is one row and
-    ``budget // row_bytes`` bounds the admissible batch size.
+    scratch paths) at batch 2 and tallies the thread's scratch pool (which
+    holds the shared conv unfold buffers) plus every layer's cached
+    temporal state.  All of it grows linearly with the batch, so half the
+    batch-2 total is one row and ``budget // row_bytes`` bounds the
+    admissible batch size.
     """
     from ..core.modes import ExecutionMode
-    from ..nn import backends
     from ..quant.qlayers import model_state_nbytes, reset_model_state, set_model_mode
     from ..scratch import clear_scratch, scratch_pool_bytes
 
@@ -976,14 +960,9 @@ def estimate_row_footprint(engine: DittoEngine) -> int:
     reset_model_state(engine.qmodel)
     set_model_mode(engine.qmodel, ExecutionMode.TEMPORAL)
     probe = engine._probe_fn(2)
-    with backends.use_backend(engine.backend) as bk:
-        probe()
-        probe()
-        total = (
-            scratch_pool_bytes()
-            + model_state_nbytes(engine.qmodel)
-            + bk.scratch_nbytes()
-        )
+    probe()
+    probe()
+    total = scratch_pool_bytes() + model_state_nbytes(engine.qmodel)
     reset_model_state(engine.qmodel)
     clear_scratch()
     return -(-total // 2)  # ceil: never under-report a row
@@ -1037,7 +1016,6 @@ def simulate_serving(
     pool_budget_mb: Optional[float] = None,
     sampler: Optional[str] = None,
     sampler_eta: Optional[float] = None,
-    backend: Optional[str] = None,
     deadline_s: Optional[float] = None,
     slo: Optional[object] = None,
     fault_spec: Optional[str] = None,
@@ -1113,14 +1091,6 @@ def simulate_serving(
             "sampler/sampler_eta overrides conflict with a prebuilt engine; "
             "build the engine with the desired sampler instead"
         )
-    if engine is not None and backend is not None and backend != engine.backend:
-        # Same shape as the sampler conflict: the engine was calibrated
-        # under its own backend, and every cache key embeds it.
-        raise ValueError(
-            f"backend override {backend!r} conflicts with a prebuilt engine "
-            f"built for {engine.backend!r}; build the engine with the "
-            "desired backend instead"
-        )
     if fault_spec is None:
         fault_spec = os.environ.get("REPRO_FAULTS") or None
     if fault_spec is not None and scheduler != "continuous":
@@ -1144,7 +1114,6 @@ def simulate_serving(
             guidance_scale=guidance_scale,
             sampler=sampler,
             sampler_eta=sampler_eta,
-            backend=backend,
         )
     if scheduler == "continuous" and engine_factory is None:
         if prebuilt:
@@ -1167,7 +1136,6 @@ def simulate_serving(
                     guidance_scale=guidance_scale,
                     sampler=sampler,
                     sampler_eta=sampler_eta,
-                    backend=backend,
                 )
     execution_plan = None
     plan_source = None
@@ -1185,7 +1153,6 @@ def simulate_serving(
             guidance_scale=guidance_scale,
             sampler=sampler,
             sampler_eta=sampler_eta,
-            backend=engine.backend,
             derivation_seed=seed,
             derivation_batch_size=1,
         )
@@ -1237,9 +1204,6 @@ def simulate_serving(
         invariance_checked=False,
         scheduler=scheduler,
         sampler=sampler,
-        backend=engine.backend,
-        backend_effective=engine.effective_backend,
-        backend_fallback_reason=engine.backend_fallback_reason,
         pool_budget_mb=pool_budget_mb,
         pool_row_cap=pool_row_cap,
         fault_spec=fault_spec,

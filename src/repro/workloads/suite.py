@@ -79,11 +79,6 @@ class BenchmarkSpec:
     # legacy exact trajectory.  Overridable per run via
     # ``DittoEngine.from_benchmark(calibration_dtype=...)``.
     calibration_dtype: Optional[str] = None
-    # Compute backend pin: ``None`` means the environment-level resolution
-    # (``$REPRO_BACKEND``, else ``reference``); set e.g. ``"blas-batched"``
-    # to pin a spec.  Overridable per run via
-    # ``DittoEngine.from_benchmark(backend=...)``.
-    backend: Optional[str] = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -100,7 +95,7 @@ class BenchmarkSpec:
         package - invalidates cached results, while the signature stays
         identical across processes and sessions.
         """
-        from ..defaults import resolve_backend, resolve_calibration_dtype
+        from ..defaults import resolve_calibration_dtype
         from ..runtime.hashing import callable_fingerprint
 
         return {
@@ -124,9 +119,6 @@ class BenchmarkSpec:
             # explicitly pinned to the engine default is behaviorally
             # identical to an unpinned one and must share its cache entries.
             "calibration_dtype": resolve_calibration_dtype(self),
-            # The *requested* backend name (fallback never collapses this
-            # axis): results from different backends must never alias.
-            "backend": resolve_backend(self),
         }
 
 

@@ -64,7 +64,6 @@ def make_tiny_engine(
     block_type: str = "attention",
     calibrate: bool = False,
     seed: int = 5,
-    backend=None,
 ):
     """A fast DittoEngine over a miniature UNet (for integration tests)."""
     return DittoEngine.from_model(
@@ -75,7 +74,6 @@ def make_tiny_engine(
         num_train_steps=100,
         calibrate=calibrate,
         benchmark="tiny",
-        backend=backend,
     )
 
 

@@ -23,15 +23,10 @@ from repro.core import ExecutionMode, RichTrace, classify, derive_layer_step
 from repro.core.bitwidth import BitWidthStats, classify_many
 from repro.core.trace import MODE_ID, Trace, TraceRecorder
 from repro.hw import build_accelerator
-from repro.nn import backends, functional as F
+from repro.nn import functional as F
 from repro.quant.qlayers import QConv2d
 
 from helpers import make_rich, make_tiny_engine
-
-# Every bit-exactness invariant below must hold under every backend that can
-# run here (the CI backend matrix additionally routes the whole suite through
-# each one via REPRO_BACKEND).
-BACKENDS = list(backends.available_backends())
 
 
 def build_mixed_trace(num_steps=4):
@@ -212,9 +207,8 @@ _CONV_STATS_CASES = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", list(_CONV_STATS_CASES))
-def test_conv_stats_match_naive_reference(case, backend):
+def test_conv_stats_match_naive_reference(case):
     padding, stride, kernel, (h, w) = _CONV_STATS_CASES[case]
     rng = np.random.default_rng(5)
     weight = rng.standard_normal((6, 3, kernel, kernel))
@@ -227,7 +221,7 @@ def test_conv_stats_match_naive_reference(case, backend):
         (ExecutionMode.TEMPORAL, x1),
     ]:
         layer.mode = mode
-        with TraceRecorder() as rec, backends.use_backend(backend):
+        with TraceRecorder() as rec:
             layer(x)
         record = rec.trace[0]
         q_in = layer._prev_q_in
@@ -242,9 +236,8 @@ def test_conv_stats_match_naive_reference(case, backend):
         assert record.stats_temporal == temporal
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_f32_and_f64_conv_paths_identical(backend):
-    """The exactness license holds per backend: f32 == f64 bit-for-bit."""
+def test_f32_and_f64_conv_paths_identical():
+    """The exactness license: f32 == f64 bit-for-bit."""
     rng = np.random.default_rng(9)
     weight = rng.standard_normal((4, 2, 3, 3))
     fast = QConv2d(weight, None, padding=1)
@@ -261,9 +254,9 @@ def test_f32_and_f64_conv_paths_identical(backend):
                 ExecutionMode.DENSE if step == 0 else ExecutionMode.TEMPORAL
             )
             layer.input_quant.scale = 0.05
-        with TraceRecorder() as rec_fast, backends.use_backend(backend):
+        with TraceRecorder() as rec_fast:
             out_fast = fast(x)
-        with TraceRecorder() as rec_slow, backends.use_backend(backend):
+        with TraceRecorder() as rec_slow:
             out_slow = slow(x)
         np.testing.assert_array_equal(out_fast, out_slow)
         assert rec_fast.trace[0] == rec_slow.trace[0]
@@ -309,8 +302,7 @@ def test_f32_gate_edge_is_exact_worst_case_product():
     assert not QLinear(np.ones((2, 515)), None)._use_f32
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_f32_gate_edge_saturated_temporal_step_exact(backend):
+def test_f32_gate_edge_saturated_temporal_step_exact():
     """At the 514-term edge, a saturated temporal step runs bit-identical
     to a forced-float64 twin: every difference is 127 - (-128) = 255 and
     one weight is the -128 end of the grid."""
@@ -326,11 +318,10 @@ def test_f32_gate_edge_saturated_temporal_step_exact(backend):
         layer.input_quant.scale = 1.0
     outs = []
     for layer in (fast, slow):
-        with backends.use_backend(backend):
-            layer.mode = ExecutionMode.DENSE
-            layer(np.full((1, 514), -128.0))
-            layer.mode = ExecutionMode.TEMPORAL
-            outs.append(layer(np.full((1, 514), 127.0)))
+        layer.mode = ExecutionMode.DENSE
+        layer(np.full((1, 514), -128.0))
+        layer.mode = ExecutionMode.TEMPORAL
+        outs.append(layer(np.full((1, 514), 127.0)))
     np.testing.assert_array_equal(outs[0], outs[1])
     # The temporal dot product 255 * (513 * 127 - 128) is odd and within
     # 2^24; the integer accumulator holds (-128 + 255) times the weight sum.
@@ -349,21 +340,15 @@ def test_pad_workspace_not_shared_across_padding_widths():
     np.testing.assert_array_equal(cols, ref_cols)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_instrumented_run_matches_plain_generation(backend):
+def test_instrumented_run_matches_plain_generation():
     """Recording + single-pass sharing must not perturb the samples."""
-    engine = make_tiny_engine(num_steps=4, backend=backend)
-    assert engine.backend == backend
-    assert engine.effective_backend == backend
+    engine = make_tiny_engine(num_steps=4)
     result = engine.run(seed=123)
     # Plain dense generation with no recorder and no temporal processing:
-    # the Ditto algorithm is bit-exact, so samples must be identical.  The
-    # plain run dispatches on the same backend as the engine - this pins
-    # within-backend bit-exactness, the invariant every backend must keep.
+    # the Ditto algorithm is bit-exact, so samples must be identical.
     from repro.quant.qlayers import reset_model_state, set_model_mode
 
     reset_model_state(engine.qmodel)
     set_model_mode(engine.qmodel, ExecutionMode.DENSE)
-    with backends.use_backend(backend):
-        plain = engine.pipeline.generate(1, np.random.default_rng(123))
+    plain = engine.pipeline.generate(1, np.random.default_rng(123))
     np.testing.assert_array_equal(result.samples, plain)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.modes import ExecutionMode
 from repro.core.trace import TraceRecorder
-from repro.nn import Attention, Conv2d, Linear, backends
+from repro.nn import Attention, Conv2d, Linear
 from repro.quant import (
     QAttention,
     QConv2d,
@@ -121,35 +121,33 @@ _CONV_CASES = [
 @given(seed=st.integers(0, 5000))
 def test_qconv_temporal_exactness(seed):
     """Temporal (unfolded-difference) forwards stay bit-identical to dense
-    ones over several steps, on every backend, including a step where a
-    per-row grid change invalidates some rows' state (a TDQ boundary)."""
-    for backend in backends.available_backends():
-        for in_c, out_c, kernel, stride, padding, hw in _CONV_CASES:
-            rng = np.random.default_rng(seed)
-            fp = Conv2d(in_c, out_c, kernel, stride=stride, padding=padding, rng=rng)
-            q_dense = QConv2d.from_float(fp)
-            q_temp = QConv2d.from_float(fp)
-            q_temp.mode = ExecutionMode.TEMPORAL
-            assert q_temp._use_f32 == (in_c < 64)
-            x = rng.normal(size=(3, in_c, hw, hw))
-            scales = np.full((3, 1, 1, 1), np.abs(x).max() / 127.0)
-            modes = []
-            with backends.use_backend(backend):
-                for step in range(4):
-                    if step == 2:  # rows 0 and 2 cross a cluster boundary
-                        scales = scales * np.array([1.5, 1.0, 0.75])[:, None, None, None]
-                    steps = []
-                    for q in (q_dense, q_temp):
-                        q.input_quant.scale = scales
-                        with TraceRecorder() as rec:
-                            steps.append((q(x), rec.trace.steps[0]))
-                    (out_d, rec_d), (out_t, rec_t) = steps
-                    np.testing.assert_array_equal(out_d, out_t)
-                    # The spatial stats re-unfold the input after the GEMM.
-                    assert rec_t.stats_spatial == rec_d.stats_spatial
-                    modes.append(rec_t.executed_mode)
-                    x = x + rng.normal(0.0, 0.05, size=x.shape)
-            assert modes == [ExecutionMode.DENSE] + [ExecutionMode.TEMPORAL] * 3
+    ones over several steps, including a step where a per-row grid change
+    invalidates some rows' state (a TDQ boundary)."""
+    for in_c, out_c, kernel, stride, padding, hw in _CONV_CASES:
+        rng = np.random.default_rng(seed)
+        fp = Conv2d(in_c, out_c, kernel, stride=stride, padding=padding, rng=rng)
+        q_dense = QConv2d.from_float(fp)
+        q_temp = QConv2d.from_float(fp)
+        q_temp.mode = ExecutionMode.TEMPORAL
+        assert q_temp._use_f32 == (in_c < 64)
+        x = rng.normal(size=(3, in_c, hw, hw))
+        scales = np.full((3, 1, 1, 1), np.abs(x).max() / 127.0)
+        modes = []
+        for step in range(4):
+            if step == 2:  # rows 0 and 2 cross a cluster boundary
+                scales = scales * np.array([1.5, 1.0, 0.75])[:, None, None, None]
+            steps = []
+            for q in (q_dense, q_temp):
+                q.input_quant.scale = scales
+                with TraceRecorder() as rec:
+                    steps.append((q(x), rec.trace.steps[0]))
+            (out_d, rec_d), (out_t, rec_t) = steps
+            np.testing.assert_array_equal(out_d, out_t)
+            # The spatial stats re-unfold the input after the GEMM.
+            assert rec_t.stats_spatial == rec_d.stats_spatial
+            modes.append(rec_t.executed_mode)
+            x = x + rng.normal(0.0, 0.05, size=x.shape)
+        assert modes == [ExecutionMode.DENSE] + [ExecutionMode.TEMPORAL] * 3
 
 
 def test_qconv_strided_temporal_exactness(rng):
