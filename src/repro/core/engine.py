@@ -350,9 +350,9 @@ class DittoEngine:
     def open_session(self, capacity: Optional[int] = None, plan=None):
         """Open a continuous-batching session over this engine.
 
-        The session owns the model's temporal state until closed: rows are
-        admitted/evicted at step boundaries and each advances at its own
-        timestep, bit-exact with its seeded batch-1 reference run.  See
+        The session owns the model until closed: rows are admitted/evicted
+        at step boundaries and each advances at its own timestep, executing
+        dense and bit-exact with its seeded batch-1 reference run.  See
         :class:`repro.core.session.EngineSession`.  ``plan`` attaches a
         pre-derived :class:`~repro.core.plan.ExecutionPlan` (plan-replay
         mode - the session never instruments, so the plan is where its
@@ -382,8 +382,9 @@ class DittoEngine:
         ddpm/eta>0: a batch-N run over streams ``[g_0..g_{N-1}]`` is
         bit-exact with N batch-1 runs each passed its own ``g_i``.
         ``record_trace=False`` skips all bit-width instrumentation (the rich
-        trace comes back empty) - the throughput configuration, since stats
-        scans dominate the instrumented run.
+        trace comes back empty) and executes every layer dense, keeping no
+        temporal state - the throughput configuration, bit-identical to the
+        instrumented, temporal run.
         """
         if x_init is not None:
             x_init = np.asarray(x_init)
@@ -413,27 +414,24 @@ class DittoEngine:
             # dataclasses would be discarded - skip them.
             self._freeze_scales(batch_size)
             static_info = {}
-        # Resolve the quantized layers once; setting the mode per denoiser
-        # call must not re-walk the whole module tree.
-        from ..quant.qlayers import iter_qlayers, reset_model_state
+        from ..quant.qlayers import reset_model_state, set_model_mode
         from ..quant.tdq import set_active_step
 
         reset_model_state(self.qmodel)
+        # Temporal state exists only where the trace records differences.
+        # A plain run executes dense: the same bits by the zero-state
+        # algebra (docs/contracts.md), without the subtraction, the float64
+        # add and the held state.  A TEMPORAL layer's first call finds no
+        # state and executes dense, so one mode serves the whole run.
+        set_model_mode(
+            self.qmodel,
+            ExecutionMode.TEMPORAL if record_trace else ExecutionMode.DENSE,
+        )
         recorder = TraceRecorder()
         calls = [0]
         original_predict = self.pipeline.predict_noise
-        qlayers = [qlayer for _, qlayer in iter_qlayers(self.qmodel)]
-
-        active_mode = [None]
 
         def counted_predict(x: np.ndarray, t: int) -> np.ndarray:
-            mode = (
-                ExecutionMode.DENSE if calls[0] == 0 else ExecutionMode.TEMPORAL
-            )
-            if mode is not active_mode[0]:  # only flips after the first call
-                for qlayer in qlayers:
-                    qlayer.mode = mode
-                active_mode[0] = mode
             recorder.set_step(calls[0])
             set_active_step(calls[0])
             calls[0] += 1

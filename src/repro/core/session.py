@@ -11,34 +11,32 @@ freed rows, so the denoiser never runs below the achievable occupancy.
 :class:`EngineSession` is that persistent batch.  Its correctness contract
 is the serving invariance contract extended to arbitrary interleavings:
 
-* every layer's temporal state differences per batch element, so a
-  continuing row is unaffected by its neighbours being swapped;
-* an admitted row starts from *zero* state, and the difference algebra
-  (``0 + (q - 0) @ W == q @ W``, likewise for both attention identities)
-  makes its first "temporal" step compute bit-exactly the dense result;
+* every layer executes DENSE and holds no temporal state, so a row's step
+  depends only on its own latent, timestep and noise stream - never on its
+  neighbours or on the batch's history.  Dense equals temporal execution by
+  the zero-state algebra (``docs/contracts.md``), which ``--verify`` checks
+  against instrumented, temporal batch-1 references;
 * per-row step indices feed the TDQ clustered quantizers
   (:func:`repro.quant.tdq.set_active_step` with a step vector), so each row
-  quantizes under exactly the cluster scale its batch-1 replay would use,
-  and a row crossing a cluster boundary falls back to dense *alone*;
+  quantizes under exactly the cluster scale its batch-1 replay would use;
 * each row draws sampler noise from its own rng stream, so stochastic
   samplers (ddpm, ddim eta>0) replay their batch-1 reference exactly.
 
 Together: any interleaving of admissions and evictions is bit-exact with N
 seeded batch-1 runs (pinned by ``tests/test_batched_state.py``).
 
-The same algebra is what makes the fault-tolerance contract
+Statelessness is also what makes the fault-tolerance contract
 (:mod:`repro.runtime.faults`) provable rather than best-effort:
 
 * a failed :meth:`EngineSession.step` leaves the session exactly where it
-  was - the composition was committed *before* the forward (retried
-  forwards see a zero temporal diff), the latents are only assigned on
+  was - a dense step holds no layer state, the latents are only assigned on
   success, and every row's rng stream is rewound to its pre-step position -
   so a retry is an exact replay;
 * :meth:`EngineSession.admit` accepts a ``step`` offset: a row re-admitted
-  into a *fresh* session at trajectory step k starts from zero state, and
-  the difference algebra makes its first step compute the dense result -
-  bit-exactly what the dead session would have computed.  Crash recovery is
-  therefore ``snapshot()`` + rebuild + re-admit, with no state migration;
+  into a *fresh* session at trajectory step k computes bit-exactly what the
+  dead session would have computed, since no state was lost with it.  Crash
+  recovery is therefore ``snapshot()`` + rebuild + re-admit, with no state
+  migration;
 * an injected :class:`~repro.runtime.faults.SessionKilled` marks the
   session unhealthy before propagating; an unhealthy session refuses
   further admissions and steps, forcing the driver through the recovery
@@ -80,8 +78,10 @@ class EngineSession:
     """A persistent batch whose rows each advance at their own timestep.
 
     Use as a context manager (or call :meth:`close`): the session owns the
-    engine's model state - interleaving ``engine.run`` calls with an open
-    session corrupts the per-row temporal caches.
+    engine's model and sets every layer DENSE at open.  Do not interleave
+    ``engine.run`` calls with an open session: an instrumented run leaves
+    the layers TEMPORAL and holding state, which the session's
+    statelessness contract rules out.
 
     Parameters
     ----------
@@ -132,11 +132,7 @@ class EngineSession:
         self._sample_shape = tuple(engine.pipeline.sample_shape)
         self._rows: List[_SessionRow] = []
         self._x = np.zeros((0,) + self._sample_shape)
-        # Composition bookkeeping: the model state is shaped for
-        # ``_state_batch`` rows; ``_mapping[new_pos]`` is the state row that
-        # position continues (None = freshly admitted, zero state).
-        self._state_batch = 0
-        self._mapping: List[Optional[int]] = []
+        self._composition_changed = False
         self._tags = itertools.count()
         self._closed = False
         self._healthy = True
@@ -147,7 +143,7 @@ class EngineSession:
         # row runs; a no-op once the engine has served anything.
         engine._freeze_scales(1)
         reset_model_state(engine.qmodel)
-        set_model_mode(engine.qmodel, ExecutionMode.TEMPORAL)
+        set_model_mode(engine.qmodel, ExecutionMode.DENSE)
 
     # -- introspection ----------------------------------------------------
     @property
@@ -190,9 +186,8 @@ class EngineSession:
 
         The returned latents are copies, valid after :meth:`close`.  A
         snapshotted row re-admitted at its recorded step into a fresh
-        session (same engine build) continues bit-exactly: admission starts
-        from zero temporal state and the difference algebra makes the first
-        step compute the dense result.
+        session (same engine build) continues bit-exactly: a dense row
+        holds no state, so nothing is lost with the old session.
         """
         return [
             (row.tag, row.step, self._x[pos : pos + 1].copy())
@@ -224,8 +219,8 @@ class EngineSession:
         ``step > 0`` is the crash-recovery path: ``x_init`` is then the
         row's :meth:`snapshot` latent and ``rng`` its stream fast-forwarded
         past the draws already spent.  Mid-trajectory admission is bit-exact
-        for the same reason step-0 admission is - the row starts from zero
-        temporal state and its first step computes the dense result.
+        for the same reason step-0 admission is - a dense step depends only
+        on the row's latent, timestep and stream.
         """
         self._check_open()
         self._check_healthy()
@@ -259,7 +254,7 @@ class EngineSession:
             raise ValueError(f"tag {tag!r} is already in flight")
         self._rows.append(_SessionRow(tag=tag, step=step, rng=rng))
         self._x = np.concatenate([self._x, x], axis=0)
-        self._mapping.append(None)
+        self._composition_changed = True
         return tag
 
     def evict(self, tag: object) -> np.ndarray:
@@ -274,29 +269,26 @@ class EngineSession:
 
     def _drop(self, pos: int) -> None:
         del self._rows[pos]
-        del self._mapping[pos]
         self._x = np.delete(self._x, pos, axis=0)
+        self._composition_changed = True
 
     # -- stepping ----------------------------------------------------------
     def step(self) -> List[Tuple[object, np.ndarray]]:
         """Advance every in-flight row by one step; one denoiser call.
 
-        Applies any pending composition change (admissions/evictions since
-        the previous step) to the layer state, runs the denoiser once with
-        the per-row timestep vector, advances each row with its own sampler
-        step and noise stream, and auto-evicts rows that completed their
+        Runs the denoiser once over the current rows with the per-row
+        timestep vector, advances each row with its own sampler step and
+        noise stream, and auto-evicts rows that completed their
         trajectory.  Returns ``[(tag, sample), ...]`` for the completed rows
         (sample shape ``(1, *sample_shape)``).
 
-        On failure the step is an exact no-op: the composition stays
-        committed (retried forwards are idempotent - zero temporal diff),
-        latents are untouched, and every row's rng stream is rewound past
-        any partial draws, so a retry replays the step bit-exactly.  An
+        On failure the step is an exact no-op: the dense layers hold no
+        state, latents are untouched, and every row's rng stream is rewound
+        past any partial draws, so a retry replays the step bit-exactly.  An
         ambient :class:`~repro.runtime.faults.FaultPlan` may inject an
         error or a kill here; a kill marks the session unhealthy before
         propagating.
         """
-        from ..quant.qlayers import remap_model_rows, reset_model_state
         from ..quant.tdq import set_active_step
         from ..runtime import faults
 
@@ -308,11 +300,7 @@ class EngineSession:
         pipeline = engine.pipeline
         sampler = pipeline.sampler
         batch = len(self._rows)
-        if self._mapping != list(range(self._state_batch)):
-            if self._state_batch == 0:
-                reset_model_state(engine.qmodel)
-            else:
-                remap_model_rows(engine.qmodel, self._mapping, self._state_batch)
+        if self._composition_changed:
             # The scratch pool keys buffers by (tag, shape) and never
             # evicts; occupancy churn would otherwise accumulate one buffer
             # set per distinct batch size (~capacity^2/2 rows at peak,
@@ -322,16 +310,7 @@ class EngineSession:
             # negligible against a denoiser step - and pins peak scratch to
             # the current batch size.
             clear_scratch()
-        # Commit the composition as soon as the layer state matches it -
-        # NOT after the forward.  If the forward or sampler raises (e.g. a
-        # stochastic row admitted without an rng stream), a retried step
-        # must see an identity mapping: re-applying the old mapping to the
-        # already-remapped state would hand surviving rows another row's
-        # temporal caches.  (A retried forward itself is safe: layers that
-        # already advanced see a zero temporal diff and reproduce their
-        # output bit-exactly.)
-        self._state_batch = batch
-        self._mapping = list(range(batch))
+            self._composition_changed = False
         steps = np.array([row.step for row in self._rows])
         t_rows = sampler.timesteps[steps].astype(np.float64)
         # Snapshot every row's stream position before any draw: a failure
@@ -377,7 +356,7 @@ class EngineSession:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Release the engine: drop temporal state, clear the step vector."""
+        """Release the engine: drop layer state, clear the step vector."""
         from ..quant.qlayers import reset_model_state
         from ..quant.tdq import set_active_step
 

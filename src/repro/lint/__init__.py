@@ -1,8 +1,8 @@
 """``repro lint``: AST invariant checkers + runtime numeric sanitizer.
 
-Static side (``repro lint`` / ``python -m repro.lint``): eleven repo-specific
+Static side (``repro lint`` / ``python -m repro.lint``): ten repo-specific
 rules over ``src/repro`` (plus ``scripts/`` and the lintable test helpers) -
-RPL001-RPL006 and RPL011 are syntactic (see :mod:`repro.lint.checkers`),
+RPL001, RPL003-RPL006 and RPL011 are syntactic (see :mod:`repro.lint.checkers`),
 RPL007-RPL010 ride the interprocedural dataflow engine
 (:mod:`repro.lint.dataflow`).  See
 README "Invariants & static checks" for the rule table.  Exit status is 0

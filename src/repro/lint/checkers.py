@@ -1,10 +1,10 @@
-"""The repo-specific invariant checkers (RPL001-RPL006, RPL011).
+"""The repo-specific invariant checkers (RPL001, RPL003-RPL006, RPL011).
 
 Each rule encodes a contract that a past PR violated by hand before being
 fixed by inspection; see README "Invariants & static checks" for the full
 contract table and suppression instructions.  The dataflow-backed rules
 (RPL007-RPL010) live in :mod:`repro.lint.dataflow.rules`;
-:func:`default_checkers` returns all eleven.
+:func:`default_checkers` returns all ten.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .framework import Checker, Finding, Project, SourceFile
 
 __all__ = [
     "DtypePromotionChecker",
-    "TemporalStateRegistryChecker",
     "SpecCacheKeyChecker",
     "ProfilerPhaseChecker",
     "GemmLayoutChecker",
@@ -290,195 +289,6 @@ class DtypePromotionChecker(Checker):
                 f"wrap in float(...)"
             ),
         )
-
-
-# ---------------------------------------------------------------------------
-# RPL002 - temporal-state attrs must be covered by the state registry
-# ---------------------------------------------------------------------------
-
-_REMAP_METHODS = {"remap_rows"}
-_NBYTES_METHODS = {"state_nbytes"}
-_CLEAR_METHODS = {"reset_state", "_invalidate_rows"}
-_REGISTRY_METHODS = _REMAP_METHODS | _NBYTES_METHODS | _CLEAR_METHODS
-
-
-def _is_scalar_only_value(node: ast.AST) -> bool:
-    """True for assignments that never hold buffer state (ints, dtypes)."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float, bool, str)):
-        return True
-    if isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant):
-        return True
-    if isinstance(node, ast.Call) and _is_numpy_call(node, {"dtype"}):
-        return True
-    return False
-
-
-class TemporalStateRegistryChecker(Checker):
-    """RPL002: ``self._prev_*`` / ``self._cols_*`` must be registry-covered.
-
-    PR 4's ``_prev_cols`` alias bug inflated the reported per-row footprint
-    ~22% because a state buffer existed outside the remap/nbytes/clear
-    bookkeeping.  Any buffer-holding ``_prev_*`` attribute assigned in a
-    class whose hierarchy implements the registry must be referenced by
-    ``remap_rows``, ``state_nbytes`` and the clear path
-    (``reset_state``/``_invalidate_rows``); ``_cols_*`` scratch buffers must
-    at least be counted by ``state_nbytes``.
-    """
-
-    rule = "RPL002"
-    title = "temporal-state attribute missing from the state registry"
-
-    def check_file(self, handle: SourceFile) -> Iterable[Finding]:
-        classes: Dict[str, ast.ClassDef] = {
-            node.name: node
-            for node in ast.walk(handle.tree)
-            if isinstance(node, ast.ClassDef)
-        }
-        findings: List[Finding] = []
-        for cls in classes.values():
-            mro = self._local_mro(cls, classes)
-            methods = self._methods(mro)
-            if not (_REMAP_METHODS | _NBYTES_METHODS) & set(methods):
-                continue  # not a stateful registry class
-            attrs = self._state_attrs(mro)
-            for attr, (line, values) in sorted(attrs.items()):
-                if all(_is_scalar_only_value(v) for v in values if v is not None):
-                    continue
-                missing = self._missing_registries(attr, methods)
-                if missing:
-                    # Keyed on (line, message) so the same base-class attr is
-                    # not re-reported once per subclass in the hierarchy.
-                    findings.append(
-                        Finding(
-                            path=handle.rel_path,
-                            line=line,
-                            rule=self.rule,
-                            message=(
-                                f"state attribute {attr!r} "
-                                f"is not referenced by {', '.join(missing)}"
-                            ),
-                        )
-                    )
-        return sorted(set(findings))
-
-    def _local_mro(
-        self, cls: ast.ClassDef, classes: Dict[str, ast.ClassDef]
-    ) -> List[ast.ClassDef]:
-        chain, seen = [cls], {cls.name}
-        frontier = [cls]
-        while frontier:
-            current = frontier.pop()
-            for base in current.bases:
-                if isinstance(base, ast.Name) and base.id in classes and base.id not in seen:
-                    seen.add(base.id)
-                    chain.append(classes[base.id])
-                    frontier.append(classes[base.id])
-        return chain
-
-    def _methods(self, mro: Sequence[ast.ClassDef]) -> Dict[str, List[ast.FunctionDef]]:
-        methods: Dict[str, List[ast.FunctionDef]] = {}
-        for cls in mro:
-            for node in cls.body:
-                if isinstance(node, ast.FunctionDef):
-                    methods.setdefault(node.name, []).append(node)
-        return methods
-
-    def _state_attrs(
-        self, mro: Sequence[ast.ClassDef]
-    ) -> Dict[str, Tuple[int, List[Optional[ast.AST]]]]:
-        """attr -> (first assignment line, assigned value nodes)."""
-        attrs: Dict[str, Tuple[int, List[Optional[ast.AST]]]] = {}
-
-        def record(name: str, line: int, value: Optional[ast.AST]) -> None:
-            if not (name.startswith("_prev") or name.startswith("_cols_")):
-                return
-            if name in attrs:
-                first_line, values = attrs[name]
-                attrs[name] = (min(first_line, line), values + [value])
-            else:
-                attrs[name] = (line, [value])
-
-        for cls in mro:
-            for method in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
-                if method.name in _REGISTRY_METHODS:
-                    continue  # registry writes are bookkeeping, not new state
-                dict_aliases = self._dict_aliases(method)
-                for node in ast.walk(method):
-                    if isinstance(node, ast.Assign):
-                        targets, value = node.targets, node.value
-                    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                        targets, value = [node.target], node.value
-                    else:
-                        continue
-                    for target in targets:
-                        name = self._attr_store_name(target, dict_aliases)
-                        if name is not None:
-                            kind = value if not isinstance(node, ast.AugAssign) else None
-                            record(name, target.lineno, kind)
-        return attrs
-
-    def _dict_aliases(self, method: ast.FunctionDef) -> Set[str]:
-        """Local names bound to ``self.__dict__`` (the hot-loop store idiom)."""
-        aliases: Set[str] = set()
-        for node in ast.walk(method):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "__dict__"
-                and isinstance(node.value.value, ast.Name)
-                and node.value.value.id == "self"
-            ):
-                aliases.add(node.targets[0].id)
-        return aliases
-
-    def _attr_store_name(self, target: ast.AST, dict_aliases: Set[str]) -> Optional[str]:
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            return target.attr
-        if isinstance(target, ast.Subscript) and isinstance(
-            target.slice, ast.Constant
-        ) and isinstance(target.slice.value, str):
-            base = target.value
-            # self.__dict__["attr"] = ... or d["attr"] = ... with d = self.__dict__
-            if (
-                isinstance(base, ast.Attribute)
-                and base.attr == "__dict__"
-                and isinstance(base.value, ast.Name)
-                and base.value.id == "self"
-            ):
-                return target.slice.value
-            if isinstance(base, ast.Name) and base.id in dict_aliases:
-                return target.slice.value
-        return None
-
-    def _missing_registries(
-        self, attr: str, methods: Dict[str, List[ast.FunctionDef]]
-    ) -> List[str]:
-        groups = [("state_nbytes", _NBYTES_METHODS)]
-        if attr.startswith("_prev"):
-            groups.append(("remap_rows", _REMAP_METHODS))
-            groups.append(("reset_state/_invalidate_rows", _CLEAR_METHODS))
-        missing = []
-        for label, names in groups:
-            bodies = [m for name in names for m in methods.get(name, [])]
-            if not bodies:
-                continue  # hierarchy never implements it; out of scope
-            if not any(self._references(body, attr) for body in bodies):
-                missing.append(label)
-        return missing
-
-    def _references(self, method: ast.FunctionDef, attr: str) -> bool:
-        for node in ast.walk(method):
-            if isinstance(node, ast.Attribute) and node.attr == attr:
-                return True
-            if isinstance(node, ast.Constant) and node.value == attr:
-                return True
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +794,6 @@ def default_checkers() -> List[Checker]:
 
     return [
         DtypePromotionChecker(),
-        TemporalStateRegistryChecker(),
         SpecCacheKeyChecker(),
         ProfilerPhaseChecker(),
         GemmLayoutChecker(),

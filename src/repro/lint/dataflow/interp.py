@@ -51,7 +51,7 @@ from .lattice import (
     scalar_value,
 )
 
-__all__ = ["CallFact", "DrawFact", "AttrStoreFact", "Summary", "DataflowEngine"]
+__all__ = ["CallFact", "DrawFact", "Summary", "DataflowEngine"]
 
 _MAX_PASSES = 8
 _LOOP_ITERATIONS = 3
@@ -130,14 +130,6 @@ class DrawFact:
 
 
 @dataclass
-class AttrStoreFact:
-    fn: FunctionInfo
-    attr: str
-    value: AbstractValue
-    line: int
-
-
-@dataclass
 class Summary:
     """Converging interprocedural facts for one function.
 
@@ -162,7 +154,6 @@ class Summary:
 class FunctionFacts:
     calls: List[CallFact] = field(default_factory=list)
     draws: List[DrawFact] = field(default_factory=list)
-    attr_stores: List[AttrStoreFact] = field(default_factory=list)
     values: Dict[int, AbstractValue] = field(default_factory=dict)  # id(node)
 
 
@@ -402,9 +393,6 @@ class _Interp:
         elif isinstance(target, ast.Starred):
             self._bind(target.value, value, env)
         elif isinstance(target, ast.Attribute):
-            self.facts.attr_stores.append(
-                AttrStoreFact(fn=self.info, attr=target.attr, value=value, line=target.lineno)
-            )
             if isinstance(target.value, ast.Name):
                 self.eval(target.value, env)
         elif isinstance(target, ast.Subscript):

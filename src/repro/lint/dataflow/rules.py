@@ -296,38 +296,26 @@ class RngStreamChecker(_DataflowChecker):
 
 
 # ---------------------------------------------------------------------------
-# RPL010 - EngineSession lifecycle: health machine + commit-before-forward
+# RPL010 - EngineSession lifecycle: the health machine
 # ---------------------------------------------------------------------------
 
-_REMAP_CALLS = {"remap_model_rows", "remap_rows"}
-_COMMIT_ATTRS = {"_mapping"}
-_FORWARD_CALLS = {"predict_noise_rows", "predict_noise"}
 _GUARDED_METHODS = {"admit", "step"}
 
 
 class SessionLifecycleChecker(_DataflowChecker):
-    """RPL010: no admit/step on a dead session; commit remaps before forwards.
+    """RPL010: no admit/step on a session already marked unhealthy.
 
-    Two halves of the PR 7 crash-recovery contract:
-
-    * once ``mark_unhealthy`` ran on a session handle, no later path may call
-      ``admit``/``step`` on that same handle - recovery must rebind the name
-      to a fresh session first (``_recover_or_fail`` does);
-    * inside any one function, a ``remap_model_rows``/``remap_rows`` call must
-      be followed by the ``self._mapping = ...`` commit *before* the next
-      forward (``predict_noise_rows``/``predict_noise``), the
-      commit-before-forward ordering that makes retry replay idempotent.
+    The PR 7 crash-recovery contract: once ``mark_unhealthy`` ran on a
+    session handle, no later path may call ``admit``/``step`` on that same
+    handle - recovery must rebind the name to a fresh session first
+    (``_recover_or_fail`` does).
     """
 
     rule = "RPL010"
-    title = "EngineSession lifecycle violation (health machine / commit-before-forward)"
+    title = "EngineSession lifecycle violation (health machine)"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        engine = engine_for(project)
-        findings: List[Finding] = []
-        findings.extend(self._check_health(project, engine))
-        findings.extend(self._check_commit_order(project, engine))
-        return findings
+        return self._check_health(project, engine_for(project))
 
     def _check_health(self, project: Project, engine: DataflowEngine) -> List[Finding]:
         findings = []
@@ -355,42 +343,4 @@ class SessionLifecycleChecker(_DataflowChecker):
                     ),
                 )
             )
-        return findings
-
-    def _check_commit_order(self, project: Project, engine: DataflowEngine) -> List[Finding]:
-        findings = []
-        for qualname, info in engine.graph.functions.items():
-            handle = self._handle(project, info.path)
-            if handle is None:
-                continue
-            facts = engine.facts.get(qualname)
-            if facts is None:
-                continue
-            remaps = [f.line for f in facts.calls if f.func_name in _REMAP_CALLS]
-            commits = [s.line for s in facts.attr_stores if s.attr in _COMMIT_ATTRS]
-            forwards = [f for f in facts.calls if f.func_name in _FORWARD_CALLS]
-            if not remaps or not forwards:
-                continue
-            for forward in forwards:
-                before = [line for line in remaps if line <= forward.line]
-                if not before:
-                    continue
-                last_remap = max(before)
-                if any(last_remap <= line <= forward.line for line in commits):
-                    continue
-                if "committed" in _assumptions(handle, forward.line):
-                    continue
-                findings.append(
-                    Finding(
-                        path=info.path,
-                        line=forward.line,
-                        rule=self.rule,
-                        message=(
-                            f"{forward.func_name}() runs after remap_rows with no "
-                            f"self._mapping commit in between; a retry replaying "
-                            f"this step would re-apply the remap "
-                            f"(commit-before-forward)"
-                        ),
-                    )
-                )
         return findings

@@ -9,6 +9,13 @@ Each quantized layer supports three execution paths (paper Section IV):
 * **spatial** - Diffy-style intra-tensor differences between consecutive
   sliding windows / token rows; also bit-exact.
 
+Only a TEMPORAL layer keeps state (``_prev_*``, attention's ``_prev``); a
+DENSE layer is stateless.  On the host both modes give the same bits (the
+zero-state algebra, ``docs/contracts.md``), so the engine runs TEMPORAL only
+when a trace is recorded and DENSE otherwise - the accelerator's saving is
+modelled from the trace by :mod:`repro.hw`, not realised here.  A TEMPORAL
+layer with no state yet executes dense and records ``executed_mode=DENSE``.
+
 Every forward records a :class:`~repro.core.trace.RichLayerStep` carrying the
 operand composition (zero / 4-bit / 8-bit) of *all three* paths, so the
 hardware models and Defo can be evaluated post-hoc on a single run.
@@ -45,7 +52,6 @@ __all__ = [
     "reset_model_state",
     "set_model_mode",
     "remap_model_rows",
-    "model_state_nbytes",
 ]
 
 
@@ -66,56 +72,6 @@ def _max_product(bits: int) -> int:
     515 * 32,640, the longest gated 8-bit dot product has 514 terms.
     """
     return ((1 << bits) - 1) << (bits - 1)
-
-
-def _remap_rows_array(
-    arr: Optional[np.ndarray],
-    mapping,
-    old_batch: int,
-    fill: float = 0.0,
-) -> Optional[np.ndarray]:
-    """Re-align a cached per-batch-element state array to a new composition.
-
-    ``mapping[new_pos]`` is the old row index that moved to ``new_pos``, or
-    ``None`` for a freshly admitted row.  Fresh rows are filled with
-    ``fill`` - zero state, by the distributive property the temporal path
-    computes exactly the dense result for an all-zero previous step, so an
-    admitted row's first "temporal" step is bit-exact with a dense one.
-
-    The leading dimension may be any multiple of ``old_batch`` (classifier-
-    free guidance stacks ``[cond; uncond]``); the mapping is applied per
-    block.  State whose leading dimension does not tile is dropped (``None``
-    - the layer then falls back to one dense step, which is always sound).
-    """
-    if arr is None:
-        return None
-    lead = arr.shape[0]
-    if old_batch <= 0 or lead % old_batch:
-        return None
-    reps = lead // old_batch
-    new_batch = len(mapping)
-    out = np.full((reps * new_batch,) + arr.shape[1:], fill, dtype=arr.dtype)
-    for block in range(reps):
-        src_base = block * old_batch
-        dst_base = block * new_batch
-        for pos, src in enumerate(mapping):
-            if src is not None:
-                out[dst_base + pos] = arr[src_base + src]
-    return out
-
-
-def _nbytes(*arrays) -> int:
-    """Total bytes of the given arrays, deduped by identity.
-
-    State fields may alias each other; counting an aliased buffer twice
-    would inflate the measured per-row footprint and make the serving pool
-    budget refuse batch sizes that actually fit.
-    """
-    seen = {}
-    for a in arrays:
-        if isinstance(a, np.ndarray):
-            seen[id(a)] = a.nbytes
-    return sum(seen.values())
 
 
 def _spatial_diff_rows(mat: np.ndarray) -> np.ndarray:
@@ -242,41 +198,18 @@ class QLayerBase(Module):
         self._prev_out_int = None
         self._prev_scale = None
 
-    def _changed_grid_rows(self, q_in: np.ndarray):
-        """Which rows' integer grid moved since the cached state was written.
+    def _keep_state(self, q_in: np.ndarray, out_int: np.ndarray) -> None:
+        """Hold this step's operands for the next temporal step.
 
-        Returns ``None`` (no change), ``"all"`` (whole-batch change - the
-        lockstep TDQ cluster boundary, handled by one dense step exactly as
-        before), or a boolean per-row mask (rows at their own timesteps, some
-        of which just crossed a cluster boundary - only those rows fall back,
-        via zeroed state).
+        Only a TEMPORAL layer keeps state; a DENSE (or SPATIAL) layer is
+        stateless, so plain runs and serving sessions carry no ``_prev_*``
+        tensors.  Plain state fields: skip Module.__setattr__'s checks.
         """
-        prev, cur = self._prev_scale, self.input_quant.scale
-        if prev is None:
-            return None
-        prev_arr = isinstance(prev, np.ndarray)
-        cur_arr = isinstance(cur, np.ndarray)
-        if not prev_arr and not cur_arr:
-            return "all" if prev != cur else None
-        batch = q_in.shape[0]
-        p = prev.reshape(batch) if prev_arr else np.full(batch, prev)
-        c = cur.reshape(batch) if cur_arr else np.full(batch, cur)
-        mask = p != c  # NaN-filled fresh rows always flag as changed
-        if not mask.any():
-            return None
-        if mask.all():
-            return "all"
-        return mask
-
-    def _invalidate_rows(self, mask: np.ndarray) -> None:
-        """Zero the cached state of ``mask``-ed rows (per-row dense fallback).
-
-        Zero previous input and zero previous output make the temporal path
-        compute ``0 + (q_in - 0) @ W`` - bit-exact with the dense product -
-        so invalidation never needs a whole-batch mode switch.
-        """
-        self._prev_q_in[mask] = 0
-        self._prev_out_int[mask] = 0
+        if self.mode is ExecutionMode.TEMPORAL:
+            d = self.__dict__
+            d["_prev_q_in"] = q_in
+            d["_prev_out_int"] = out_int
+            d["_prev_scale"] = self.input_quant.scale
 
     def _temporal_diff(self, q_in: np.ndarray) -> Optional[np.ndarray]:
         prev = self._prev_q_in
@@ -286,13 +219,11 @@ class QLayerBase(Module):
         # integer grid at cluster boundaries: the cached state was produced
         # under another scale, so differencing against it would be wrong.
         # Ditto then re-runs one dense step, exactly as the paper's synergy
-        # with Q-Diffusion/TDQ requires.  With per-row step indices only the
-        # rows that crossed a boundary are invalidated (zeroed state).
-        changed = self._changed_grid_rows(q_in)
-        if changed is not None:
-            if isinstance(changed, str):  # "all"
-                return None
-            self._invalidate_rows(changed)
+        # with Q-Diffusion/TDQ requires.  Within a cluster the quantizer
+        # serves the same scale object, so identity skips the compare.
+        prev_scale, scale = self._prev_scale, self.input_quant.scale
+        if prev_scale is not scale and np.any(prev_scale != scale):
+            return None
         # The difference is consumed within this forward (matmul operand
         # and/or classification) before any other layer runs, so it can live
         # in the shared per-thread scratch pool.
@@ -304,33 +235,6 @@ class QLayerBase(Module):
         if self.mode is ExecutionMode.TEMPORAL and diff is None:
             return ExecutionMode.DENSE
         return self.mode
-
-    def remap_rows(self, mapping, old_batch: int) -> None:
-        """Re-align cached temporal state to a new batch composition.
-
-        See :func:`remap_model_rows`.  Fresh rows (``None`` entries) get zero
-        state; a fresh row's ``_prev_scale`` is NaN so any grid comparison
-        flags it (harmlessly re-zeroing already-zero rows).
-        """
-        d = self.__dict__
-        d["_prev_q_in"] = _remap_rows_array(self._prev_q_in, mapping, old_batch)
-        d["_prev_out_int"] = _remap_rows_array(
-            self._prev_out_int, mapping, old_batch
-        )
-        if isinstance(self._prev_scale, np.ndarray):
-            d["_prev_scale"] = _remap_rows_array(
-                self._prev_scale, mapping, old_batch, fill=np.nan
-            )
-
-    def state_nbytes(self) -> int:
-        """Bytes of per-batch-element temporal state currently held.
-
-        ``_prev_scale`` is a scalar for lockstep batches but becomes a
-        per-row float64 array under continuous batching; ``_nbytes``
-        ignores the scalar form, so counting it here is free in lockstep
-        mode and keeps the serving pool budget honest per row.
-        """
-        return _nbytes(self._prev_q_in, self._prev_out_int, self._prev_scale)
 
 
 def _quantize_weight(weight: np.ndarray, bits: int, per_channel: bool):
@@ -410,11 +314,7 @@ class QLinear(QLayerBase):
         if self.bias is not None:
             out += self.bias
         self._record(q_in, diff, out_int)
-        # Plain state fields: skip Module.__setattr__'s registration checks.
-        d = self.__dict__
-        d["_prev_q_in"] = q_in
-        d["_prev_out_int"] = out_int
-        d["_prev_scale"] = self.input_quant.scale
+        self._keep_state(q_in, out_int)
         return out
 
     def _record(
@@ -587,11 +487,7 @@ class QConv2d(QLayerBase):
         if self.bias is not None:
             out += self.bias.reshape(1, -1, 1, 1)
         self._record(q_in, diff, out_int, None if temporal else cols)
-        # Plain state fields: skip Module.__setattr__'s registration checks.
-        d = self.__dict__
-        d["_prev_q_in"] = q_in
-        d["_prev_out_int"] = out_int
-        d["_prev_scale"] = self.input_quant.scale
+        self._keep_state(q_in, out_int)
         return out
 
     def _record(
@@ -713,27 +609,6 @@ class QAttention(QLayerBase):
         for child in (self.to_q, self.to_k, self.to_v, self.to_out):
             child.reset_state()
 
-    def remap_rows(self, mapping, old_batch: int) -> None:
-        # The projection QLinears are remapped by the model-level walk (they
-        # are registered child modules); only the attention-matmul state and
-        # the context K'/V' cache are handled here.  Cached K'/V' rows are
-        # all identical (conditioning is tiled from one sample), so the cache
-        # stays valid whenever the context object - keyed by identity and
-        # memoized per batch size in the pipeline - is reused.
-        super().remap_rows(mapping, old_batch)
-        for key in list(self._prev):
-            remapped = _remap_rows_array(self._prev[key], mapping, old_batch)
-            if remapped is None:
-                del self._prev[key]
-            else:
-                self._prev[key] = remapped
-
-    def state_nbytes(self) -> int:
-        total = super().state_nbytes() + _nbytes(*self._prev.values())
-        for _, k_full, v_full in self._context_cache.values():
-            total += _nbytes(k_full, v_full)
-        return total
-
     def _split(self, x: np.ndarray) -> np.ndarray:
         b, t, _ = x.shape
         return x.reshape(b, t, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
@@ -825,9 +700,8 @@ class QAttention(QLayerBase):
             vpu_out=True,  # softmax + requantization follow
             executed_mode=mode,
         )
-        self._prev["q"] = qq
-        self._prev["k"] = qk
-        self._prev["s"] = s_int
+        if self.mode is ExecutionMode.TEMPORAL:
+            self._prev.update(q=qq, k=qk, s=s_int)
         return s_int
 
     def _pv_matmul(self, qp: np.ndarray, qv: np.ndarray) -> np.ndarray:
@@ -862,9 +736,8 @@ class QAttention(QLayerBase):
             vpu_out=False,  # output feeds the linear projection directly
             executed_mode=mode,
         )
-        self._prev["p"] = qp
-        self._prev["v"] = qv
-        self._prev["o"] = o_int
+        if self.mode is ExecutionMode.TEMPORAL:
+            self._prev.update(p=qp, v=qv, o=o_int)
         return o_int
 
     def _record_matmul(
@@ -1012,20 +885,11 @@ def set_model_mode(model: Module, mode: ExecutionMode) -> None:
 
 
 def remap_model_rows(model: Module, mapping, old_batch: int) -> None:
-    """Re-align every layer's temporal state to a new batch composition.
+    """Drop all temporal state; kept only as a stable hook for profilers.
 
-    ``mapping`` lists, for each row of the *new* batch, the old row index it
-    continues (or ``None`` for a freshly admitted row).  Continuing rows keep
-    their cached ``_prev_*`` state - their next temporal step differences
-    against exactly the tensors their own previous step produced - while
-    fresh rows start from zero state, which the difference algebra turns
-    into a bit-exact dense first step.  This is the swap primitive behind
-    continuous batching (:class:`repro.core.session.EngineSession`).
+    Serving sessions execute dense and hold no temporal state, so there is
+    no row state left to re-align and nothing in the package calls this.
+    External tracing harnesses still patch the name, so it stays as an
+    alias of :func:`reset_model_state`.
     """
-    for _, qlayer in iter_qlayers(model):
-        qlayer.remap_rows(mapping, old_batch)
-
-
-def model_state_nbytes(model: Module) -> int:
-    """Total bytes of cached temporal state across all quantized layers."""
-    return sum(qlayer.state_nbytes() for _, qlayer in iter_qlayers(model))
+    reset_model_state(model)

@@ -25,13 +25,14 @@ Two schedulers are provided:
   and evicted at *step boundaries*, each row carries its own timestep, and
   the engine never drains while requests are queued.
 
-Stacking requests is only sound because of the per-batch-element
-temporal-state invariance contract: every quantized layer's cached
-``_prev_*`` state differences along the batch axis, so a batch-N run is
-bit-exact with N independent batch-1 runs (pinned by
+Stacking requests is only sound because of the batch-invariance contract:
+served runs execute every quantized layer dense, holding no temporal state,
+so a batch-N run is bit-exact with N independent batch-1 runs (pinned by
 ``tests/test_batched_state.py`` and optionally re-checked per serve via
-``verify_invariance``).  Stochastic samplers (ddpm, ddim eta>0) join the
-contract through per-request ``SeedSequence.spawn`` noise streams
+``verify_invariance`` against instrumented batch-1 references, which execute
+temporal - so every check also tests the zero-state difference algebra).
+Stochastic samplers (ddpm, ddim eta>0) join the contract through
+per-request ``SeedSequence.spawn`` noise streams
 (:meth:`Request.sampler_rng`).  The per-batch-size MAC/BOPs savings come
 from one instrumented run per batch size; the timed runs skip
 instrumentation (``record_trace=False``) so stats scans do not pollute the
@@ -43,11 +44,11 @@ fault-tolerance contract (:mod:`repro.runtime.faults`):
 * **deadlines & cancellation** - per-request ``deadline_s`` (assigned per
   SLO class) and a :class:`~repro.runtime.faults.CancelToken`, both checked
   at step boundaries; cancelled/expired rows are evicted mid-flight, which
-  is bit-exact for the survivors by the session's difference algebra;
+  is bit-exact for the survivors because dense rows hold no state;
 * **retry with exact replay** - a step that raises is retried with capped
   exponential backoff (simulated clock).  Safe because a failed step is an
-  exact no-op: the remap was committed before the forward and the rng
-  streams are rewound, so the retry replays the step bit-exactly;
+  exact no-op: a dense step holds no layer state and the rng streams are
+  rewound, so the retry replays the step bit-exactly;
 * **crash recovery** - a killed session (or one that exhausted its
   retries) is snapshotted, the engine rebuilt (warm from the
   content-addressed cache via :meth:`EngineRunner.build_engine
@@ -754,7 +755,7 @@ def _drain_continuous(
     deadline-expired rows, drop cancelled/expired queued requests, admit.
     A step that raises is retried up to ``max_retries`` times with capped
     exponential backoff on the simulated clock - exact replay is guaranteed
-    by the session (committed remap + rewound rng streams).  A killed
+    by the session (stateless dense step + rewound rng streams).  A killed
     session (or exhausted retries) triggers crash recovery: snapshot the
     rows, rebuild the engine via ``engine_factory``, re-admit every row at
     its recorded step with its stream fast-forwarded past its recorded
@@ -806,9 +807,9 @@ def _drain_continuous(
         """Rebuild + re-admit from snapshots, or fail the in-flight rows.
 
         Bit-exact by construction: a rebuilt engine is deterministic (same
-        spec, steps, calibration seed), a re-admitted row starts from zero
-        temporal state at its snapshot latent (its first step computes the
-        dense result), and its rng stream - rebuilt from the request's
+        spec, steps, calibration seed), a re-admitted row resumes at its
+        snapshot latent with nothing else lost (dense rows hold no layer
+        state), and its rng stream - rebuilt from the request's
         ``SeedSequence`` seed - is fast-forwarded past exactly the draws
         the dead session spent (streams were rewound on failure, so the
         count excludes the failed step).
@@ -942,28 +943,24 @@ def _drain_continuous(
 
 
 def estimate_row_footprint(engine: DittoEngine) -> int:
-    """Measured scratch + temporal-state bytes of one batch row.
+    """Measured scratch bytes of one batch row.
 
-    Runs two probe forwards (the second exercises the temporal-difference
-    scratch paths) at batch 2 and tallies the thread's scratch pool (which
-    holds the shared conv unfold buffers) plus every layer's cached
-    temporal state.  All of it grows linearly with the batch, so half the
-    batch-2 total is one row and ``budget // row_bytes`` bounds the
-    admissible batch size.
+    Runs one dense probe forward at batch 2 - the mode every served row
+    executes, which holds no temporal state - and tallies the thread's
+    scratch pool (the shared conv unfold buffers and GEMM temporaries).  It
+    grows linearly with the batch, so half the batch-2 total is one row and
+    ``budget // row_bytes`` bounds the admissible batch size.
     """
     from ..core.modes import ExecutionMode
-    from ..quant.qlayers import model_state_nbytes, reset_model_state, set_model_mode
+    from ..quant.qlayers import reset_model_state, set_model_mode
     from ..scratch import clear_scratch, scratch_pool_bytes
 
     engine._freeze_scales(1)
     clear_scratch()
     reset_model_state(engine.qmodel)
-    set_model_mode(engine.qmodel, ExecutionMode.TEMPORAL)
-    probe = engine._probe_fn(2)
-    probe()
-    probe()
-    total = scratch_pool_bytes() + model_state_nbytes(engine.qmodel)
-    reset_model_state(engine.qmodel)
+    set_model_mode(engine.qmodel, ExecutionMode.DENSE)
+    engine._probe_fn(2)()
+    total = scratch_pool_bytes()
     clear_scratch()
     return -(-total // 2)  # ceil: never under-report a row
 
@@ -1118,7 +1115,7 @@ def simulate_serving(
     if scheduler == "continuous" and engine_factory is None:
         if prebuilt:
             # Reopening the same object is a valid rebuild: EngineSession
-            # resets every layer's temporal state on open, and an injected
+            # resets every layer's state on open, and an injected
             # kill corrupts no engine-side state in this simulation.
             def engine_factory(engine=engine):
                 return engine
@@ -1320,12 +1317,10 @@ def simulate_serving(
                 noises,
                 continuous_samples,
                 continuous_outcomes,
-                instrumented_reference=use_plan,
             )
         else:
             report.verified_requests = _verify_fixed(
-                spec.name, engine, requests, noises, sizes,
-                instrumented_reference=use_plan,
+                spec.name, engine, requests, noises, sizes
             )
         report.invariance_checked = True
     return report
@@ -1347,7 +1342,6 @@ def _verify_fixed(
     requests: Sequence[Request],
     noises: Sequence[np.ndarray],
     sizes: Sequence[int],
-    instrumented_reference: bool = False,
 ) -> List[int]:
     """Stack the first requests into one micro-batch of the largest
     configured size, re-run them one at a time, and demand bit-exact
@@ -1355,10 +1349,9 @@ def _verify_fixed(
     --verify can never silently verify nothing.  Returns the verified
     request ids.
 
-    ``instrumented_reference=True`` (plan-replay mode) runs the batch-1
-    references with full instrumentation, so the check proves the
-    plan-replay path bit-exact against the *instrumented* path per request
-    rather than against another uninstrumented run."""
+    The batched run executes dense; each batch-1 reference is an
+    instrumented run, which executes temporal, so the check also proves the
+    zero-state difference algebra end to end."""
     fill = min(sizes[-1], len(requests))
     if fill < 2:
         raise ValueError(
@@ -1376,7 +1369,6 @@ def _verify_fixed(
     for pos, j in enumerate(members):
         single = engine.run(
             x_init=noises[j],
-            record_trace=instrumented_reference,
             rngs=[requests[j].sampler_rng()],
         ).samples
         if not np.array_equal(batched[pos : pos + 1], single):
@@ -1395,16 +1387,15 @@ def _verify_continuous(
     noises: Sequence[np.ndarray],
     samples: Dict[int, np.ndarray],
     outcomes: Dict[int, str],
-    instrumented_reference: bool = False,
 ) -> List[int]:
     """Every *completed* request of the continuous replay - whatever
     interleaving of admissions, evictions, and recoveries the queue
     produced - must match its seeded batch-1 reference bit-exactly.
     Returns the verified request ids.
 
-    ``instrumented_reference=True`` (plan-replay mode) makes each reference
-    a fully instrumented run, proving plan-replay bit-exact against the
-    instrumented path."""
+    Served rows execute dense; each reference is an instrumented run, which
+    executes temporal, so the check also proves the zero-state difference
+    algebra end to end."""
     completed = sorted(
         rid for rid, outcome in outcomes.items() if outcome == "completed"
     )
@@ -1430,9 +1421,7 @@ def _verify_continuous(
     num_steps = len(engine.pipeline.sampler.timesteps)
     for j in completed:
         reference = engine.run(
-            x_init=noises[j],
-            record_trace=instrumented_reference,
-            rngs=[requests[j].sampler_rng()],
+            x_init=noises[j], rngs=[requests[j].sampler_rng()]
         ).samples
         if not np.array_equal(samples[j], reference):
             raise AssertionError(

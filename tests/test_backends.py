@@ -207,21 +207,22 @@ def test_integer_gemms_match_int64_einsum():
 
 
 def test_qlayer_outputs_match_int64_einsum():
-    """Dense then temporal quantized layers: the integer accumulator equals
-    the int64 product of the step's quantized input, and the output is its
-    exact dequantization."""
+    """TEMPORAL quantized layers over two steps - the first executes dense
+    on empty state, the second on the difference: the integer accumulator
+    equals the int64 product of the step's quantized input, and the output
+    is its exact dequantization."""
     rng = np.random.default_rng(9)
     conv = QConv2d(rng.standard_normal((4, 2, 3, 3)), None, padding=1)
     lin = QLinear(rng.standard_normal((5, 12)), None)
+    conv.mode = lin.mode = ExecutionMode.TEMPORAL
     x0 = rng.standard_normal((2, 2, 6, 6))
     v0 = rng.standard_normal((2, 12))
     steps = [
-        (ExecutionMode.DENSE, x0, v0),
-        (ExecutionMode.TEMPORAL, x0 + 0.05 * rng.standard_normal(x0.shape),
+        (x0, v0),
+        (x0 + 0.05 * rng.standard_normal(x0.shape),
          v0 + 0.05 * rng.standard_normal(v0.shape)),
     ]
-    for mode, xc, xl in steps:
-        conv.mode = lin.mode = mode
+    for xc, xl in steps:
         out_conv, out_lin = conv(xc), lin(xl)
         cols, out_hw = naive_cols_t(_i64(conv._prev_q_in), 3, 1, 1)
         exact_conv = np.einsum(

@@ -1,12 +1,13 @@
 """Per-batch-element temporal-state invariance (the serving contract).
 
 A batch-N engine run must be bit-exact with N independent batch-1 runs
-seeded per element: every quantized layer's cached temporal state
+seeded per element: an instrumented (temporal) run's cached state
 (``_prev_q_in`` / ``_prev_out_int`` / ``_prev_scale``, attention's ``_prev``
-dicts) differences along the batch axis, and every sticky
-quantizer scale freezes batch-independently (the engine's probe tiles one
-sample).  These tests pin that contract for a conv-only benchmark, a
-CFG/attention benchmark, and a TDQ cluster-boundary crossing at batch > 1.
+dicts) differences along the batch axis, a plain run or session executes
+dense and holds no such state at all, and every sticky quantizer scale
+freezes batch-independently (the engine's probe tiles one sample).  These
+tests pin that contract for a conv-only benchmark, a CFG/attention
+benchmark, and a TDQ cluster-boundary crossing at batch > 1.
 
 The contract extends along two axes pinned below:
 
@@ -302,8 +303,8 @@ def test_continuous_session_tdq_boundary_crossing():
         for tag, sample in session.run_to_completion().items():
             out[tag] = sample
     assert sorted(out) == [0, 1, 2, 3]
-    for i in range(4):
-        reference = engine.run(x_init=noises[i], record_trace=False).samples
+    for i in range(4):  # dense-served rows vs instrumented, temporal runs
+        reference = engine.run(x_init=noises[i]).samples
         np.testing.assert_array_equal(out[i], reference)
 
 
@@ -330,16 +331,14 @@ def test_continuous_session_stochastic_and_eviction():
         session.admit(noises[2], rng=_stream(2), tag=2)
         out.update(session.run_to_completion())
     assert sorted(out) == [0, 1, 2]
-    for i in range(3):
-        reference = engine.run(
-            x_init=noises[i], record_trace=False, rngs=[_stream(i)]
-        ).samples
+    for i in range(3):  # dense-served rows vs instrumented, temporal runs
+        reference = engine.run(x_init=noises[i], rngs=[_stream(i)]).samples
         np.testing.assert_array_equal(out[i], reference)
 
 
 def test_continuous_session_cfg_attention():
     """CFG cross-attention under composition changes: the stacked
-    [cond; uncond] state remaps per block and K'/V' caching stays sound."""
+    [cond; uncond] rows stay exact and K'/V' caching stays sound."""
     engine = _cfg_engine()
     noises = [
         np.random.default_rng(80 + i).standard_normal(
@@ -359,30 +358,45 @@ def test_continuous_session_cfg_attention():
         session.admit(noises[2], tag=2)
         out.update(session.run_to_completion())
     assert sorted(out) == [0, 1, 2]
-    for i in range(3):
-        reference = engine.run(x_init=noises[i], record_trace=False).samples
+    for i in range(3):  # dense-served rows vs instrumented, temporal runs
+        reference = engine.run(x_init=noises[i]).samples
         np.testing.assert_array_equal(out[i], reference)
 
 
 def test_session_first_step_records_dense_attention_matmuls():
-    """A session opens in TEMPORAL mode with empty attention state, so the
-    first step's QK / PV matmuls run dense: their trace records must carry
-    the mode that actually executed, not the layer's mode flag."""
+    """A session runs every layer DENSE and holds no attention state, so
+    under a recorder its QK / PV matmuls record the dense mode that executed
+    and no temporal stats - on the first step and on every later one."""
     from repro.core import ExecutionMode
     from repro.core.trace import TraceRecorder
 
     engine = _cfg_engine(calibrate=False)
     shape = (1,) + engine.pipeline.sample_shape
-    traces = []
     with engine.open_session() as session:
         session.admit(np.random.default_rng(5).standard_normal(shape), tag=0)
         for _ in range(2):
             with TraceRecorder() as rec:
                 session.step()
-            traces.append(
-                [s for s in rec.trace if s.kind in ("attn_qk", "attn_pv")]
-            )
-    first, second = traces
+            steps = [s for s in rec.trace if s.kind in ("attn_qk", "attn_pv")]
+            assert {s.kind for s in steps} == {"attn_qk", "attn_pv"}
+            for step in steps:
+                assert step.executed_mode is ExecutionMode.DENSE, step.layer_name
+                assert step.stats_temporal is None
+
+
+def test_instrumented_first_call_records_dense_attention_matmuls():
+    """An instrumented run sets every layer TEMPORAL from the first call,
+    when the attention state is still empty, so that call's QK / PV matmuls
+    run dense: their trace records must carry the mode that actually
+    executed, not the layer's mode flag."""
+    from repro.core import ExecutionMode
+
+    engine = _cfg_engine(calibrate=False)
+    trace = engine.run(batch_size=1, seed=5).rich_trace
+    first, second = (
+        [s for s in trace if s.kind in ("attn_qk", "attn_pv") and s.step_index == i]
+        for i in (0, 1)
+    )
     assert {s.kind for s in first} == {"attn_qk", "attn_pv"}
     for step in first:
         assert step.executed_mode is ExecutionMode.DENSE, step.layer_name
@@ -419,10 +433,9 @@ def test_session_admit_requires_stream_for_stochastic_sampler():
 
 def test_session_step_retry_after_failure_keeps_rows_exact():
     """A step that fails mid-flight (here: a transient forward error right
-    after a composition change) must be recoverable: the retried step may
-    not re-apply the already-applied remap and hand surviving rows another
-    row's temporal state (the mapping is committed with the state, not
-    after the forward)."""
+    after a composition change) must be recoverable: the dense layers hold
+    no state the failed forward could have left half-updated, so the retry
+    replays the step exactly."""
     engine = _ddpm_engine()
     noises = [
         np.random.default_rng(90 + i).standard_normal(
@@ -446,7 +459,7 @@ def test_session_step_retry_after_failure_keeps_rows_exact():
 
         engine.pipeline.predict_noise_rows = flaky_predict
         with pytest.raises(RuntimeError, match="transient"):
-            session.step()  # remap already applied when the forward died
+            session.step()  # composition already applied when the forward died
         out.update(session.run_to_completion())  # retry
     for i in (0, 2):
         reference = engine.run(
@@ -500,11 +513,9 @@ def test_step_failure_after_partial_draws_keeps_streams_exact():
 def test_conv_state_is_base_temporal_state_only():
     """A temporal conv keeps no unfold state: it unfolds the input-sized
     difference into the shared scratch pool, so its cached state is exactly
-    the base ``_prev_q_in`` / ``_prev_out_int`` / ``_prev_scale`` and
-    ``state_nbytes`` (which the pool budget cap derives from) is their
-    deduplicated sum."""
+    the base ``_prev_q_in`` / ``_prev_out_int`` / ``_prev_scale``."""
     engine = _conv_engine(calibrate=False, num_steps=3)
-    engine.run(batch_size=2, seed=0, record_trace=False)
+    engine.run(batch_size=2, seed=0)  # instrumented: executes temporal
     from repro.quant.qlayers import QConv2d
 
     convs = [
@@ -520,9 +531,80 @@ def test_conv_state_is_base_temporal_state_only():
         }
         assert buffers <= base, buffers - base
         assert conv._prev_q_in is not None and conv._prev_out_int is not None
-        state = (conv._prev_q_in, conv._prev_out_int, conv._prev_scale)
-        unique = {id(a): a.nbytes for a in state if isinstance(a, np.ndarray)}
-        assert conv.state_nbytes() == sum(unique.values())
+
+
+def _prev_attrs(model):
+    """Every ``_prev*`` attribute of every quantized layer: ``(name, value)``."""
+    return [
+        (f"{name}.{attr}", value)
+        for name, qlayer in iter_qlayers(model)
+        for attr, value in vars(qlayer).items()
+        if attr.startswith("_prev")
+    ]
+
+
+def _assert_stateless(model):
+    """No quantized layer holds temporal state: every ``_prev_q_in`` /
+    ``_prev_out_int`` is None and every attention ``_prev`` dict is empty."""
+    for name, qlayer in iter_qlayers(model):
+        assert qlayer._prev_q_in is None, name
+        assert qlayer._prev_out_int is None, name
+        if isinstance(qlayer, QAttention):
+            assert not qlayer._prev, name
+
+
+def test_reset_state_clears_every_prev_attribute():
+    """``reset_model_state`` empties every ``_prev*`` attribute a quantized
+    layer holds after an instrumented run, whatever its name - a new state
+    field that ``reset_state`` forgets would leak one trajectory's state
+    into the next."""
+    from repro.quant.qlayers import reset_model_state
+
+    for engine in (_conv_engine(calibrate=False, num_steps=3), _cfg_engine(num_steps=3)):
+        engine.run(batch_size=2, seed=0)
+        held = [name for name, value in _prev_attrs(engine.qmodel) if value is not None]
+        assert held  # the instrumented run did hold temporal state
+        reset_model_state(engine.qmodel)
+        for name, value in _prev_attrs(engine.qmodel):
+            assert value is None or (isinstance(value, dict) and not value), name
+
+
+def test_remap_model_rows_stays_as_a_reset_hook():
+    """Frozen profiler surface: external tracers patch
+    ``qlayers.remap_model_rows`` by name, so the name stays - as a plain
+    reset of every layer's state - though nothing in the package calls it."""
+    from repro.quant import qlayers
+
+    engine = _cfg_engine(num_steps=3)
+    engine.run(batch_size=2, seed=0)
+    qlayers.remap_model_rows(engine.qmodel, [1, None], 2)
+    _assert_stateless(engine.qmodel)
+
+
+def test_plain_runs_and_sessions_hold_no_temporal_state():
+    """Dense execution is stateless: a plain run, and every step of a DDPM
+    session and of a CFG/attention session under admissions and evictions,
+    leave no ``_prev_*`` tensor and no attention ``_prev`` entry behind."""
+    for engine in (_ddpm_engine(), _cfg_engine()):
+        engine.run(batch_size=2, seed=1)  # instrumented: leaves state
+        engine.run(batch_size=2, seed=1, record_trace=False)
+        _assert_stateless(engine.qmodel)
+        shape = (1,) + engine.pipeline.sample_shape
+        stochastic = getattr(engine.pipeline.sampler, "needs_rng", False)
+        with engine.open_session(capacity=2) as session:
+            for i in range(3):
+                session.admit(
+                    np.random.default_rng(130 + i).standard_normal(shape),
+                    rng=_stream(i) if stochastic else None,
+                    tag=i,
+                )
+                if i == 1:
+                    session.evict(0)
+                session.step()
+                _assert_stateless(engine.qmodel)
+            while session.occupancy:
+                session.step()
+                _assert_stateless(engine.qmodel)
 
 
 def test_session_capacity_and_tags():

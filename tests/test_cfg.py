@@ -15,7 +15,12 @@ from repro.diffusion import DiffusionSchedule, GenerationPipeline, make_sampler
 from repro.models import build_text_encoder
 from repro.models.unet import UNet
 from repro.nn import Module
-from repro.quant import quantize_model, reset_model_state, set_model_mode
+from repro.quant import (
+    iter_qlayers,
+    quantize_model,
+    reset_model_state,
+    set_model_mode,
+)
 
 
 class EchoModel(Module):
@@ -164,17 +169,12 @@ def test_cfg_ditto_bit_exact():
             guidance_scale=4.0,
             uncond_conditioning={"context": uncond_ctx},
         )
-        calls = [0]
-        original = pipe.predict_noise
-
-        def stepped(x, t):
-            set_model_mode(qmodel, ExecutionMode.DENSE if calls[0] == 0 else mode)
-            calls[0] += 1
-            return original(x, t)
-
-        pipe.predict_noise = stepped
+        set_model_mode(qmodel, mode)
         return pipe.generate(1, np.random.default_rng(9))
 
     dense = run(ExecutionMode.DENSE)
     temporal = run(ExecutionMode.TEMPORAL)
+    # State is held, so every call after the first ran on differences.
+    for name, q in iter_qlayers(qmodel):
+        assert q._prev_q_in is not None or getattr(q, "_prev", None), name
     np.testing.assert_allclose(temporal, dense, rtol=1e-9, atol=1e-12)

@@ -13,25 +13,32 @@ import pytest
 from repro.core.modes import ExecutionMode
 from repro.diffusion import DiffusionSchedule, GenerationPipeline, make_sampler
 from repro.models import UNet, build_dit, build_text_encoder
-from repro.quant import quantize_model, reset_model_state, set_model_mode
+from repro.quant import (
+    iter_qlayers,
+    quantize_model,
+    reset_model_state,
+    set_model_mode,
+)
 
 
 def run_pipeline(qmodel, pipeline, mode, seed=9):
-    """Run a trajectory with the given execution mode for steps >= 1."""
+    """Run a trajectory with every layer in ``mode``.
+
+    A TEMPORAL layer finds no state on the first model call and executes
+    dense; every later call runs on the temporal difference.
+    """
     reset_model_state(qmodel)
-    calls = [0]
-    original = pipeline.predict_noise
+    set_model_mode(qmodel, mode)
+    out = pipeline.generate(1, np.random.default_rng(seed))
+    if mode is ExecutionMode.TEMPORAL:
+        assert_temporal_state_held(qmodel)
+    return out
 
-    def stepped(x, t):
-        set_model_mode(qmodel, ExecutionMode.DENSE if calls[0] == 0 else mode)
-        calls[0] += 1
-        return original(x, t)
 
-    pipeline.predict_noise = stepped
-    try:
-        return pipeline.generate(1, np.random.default_rng(seed))
-    finally:
-        pipeline.predict_noise = original
+def assert_temporal_state_held(qmodel):
+    """Every layer kept state, so every call after the first differenced."""
+    for name, q in iter_qlayers(qmodel):
+        assert q._prev_q_in is not None or getattr(q, "_prev", None), name
 
 
 def small_unet(block_type, context_dim=None, seed=3):
@@ -115,21 +122,11 @@ def test_batched_trajectory_bit_exact():
 
     def run(mode, batch):
         reset_model_state(qmodel)
-        calls = [0]
-        original = pipeline.predict_noise
-
-        def stepped(x, t):
-            set_model_mode(
-                qmodel, ExecutionMode.DENSE if calls[0] == 0 else mode
-            )
-            calls[0] += 1
-            return original(x, t)
-
-        pipeline.predict_noise = stepped
-        try:
-            return pipeline.generate(batch, np.random.default_rng(2))
-        finally:
-            pipeline.predict_noise = original
+        set_model_mode(qmodel, mode)
+        out = pipeline.generate(batch, np.random.default_rng(2))
+        if mode is ExecutionMode.TEMPORAL:
+            assert_temporal_state_held(qmodel)
+        return out
 
     dense = run(ExecutionMode.DENSE, batch=4)
     temporal = run(ExecutionMode.TEMPORAL, batch=4)

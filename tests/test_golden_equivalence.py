@@ -216,11 +216,10 @@ def test_conv_stats_match_naive_reference(case):
     layer.layer_name = "conv"
     x0 = rng.standard_normal((2, 3, h, w))
     x1 = x0 + 0.05 * rng.standard_normal((2, 3, h, w))
-    for mode, x in [
-        (ExecutionMode.DENSE, x0),
-        (ExecutionMode.TEMPORAL, x1),
-    ]:
-        layer.mode = mode
+    # TEMPORAL from the first call: it executes dense on empty state, the
+    # second call on the difference.
+    layer.mode = ExecutionMode.TEMPORAL
+    for x in (x0, x1):
         with TraceRecorder() as rec:
             layer(x)
         record = rec.trace[0]
@@ -247,19 +246,21 @@ def test_f32_and_f64_conv_paths_identical():
     slow.q_weight = slow.q_weight.astype(np.float64)
     slow._cols_dtype = np.dtype(np.float64)
     slow._w_rows = slow._w_rows.astype(np.float64)
+    for layer in (fast, slow):
+        layer.mode = ExecutionMode.TEMPORAL
+        layer.input_quant.scale = 0.05
     for step in range(3):
         x = rng.standard_normal((1, 2, 6, 6))
-        for layer in (fast, slow):
-            layer.mode = (
-                ExecutionMode.DENSE if step == 0 else ExecutionMode.TEMPORAL
-            )
-            layer.input_quant.scale = 0.05
         with TraceRecorder() as rec_fast:
             out_fast = fast(x)
         with TraceRecorder() as rec_slow:
             out_slow = slow(x)
         np.testing.assert_array_equal(out_fast, out_slow)
         assert rec_fast.trace[0] == rec_slow.trace[0]
+        # Step 0 finds no state and runs dense; later steps difference.
+        assert rec_fast.trace[0].executed_mode is (
+            ExecutionMode.DENSE if step == 0 else ExecutionMode.TEMPORAL
+        )
 
 
 def test_f32_gate_covers_difference_range():
@@ -282,10 +283,11 @@ def test_f32_gate_covers_difference_range():
     lin = QLinear(np.ones((1, 1000)), None)
     assert not lin._use_f32
     lin.input_quant.scale = 1.0
-    lin.mode = ExecutionMode.DENSE
-    lin(np.full((1, 1000), -128.0))
     lin.mode = ExecutionMode.TEMPORAL
-    out = lin(np.concatenate([[[127.0]], np.full((1, 999), 127.0)], axis=1))
+    lin(np.full((1, 1000), -128.0))  # no state yet: executes dense
+    with TraceRecorder() as rec:
+        out = lin(np.concatenate([[[127.0]], np.full((1, 999), 127.0)], axis=1))
+    assert rec.trace[0].executed_mode is ExecutionMode.TEMPORAL
     # weights quantize to 127 with scale 1/127; the dequantized output is
     # exactly 1000 * 127 * 127 / 127 - any f32 rounding in the temporal
     # reconstruction (int dot 16_129_000 > 2^24) would show here.
@@ -318,10 +320,11 @@ def test_f32_gate_edge_saturated_temporal_step_exact():
         layer.input_quant.scale = 1.0
     outs = []
     for layer in (fast, slow):
-        layer.mode = ExecutionMode.DENSE
-        layer(np.full((1, 514), -128.0))
         layer.mode = ExecutionMode.TEMPORAL
-        outs.append(layer(np.full((1, 514), 127.0)))
+        layer(np.full((1, 514), -128.0))  # no state yet: executes dense
+        with TraceRecorder() as rec:
+            outs.append(layer(np.full((1, 514), 127.0)))
+        assert rec.trace[0].executed_mode is ExecutionMode.TEMPORAL
     np.testing.assert_array_equal(outs[0], outs[1])
     # The temporal dot product 255 * (513 * 127 - 128) is odd and within
     # 2^24; the integer accumulator holds (-128 + 255) times the weight sum.

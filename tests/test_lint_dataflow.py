@@ -576,24 +576,6 @@ def drive(engine, batch):
     session.admit(batch)
 """
 
-RPL010_BAD_COMMIT = """\
-class EngineSession:
-    def step(self, plan, x, t):
-        remap = self.remap_model_rows(plan)
-        eps = self.predict_noise_rows(x, t)
-        self._mapping = remap
-        return eps
-"""
-
-RPL010_CLEAN_COMMIT = """\
-class EngineSession:
-    def step(self, plan, x, t):
-        remap = self.remap_model_rows(plan)
-        self._mapping = remap
-        eps = self.predict_noise_rows(x, t)
-        return eps
-"""
-
 
 def test_rpl010_flags_admit_after_mark_unhealthy():
     findings = lint_sources({"src/repro/runtime/bad.py": RPL010_BAD_HEALTH})
@@ -606,28 +588,12 @@ def test_rpl010_rebinding_to_recovered_session_is_quiet():
     assert lint_sources({"src/repro/runtime/good.py": RPL010_CLEAN_HEALTH}) == []
 
 
-def test_rpl010_flags_forward_before_commit():
-    findings = lint_sources({"src/repro/core/bad.py": RPL010_BAD_COMMIT})
-    assert rules_of(findings) == ["RPL010"]
-    assert "commit-before-forward" in findings[0].message
-
-
-def test_rpl010_commit_before_forward_is_quiet():
-    assert lint_sources({"src/repro/core/good.py": RPL010_CLEAN_COMMIT}) == []
-
-
 def test_rpl010_assume_escapes():
     healthy = RPL010_BAD_HEALTH.replace(
         "    session.admit(batch)",
         "    # repro-lint: assume[healthy]\n    session.admit(batch)",
     )
     assert lint_sources({"src/repro/runtime/bad.py": healthy}) == []
-    committed = RPL010_BAD_COMMIT.replace(
-        "        eps = self.predict_noise_rows(x, t)",
-        "        # repro-lint: assume[committed]\n"
-        "        eps = self.predict_noise_rows(x, t)",
-    )
-    assert lint_sources({"src/repro/core/bad.py": committed}) == []
 
 
 # ---------------------------------------------------------------------------

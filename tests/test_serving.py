@@ -359,18 +359,30 @@ def test_row_footprint_measured_positive():
 
 
 def test_ddpm_row_footprint_guard():
-    """Regression guard: temporal convs unfold into the shared scratch pool
-    and keep no per-layer unfold state, and stride-1 convs unfold only the
-    k horizontal taps (the row-shift layout, ~3x smaller than im2col), so
-    one DDPM row measures ~3.6 MiB.  A full stride-1 im2col (~4.4 MiB) or
-    per-layer unfold state trips this bound."""
+    """Regression guard: served rows execute dense and hold no temporal
+    state, convs unfold into the shared scratch pool, and stride-1 convs
+    unfold only the k horizontal taps (the row-shift layout, ~3x smaller
+    than im2col), so one DDPM row measures ~1.5 MiB of scratch.  A full
+    stride-1 im2col trips this bound."""
     from repro.core import DittoEngine
     from repro.workloads import get_benchmark
 
     engine = DittoEngine.from_benchmark(
         get_benchmark("DDPM"), num_steps=2, calibrate=False
     )
-    assert estimate_row_footprint(engine) <= 4 * 2**20
+    assert estimate_row_footprint(engine) <= 2 * 2**20
+
+
+def test_dit_row_footprint_guard():
+    """Regression guard for the attention/linear model: one dense DiT row
+    measures ~0.8 MiB of scratch (GEMM, softmax and GELU temporaries)."""
+    from repro.core import DittoEngine
+    from repro.workloads import get_benchmark
+
+    engine = DittoEngine.from_benchmark(
+        get_benchmark("DiT"), num_steps=2, calibrate=False
+    )
+    assert estimate_row_footprint(engine) <= 1.5 * 2**20
 
 
 def test_pool_budget_refusal_names_footprint_and_floor():
