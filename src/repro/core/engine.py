@@ -6,9 +6,9 @@ The engine wires everything together for a benchmark:
 2. run Defo's static graph analysis (annotating chained inputs / producer
    non-linearities),
 3. generate a trajectory with the quantized model under a
-   :class:`~repro.core.trace.TraceRecorder`, advancing the step index once
-   per denoiser invocation (PLMS's warmup call counts as the paper's "extra
-   step"),
+   :class:`~repro.core.trace.TraceRecorder`; each record carries the
+   denoiser-call index the pipeline's step announces (PLMS's warmup call
+   counts as the paper's "extra step"),
 4. return an :class:`EngineResult` bundling the rich trace, the generated
    samples, and the static info.
 
@@ -19,13 +19,14 @@ any hardware, and all hardware comparisons.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .. import profiling
-from ..diffusion.pipeline import GenerationPipeline, PerElementRNG
+from ..diffusion.pipeline import GenerationPipeline
 from ..diffusion.samplers import make_sampler
 from ..diffusion.schedule import DiffusionSchedule
 from ..nn.module import Module
@@ -80,6 +81,7 @@ class DittoEngine:
         self.pipeline = pipeline
         self.benchmark = benchmark
         self.step_clusters = 1
+        self._session = None  # the open EngineSession, if any
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -132,7 +134,6 @@ class DittoEngine:
         from ..defaults import resolve_calibration_dtype
         from ..quant.calibration import calibrate_model, calibration_precision
         from ..quant.qlayers import quantize_model
-        from ..quant.tdq import set_active_step
 
         rng = np.random.default_rng(calibration_seed)
         cal_dtype = resolve_calibration_dtype(None, calibration_dtype)
@@ -144,30 +145,16 @@ class DittoEngine:
         if step_clusters > 1:
             from ..quant.calibration import calibrate_model_clustered
 
-            # Enter the precision context *before* capturing predict_noise:
-            # the stepped wrapper then wraps the dtype-casting wrapper, so
-            # every clustered calibration forward also runs the fast path.
+            # The trajectory's steps announce their denoiser-call indices,
+            # which bucket the observed ranges by cluster.
             with calibration_precision(fp_model, pipeline, cal_dtype):
-                calls = [0]
-                original_predict = pipeline.predict_noise
-
-                def stepped_predict(x: np.ndarray, t: int) -> np.ndarray:
-                    set_active_step(calls[0])
-                    calls[0] += 1
-                    return original_predict(x, t)
-
-                pipeline.predict_noise = stepped_predict
-                try:
-                    with profiling.phase("calibration"):
-                        quantizers = calibrate_model_clustered(
-                            fp_model,
-                            run_trajectory,
-                            num_steps=pipeline.num_model_calls(),
-                            num_clusters=step_clusters,
-                        )
-                finally:
-                    pipeline.predict_noise = original_predict
-                    set_active_step(None)
+                with profiling.phase("calibration"):
+                    quantizers = calibrate_model_clustered(
+                        fp_model,
+                        run_trajectory,
+                        num_steps=pipeline.num_model_calls(),
+                        num_clusters=step_clusters,
+                    )
             with profiling.phase("quantize"):
                 qmodel = quantize_model(fp_model, input_quantizers=quantizers)
         else:
@@ -335,6 +322,11 @@ class DittoEngine:
         Returns
         -------
         repro.core.plan.ExecutionPlan
+
+        Raises
+        ------
+        RuntimeError
+            While a session is open on this engine (see :meth:`run`).
         """
         from .plan import extract_plan
 
@@ -357,10 +349,21 @@ class DittoEngine:
         pre-derived :class:`~repro.core.plan.ExecutionPlan` (plan-replay
         mode - the session never instruments, so the plan is where its
         bitwidth/Defo numbers come from).
+
+        Raises ``RuntimeError`` while another session on this engine is
+        open: one engine serves one session at a time.
         """
         from .session import EngineSession
 
         return EngineSession(self, capacity=capacity, plan=plan)
+
+    def _check_idle(self, action: str) -> None:
+        """Refuse ``action`` while a session owns the model."""
+        if self._session is not None:
+            raise RuntimeError(
+                f"cannot {action}: an EngineSession is open on this engine; "
+                "close it first"
+            )
 
     # -- instrumented generation --------------------------------------------
     def run(
@@ -385,7 +388,11 @@ class DittoEngine:
         trace comes back empty) and executes every layer dense, keeping no
         temporal state - the throughput configuration, bit-identical to the
         instrumented, temporal run.
+
+        Raises ``RuntimeError`` while a session is open on this engine: the
+        run would reset and re-mode the layers the session is serving.
         """
+        self._check_idle("run the engine")
         if x_init is not None:
             x_init = np.asarray(x_init)
             expected_ndim = 1 + len(self.pipeline.sample_shape)
@@ -415,7 +422,6 @@ class DittoEngine:
             self._freeze_scales(batch_size)
             static_info = {}
         from ..quant.qlayers import reset_model_state, set_model_mode
-        from ..quant.tdq import set_active_step
 
         reset_model_state(self.qmodel)
         # Temporal state exists only where the trace records differences.
@@ -428,35 +434,15 @@ class DittoEngine:
             ExecutionMode.TEMPORAL if record_trace else ExecutionMode.DENSE,
         )
         recorder = TraceRecorder()
-        calls = [0]
-        original_predict = self.pipeline.predict_noise
-
-        def counted_predict(x: np.ndarray, t: int) -> np.ndarray:
-            recorder.set_step(calls[0])
-            set_active_step(calls[0])
-            calls[0] += 1
-            return original_predict(x, t)
-
-        if rngs is not None:
-            rng = PerElementRNG(rngs)
-        else:
-            rng = np.random.default_rng(seed)
-        self.pipeline.predict_noise = counted_predict
-        try:
-            if record_trace:
-                with recorder:
-                    samples = self.pipeline.generate(
-                        batch_size, rng, x_init=x_init
-                    )
-            else:
-                samples = self.pipeline.generate(batch_size, rng, x_init=x_init)
-        finally:
-            self.pipeline.predict_noise = original_predict
-            set_active_step(None)
+        rng = np.random.default_rng(seed)
+        with recorder if record_trace else contextlib.nullcontext():
+            samples = self.pipeline.generate(
+                batch_size, rng, x_init=x_init, rngs=rngs
+            )
         return EngineResult(
             benchmark=self.benchmark,
             rich_trace=recorder.trace,
             samples=samples,
             static_info=static_info,
-            num_model_calls=calls[0],
+            num_model_calls=self.pipeline.num_model_calls(),
         )

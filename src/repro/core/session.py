@@ -12,13 +12,17 @@ freed rows, so the denoiser never runs below the achievable occupancy.
 is the serving invariance contract extended to arbitrary interleavings:
 
 * every layer executes DENSE and holds no temporal state, so a row's step
-  depends only on its own latent, timestep and noise stream - never on its
-  neighbours or on the batch's history.  Dense equals temporal execution by
-  the zero-state algebra (``docs/contracts.md``), which ``--verify`` checks
-  against instrumented, temporal batch-1 references;
-* per-row step indices feed the TDQ clustered quantizers
-  (:func:`repro.quant.tdq.set_active_step` with a step vector), so each row
-  quantizes under exactly the cluster scale its batch-1 replay would use;
+  depends only on its own latent, timestep, sampler history and noise
+  stream - never on its neighbours or on the batch's history.  Dense equals
+  temporal execution by the zero-state algebra (``docs/contracts.md``),
+  which ``--verify`` checks against instrumented, temporal batch-1
+  references;
+* the session takes a lockstep run's step
+  (:meth:`~repro.diffusion.pipeline.GenerationPipeline.denoise_rows`): it
+  announces each row's denoiser-call index, so each row quantizes under
+  exactly the TDQ cluster scale its batch-1 replay would use, and it
+  advances each row with its own sampler history (PLMS's past eps,
+  DPM-Solver++'s previous data prediction), so every sampler serves;
 * each row draws sampler noise from its own rng stream, so stochastic
   samplers (ddpm, ddim eta>0) replay their batch-1 reference exactly.
 
@@ -29,22 +33,21 @@ Statelessness is also what makes the fault-tolerance contract
 (:mod:`repro.runtime.faults`) provable rather than best-effort:
 
 * a failed :meth:`EngineSession.step` leaves the session exactly where it
-  was - a dense step holds no layer state, the latents are only assigned on
-  success, and every row's rng stream is rewound to its pre-step position -
-  so a retry is an exact replay;
-* :meth:`EngineSession.admit` accepts a ``step`` offset: a row re-admitted
-  into a *fresh* session at trajectory step k computes bit-exactly what the
-  dead session would have computed, since no state was lost with it.  Crash
-  recovery is therefore ``snapshot()`` + rebuild + re-admit, with no state
-  migration;
+  was - a dense step holds no layer state, the latents and histories are
+  only assigned on success, and every row's rng stream is rewound to its
+  pre-step position - so a retry is an exact replay;
+* :meth:`EngineSession.admit` accepts a ``step`` offset and the row's
+  sampler history: a row re-admitted into a *fresh* session at trajectory
+  step k computes bit-exactly what the dead session would have computed,
+  since everything it depends on travels with its snapshot.  Crash
+  recovery is therefore ``snapshot()`` + rebuild + re-admit, with no layer
+  state migration;
 * an injected :class:`~repro.runtime.faults.SessionKilled` marks the
   session unhealthy before propagating; an unhealthy session refuses
   further admissions and steps, forcing the driver through the recovery
   path instead of silently continuing on corrupt state.
 
-Sessions never record traces - they are the throughput path.  Multi-step
-samplers (PLMS, DPM-Solver++) keep whole-batch history and are rejected at
-session open.
+Sessions never record traces - they are the throughput path.
 """
 
 from __future__ import annotations
@@ -67,21 +70,22 @@ __all__ = ["EngineSession"]
 
 @dataclass
 class _SessionRow:
-    """One in-flight request: identity, trajectory position, noise stream."""
+    """One in-flight request: identity, position, noise stream, history."""
 
     tag: object
-    step: int  # next denoiser-call index for this row
+    step: int  # next trajectory step for this row
     rng: Optional[np.random.Generator]
+    history: tuple  # the sampler's per-row memory of earlier steps
 
 
 class EngineSession:
     """A persistent batch whose rows each advance at their own timestep.
 
     Use as a context manager (or call :meth:`close`): the session owns the
-    engine's model and sets every layer DENSE at open.  Do not interleave
-    ``engine.run`` calls with an open session: an instrumented run leaves
-    the layers TEMPORAL and holding state, which the session's
-    statelessness contract rules out.
+    engine's model and sets every layer DENSE at open.  While it is open,
+    the engine refuses ``run``, ``derive_plan`` and a second session - an
+    interleaved instrumented run would leave the layers TEMPORAL and
+    holding state, which the session's statelessness contract rules out.
 
     Parameters
     ----------
@@ -100,18 +104,13 @@ class EngineSession:
     Raises
     ------
     ValueError
-        If the sampler is not row-steppable, ``capacity < 1``, or ``plan``
-        describes a different engine.
+        If ``capacity < 1`` or ``plan`` describes a different engine.
+    RuntimeError
+        If another session on ``engine`` is still open.
     """
 
     def __init__(self, engine, capacity: Optional[int] = None, plan=None) -> None:
-        sampler = engine.pipeline.sampler
-        if not getattr(sampler, "row_stepping", False):
-            raise ValueError(
-                f"sampler {sampler.name!r} keeps cross-step history shared "
-                "across the batch; continuous batching needs a row-steppable "
-                "sampler (ddim/ddpm)"
-            )
+        engine._check_idle("open a session")
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if plan is not None:
@@ -128,7 +127,7 @@ class EngineSession:
         self.engine = engine
         self.capacity = capacity
         self.plan = plan
-        self.num_steps = len(sampler.timesteps)
+        self.num_steps = len(engine.pipeline.sampler.timesteps)
         self._sample_shape = tuple(engine.pipeline.sample_shape)
         self._rows: List[_SessionRow] = []
         self._x = np.zeros((0,) + self._sample_shape)
@@ -144,6 +143,7 @@ class EngineSession:
         engine._freeze_scales(1)
         reset_model_state(engine.qmodel)
         set_model_mode(engine.qmodel, ExecutionMode.DENSE)
+        engine._session = self
 
     # -- introspection ----------------------------------------------------
     @property
@@ -174,23 +174,24 @@ class EngineSession:
     def mark_unhealthy(self, reason: str) -> None:
         """Declare the session failed: no more admissions or steps.
 
-        The rows (latents, step indices, rewound rng streams) stay readable
-        via :meth:`snapshot` so the driver can re-admit them into a fresh
-        session; only forward progress is refused.
+        The rows (latents, steps, histories, rewound rng streams) stay
+        readable via :meth:`snapshot` so the driver can re-admit them into a
+        fresh session; only forward progress is refused.
         """
         self._healthy = False
         self._unhealthy_reason = reason
 
-    def snapshot(self) -> List[Tuple[object, int, np.ndarray]]:
-        """Checkpoint every in-flight row: ``[(tag, next_step, x), ...]``.
+    def snapshot(self) -> List[Tuple[object, int, np.ndarray, tuple]]:
+        """Checkpoint every in-flight row: ``[(tag, step, x, history), ...]``.
 
         The returned latents are copies, valid after :meth:`close`.  A
-        snapshotted row re-admitted at its recorded step into a fresh
-        session (same engine build) continues bit-exactly: a dense row
-        holds no state, so nothing is lost with the old session.
+        snapshotted row re-admitted at its recorded step with its history
+        into a fresh session (same engine build) continues bit-exactly: a
+        dense row holds no layer state, so nothing is lost with the old
+        session.
         """
         return [
-            (row.tag, row.step, self._x[pos : pos + 1].copy())
+            (row.tag, row.step, self._x[pos : pos + 1].copy(), row.history)
             for pos, row in enumerate(self._rows)
         ]
 
@@ -207,6 +208,7 @@ class EngineSession:
         rng: Optional[np.random.Generator] = None,
         tag: Optional[object] = None,
         step: int = 0,
+        history: tuple = (),
     ) -> object:
         """Queue one request into the batch, starting at step ``step``.
 
@@ -217,10 +219,11 @@ class EngineSession:
         :meth:`step`.
 
         ``step > 0`` is the crash-recovery path: ``x_init`` is then the
-        row's :meth:`snapshot` latent and ``rng`` its stream fast-forwarded
-        past the draws already spent.  Mid-trajectory admission is bit-exact
-        for the same reason step-0 admission is - a dense step depends only
-        on the row's latent, timestep and stream.
+        row's :meth:`snapshot` latent and history (``()`` for single-step
+        samplers) and ``rng`` its stream fast-forwarded past the draws
+        already spent.  Mid-trajectory admission is bit-exact for the same reason
+        step-0 admission is - a dense step depends only on the row's latent,
+        timestep, history and stream.
         """
         self._check_open()
         self._check_healthy()
@@ -243,7 +246,14 @@ class EngineSession:
                 f"got {x.shape}"
             )
         sampler = self.engine.pipeline.sampler
-        if rng is None and getattr(sampler, "needs_rng", False):
+        history = tuple(history)
+        if len(history) != min(step, sampler.history_len):
+            raise ValueError(
+                f"a {sampler.name!r} row admitted at step {step} needs its "
+                f"snapshot history of {min(step, sampler.history_len)} "
+                f"values; got {len(history)}"
+            )
+        if rng is None and sampler.needs_rng:
             raise ValueError(
                 f"sampler {sampler.name!r} draws posterior noise; admit() "
                 "needs the request's private rng stream"
@@ -252,7 +262,7 @@ class EngineSession:
             tag = next(self._tags)
         elif any(row.tag == tag for row in self._rows):
             raise ValueError(f"tag {tag!r} is already in flight")
-        self._rows.append(_SessionRow(tag=tag, step=step, rng=rng))
+        self._rows.append(_SessionRow(tag, step, rng, history))
         self._x = np.concatenate([self._x, x], axis=0)
         self._composition_changed = True
         return tag
@@ -276,29 +286,25 @@ class EngineSession:
     def step(self) -> List[Tuple[object, np.ndarray]]:
         """Advance every in-flight row by one step; one denoiser call.
 
-        Runs the denoiser once over the current rows with the per-row
-        timestep vector, advances each row with its own sampler step and
-        noise stream, and auto-evicts rows that completed their
+        Takes the pipeline's per-row step
+        (:meth:`~repro.diffusion.pipeline.GenerationPipeline.denoise_rows`)
+        over the current rows and auto-evicts rows that completed their
         trajectory.  Returns ``[(tag, sample), ...]`` for the completed rows
         (sample shape ``(1, *sample_shape)``).
 
         On failure the step is an exact no-op: the dense layers hold no
-        state, latents are untouched, and every row's rng stream is rewound
-        past any partial draws, so a retry replays the step bit-exactly.  An
-        ambient :class:`~repro.runtime.faults.FaultPlan` may inject an
+        state, latents and histories are untouched, and every row's rng
+        stream is rewound past any partial draws, so a retry replays the
+        step bit-exactly.  An ambient :class:`~repro.runtime.faults.FaultPlan` may inject an
         error or a kill here; a kill marks the session unhealthy before
         propagating.
         """
-        from ..quant.tdq import set_active_step
         from ..runtime import faults
 
         self._check_open()
         self._check_healthy()
         if not self._rows:
             raise RuntimeError("no in-flight rows; admit before stepping")
-        engine = self.engine
-        pipeline = engine.pipeline
-        sampler = pipeline.sampler
         batch = len(self._rows)
         if self._composition_changed:
             # The scratch pool keys buffers by (tag, shape) and never
@@ -312,20 +318,18 @@ class EngineSession:
             clear_scratch()
             self._composition_changed = False
         steps = np.array([row.step for row in self._rows])
-        t_rows = sampler.timesteps[steps].astype(np.float64)
         # Snapshot every row's stream position before any draw: a failure
         # after partial per-row draws (the sampler advances rows one at a
         # time) must not leave the earlier rows' streams ahead of their
         # batch-1 references on retry.
         rng_states = [faults.capture_rng_state(row.rng) for row in self._rows]
-        set_active_step(steps)
         try:
             plan = faults.active()
             if plan is not None:
                 plan.on_step_attempt([row.tag for row in self._rows], steps)
-            eps = pipeline.predict_noise_rows(self._x, t_rows)
-            x_new = sampler.step_rows(
-                eps, steps, self._x, [row.rng for row in self._rows]
+            rows = self._rows
+            x_new, histories = self.engine.pipeline.denoise_rows(
+                self._x, steps, [r.rng for r in rows], [r.history for r in rows]
             )
         except BaseException as exc:
             for row, state in zip(self._rows, rng_states):
@@ -333,9 +337,9 @@ class EngineSession:
             if isinstance(exc, faults.SessionKilled):
                 self.mark_unhealthy(str(exc) or "session killed")
             raise
-        finally:
-            set_active_step(None)
         self._x = x_new
+        for row, history in zip(self._rows, histories):
+            row.history = history
         finished: List[Tuple[object, np.ndarray]] = []
         for pos in range(batch - 1, -1, -1):
             row = self._rows[pos]
@@ -356,18 +360,18 @@ class EngineSession:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Release the engine: drop layer state, clear the step vector."""
+        """Release the engine: drop layer state and scratch buffers."""
         from ..quant.qlayers import reset_model_state
-        from ..quant.tdq import set_active_step
 
         if self._closed:
             return
         self._closed = True
         self._rows = []
         self._x = np.zeros((0,) + self._sample_shape)
-        set_active_step(None)
         reset_model_state(self.engine.qmodel)
         clear_scratch()
+        if self.engine._session is self:
+            self.engine._session = None
 
     def _check_open(self) -> None:
         if self._closed:

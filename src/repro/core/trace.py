@@ -687,15 +687,15 @@ class TraceRecorder:
 
     The quantized layers call :func:`record_step`; whoever drives the model
     (the Ditto engine, a test) activates a recorder with
-    ``with TraceRecorder() as rec: ...`` and advances ``set_step`` once per
-    denoiser invocation.
+    ``with TraceRecorder() as rec: ...``.  Each record's step is the
+    denoiser-call index the pipeline's step announces
+    (:func:`repro.quant.tdq.set_active_step`).
     """
 
     _local = threading.local()
 
     def __init__(self) -> None:
         self.trace = RichTrace()
-        self.step_index = 0
 
     # -- context management ------------------------------------------------
     def __enter__(self) -> "TraceRecorder":
@@ -715,9 +715,6 @@ class TraceRecorder:
         return stack[-1] if stack else None
 
     # -- recording ----------------------------------------------------------
-    def set_step(self, step_index: int) -> None:
-        self.step_index = step_index
-
     def record(self, step: RichLayerStep) -> None:
         self.trace.append(step)
 

@@ -8,54 +8,25 @@ Latte transformers - runs through this one loop, which is exactly the setting
 in which the Ditto observation (adjacent time steps see nearly identical
 layer inputs) arises.
 
-Step callbacks receive ``(step_index, timestep, x)`` *before* the denoiser is
-invoked; the Ditto engine uses them to advance its per-layer temporal state,
-and the analysis tooling uses layer forward hooks to capture activations.
+Every driver takes the same step, :meth:`GenerationPipeline.denoise_rows`:
+``generate`` loops it in lockstep, and a continuous-batching session calls
+it for rows that each sit at their own step.  It announces each denoiser
+evaluation's per-row call index, which TDQ cluster scales and the trace
+step read; the analysis tooling uses layer forward hooks to capture
+activations.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn.module import Module
-from .samplers import PLMSSampler, Sampler
+from .samplers import Sampler
 from .schedule import DiffusionSchedule
 
-__all__ = ["GenerationPipeline", "PerElementRNG"]
-
-StepCallback = Callable[[int, int, np.ndarray], None]
-
-
-class PerElementRNG:
-    """Per-batch-element noise streams behind a Generator-like facade.
-
-    Stochastic samplers (DDPM ancestral, DDIM with eta > 0) call
-    ``rng.standard_normal(x.shape)`` once per step.  Drawing that from a
-    single stream entangles the batch rows: batch-N noise differs from the
-    noise N batch-1 runs would draw, breaking the bit-exact serving
-    contract.  This adapter holds one independent stream per row (spawned
-    via ``np.random.SeedSequence``) and draws each row's slab from its own
-    stream - exactly what a batch-1 run seeded with that stream draws - so
-    the invariance contract extends to stochastic samplers.
-    """
-
-    def __init__(self, streams: Sequence[np.random.Generator]) -> None:
-        if not streams:
-            raise ValueError("need at least one per-element rng stream")
-        self.streams = list(streams)
-
-    def standard_normal(self, shape) -> np.ndarray:
-        shape = tuple(shape)
-        if shape[0] != len(self.streams):
-            raise ValueError(
-                f"batch {shape[0]} != {len(self.streams)} rng streams"
-            )
-        return np.concatenate(
-            [g.standard_normal((1,) + shape[1:]) for g in self.streams],
-            axis=0,
-        )
+__all__ = ["GenerationPipeline"]
 
 
 class GenerationPipeline:
@@ -199,36 +170,87 @@ class GenerationPipeline:
 
     def num_model_calls(self) -> int:
         """Total denoiser evaluations for one trajectory (PLMS warmup incl.)."""
-        return sum(
-            self.sampler.model_calls_for_step(i)
-            for i in range(len(self.sampler.timesteps))
-        )
+        return int(self.sampler.call_index(len(self.sampler.timesteps)))
+
+    # -- stepping -------------------------------------------------------
+    def denoise_rows(
+        self,
+        x: np.ndarray,
+        steps: np.ndarray,
+        rngs: Sequence[Optional[np.random.Generator]],
+        histories: Sequence[tuple],
+    ) -> Tuple[np.ndarray, List[tuple]]:
+        """One reverse step for rows that may each sit at their own step.
+
+        Row ``r`` is at step ``steps[r]`` with sampler history
+        ``histories[r]`` and noise stream ``rngs[r]`` (rows may share one).
+        One :meth:`predict_noise_rows` call covers every row, a second only
+        the rows at step 0 of a warmup sampler (PLMS's improved Euler); then
+        each row takes its sampler update.  Each evaluation first announces
+        its rows' denoiser-call indices (an ``int`` when all agree) through
+        :func:`repro.quant.tdq.set_active_step`, which TDQ cluster scales and
+        the trace step read.  Returns ``(x_next, histories)`` and leaves the
+        inputs untouched, so a failed step can be retried as is.
+        """
+        from ..quant.tdq import set_active_step
+
+        sampler = self.sampler
+        steps = np.asarray(steps)
+        calls = sampler.call_index(steps)
+        eps_next = {}  # row -> its warmup evaluation
+
+        def announce(rows: np.ndarray) -> None:
+            set_active_step(int(rows[0]) if (rows == rows[0]).all() else rows)
+
+        try:
+            announce(calls)
+            eps = self.predict_noise_rows(
+                x, sampler.timesteps[steps].astype(np.float64)
+            )
+            if sampler.warmup and (steps == 0).any():
+                warm = np.flatnonzero(steps == 0)
+                x_warm, t_warm = sampler.warmup_point(eps[warm], x[warm])
+                announce(calls[warm] + 1)
+                eps_warm = self.predict_noise_rows(
+                    x_warm, np.full(warm.size, t_warm, dtype=np.float64)
+                )
+                eps_next = {r: eps_warm[k : k + 1] for k, r in enumerate(warm)}
+        finally:
+            set_active_step(None)
+        return sampler.step_rows(eps, steps, x, rngs, histories, eps_next)
 
     # -- generation -------------------------------------------------------
     def generate(
         self,
         batch_size: int = 1,
         rng: Optional[np.random.Generator] = None,
-        step_callback: Optional[StepCallback] = None,
         x_init: Optional[np.ndarray] = None,
+        rngs: Optional[Sequence[np.random.Generator]] = None,
     ) -> np.ndarray:
-        """Run the full reverse process and return the generated batch."""
+        """Run the full reverse process and return the generated batch.
+
+        Each row draws its initial noise (unless ``x_init`` is given) and
+        its sampler noise from ``rngs[r]``; without ``rngs`` every row
+        shares ``rng``, which draws exactly what one batch-wide draw would
+        (standard-normal draws are chunk-invariant).
+        """
         rng = rng or np.random.default_rng(0)
+        if rngs is None:
+            rngs = [rng] * (batch_size if x_init is None else len(x_init))
         if x_init is None:
-            x = rng.standard_normal((batch_size,) + self.sample_shape)
+            x = np.concatenate(
+                [g.standard_normal((1,) + self.sample_shape) for g in rngs],
+                axis=0,
+            )
         else:
             x = np.array(x_init, dtype=np.float64)
             if x.shape[1:] != self.sample_shape:
                 raise ValueError(
                     f"x_init shape {x.shape[1:]} != sample shape {self.sample_shape}"
                 )
-        self.sampler.reset()
-        if isinstance(self.sampler, PLMSSampler):
-            self.sampler.model_fn = self.predict_noise
-        for index, t in enumerate(self.sampler.timesteps):
-            t = int(t)
-            if step_callback is not None:
-                step_callback(index, t, x)
-            eps = self.predict_noise(x, t)
-            x = self.sampler.step(eps, index, x, rng=rng)
+        histories: List[tuple] = [()] * x.shape[0]
+        for index in range(len(self.sampler.timesteps)):
+            x, histories = self.denoise_rows(
+                x, np.full(x.shape[0], index), rngs, histories
+            )
         return x

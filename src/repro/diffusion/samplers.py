@@ -11,8 +11,7 @@ is the "extra step 50'" visible in the paper's Fig. 4a).
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,15 +21,24 @@ __all__ = ["Sampler", "DDPMSampler", "DDIMSampler", "PLMSSampler", "DPMSolverPlu
 
 
 class Sampler:
-    """Base class: maps (x_t, eps_hat) -> x_{t-1} along spaced timesteps."""
+    """Base class: maps (x_t, eps_hat) -> x_{t-1} along spaced timesteps.
+
+    Samplers hold no mutable state.  What a multi-step sampler remembers of
+    earlier steps (PLMS's past eps, DPM-Solver++'s previous data
+    prediction) is a per-row *history* tuple: :meth:`step` takes a row's
+    history and returns its successor, and the driver carries it from step
+    to step (:meth:`GenerationPipeline.denoise_rows
+    <repro.diffusion.pipeline.GenerationPipeline.denoise_rows>`).  A row
+    can therefore sit at any step next to any other row.
+    """
 
     name = "base"
-    # Whether ``step`` is pure per row (no cross-step history shared across
-    # the batch), i.e. whether a continuous-batching session may drive each
-    # batch row at its own step index via :meth:`step_rows`.  Multi-step
-    # samplers (PLMS, DPM-Solver++) keep whole-batch history and must stay
-    # lockstep.
-    row_stepping = True
+    # Most past values a row's history holds (0: single-step sampler); a
+    # row entering step k holds min(k, history_len) of them.
+    history_len = 0
+    # Whether step 0 evaluates the denoiser a second time, at the
+    # ``warmup_point(eps, x) -> (x, t)`` the sampler then defines (PLMS).
+    warmup = False
 
     def __init__(self, schedule: DiffusionSchedule, num_steps: int) -> None:
         self.schedule = schedule
@@ -43,17 +51,18 @@ class Sampler:
             return int(self.timesteps[index + 1])
         return -1
 
-    def reset(self) -> None:
-        """Clear multi-step history (PLMS); no-op for single-step samplers."""
-
     @property
     def needs_rng(self) -> bool:
         """Whether :meth:`step` draws noise (stochastic posterior sampling)."""
         return False
 
-    def model_calls_for_step(self, index: int) -> int:
-        """Number of denoiser evaluations the sampler makes at ``index``."""
-        return 1
+    def call_index(self, index):
+        """Denoiser-call index of step ``index``'s evaluation (arrays too).
+
+        It differs from the step index only after a warmup step: PLMS's
+        step k > 0 is call k + 1.
+        """
+        return index + (index > 0) if self.warmup else index
 
     def step(
         self,
@@ -61,7 +70,13 @@ class Sampler:
         index: int,
         x: np.ndarray,
         rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
+        history: Tuple[np.ndarray, ...] = (),
+        eps_next: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+        """Advance ``x`` from step ``index``; returns ``(x_prev, history)``.
+
+        ``eps_next`` is step 0's warmup evaluation, for samplers with one.
+        """
         raise NotImplementedError
 
     def step_rows(
@@ -69,32 +84,31 @@ class Sampler:
         eps: np.ndarray,
         indices: np.ndarray,
         x: np.ndarray,
-        rngs: Optional[Sequence[Optional[np.random.Generator]]] = None,
-    ) -> np.ndarray:
+        rngs: Sequence[Optional[np.random.Generator]],
+        histories: Sequence[tuple],
+        eps_next: Dict[int, np.ndarray],
+    ) -> Tuple[np.ndarray, List[tuple]]:
         """Advance each batch row at its *own* step index.
 
-        Row ``r`` of ``x``/``eps`` sits at trajectory index ``indices[r]``
-        and, for stochastic samplers, draws its posterior noise from its own
-        ``rngs[r]`` stream.  Implemented as per-row invocations of the scalar
+        Row ``r`` of ``x``/``eps`` sits at trajectory index ``indices[r]``,
+        carries ``histories[r]`` (and its warmup evaluation ``eps_next[r]``,
+        if any), and draws its posterior noise from ``rngs[r]`` (``None``
+        for deterministic samplers).  Implemented as per-row invocations of the scalar
         :meth:`step` - the update rules are elementwise per sample, so this
         is trivially bit-exact with the batch-1 run each row is replaying,
-        which is the whole point: continuous batching must not perturb any
-        request's result.
+        which is the whole point: batching must not perturb any request's
+        result.  Rows may share one generator: standard-normal draws are
+        chunk-invariant, so drawing row by row from it yields exactly one
+        batch-wide draw.
+
+        Returns ``(x_prev, histories)``.
         """
-        if not self.row_stepping:
-            raise ValueError(
-                f"sampler {self.name!r} keeps cross-step history shared "
-                "across the batch and cannot advance rows at different steps"
-            )
+        batch = x.shape[0]
         # Validate every row's stream BEFORE drawing from any: a mid-batch
         # failure after partial draws would silently desynchronize the
         # earlier rows' streams from their batch-1 references on retry.
         if self.needs_rng:
-            bad = (
-                list(range(x.shape[0]))
-                if rngs is None
-                else [r for r in range(x.shape[0]) if rngs[r] is None]
-            )
+            bad = [r for r in range(batch) if rngs[r] is None]
             if bad:
                 raise ValueError(
                     f"sampler {self.name!r} needs an rng stream per row; "
@@ -105,11 +119,16 @@ class Sampler:
                 eps[r : r + 1],
                 int(indices[r]),
                 x[r : r + 1],
-                rng=None if rngs is None else rngs[r],
+                rng=rngs[r],
+                history=histories[r],
+                eps_next=eps_next.get(r),
             )
-            for r in range(x.shape[0])
+            for r in range(batch)
         ]
-        return np.concatenate(rows, axis=0)
+        return (
+            np.concatenate([x_row for x_row, _ in rows], axis=0),
+            [history for _, history in rows],
+        )
 
     def _predict_x0(self, x: np.ndarray, eps: np.ndarray, a_bar: float) -> np.ndarray:
         # math.sqrt returns a weak Python float (NEP 50): identical bits to
@@ -132,13 +151,7 @@ class DDIMSampler(Sampler):
     def needs_rng(self) -> bool:
         return self.eta > 0.0
 
-    def step(
-        self,
-        eps: np.ndarray,
-        index: int,
-        x: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
+    def step(self, eps, index, x, rng=None, history=(), eps_next=None):
         t = int(self.timesteps[index])
         a_bar = self.schedule.alpha_bar(t)
         a_bar_prev = self.schedule.alpha_bar(self.prev_timestep(index))
@@ -153,7 +166,7 @@ class DDIMSampler(Sampler):
                 raise ValueError("stochastic DDIM (eta>0) needs an rng")
             noise = rng.standard_normal(x.shape).astype(x.dtype, copy=False)
             x_prev = x_prev + sigma * noise
-        return x_prev
+        return x_prev, ()
 
 
 class DDPMSampler(Sampler):
@@ -165,13 +178,7 @@ class DDPMSampler(Sampler):
     def needs_rng(self) -> bool:
         return True
 
-    def step(
-        self,
-        eps: np.ndarray,
-        index: int,
-        x: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
+    def step(self, eps, index, x, rng=None, history=(), eps_next=None):
         if rng is None:
             raise ValueError("DDPM ancestral sampling needs an rng")
         t = int(self.timesteps[index])
@@ -180,35 +187,24 @@ class DDPMSampler(Sampler):
         a_bar = self.schedule.alpha_bar(t)
         mean = (x - beta / math.sqrt(1.0 - a_bar) * eps) / math.sqrt(alpha)
         if self.prev_timestep(index) < 0:
-            return mean
+            return mean, ()
         noise = rng.standard_normal(x.shape).astype(x.dtype, copy=False)
-        return mean + math.sqrt(beta) * noise
+        return mean + math.sqrt(beta) * noise, ()
 
 
 class PLMSSampler(Sampler):
     """Pseudo Linear Multi-Step sampler (Liu et al.), used by SDM in Table I.
 
-    Keeps a window of the last four noise predictions and applies the
-    4th-order Adams-Bashforth combination once warm; the very first step uses
-    the pseudo improved-Euler correction, which costs one extra denoiser
-    evaluation (the paper's "extra step").
+    Combines the current noise prediction with up to three past ones (the
+    row's history) in the 4th-order Adams-Bashforth rule once warm; the
+    very first step uses the pseudo improved-Euler correction, which costs
+    one extra denoiser evaluation at :meth:`warmup_point` (the paper's
+    "extra step").
     """
 
     name = "plms"
-    row_stepping = False  # 4-step Adams-Bashforth history is whole-batch
-
-    def __init__(self, schedule: DiffusionSchedule, num_steps: int) -> None:
-        super().__init__(schedule, num_steps)
-        self._history: Deque[np.ndarray] = deque(maxlen=4)
-        # Filled by the pipeline: callable that re-evaluates the denoiser,
-        # needed for the improved-Euler warmup.
-        self.model_fn = None
-
-    def reset(self) -> None:
-        self._history.clear()
-
-    def model_calls_for_step(self, index: int) -> int:
-        return 2 if index == 0 else 1
+    history_len = 3
+    warmup = True
 
     def _transfer(self, x: np.ndarray, eps: np.ndarray, index: int) -> np.ndarray:
         t = int(self.timesteps[index])
@@ -217,23 +213,15 @@ class PLMSSampler(Sampler):
         x0 = self._predict_x0(x, eps, a_bar)
         return math.sqrt(a_bar_prev) * x0 + math.sqrt(1.0 - a_bar_prev) * eps
 
-    def step(
-        self,
-        eps: np.ndarray,
-        index: int,
-        x: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        history = self._history
-        if len(history) == 0:
-            # Pseudo improved Euler: evaluate at the naive x_{t-1} and average.
-            x_prev_naive = self._transfer(x, eps, index)
-            if self.model_fn is not None and index + 1 <= len(self.timesteps):
-                t_prev = self.prev_timestep(index)
-                eps_next = self.model_fn(x_prev_naive, max(t_prev, 0))
-                eps_prime = 0.5 * (eps + eps_next)
-            else:
-                eps_prime = eps
+    def warmup_point(self, eps: np.ndarray, x: np.ndarray):
+        """The naive x_{t-1} of step 0 and its timestep."""
+        return self._transfer(x, eps, 0), max(self.prev_timestep(0), 0)
+
+    def step(self, eps, index, x, rng=None, history=(), eps_next=None):
+        if not history:
+            # Pseudo improved Euler: average with the evaluation at the
+            # naive x_{t-1}; plain Euler when no warmup evaluation is given.
+            eps_prime = eps if eps_next is None else 0.5 * (eps + eps_next)
         elif len(history) == 1:
             eps_prime = (3.0 * eps - history[-1]) / 2.0
         elif len(history) == 2:
@@ -245,8 +233,8 @@ class PLMSSampler(Sampler):
                 + 37.0 * history[-2]
                 - 9.0 * history[-3]
             ) / 24.0
-        history.append(eps)
-        return self._transfer(x, eps_prime, index)
+        history = (history + (eps,))[-self.history_len :]
+        return self._transfer(x, eps_prime, index), history
 
 
 class DPMSolverPlusPlusSampler(Sampler):
@@ -255,20 +243,13 @@ class DPMSolverPlusPlusSampler(Sampler):
     Not used by the paper's Table I, but the de-facto fast sampler of modern
     diffusion deployments; provided so Ditto can be studied under very short
     trajectories (fewer, larger steps -> weaker temporal similarity, the
-    stress case for difference processing).
+    stress case for difference processing).  A row's history is its
+    previous step's data prediction; the previous step size follows from
+    the step index.
     """
 
     name = "dpmpp"
-    row_stepping = False  # 2M extrapolation state is whole-batch
-
-    def __init__(self, schedule: DiffusionSchedule, num_steps: int) -> None:
-        super().__init__(schedule, num_steps)
-        self._prev_x0: Optional[np.ndarray] = None
-        self._prev_h: Optional[float] = None
-
-    def reset(self) -> None:
-        self._prev_x0 = None
-        self._prev_h = None
+    history_len = 1
 
     def _coeffs(self, t: int):
         a_bar = self.schedule.alpha_bar(t)
@@ -276,36 +257,25 @@ class DPMSolverPlusPlusSampler(Sampler):
         sigma = math.sqrt(max(1.0 - a_bar, 1e-12))
         return alpha, sigma, math.log(alpha / sigma)
 
-    def step(
-        self,
-        eps: np.ndarray,
-        index: int,
-        x: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
+    def step(self, eps, index, x, rng=None, history=(), eps_next=None):
         t = int(self.timesteps[index])
         s = self.prev_timestep(index)
         alpha_t, sigma_t, lam_t = self._coeffs(t)
+        alpha_s, sigma_s, lam_s = self._coeffs(s)
+        h = lam_s - lam_t
         x0 = (x - sigma_t * eps) / alpha_t
-        if self._prev_x0 is not None and self._prev_h is not None:
+        if history:
             # 2M correction: extrapolate the data prediction.
-            alpha_s, sigma_s, lam_s = self._coeffs(max(s, -1))
-            h = lam_s - lam_t
-            r = self._prev_h / h if h != 0.0 else 1.0
-            data = (1.0 + 1.0 / (2.0 * r)) * x0 - (1.0 / (2.0 * r)) * self._prev_x0
+            (prev_x0,) = history
+            h_prev = lam_t - self._coeffs(int(self.timesteps[index - 1]))[2]
+            r = h_prev / h if h != 0.0 else 1.0
+            data = (1.0 + 1.0 / (2.0 * r)) * x0 - (1.0 / (2.0 * r)) * prev_x0
         else:
             data = x0
         if s < 0:
             # Final jump to the clean-data limit.
-            x_next = data
-            h = float("inf")
-        else:
-            alpha_s, sigma_s, lam_s = self._coeffs(s)
-            h = lam_s - lam_t
-            x_next = (sigma_s / sigma_t) * x - alpha_s * math.expm1(-h) * data
-        self._prev_x0 = x0
-        self._prev_h = h if np.isfinite(h) else None
-        return x_next
+            return data, (x0,)
+        return (sigma_s / sigma_t) * x - alpha_s * math.expm1(-h) * data, (x0,)
 
 
 def make_sampler(

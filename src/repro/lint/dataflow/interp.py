@@ -78,7 +78,7 @@ _DRAW_METHODS = {"standard_normal", "normal", "uniform", "integers", "random"}
 # provenance comes from the factories below and flows interprocedurally into
 # sampler `rng` parameters via the rngs-list call sites.
 _STREAM_FACTORY_METHODS = {"sampler_rng"}
-_STREAM_CLASSES = {"ReplayableRNG", "PerElementRNG"}
+_STREAM_CLASSES = {"ReplayableRNG"}
 _STREAM_ATTRS = {"streams"}
 _STREAM_PARAM_NAMES = {"rngs", "streams"}
 

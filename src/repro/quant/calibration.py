@@ -51,8 +51,8 @@ def calibration_precision(model: Module, pipeline, dtype):
     * the pipeline's conditioning tensors are cast (and the tiled-cond
       memo cleared, both on entry and exit, so no float32 tile leaks into
       the quantized run),
-    * ``pipeline.predict_noise`` casts the sampler's float64 state to
-      ``dtype`` at the model boundary, and
+    * ``pipeline.predict_noise_rows`` (the model entry of every step) casts
+      the sampler's float64 state to ``dtype`` at the model boundary, and
     * sinusoidal embeddings emit ``dtype`` (the one in-model float64
       source), via :func:`repro.nn.functional.set_embedding_dtype`.
 
@@ -76,7 +76,7 @@ def calibration_precision(model: Module, pipeline, dtype):
     seen_params = set()
     saved_attrs: List[tuple] = []
     saved_cond: List[tuple] = []
-    prev_predict = pipeline.__dict__.get("predict_noise")
+    prev_predict = pipeline.__dict__.get("predict_noise_rows")
     prev_embed = F.embedding_dtype()
     try:
         for _, param in model.named_parameters():
@@ -98,12 +98,12 @@ def calibration_precision(model: Module, pipeline, dtype):
                     saved_cond.append((cond, key, value))
                     cond[key] = value.astype(dt)
         pipeline._cond_cache.clear()
-        original_predict = pipeline.predict_noise
+        original_predict = pipeline.predict_noise_rows
 
-        def cast_predict(x: np.ndarray, t) -> np.ndarray:
-            return original_predict(np.asarray(x, dtype=dt), t)
+        def cast_predict(x: np.ndarray, t_rows) -> np.ndarray:
+            return original_predict(np.asarray(x, dtype=dt), t_rows)
 
-        pipeline.predict_noise = cast_predict
+        pipeline.predict_noise_rows = cast_predict
         F.set_embedding_dtype(dt)
         # Mark the dynamic extent for the opt-in runtime sanitizer
         # (repro.lint.runtime): under REPRO_SANITIZE=1 any float64 array
@@ -113,9 +113,9 @@ def calibration_precision(model: Module, pipeline, dtype):
     finally:
         F.set_embedding_dtype(prev_embed)
         if prev_predict is None:
-            pipeline.__dict__.pop("predict_noise", None)
+            pipeline.__dict__.pop("predict_noise_rows", None)
         else:
-            pipeline.predict_noise = prev_predict
+            pipeline.predict_noise_rows = prev_predict
         for cond, key, value in saved_cond:
             cond[key] = value
         for module, key, value in saved_attrs:
@@ -262,7 +262,7 @@ def calibrate_model_clustered(
     """Clustered counterpart of :func:`calibrate_model`.
 
     ``run_fn`` must announce steps via ``repro.quant.tdq.set_active_step``
-    (``DittoEngine`` does this automatically when ``step_clusters > 1``).
+    (every step of ``GenerationPipeline.generate`` does).
     """
     with ClusteredCalibrationCollector(model, num_steps, num_clusters, bits) as c:
         run_fn()

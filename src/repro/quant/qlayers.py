@@ -41,6 +41,7 @@ from ..nn.attention import Attention
 from ..nn.layers import Conv2d, Linear
 from ..nn.module import Module
 from .quantizer import SymmetricQuantizer, qrange
+from .tdq import active_step
 
 __all__ = [
     "QLayerBase",
@@ -804,8 +805,12 @@ class QAttention(QLayerBase):
 
 
 def _current_step() -> int:
-    recorder = TraceRecorder.current()
-    return recorder.step_index if recorder is not None else 0
+    """The trace step: the announced denoiser-call index (0 when none is
+    announced; a ragged session batch records its earliest row's)."""
+    step = active_step()
+    if step is None:
+        return 0
+    return step if isinstance(step, int) else int(step.min())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ temporal state is invalidated because the integer grids differ).
   contiguous windows and fits one symmetric scale per window per layer
   (contiguous segmentation follows TDQ - ranges drift monotonically-ish,
   so k-means over time collapses to windows anyway);
-* at run time the engine announces the step index via
+* at run time every denoising step announces its denoiser-call index via
   :func:`set_active_step`; each quantizer serves the scale of the active
   cluster; crossing a boundary changes the scale, which the Q-layers detect
   (the cached previous input was produced under another grid) and handle by
@@ -46,11 +46,12 @@ _step_state = threading.local()
 def set_active_step(step_index) -> None:
     """Announce the current denoiser call index to clustered quantizers.
 
-    ``step_index`` is an ``int`` (the whole batch sits at one step - the
-    lockstep serving and instrumentation paths), ``None`` (no trajectory is
-    active), or an integer array of per-row step indices (a continuous
-    batching session whose rows each carry their own timestep, see
-    :class:`repro.core.session.EngineSession`).
+    ``step_index`` is an ``int`` (every row makes the same call - lockstep
+    runs), ``None`` (no trajectory is active), or an integer array of
+    per-row call indices (a continuous batching session whose rows each
+    sit at their own step).  :meth:`GenerationPipeline.denoise_rows
+    <repro.diffusion.pipeline.GenerationPipeline.denoise_rows>` announces
+    before every evaluation; the trace step reads the same value.
     """
     _step_state.value = step_index
 

@@ -22,8 +22,9 @@ Two schedulers are provided:
   between launches;
 * ``continuous`` - iteration-level (Orca-style) scheduling over a
   persistent :class:`~repro.core.session.EngineSession`: rows are admitted
-  and evicted at *step boundaries*, each row carries its own timestep, and
-  the engine never drains while requests are queued.
+  and evicted at *step boundaries*, each row carries its own timestep and
+  sampler history (so every sampler serves, PLMS and DPM-Solver++
+  included), and the engine never drains while requests are queued.
 
 Stacking requests is only sound because of the batch-invariance contract:
 served runs execute every quantized layer dense, holding no temporal state,
@@ -53,8 +54,9 @@ fault-tolerance contract (:mod:`repro.runtime.faults`):
   retries) is snapshotted, the engine rebuilt (warm from the
   content-addressed cache via :meth:`EngineRunner.build_engine
   <repro.runtime.runner.EngineRunner.build_engine>`), and every in-flight
-  row re-admitted at its recorded step with its rng stream rebuilt from the
-  request's seed and fast-forwarded past the recorded draws.  Recovered
+  row re-admitted at its recorded step with its recorded sampler history
+  and its rng stream rebuilt from the request's seed and fast-forwarded
+  past the recorded draws.  Recovered
   outputs are bit-exact with an uninterrupted run - ``--verify`` proves it;
 * **accounting** - every request ends as exactly one of ``completed``,
   ``cancelled``, ``expired``, or ``failed``, reported per SLO class (p99
@@ -808,29 +810,29 @@ def _drain_continuous(
 
         Bit-exact by construction: a rebuilt engine is deterministic (same
         spec, steps, calibration seed), a re-admitted row resumes at its
-        snapshot latent with nothing else lost (dense rows hold no layer
-        state), and its rng stream - rebuilt from the request's
+        snapshot latent and sampler history with nothing else lost (dense
+        rows hold no layer state), and its rng stream - rebuilt from the request's
         ``SeedSequence`` seed - is fast-forwarded past exactly the draws
         the dead session spent (streams were rewound on failure, so the
         count excludes the failed step).
         """
         nonlocal engine
         inflight = dead.snapshot()
-        draws = {tag: streams[tag].draws if streams.get(tag) else 0 for tag, _, _ in inflight}
+        draws = {tag: streams[tag].draws if streams.get(tag) else 0 for tag, *_ in inflight}
         dead.close()  # resets the shared layer state; safe when unhealthy
         if recover and engine_factory is not None and stats.recoveries < max_recoveries:
             stats.recoveries += 1
             engine = engine_factory()
             fresh = engine.open_session(capacity=capacity, plan=execution_plan)
-            for tag, step_k, x_k in inflight:
+            for tag, step_k, x_k, history in inflight:
                 rng = None
                 if needs_rng:
                     rng = faults.ReplayableRNG(requests[tag].sampler_rng())
                     rng.fast_forward(draws[tag], (1,) + sample_shape)
-                fresh.admit(x_k, rng=rng, tag=tag, step=step_k)
+                fresh.admit(x_k, rng=rng, tag=tag, step=step_k, history=history)
                 streams[tag] = rng
             return fresh
-        for tag, _step_k, _x_k in inflight:
+        for tag, *_ in inflight:
             streams.pop(tag, None)
             _finish(tag, "failed", launch_at[tag], 0)
         return engine.open_session(capacity=capacity, plan=execution_plan)

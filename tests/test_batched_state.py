@@ -16,8 +16,8 @@ The contract extends along two axes pinned below:
   bit-exact with their per-stream batch-1 references;
 * **continuous batching** - an :class:`~repro.core.session.EngineSession`
   admits/evicts rows at step boundaries, each row at its own timestep (and
-  its own TDQ cluster scale); any interleaving is bit-exact with N seeded
-  batch-1 runs.
+  its own TDQ cluster scale and sampler history); any interleaving is
+  bit-exact with N seeded batch-1 runs, under every sampler.
 """
 
 import numpy as np
@@ -406,18 +406,50 @@ def test_instrumented_first_call_records_dense_attention_matmuls():
         assert step.stats_temporal is not None
 
 
-def test_session_rejects_multistep_samplers():
+@pytest.mark.parametrize(
+    "sampler, step_clusters", [("plms", 1), ("dpmpp", 1), ("plms", 2)]
+)
+def test_continuous_session_multistep_samplers(sampler, step_clusters):
+    """Multi-step samplers under staggered admissions: every row carries its
+    own history (PLMS's eps ring, DPM-Solver++'s previous data prediction),
+    rows at step 0 take PLMS's warmup evaluation while their neighbours do
+    not, and under TDQ each row quantizes with the cluster of its
+    denoiser-call index (step + 1 after PLMS's warmup, so it differs from
+    the step index).  Bit-exact with instrumented batch-1 references."""
     engine = DittoEngine.from_model(
         _unet("none", attention_levels=()),
-        sampler_name="plms",
-        num_steps=3,
+        sampler_name=sampler,
+        num_steps=6,
         sample_shape=(2, 8, 8),
         num_train_steps=100,
-        calibrate=False,
-        benchmark="tiny-plms-session",
+        calibrate=True,
+        step_clusters=step_clusters,
+        benchmark=f"tiny-{sampler}",
     )
-    with pytest.raises(ValueError, match="row-steppable"):
-        engine.open_session()
+    noises = [
+        np.random.default_rng(130 + i).standard_normal(
+            (1,) + engine.pipeline.sample_shape
+        )
+        for i in range(4)
+    ]
+    out = {}
+    with engine.open_session(capacity=3) as session:
+        session.admit(noises[0], tag=0)
+        for _ in range(2):
+            session.step()
+        session.admit(noises[1], tag=1)  # step 0 beside a row at step 2
+        session.step()
+        session.admit(noises[2], tag=2)
+        for _ in range(3):  # row 0 finishes and frees its slot
+            for tag, sample in session.step():
+                out[tag] = sample
+        assert sorted(out) == [0]
+        session.admit(noises[3], tag=3)  # warmup beside rows deep in history
+        out.update(session.run_to_completion())
+    assert sorted(out) == [0, 1, 2, 3]
+    for i in range(4):
+        reference = engine.run(x_init=noises[i]).samples
+        np.testing.assert_array_equal(out[i], reference)
 
 
 def test_session_admit_requires_stream_for_stochastic_sampler():
@@ -489,12 +521,12 @@ def test_step_failure_after_partial_draws_keeps_streams_exact():
         real_step = sampler.step
         calls = {"n": 0}
 
-        def flaky_step(eps, index, x, rng=None):
+        def flaky_step(eps, index, x, **kwargs):
             calls["n"] += 1
             if calls["n"] == 3:
                 sampler.step = real_step
                 raise RuntimeError("died after rows 0-1 drew")
-            return real_step(eps, index, x, rng=rng)
+            return real_step(eps, index, x, **kwargs)
 
         sampler.step = flaky_step
         with pytest.raises(RuntimeError, match="died after"):
@@ -617,6 +649,25 @@ def test_session_capacity_and_tags():
         with pytest.raises(KeyError):
             session.evict("missing")
         assert session.tags == ["a"]
+
+
+def test_one_open_session_per_engine():
+    """While a session is open the engine refuses a second session, run and
+    derive_plan - an interleaved instrumented run would leave the served
+    layers TEMPORAL and holding state.  close() releases the engine."""
+    engine = _conv_engine(calibrate=False, num_steps=3)
+    shape = (1,) + engine.pipeline.sample_shape
+    session = engine.open_session()
+    session.admit(np.zeros(shape), tag=0)
+    for call in (engine.open_session, engine.run, engine.derive_plan):
+        with pytest.raises(RuntimeError, match="EngineSession is open"):
+            call()
+    session.step()  # the refusals left the session untouched
+    session.close()
+    engine.run(record_trace=False)
+    with engine.open_session():
+        pass
+    engine.derive_plan()
 
 
 def test_run_without_trace_matches_instrumented():

@@ -30,25 +30,19 @@ def test_first_step_is_first_order(sched, rng):
     sampler = DPMSolverPlusPlusSampler(sched, 10)
     x = rng.normal(size=(1, 2, 4, 4))
     eps = rng.normal(size=x.shape)
-    out = sampler.step(eps, 0, x)
+    out, history = sampler.step(eps, 0, x)
     assert out.shape == x.shape
-    assert sampler._prev_x0 is not None
+    alpha, sigma, _ = sampler._coeffs(int(sampler.timesteps[0]))
+    (x0,) = history  # the data prediction the next step's 2M correction reads
+    np.testing.assert_array_equal(x0, (x - sigma * eps) / alpha)
 
 
 def test_deterministic(sched, rng):
     x = rng.normal(size=(1, 2, 4, 4))
     eps = rng.normal(size=x.shape)
-    a = DPMSolverPlusPlusSampler(sched, 10).step(eps, 0, x)
-    b = DPMSolverPlusPlusSampler(sched, 10).step(eps, 0, x)
+    a, _ = DPMSolverPlusPlusSampler(sched, 10).step(eps, 0, x)
+    b, _ = DPMSolverPlusPlusSampler(sched, 10).step(eps, 0, x)
     np.testing.assert_array_equal(a, b)
-
-
-def test_reset_clears_history(sched, rng):
-    sampler = DPMSolverPlusPlusSampler(sched, 10)
-    x = rng.normal(size=(1, 2))
-    sampler.step(rng.normal(size=x.shape), 0, x)
-    sampler.reset()
-    assert sampler._prev_x0 is None and sampler._prev_h is None
 
 
 def test_final_step_returns_data_prediction(sched, rng):
@@ -60,7 +54,7 @@ def test_final_step_returns_data_prediction(sched, rng):
     a = sched.alpha_bar(t)
     eps = rng.normal(size=x0.shape)
     xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
-    out = sampler.step(eps, last, xt)
+    out, _ = sampler.step(eps, last, xt)
     np.testing.assert_allclose(out, x0, rtol=1e-6)
 
 

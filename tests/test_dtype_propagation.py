@@ -48,9 +48,12 @@ def test_add_noise_preserves_dtype(schedule, dtype):
 def _run_steps(sampler, dtype, n_steps=4, needs_rng=False):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((1, 2, 4, 4)).astype(dtype)
+    history = ()
     for index in range(n_steps):
         eps = rng.standard_normal(x.shape).astype(dtype)
-        x = sampler.step(eps, index, x, rng=rng if needs_rng else None)
+        x, history = sampler.step(
+            eps, index, x, rng=rng if needs_rng else None, history=history
+        )
         assert x.dtype == dtype, f"step {index} promoted to {x.dtype}"
     return x
 
@@ -98,7 +101,7 @@ def test_samplers_unchanged_on_float64(schedule):
     a_bar_prev = schedule.alpha_bar(sampler.prev_timestep(0))
     x0 = (x - np.sqrt(1.0 - a_bar) * eps) / np.sqrt(a_bar)
     expected = np.sqrt(a_bar_prev) * x0 + np.sqrt(max(1.0 - a_bar_prev, 0.0)) * eps
-    np.testing.assert_array_equal(sampler.step(eps, 0, x), expected)
+    np.testing.assert_array_equal(sampler.step(eps, 0, x)[0], expected)
 
 
 # ---------------------------------------------------------------------------

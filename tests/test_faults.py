@@ -291,8 +291,8 @@ def test_session_kill_marks_unhealthy_and_refuses_progress():
     with pytest.raises(RuntimeError, match="unhealthy"):
         session.admit(noise, rng=np.random.default_rng(2), tag=1)
     # The rows stay readable for recovery; only forward progress is refused.
-    [(tag, step, x)] = session.snapshot()
-    assert (tag, step) == (0, 0)
+    [(tag, step, x, history)] = session.snapshot()
+    assert (tag, step, history) == (0, 0, ())
     np.testing.assert_array_equal(x, noise)
     session.close()
 
@@ -316,15 +316,15 @@ def test_snapshot_readmission_into_fresh_session_bit_exact():
         session.admit(noises[i], rng=streams[i], tag=i)
     session.step()  # both rows advance to step 1 (one draw each)
     inflight = session.snapshot()
-    draws = {tag: streams[tag].draws for tag, _, _ in inflight}
+    draws = {tag: streams[tag].draws for tag, *_ in inflight}
     session.close()  # the "crash"
 
     out = {}
     fresh = engine.open_session()
-    for tag, step_k, x_k in inflight:
+    for tag, step_k, x_k, history in inflight:
         rng = ReplayableRNG(stream(tag))  # rebuilt from the seed...
         rng.fast_forward(draws[tag], shape)  # ...past the recorded draws
-        fresh.admit(x_k, rng=rng, tag=tag, step=step_k)
+        fresh.admit(x_k, rng=rng, tag=tag, step=step_k, history=history)
     out.update(fresh.run_to_completion())
     fresh.close()
 
@@ -332,6 +332,41 @@ def test_snapshot_readmission_into_fresh_session_bit_exact():
         reference = engine.run(
             x_init=noises[i], record_trace=False, rngs=[stream(i)]
         ).samples
+        np.testing.assert_array_equal(out[i], reference)
+
+
+@pytest.mark.parametrize("sampler", ["plms", "dpmpp"])
+def test_multistep_rows_snapshot_readmission_bit_exact(sampler):
+    """Rows of a multi-step sampler snapshotted mid-history (PLMS's eps ring
+    partly filled, DPM-Solver++'s previous data prediction) and re-admitted
+    into a fresh session continue bit-exactly: the history travels with the
+    snapshot."""
+    engine = make_tiny_engine(sampler=sampler, num_steps=6)
+    shape = (1,) + engine.pipeline.sample_shape
+    noises = [np.random.default_rng(30 + i).standard_normal(shape) for i in range(2)]
+    session = engine.open_session()
+    session.admit(noises[0], tag=0)
+    session.step()
+    session.admit(noises[1], tag=1)
+    session.step()
+    session.step()  # row 0 enters step 3, row 1 step 2
+    inflight = session.snapshot()
+    history_len = engine.pipeline.sampler.history_len
+    assert [(step, len(history)) for _, step, _, history in inflight] == [
+        (3, min(3, history_len)),
+        (2, min(2, history_len)),
+    ]
+    session.close()  # the "crash"
+
+    with engine.open_session() as fresh:
+        _, step_0, x_0, _ = inflight[0]
+        with pytest.raises(ValueError, match="history"):
+            fresh.admit(x_0, step=step_0)  # the history was lost
+        for tag, step_k, x_k, history in inflight:
+            fresh.admit(x_k, tag=tag, step=step_k, history=history)
+        out = fresh.run_to_completion()
+    for i in range(2):
+        reference = engine.run(x_init=noises[i]).samples
         np.testing.assert_array_equal(out[i], reference)
 
 

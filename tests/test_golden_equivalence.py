@@ -77,7 +77,6 @@ def test_lowered_trace_pickle_and_views():
 
 def test_recorder_appends_through_columnar_store():
     rec = TraceRecorder()
-    rec.set_step(3)
     step = make_rich(step_index=3, name="x")
     with rec:
         rec.record(step)

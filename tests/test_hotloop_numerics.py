@@ -367,7 +367,7 @@ def test_calibration_precision_casts_and_restores():
     # ...and the context restored the float64 world exactly.
     assert all(p.data.dtype == np.float64 for _, p in model.named_parameters())
     assert F.embedding_dtype() is None
-    assert "predict_noise" not in pipeline.__dict__
+    assert "predict_noise_rows" not in pipeline.__dict__
     assert pipeline._cond_cache == {}
 
 
@@ -395,7 +395,7 @@ def test_calibration_precision_restores_after_setup_failure():
             pass  # pragma: no cover - setup raises before the yield
     assert all(p.data.dtype == np.float64 for _, p in model.named_parameters())
     assert F.embedding_dtype() is None
-    assert "predict_noise" not in pipeline.__dict__
+    assert "predict_noise_rows" not in pipeline.__dict__
 
 
 def test_calibration_precision_float64_is_noop():

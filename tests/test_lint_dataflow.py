@@ -623,14 +623,18 @@ def test_repo_sampler_draws_are_tracked(repo_engine):
     assert "src/repro/diffusion/samplers.py" in paths
 
 
-def test_repo_lockstep_generate_is_not_a_stream_draw(repo_engine):
-    # Regression pin: GenerationPipeline.generate()'s batch-lockstep
-    # generator draws (batch, *sample) - a deliberate non-row shape - and
-    # must NOT count as a per-request stream draw.
-    for draw in repo_engine.all_draws():
-        if draw.path == "src/repro/diffusion/pipeline.py":
-            fn_name = draw.fn.name
-            assert fn_name != "generate", "generate() batch draw wrongly stream-tagged"
+def test_repo_generate_draws_rows_from_streams(repo_engine):
+    # GenerationPipeline.generate() draws each row's initial noise from that
+    # row's stream (`rngs`, request streams when serving passes them), one
+    # (1, *sample) row at a time: a tracked stream draw that RPL009 accepts.
+    draws = [
+        draw
+        for draw in repo_engine.all_draws()
+        if draw.path == "src/repro/diffusion/pipeline.py"
+    ]
+    assert [draw.fn.name for draw in draws] == ["generate"]
+    assert ast.unparse(draws[0].shape_node) == "(1,) + self.sample_shape"
+    assert not draws[0].loop_fixed
 
 
 def test_repo_is_clean_under_dataflow_rules(repo_engine):

@@ -24,7 +24,7 @@ class _FakePipeline:
         self.uncond_conditioning = {}
         self._cond_cache = {}
 
-    def predict_noise(self, x, t):
+    def predict_noise_rows(self, x, t_rows):
         return x
 
 

@@ -42,15 +42,6 @@ def test_generate_deterministic_given_seed(sched):
     np.testing.assert_array_equal(a, b)
 
 
-def test_step_callback_sequence(sched):
-    pipe = GenerationPipeline(ZeroModel(), DDIMSampler(sched, 5), (2, 4, 4))
-    seen = []
-    pipe.generate(1, np.random.default_rng(0), step_callback=lambda i, t, x: seen.append((i, t)))
-    assert [i for i, _ in seen] == list(range(5))
-    ts = [t for _, t in seen]
-    assert ts == sorted(ts, reverse=True)
-
-
 def test_conditioning_forwarded(sched):
     model = ZeroModel()
     ctx = np.ones((1, 3, 4))

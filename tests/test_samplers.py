@@ -21,8 +21,8 @@ def test_ddim_deterministic(sched, rng):
     sampler = DDIMSampler(sched, 10)
     x = rng.normal(size=(1, 2, 4, 4))
     eps = rng.normal(size=x.shape)
-    a = sampler.step(eps, 0, x)
-    b = sampler.step(eps, 0, x)
+    a, _ = sampler.step(eps, 0, x)
+    b, _ = sampler.step(eps, 0, x)
     np.testing.assert_array_equal(a, b)
 
 
@@ -34,7 +34,7 @@ def test_ddim_perfect_eps_recovers_x0(sched, rng):
     a = sched.alpha_bar(t)
     eps = rng.normal(size=x0.shape)
     xt = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
-    x_prev = sampler.step(eps, len(sampler.timesteps) - 1, xt)
+    x_prev, _ = sampler.step(eps, len(sampler.timesteps) - 1, xt)
     np.testing.assert_allclose(x_prev, x0, rtol=1e-10)
 
 
@@ -43,8 +43,9 @@ def test_ddim_eta_requires_rng(sched, rng):
     x = rng.normal(size=(1, 2, 2, 2))
     with pytest.raises(ValueError):
         sampler.step(x, 0, x, rng=None)
-    out = sampler.step(x, 0, x, rng=rng)
+    out, history = sampler.step(x, 0, x, rng=rng)
     assert out.shape == x.shape
+    assert history == ()  # single-step samplers carry nothing
 
 
 def test_ddpm_requires_rng(sched, rng):
@@ -60,44 +61,87 @@ def test_ddpm_final_step_is_mean(sched, rng):
     x = rng.normal(size=(1, 2, 2, 2))
     eps = rng.normal(size=x.shape)
     last = len(sampler.timesteps) - 1
-    a = sampler.step(eps, last, x, rng=np.random.default_rng(1))
-    b = sampler.step(eps, last, x, rng=np.random.default_rng(2))
+    a, _ = sampler.step(eps, last, x, rng=np.random.default_rng(1))
+    b, _ = sampler.step(eps, last, x, rng=np.random.default_rng(2))
     np.testing.assert_array_equal(a, b)
 
 
 def test_plms_history_accumulates(sched, rng):
+    """The returned history is the row's last eps values, newest last,
+    capped at the three past values the 4th-order rule reads."""
     sampler = PLMSSampler(sched, 10)
     x = rng.normal(size=(1, 2, 2, 2))
+    history = ()
+    seen = []
     for i in range(5):
-        x = sampler.step(rng.normal(size=x.shape), i, x)
-    assert len(sampler._history) == 4  # window caps at 4
-
-
-def test_plms_reset_clears_history(sched, rng):
-    sampler = PLMSSampler(sched, 10)
-    sampler.step(rng.normal(size=(1, 2)), 0, rng.normal(size=(1, 2)))
-    sampler.reset()
-    assert len(sampler._history) == 0
+        assert len(history) == min(i, sampler.history_len)
+        eps = rng.normal(size=x.shape)
+        seen.append(eps)
+        x, history = sampler.step(eps, i, x, history=history)
+    assert len(history) == 3
+    for got, want in zip(history, seen[-3:]):
+        assert got is want
 
 
 def test_plms_extra_model_call_at_first_step(sched):
     sampler = PLMSSampler(sched, 10)
-    assert sampler.model_calls_for_step(0) == 2
-    assert sampler.model_calls_for_step(1) == 1
+    # Step 0 makes calls 0 and 1 (the warmup); later steps one call each.
+    assert [sampler.call_index(i) for i in range(3)] == [0, 2, 3]
+    np.testing.assert_array_equal(
+        sampler.call_index(np.array([2, 0, 1])), [3, 0, 2]
+    )
 
 
-def test_plms_warmup_uses_model_fn(sched, rng):
+def test_plms_warmup_averages_the_extra_evaluation(sched, rng):
+    """Step 0's improved Euler: the update uses the mean of the two
+    evaluations; without the second one it is plain Euler."""
     sampler = PLMSSampler(sched, 10)
-    calls = []
-
-    def fake_model(x, t):
-        calls.append(t)
-        return np.zeros_like(x)
-
-    sampler.model_fn = fake_model
     x = rng.normal(size=(1, 2, 2, 2))
-    sampler.step(rng.normal(size=x.shape), 0, x)
-    assert len(calls) == 1  # the pseudo improved-Euler extra evaluation
+    eps = rng.normal(size=x.shape)
+    eps_next = rng.normal(size=x.shape)
+    warmed, history = sampler.step(eps, 0, x, eps_next=eps_next)
+    euler, _ = sampler.step(0.5 * (eps + eps_next), 0, x)
+    np.testing.assert_array_equal(warmed, euler)
+    assert len(history) == 1 and history[0] is eps  # the raw eps is kept
+
+
+@pytest.mark.parametrize("name", ["ddim", "ddpm", "plms", "dpmpp"])
+def test_step_rows_equals_separate_batch1_steps(sched, rng, name):
+    """Per-row history: rows at different step indices, each with its own
+    history and stream, advanced in one ``step_rows`` call, equal their
+    separate batch-1 steps bit for bit."""
+    sampler = make_sampler(name, sched, 10)
+    shape = (1, 2, 4, 4)
+
+    def stream(r):
+        return np.random.default_rng(100 + r)
+
+    # Walk three rows to steps 0, 2 and 5 with batch-1 steps.
+    starts = [0, 2, 5]
+    xs, histories = [], []
+    for start in starts:
+        x, history = rng.normal(size=shape), ()
+        for i in range(start):
+            x, history = sampler.step(rng.normal(size=shape), i, x, rng, history)
+        xs.append(x)
+        histories.append(history)
+    eps = rng.normal(size=(3,) + shape[1:])
+    eps_next = {0: rng.normal(size=shape)}  # row 0 is at step 0
+    batched_streams = [stream(r) for r in range(3)]
+    single_streams = [stream(r) for r in range(3)]
+    x_rows, new_histories = sampler.step_rows(
+        eps, np.array(starts), np.concatenate(xs),
+        batched_streams, histories, eps_next,
+    )
+    for r, start in enumerate(starts):
+        want, want_history = sampler.step(
+            eps[r : r + 1], start, xs[r], single_streams[r], histories[r],
+            eps_next=eps_next.get(r),
+        )
+        np.testing.assert_array_equal(x_rows[r : r + 1], want)
+        assert len(new_histories[r]) == len(want_history)
+        for got, expect in zip(new_histories[r], want_history):
+            np.testing.assert_array_equal(got, expect)
 
 
 def test_prev_timestep_chain(sched):

@@ -1,5 +1,6 @@
 """Unit tests for trace records, lowering, and byte-traffic accounting."""
 
+import numpy as np
 import pytest
 
 from repro.core import ExecutionMode, RichTrace, derive_layer_step
@@ -111,6 +112,17 @@ def test_recorder_nesting_and_isolation():
 
 
 def test_recorder_step_index():
-    rec = TraceRecorder()
-    rec.set_step(7)
-    assert rec.step_index == 7
+    """A record's step is the denoiser-call index the step announced."""
+    from repro.quant import set_active_step
+    from repro.quant.qlayers import QLinear
+
+    layer = QLinear(np.random.default_rng(0).standard_normal((3, 4)), None)
+    x = np.random.default_rng(1).standard_normal((2, 4))
+    for announced, recorded in ((7, 7), (np.array([5, 3]), 3), (None, 0)):
+        set_active_step(announced)
+        try:
+            with TraceRecorder() as rec:
+                layer(x)
+        finally:
+            set_active_step(None)
+        assert [step.step_index for step in rec.trace] == [recorded]
