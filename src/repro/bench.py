@@ -195,7 +195,7 @@ def _bench_one_batch_size(
     plan = engine.derive_plan(seed=seed, batch_size=1)
     plan_derive_s = time.perf_counter() - t0
     # The plan-mode serving run: explicit per-request noise + rng streams
-    # (the form _drain_queue launches), plan already derived, no
+    # (a lockstep batch of served requests), plan already derived, no
     # instrumentation.  The gate demands this approaches plain_run_s.
     x_init = np.random.default_rng(seed).standard_normal(
         (batch,) + tuple(engine.pipeline.sample_shape)

@@ -15,13 +15,14 @@ Commands
 ``serve BENCH``
     Simulate the paper's serving scenario: a request queue with a
     configurable arrival pattern driven at ``--batch-sizes`` (default
-    1 2 4 8) under ``--scheduler fixed`` (lockstep micro-batching window)
-    or ``--scheduler continuous`` (iteration-level scheduling with
-    per-row timesteps); reports throughput, latency percentiles,
+    1 2 4 8) through one step-level scheduler whose admission rule is
+    ``--scheduler fixed`` (lockstep micro-batches after a ``--window``)
+    or ``--scheduler continuous`` (admission at every step boundary, rows
+    at their own timesteps); reports throughput, latency percentiles,
     utilization, and temporal-mode MAC savings per batch size.
     ``--pool-budget-mb`` caps batch sizes by scratch-memory footprint;
     ``--verify`` asserts every request is bit-exact with its seeded
-    batch-1 reference.  Fault tolerance (continuous scheduler):
+    batch-1 reference.  Fault tolerance (both schedulers):
     ``--deadline``/``--slo`` set per-request/per-class latency targets,
     ``--fault-spec`` (or ``$REPRO_FAULTS``) injects deterministic step
     errors, kills, latency, cancellations, and cache corruption;
@@ -133,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--batch-sizes", type=int, nargs="+", default=[1, 2, 4, 8],
         metavar="N",
-        help="maximum micro-batch sizes (fixed) / session capacities "
-             "(continuous) to sweep",
+        help="session capacities (the maximum micro-batch size under "
+             "fixed) to sweep",
     )
     serve_p.add_argument(
         "--scheduler", choices=["fixed", "continuous"], default="fixed",
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--verify", action="store_true",
-        help="re-run one micro-batch request-by-request and assert bit-exactness",
+        help="re-run every served request batch-1 and assert bit-exactness",
     )
     serve_p.add_argument(
         "--plan", dest="use_plan", action="store_true",
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None, metavar="SECONDS",
         dest="deadline_s",
         help="per-request completion deadline from arrival; expired rows "
-             "are evicted at step boundaries (continuous scheduler)",
+             "are evicted at step boundaries",
     )
     serve_p.add_argument(
         "--slo", default=None, metavar="SPEC",

@@ -1,12 +1,12 @@
 """Continuous-batching sessions: row-granular stepping over a DittoEngine.
 
-The micro-batcher of :mod:`repro.runtime.serving` launches *lockstep*
-batches: every row enters at step 0 and leaves at step N together, so the
-engine drains between batches and late arrivals wait a full trajectory.
-Iteration-level (Orca-style) scheduling removes the drain: the engine keeps
-one persistent batch whose rows each carry their *own* step index; finished
-rows are evicted at step boundaries and queued requests admitted into the
-freed rows, so the denoiser never runs below the achievable occupancy.
+Every scheduler of :mod:`repro.runtime.serving` drives one persistent
+batch whose rows each carry their *own* step index; finished rows are
+evicted at step boundaries.  Iteration-level (Orca-style) scheduling admits
+queued requests into the freed rows at every boundary, so the denoiser
+never runs below the achievable occupancy; the lockstep micro-batcher is
+the same batch under a stricter admission rule (admit only into an empty
+session), so its rows enter at step 0 and leave at step N together.
 
 :class:`EngineSession` is that persistent batch.  Its correctness contract
 is the serving invariance contract extended to arbitrary interleavings:

@@ -9,7 +9,7 @@ without giving up the repo's bit-exactness contract:
   corruption, cancellations) addressed by (request, step) coordinates, so
   every recovery path is exercised *reproducibly* in tests and CI;
 * :class:`CancelToken` - per-request cancellation, checked by the
-  continuous scheduler at step boundaries;
+  serving scheduler at step boundaries;
 * :class:`ReplayableRNG` - a draw-counting wrapper around a request's
   private sampler stream.  Draws in the serving paths are always shape
   ``(1, *sample_shape)``, so the *count* alone pins the stream position:

@@ -10,37 +10,37 @@ simulates exactly that on top of :class:`~repro.core.engine.DittoEngine`:
   arrival pattern (``poisson`` / ``uniform`` / ``burst``), each request
   carrying its own noise seed;
 * :func:`simulate_serving` replays the same trace against every requested
-  maximum batch size.  A greedy micro-batcher collects requests while the
-  server is busy and for up to ``window_s`` after the first waiting request,
-  stacks their independently-seeded initial noise into one ``x_init``, and
-  drives ``DittoEngine.run``; service times are *measured* wall-clock, so
+  batch capacity.  One drain drives a persistent
+  :class:`~repro.core.session.EngineSession` one denoiser step at a time;
+  rows leave at the step they finish, each carrying its own timestep and
+  sampler history (so every sampler serves, PLMS and DPM-Solver++
+  included).  Service times are *measured* wall-clock per step, so
   throughput and latency percentiles reflect the numpy substrate honestly.
 
-Two schedulers are provided:
+The two schedulers differ only in the drain's admission rule:
 
-* ``fixed`` - the PR-3 micro-batcher: lockstep batches, the engine drains
-  between launches;
-* ``continuous`` - iteration-level (Orca-style) scheduling over a
-  persistent :class:`~repro.core.session.EngineSession`: rows are admitted
-  and evicted at *step boundaries*, each row carries its own timestep and
-  sampler history (so every sampler serves, PLMS and DPM-Solver++
-  included), and the engine never drains while requests are queued.
+* ``continuous`` - iteration-level (Orca-style) scheduling: arrived
+  requests are admitted at every step boundary while a row is free, so the
+  engine never drains while requests are queued;
+* ``fixed`` - the lockstep micro-batcher: requests are admitted only into
+  an empty session, once the batching window after the first waiting
+  request closes (or the moment the batch fills), so a batch enters and
+  leaves together.
 
 Stacking requests is only sound because of the batch-invariance contract:
 served runs execute every quantized layer dense, holding no temporal state,
 so a batch-N run is bit-exact with N independent batch-1 runs (pinned by
 ``tests/test_batched_state.py`` and optionally re-checked per serve via
-``verify_invariance`` against instrumented batch-1 references, which execute
-temporal - so every check also tests the zero-state difference algebra).
-Stochastic samplers (ddpm, ddim eta>0) join the contract through
-per-request ``SeedSequence.spawn`` noise streams
+``verify_invariance``: every served sample against its instrumented batch-1
+reference, which executes temporal - so every check also tests the
+zero-state difference algebra).  Stochastic samplers (ddpm, ddim eta>0)
+join the contract through per-request ``SeedSequence.spawn`` noise streams
 (:meth:`Request.sampler_rng`).  The per-batch-size MAC/BOPs savings come
 from one instrumented run per batch size; the timed runs skip
-instrumentation (``record_trace=False``) so stats scans do not pollute the
-latency numbers.
+instrumentation so stats scans do not pollute the latency numbers.
 
-The continuous scheduler additionally carries the serving tier's
-fault-tolerance contract (:mod:`repro.runtime.faults`):
+Both schedulers carry the serving tier's fault-tolerance contract
+(:mod:`repro.runtime.faults`):
 
 * **deadlines & cancellation** - per-request ``deadline_s`` (assigned per
   SLO class) and a :class:`~repro.runtime.faults.CancelToken`, both checked
@@ -68,6 +68,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -322,14 +323,13 @@ def _slo_class_reports(
 
 @dataclass
 class BatchSizeReport:
-    """Queue replay results for one maximum micro-batch size / capacity.
+    """Queue replay results for one batch capacity.
 
-    ``utilization`` is mean occupied rows over capacity: for the fixed
-    scheduler, mean launched-batch fill divided by the maximum batch size;
-    for the continuous scheduler, mean in-flight rows per engine step
-    divided by the session capacity.  ``num_batches`` counts engine launches
-    (micro-batches for fixed, denoiser steps for continuous), and
-    ``mean_service_s`` their mean measured wall-clock duration.
+    ``num_batches`` counts denoiser steps and ``mean_service_s`` their mean
+    measured wall-clock duration; ``mean_batch_fill`` is the mean in-flight
+    rows per step and ``utilization`` that fill over the capacity.  Under
+    the fixed scheduler every lockstep batch runs the same number of steps,
+    so the per-step fill equals the mean launched-batch fill.
     """
 
     batch_size: int
@@ -406,8 +406,7 @@ class ServingReport:
     fault_spec: Optional[str] = None
     slo_spec: Optional[str] = None
     # Request ids --verify actually re-ran batch-1 and matched bit-exactly
-    # (completed requests of the largest continuous replay; the synthetic
-    # micro-batch members for the fixed scheduler).
+    # (the completed requests of the largest-capacity replay).
     verified_requests: List[int] = field(default_factory=list)
     # Plan-replay mode (use_plan=True): where the ExecutionPlan came from
     # ("derived" | "cache"), its content digest, and the drift-check result
@@ -432,23 +431,18 @@ class ServingReport:
         ]
 
     def utilization_lines(self) -> List[str]:
-        """The per-scheduler utilization section (mean occupied rows)."""
-        label = (
-            "capacity" if self.scheduler == "continuous" else "max batch"
-        )
-        lines = [f"utilization ({self.scheduler} scheduler, occupied rows / {label}):"]
+        """The utilization section (mean occupied rows per step)."""
+        lines = [f"utilization ({self.scheduler} scheduler, occupied rows / capacity):"]
         for size, report in self.per_batch.items():
             lines.append(
-                f"  {label} {size}: {100.0 * report.utilization:5.1f}% "
+                f"  capacity {size}: {100.0 * report.utilization:5.1f}% "
                 f"(mean {report.mean_batch_fill:.2f} rows over "
-                f"{report.num_batches} "
-                + ("steps)" if self.scheduler == "continuous" else "batches)")
+                f"{report.num_batches} steps)"
             )
         return lines
 
     def slo_lines(self) -> List[str]:
         """Per-class SLO accounting (only sizes that tracked outcomes)."""
-        label = "capacity" if self.scheduler == "continuous" else "max batch"
         lines: List[str] = []
         for size, report in self.per_batch.items():
             if not report.slo:
@@ -465,7 +459,7 @@ class ServingReport:
                     else f"{cls.latency_p99_s:.3f}s"
                 )
                 lines.append(
-                    f"  {label} {size}, class {cls.name}: {cls.total} req -> "
+                    f"  capacity {size}, class {cls.name}: {cls.total} req -> "
                     f"{cls.completed} completed ({cls.on_time} on-time), "
                     f"{cls.expired} expired, {cls.cancelled} cancelled, "
                     f"{cls.failed} failed; p99 {p99} vs target {target}; "
@@ -474,7 +468,7 @@ class ServingReport:
                 )
             if report.retries or report.recoveries:
                 lines.append(
-                    f"  {label} {size}: {report.retries} retried step(s), "
+                    f"  capacity {size}: {report.retries} retried step(s), "
                     f"{report.recoveries} session recovery(ies)"
                 )
         return lines
@@ -529,17 +523,14 @@ class ServingReport:
         slo = "\n".join(self.slo_lines())
         if not self.invariance_checked:
             tail = ""
-        elif self.scheduler == "continuous":
-            if len(self.verified_requests) == self.num_requests:
-                tail = "every request verified bit-exact against its batch-1 reference"
-            else:
-                tail = (
-                    f"{len(self.verified_requests)} completed request(s) "
-                    "verified bit-exact against their batch-1 references: "
-                    f"{self.verified_requests}"
-                )
-        else:  # fixed verify covers one synthetic micro-batch, not the trace
-            tail = "batch-N == N x batch-1 verified bit-exact"
+        elif len(self.verified_requests) == self.num_requests:
+            tail = "every request verified bit-exact against its batch-1 reference"
+        else:
+            tail = (
+                f"{len(self.verified_requests)} completed request(s) "
+                "verified bit-exact against their batch-1 references: "
+                f"{self.verified_requests}"
+            )
         return "\n".join(part for part in (head, table, util, slo, tail) if part)
 
     def to_json(self) -> Dict[str, object]:
@@ -621,111 +612,21 @@ def generate_requests(
     ]
 
 
-def _drain_queue(
-    engine: DittoEngine,
-    requests: Sequence[Request],
-    noises: Sequence[np.ndarray],
-    window_s: float,
-    max_batch: int,
-) -> Tuple[List[ServedRequest], List[float]]:
-    """Replay the request trace through greedy micro-batching.
-
-    Arrival times live on a simulated clock; service times are measured
-    wall-clock per ``DittoEngine.run`` call.  A batch opens when the server
-    is free and a request is waiting, admits arrivals for up to ``window_s``
-    (closing early once full), then launches.  Every member draws sampler
-    noise from its private stream, so stochastic samplers stay bit-exact
-    with each request's batch-1 reference.  Samples are not retained - a
-    drain is a throughput measurement, and holding every batch's output
-    would grow memory with the trace length (verification re-generates
-    what it needs).
-
-    Deadlines under the fixed scheduler are queue-drop only: a member whose
-    deadline already passed at launch is recorded ``expired`` instead of
-    launched.  Lockstep batches cannot evict mid-trajectory - that (plus
-    cancellation and fault injection) is the continuous scheduler's domain.
-    """
-    served: List[ServedRequest] = []
-    service_times: List[float] = []
-    free_at = 0.0
-    i = 0
-    n = len(requests)
-    while i < n:
-        first_ready = max(free_at, requests[i].arrival_s)
-        deadline = first_ready + window_s
-        members = [i]
-        i += 1
-        while (
-            i < n
-            and len(members) < max_batch
-            and requests[i].arrival_s <= deadline
-        ):
-            members.append(i)
-            i += 1
-        if len(members) == max_batch:
-            # Closed early: launched the moment the filling request arrived
-            # (or immediately, if the backlog already covered the batch).
-            launch = max(first_ready, requests[members[-1]].arrival_s)
-        else:
-            # A real server cannot know no further request is coming; it
-            # waits out the window.
-            launch = deadline
-        live = []
-        for j in members:
-            req = requests[j]
-            if req.deadline_s is not None and launch > req.arrival_s + req.deadline_s:
-                served.append(
-                    ServedRequest(
-                        req_id=req.req_id,
-                        arrival_s=req.arrival_s,
-                        launch_s=launch,
-                        finish_s=launch,
-                        batch_fill=0,
-                        outcome="expired",
-                        slo_class=req.slo_class,
-                        deadline_s=req.deadline_s,
-                    )
-                )
-            else:
-                live.append(j)
-        if not live:
-            continue  # nothing left to launch; the server never went busy
-        x_init = np.concatenate([noises[j] for j in live], axis=0)
-        rngs = [requests[j].sampler_rng() for j in live]
-        t0 = time.perf_counter()
-        engine.run(x_init=x_init, record_trace=False, rngs=rngs)
-        service_s = time.perf_counter() - t0
-        service_times.append(service_s)
-        finish = launch + service_s
-        free_at = finish
-        for j in live:
-            served.append(
-                ServedRequest(
-                    req_id=requests[j].req_id,
-                    arrival_s=requests[j].arrival_s,
-                    launch_s=launch,
-                    finish_s=finish,
-                    batch_fill=len(live),
-                    slo_class=requests[j].slo_class,
-                    deadline_s=requests[j].deadline_s,
-                )
-            )
-    return served, service_times
-
-
 @dataclass
 class _DrainStats:
-    """Fault-tolerance counters for one continuous drain."""
+    """Fault-tolerance counters for one drain."""
 
     retries: int = 0
     recoveries: int = 0
 
 
-def _drain_continuous(
+def _drain(
     engine: DittoEngine,
     requests: Sequence[Request],
     noises: Sequence[np.ndarray],
     capacity: int,
+    scheduler: str,
+    window_s: float,
     fault_plan: Optional[faults.FaultPlan] = None,
     cancel_tokens: Optional[Dict[int, faults.CancelToken]] = None,
     engine_factory: Optional[Callable[[], DittoEngine]] = None,
@@ -743,27 +644,35 @@ def _drain_continuous(
     _DrainStats,
     DittoEngine,
 ]:
-    """Replay the request trace through iteration-level scheduling.
+    """Replay the request trace through a persistent session, step by step.
 
-    A persistent :class:`~repro.core.session.EngineSession` advances one
-    denoiser step at a time; queued requests are admitted at every step
-    boundary (up to ``capacity``) and completed rows leave the batch the
-    step they finish.  There is no batching window: admission is continuous,
-    so a request waits at most one step, and the engine never drains while
-    work is queued.
+    Arrival times live on a simulated clock; service times are measured
+    wall-clock per :meth:`~repro.core.session.EngineSession.step`.  A
+    persistent :class:`~repro.core.session.EngineSession` advances one
+    denoiser step at a time, and completed rows leave the batch the step
+    they finish.  The ``scheduler`` is the admission rule, and nothing else:
 
-    Each step boundary additionally runs the fault-tolerance policy, in
-    order: trip plan-scheduled cancellations, evict cancelled rows, evict
-    deadline-expired rows, drop cancelled/expired queued requests, admit.
-    A step that raises is retried up to ``max_retries`` times with capped
-    exponential backoff on the simulated clock - exact replay is guaranteed
-    by the session (stateless dense step + rewound rng streams).  A killed
-    session (or exhausted retries) triggers crash recovery: snapshot the
-    rows, rebuild the engine via ``engine_factory``, re-admit every row at
-    its recorded step with its stream fast-forwarded past its recorded
-    draws.  With recovery disabled or exhausted (``max_recoveries``), the
-    in-flight rows are recorded ``failed`` and the remaining queue
-    continues on a fresh session.
+    * ``continuous`` admits arrived requests at every step boundary while
+      ``occupancy < capacity``, so a request waits at most one step and the
+      engine never drains while work is queued;
+    * ``fixed`` admits only into an empty session.  The batch opens when a
+      request waits, admits arrivals for up to ``window_s`` (closing early
+      once ``capacity`` requests arrived), and launches them together.  A
+      real server cannot know no further request is coming, so a batch
+      that does not fill waits out the window.
+
+    Each step boundary runs the fault-tolerance policy, in order: trip
+    plan-scheduled cancellations, evict cancelled rows, evict
+    deadline-expired rows, record cancelled/expired queued requests at
+    admission, admit.  A step that raises is retried up to ``max_retries``
+    times with capped exponential backoff on the simulated clock - exact
+    replay is guaranteed by the session (stateless dense step + rewound rng
+    streams).  A killed session (or exhausted retries) triggers crash
+    recovery: snapshot the rows, rebuild the engine via ``engine_factory``,
+    re-admit every row at its recorded step with its stream fast-forwarded
+    past its recorded draws.  With recovery disabled or exhausted
+    (``max_recoveries``), the in-flight rows are recorded ``failed`` and the
+    remaining queue continues on a fresh session.
 
     Returns the terminal records (one per request), per-step wall-clock
     times, per-step occupancies, each completed request's sample (for
@@ -780,6 +689,7 @@ def _drain_continuous(
     tokens = cancel_tokens if cancel_tokens is not None else {}
     needs_rng = bool(getattr(engine.pipeline.sampler, "needs_rng", False))
     sample_shape = tuple(engine.pipeline.sample_shape)
+    arrivals = [req.arrival_s for req in requests]
     now = 0.0
     i = 0
     n = len(requests)
@@ -840,8 +750,19 @@ def _drain_continuous(
     session = engine.open_session(capacity=capacity, plan=execution_plan)
     try:
         while i < n or session.occupancy:
-            if not session.occupancy and i < n and requests[i].arrival_s > now:
-                now = requests[i].arrival_s  # idle server: jump to next arrival
+            # -- the admission rule: requests[i:stop] may join at `now` -----
+            if not session.occupancy:
+                now = max(now, arrivals[i])  # idle server: jump to next arrival
+            if scheduler == "continuous":
+                stop = bisect_right(arrivals, now, lo=i)
+            elif session.occupancy:
+                stop = i  # lockstep: the running batch admits no one
+            else:
+                close = now + window_s
+                stop = min(bisect_right(arrivals, close, lo=i), i + capacity)
+                # Launch the moment the filling request arrives (or at once,
+                # if the backlog already covers the batch); else at the close.
+                now = max(now, arrivals[stop - 1]) if stop - i == capacity else close
             # -- step-boundary policy: cancellations, then deadlines --------
             if fault_plan is not None and tokens:
                 next_steps: Dict[int, int] = {
@@ -862,11 +783,7 @@ def _drain_continuous(
                 if req.deadline_s is not None and now > req.arrival_s + req.deadline_s:
                     _retire(tag, "expired")
             # -- admissions --------------------------------------------------
-            while (
-                i < n
-                and requests[i].arrival_s <= now
-                and session.occupancy < capacity
-            ):
+            while i < stop and session.occupancy < capacity:
                 req = requests[i]
                 token = tokens.get(req.req_id)
                 if token is not None and token.cancelled:
@@ -884,9 +801,7 @@ def _drain_continuous(
                     launch_at[i] = now
                 i += 1
             if not session.occupancy:
-                if i >= n:
-                    break
-                continue  # queued work arrives later; the jump above advances the clock
+                continue  # nothing admitted; the idle jump advances the clock
             # -- one step, with retries and crash recovery -------------------
             fill = session.occupancy
             tags_before = list(session.tags)
@@ -1029,24 +944,25 @@ def simulate_serving(
     """Replay one request trace at every batch size and report the numbers.
 
     The engine is built once (quantization + calibration are
-    batch-independent) and reused across batch sizes; every
-    :meth:`~repro.core.engine.DittoEngine.run` resets the temporal state.
-    ``scheduler="continuous"`` replaces the lockstep micro-batcher with
-    iteration-level scheduling (``batch_sizes`` then sweep the persistent
-    batch *capacity*).  ``pool_budget_mb`` caps every batch size at what the
+    batch-independent) and reused across batch sizes; ``batch_sizes`` sweep
+    the persistent session's *capacity*.  ``scheduler`` picks the admission
+    rule: ``"fixed"`` launches lockstep micro-batches after a ``window_s``
+    batching window, ``"continuous"`` admits at every step boundary.  A
+    prebuilt ``engine`` supplies the step count, guidance and sampler;
+    conflicting ``num_steps``/``guidance_scale``/``sampler`` arguments
+    raise.  ``pool_budget_mb`` caps every batch size at what the
     scratch-pool memory budget admits.  ``sampler``/``sampler_eta`` override
     the spec's sampler (e.g. stochastic ddpm).
 
     ``verify_invariance=True`` re-runs requests individually and demands
     bit-exact agreement with the batched replay - the temporal-state
-    contract checked in production rather than only in tests.  For the fixed
-    scheduler that covers one micro-batch of the largest size; for the
-    continuous scheduler *every completed* request of the largest-capacity
-    replay (arbitrary admission/eviction/recovery interleavings included)
-    is checked against its seeded batch-1 reference, and the report records
-    which request ids were verified.
+    contract checked in production rather than only in tests.  *Every
+    completed* request of the largest-capacity replay (arbitrary
+    admission/eviction/recovery interleavings included) is checked against
+    its seeded batch-1 reference, and so is one stacked batch of the first
+    requests; the report records which request ids were verified.
 
-    Fault tolerance (continuous scheduler): ``deadline_s`` applies one
+    Fault tolerance (both schedulers): ``deadline_s`` applies one
     deadline to every request; ``slo`` (a spec string for
     :func:`parse_slo_spec` or a list of :class:`SLOClass`) assigns
     per-class deadlines instead.  ``fault_spec`` (default:
@@ -1083,29 +999,40 @@ def simulate_serving(
         raise ValueError(
             f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
         )
-    if engine is not None and (sampler is not None or sampler_eta is not None):
-        # A prebuilt engine already owns its sampler; silently recording an
-        # override that never took effect would falsify the report metadata.
-        raise ValueError(
-            "sampler/sampler_eta overrides conflict with a prebuilt engine; "
-            "build the engine with the desired sampler instead"
-        )
+    prebuilt = engine is not None
+    if prebuilt:
+        # A prebuilt engine already owns its sampler, step count and
+        # guidance; silently recording an override that never took effect
+        # would falsify the report metadata and the plan key.
+        if sampler is not None or sampler_eta is not None:
+            raise ValueError(
+                "sampler/sampler_eta overrides conflict with a prebuilt engine; "
+                "build the engine with the desired sampler instead"
+            )
+        steps = len(engine.pipeline.sampler.timesteps)
+        if num_steps is not None and num_steps != steps:
+            raise ValueError(
+                f"num_steps={num_steps} conflicts with a prebuilt {steps}-step "
+                "engine; build the engine with the desired step count instead"
+            )
+        built_guidance = engine.pipeline.guidance_scale
+        if guidance_scale is not None and guidance_scale != built_guidance:
+            raise ValueError(
+                f"guidance_scale={guidance_scale:g} conflicts with a prebuilt "
+                f"engine's guidance {built_guidance}; build the engine with "
+                "the desired guidance instead"
+            )
+    else:
+        steps = num_steps if num_steps is not None else spec.num_steps
     if fault_spec is None:
         fault_spec = os.environ.get("REPRO_FAULTS") or None
-    if fault_spec is not None and scheduler != "continuous":
-        raise ValueError(
-            "fault injection needs step-boundary scheduling; use "
-            "--scheduler continuous"
-        )
     slo_classes: Optional[List[SLOClass]] = None
     if slo is not None:
         slo_classes = parse_slo_spec(slo) if isinstance(slo, str) else list(slo)
     elif deadline_s is not None:
         slo_classes = [SLOClass(DEFAULT_SLO_CLASS.name, deadline_s)]
     sizes = normalize_batch_sizes(batch_sizes)
-    steps = num_steps if num_steps is not None else spec.num_steps
-    prebuilt = engine is not None
-    if engine is None:
+    if not prebuilt:
         engine = DittoEngine.from_benchmark(
             spec,
             num_steps=steps,
@@ -1114,7 +1041,7 @@ def simulate_serving(
             sampler=sampler,
             sampler_eta=sampler_eta,
         )
-    if scheduler == "continuous" and engine_factory is None:
+    if engine_factory is None:
         if prebuilt:
             # Reopening the same object is a valid rebuild: EngineSession
             # resets every layer's state on open, and an injected
@@ -1195,11 +1122,7 @@ def simulate_serving(
         rate_rps=rate_rps,
         window_s=window_s,
         num_requests=num_requests,
-        guidance_scale=(
-            guidance_scale
-            if guidance_scale is not None
-            else getattr(spec, "guidance_scale", None)
-        ),
+        guidance_scale=engine.pipeline.guidance_scale,
         invariance_checked=False,
         scheduler=scheduler,
         sampler=sampler,
@@ -1212,8 +1135,6 @@ def simulate_serving(
         plan_drift=plan_drift,
     )
     track_outcomes = bool(slo_classes or fault_spec)
-    continuous_samples: Dict[int, np.ndarray] = {}
-    continuous_outcomes: Dict[int, str] = {}
     for size in sizes:
         # One batch size's scratch working set at a time: the pools key
         # buffers by shape and never evict, so sweeping sizes 1..8 in one
@@ -1223,48 +1144,31 @@ def simulate_serving(
 
         clear_scratch()
         clear_classification_pool()
-        stats = _DrainStats()
-        if scheduler == "continuous":
-            # A fresh plan per batch size: entry firing budgets must not
-            # leak from one replay of the trace into the next.
-            plan = (
-                faults.FaultPlan.from_spec(fault_spec, seed=fault_seed)
-                if fault_spec
-                else None
+        # A fresh plan per batch size: entry firing budgets must not leak
+        # from one replay of the trace into the next.
+        plan = (
+            faults.FaultPlan.from_spec(fault_spec, seed=fault_seed)
+            if fault_spec
+            else None
+        )
+        tokens = {req.req_id: faults.CancelToken() for req in requests}
+        with faults.install(plan):
+            served, step_times, occupancies, samples, stats, engine = _drain(
+                engine,
+                requests,
+                noises,
+                size,
+                scheduler=scheduler,
+                window_s=window_s,
+                fault_plan=plan,
+                cancel_tokens=tokens,
+                engine_factory=engine_factory,
+                max_retries=max_retries,
+                retry_backoff_s=retry_backoff_s,
+                recover=recover,
+                execution_plan=execution_plan,
             )
-            tokens = {req.req_id: faults.CancelToken() for req in requests}
-            with faults.install(plan):
-                (
-                    served,
-                    service_times,
-                    occupancies,
-                    samples,
-                    stats,
-                    engine,
-                ) = _drain_continuous(
-                    engine,
-                    requests,
-                    noises,
-                    size,
-                    fault_plan=plan,
-                    cancel_tokens=tokens,
-                    engine_factory=engine_factory,
-                    max_retries=max_retries,
-                    retry_backoff_s=retry_backoff_s,
-                    recover=recover,
-                    execution_plan=execution_plan,
-                )
-            continuous_samples = samples  # the largest size's replay wins
-            continuous_outcomes = {s.req_id: s.outcome for s in served}
-            mean_fill = float(np.mean(occupancies)) if occupancies else 0.0
-        else:
-            served, service_times = _drain_queue(
-                engine, requests, noises, window_s, size
-            )
-            launched = sum(s.outcome == "completed" for s in served)
-            mean_fill = (
-                float(launched / len(service_times)) if service_times else 0.0
-            )
+        mean_fill = float(np.mean(occupancies)) if occupancies else 0.0
         completed = [s for s in served if s.outcome == "completed"]
         latencies = np.array([s.latency_s for s in completed])
         first_arrival = min(req.arrival_s for req in requests)
@@ -1283,11 +1187,7 @@ def simulate_serving(
         report.per_batch[size] = BatchSizeReport(
             batch_size=size,
             num_requests=len(served),
-            # Engine launches: micro-batches (fixed) or denoiser steps
-            # (continuous).  For fixed, fill averages per *launched batch* -
-            # averaging per-request fills would weight full batches by their
-            # own size and overstate occupancy.
-            num_batches=len(service_times),
+            num_batches=len(step_times),
             mean_batch_fill=mean_fill,
             makespan_s=float(makespan),
             throughput_rps=(
@@ -1296,9 +1196,7 @@ def simulate_serving(
             latency_p50_s=_pct(50),
             latency_p90_s=_pct(90),
             latency_p99_s=_pct(99),
-            mean_service_s=(
-                float(np.mean(service_times)) if service_times else 0.0
-            ),
+            mean_service_s=float(np.mean(step_times)) if step_times else 0.0,
             temporal_relative_bops=rel_bops,
             mac_savings_pct=savings,
             utilization=mean_fill / size,
@@ -1311,19 +1209,16 @@ def simulate_serving(
             recoveries=stats.recoveries,
         )
     if verify_invariance:
-        if scheduler == "continuous":
-            report.verified_requests = _verify_continuous(
-                spec.name,
-                engine,
-                requests,
-                noises,
-                continuous_samples,
-                continuous_outcomes,
-            )
-        else:
-            report.verified_requests = _verify_fixed(
-                spec.name, engine, requests, noises, sizes
-            )
+        # The largest capacity's replay (the loop's last) is the one checked.
+        report.verified_requests = _verify(
+            spec.name,
+            engine,
+            requests,
+            noises,
+            samples,
+            report.per_batch[sizes[-1]].outcomes,
+            sizes[-1],
+        )
         report.invariance_checked = True
     return report
 
@@ -1338,66 +1233,29 @@ def _deviation(got: np.ndarray, want: np.ndarray) -> str:
     )
 
 
-def _verify_fixed(
-    name: str,
-    engine: DittoEngine,
-    requests: Sequence[Request],
-    noises: Sequence[np.ndarray],
-    sizes: Sequence[int],
-) -> List[int]:
-    """Stack the first requests into one micro-batch of the largest
-    configured size, re-run them one at a time, and demand bit-exact
-    agreement.  Built independently of what the drains happened to form, so
-    --verify can never silently verify nothing.  Returns the verified
-    request ids.
-
-    The batched run executes dense; each batch-1 reference is an
-    instrumented run, which executes temporal, so the check also proves the
-    zero-state difference algebra end to end."""
-    fill = min(sizes[-1], len(requests))
-    if fill < 2:
-        raise ValueError(
-            "verify_invariance needs a multi-request batch: got "
-            f"max batch size {sizes[-1]} and {len(requests)} request(s)"
-        )
-    num_steps = len(engine.pipeline.sampler.timesteps)
-    members = list(range(fill))
-    x_init = np.concatenate([noises[j] for j in members], axis=0)
-    batched = engine.run(
-        x_init=x_init,
-        record_trace=False,
-        rngs=[requests[j].sampler_rng() for j in members],
-    ).samples
-    for pos, j in enumerate(members):
-        single = engine.run(
-            x_init=noises[j],
-            rngs=[requests[j].sampler_rng()],
-        ).samples
-        if not np.array_equal(batched[pos : pos + 1], single):
-            raise AssertionError(
-                f"batch invariance violated for request {j} in batch "
-                f"{members} of {name}: first mismatch after {num_steps} "
-                f"steps, {_deviation(batched[pos : pos + 1], single)}"
-            )
-    return members
-
-
-def _verify_continuous(
+def _verify(
     name: str,
     engine: DittoEngine,
     requests: Sequence[Request],
     noises: Sequence[np.ndarray],
     samples: Dict[int, np.ndarray],
     outcomes: Dict[int, str],
+    max_batch: int,
 ) -> List[int]:
-    """Every *completed* request of the continuous replay - whatever
-    interleaving of admissions, evictions, and recoveries the queue
-    produced - must match its seeded batch-1 reference bit-exactly.
-    Returns the verified request ids.
+    """Check a replay against seeded batch-1 references; return the ids.
+
+    Every *completed* request - whatever interleaving of admissions,
+    evictions, and recoveries the queue produced - must match its batch-1
+    reference bit-exactly.  So must one stacked batch of the first
+    ``min(max_batch, len(requests))`` requests, built independently of what
+    the drain happened to form, so a multi-row batch is always checked.
+    Each reference is computed once.
 
     Served rows execute dense; each reference is an instrumented run, which
     executes temporal, so the check also proves the zero-state difference
     algebra end to end."""
+    from ..scratch import clear_scratch
+
     completed = sorted(
         rid for rid, outcome in outcomes.items() if outcome == "completed"
     )
@@ -1406,30 +1264,50 @@ def _verify_continuous(
     )
     if unaccounted:
         raise AssertionError(
-            f"continuous replay of {name} lost requests {unaccounted}: no "
-            "terminal outcome recorded"
+            f"replay of {name} lost requests {unaccounted}: no terminal "
+            "outcome recorded"
         )
     missing = [rid for rid in completed if rid not in samples]
     if missing:
         raise AssertionError(
-            f"continuous replay of {name} reported requests {missing} "
-            "completed but produced no sample for them"
+            f"replay of {name} reported requests {missing} completed but "
+            "produced no sample for them"
         )
     if not completed:
         raise AssertionError(
             f"--verify has nothing to check: no request of {name} completed "
             f"(outcomes: {outcomes})"
         )
+    fill = min(max_batch, len(requests))
+    if fill < 2:
+        raise ValueError(
+            "verify_invariance needs a multi-request batch: got "
+            f"max batch size {max_batch} and {len(requests)} request(s)"
+        )
     num_steps = len(engine.pipeline.sampler.timesteps)
-    for j in completed:
+    members = list(range(fill))
+    batched = engine.run(
+        x_init=np.concatenate([noises[j] for j in members], axis=0),
+        record_trace=False,
+        rngs=[requests[j].sampler_rng() for j in members],
+    ).samples
+    # Release the stacked run's batch-sized scratch before the references
+    # allocate theirs: the pool never evicts, so both sets would add up.
+    clear_scratch()
+    for j in sorted(set(completed) | set(members)):
         reference = engine.run(
             x_init=noises[j], rngs=[requests[j].sampler_rng()]
         ).samples
-        if not np.array_equal(samples[j], reference):
+        if j in samples and not np.array_equal(samples[j], reference):
             raise AssertionError(
-                f"continuous-batching invariance violated for request {j} "
-                f"of {name}: served sample deviates from its batch-1 "
-                f"reference after {num_steps} steps, "
-                f"{_deviation(samples[j], reference)}"
+                f"batch invariance violated for request {j} of {name}: "
+                "served sample deviates from its batch-1 reference after "
+                f"{num_steps} steps, {_deviation(samples[j], reference)}"
+            )
+        if j < fill and not np.array_equal(batched[j : j + 1], reference):
+            raise AssertionError(
+                f"batch invariance violated for request {j} in stacked "
+                f"batch {members} of {name}: first mismatch after "
+                f"{num_steps} steps, {_deviation(batched[j : j + 1], reference)}"
             )
     return completed

@@ -32,7 +32,7 @@ from repro.runtime.serving import (
     generate_requests,
     parse_slo_spec,
     simulate_serving,
-    _verify_continuous,
+    _verify,
 )
 
 from helpers import make_tiny_engine, make_tiny_spec
@@ -380,7 +380,7 @@ def test_session_admit_validates_step_range():
             session.admit(np.zeros(shape), step=-1)
 
 
-# -- end to end: faults through the continuous scheduler ---------------------
+# -- end to end: faults through the scheduler --------------------------------
 
 def _nonzero_counts(batch):
     """outcome_counts() without the zero entries (it keys every outcome)."""
@@ -529,28 +529,48 @@ def test_slo_accounting_is_total(monkeypatch, tmp_path):
     assert {entry["name"] for entry in payload["slo"]} == {"batch", "interactive"}
 
 
-def test_fault_spec_requires_continuous_scheduler():
-    with pytest.raises(ValueError, match="continuous"):
-        simulate_serving(
-            make_tiny_spec("tinyFixedFault", num_steps=2),
-            batch_sizes=(2,),
-            num_requests=2,
-            calibrate=False,
-            scheduler="fixed",
-            fault_spec="error@step=0",
-        )
+def test_env_fault_spec_retried_under_fixed_scheduler(monkeypatch, tmp_path):
+    """$REPRO_FAULTS reaches a lockstep serve, whose failed step is retried
+    as an exact replay like any other."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_FAULTS", "error@req=0,step=1")
+    report = _chaos_serve(None, scheduler="fixed")
+    batch = report.per_batch[2]
+    assert report.fault_spec == "error@req=0,step=1"
+    assert (batch.retries, batch.recoveries) == (1, 0)
+    assert _nonzero_counts(batch) == {"completed": 3}
+    assert report.verified_requests == [0, 1, 2]
 
 
-def test_env_fault_spec_reaches_simulate_serving(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "error@step=0")
-    with pytest.raises(ValueError, match="continuous"):
-        simulate_serving(
-            make_tiny_spec("tinyEnvFault", num_steps=2),
-            batch_sizes=(2,),
-            num_requests=2,
-            calibrate=False,
-            scheduler="fixed",
-        )
+def test_fixed_scheduler_kill_recovers_bit_exact(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    report = _chaos_serve("kill@req=1,step=1", scheduler="fixed")
+    batch = report.per_batch[2]
+    assert batch.recoveries == 1
+    assert _nonzero_counts(batch) == {"completed": 3}
+    # The lockstep batches survive recovery: {0, 1} then {2}.
+    assert [s.batch_fill for s in batch.served] == [2, 2, 1]
+    assert report.verified_requests == [0, 1, 2]
+
+
+def test_fixed_deadline_evicts_mid_flight_survivors_exact():
+    """A lockstep batch loses a row to its deadline mid-trajectory; the
+    batch-mate finishes bit-exact and the next batch launches after it."""
+    report = _chaos_serve(
+        "delay@step=0,ms=5000",
+        sampler=None,
+        scheduler="fixed",
+        slo="batch::1,interactive:1:1",  # requests 0, 2 batch; 1 interactive
+    )
+    batch = report.per_batch[2]
+    # The 5 s delay after the first step trips request 1's 1 s deadline at
+    # the next boundary; request 0 runs on alone.
+    assert batch.outcomes == {0: "completed", 1: "expired", 2: "completed"}
+    first, expired, last = sorted(batch.served, key=lambda s: s.req_id)
+    assert (expired.launch_s, expired.batch_fill) == (first.launch_s, 0)
+    assert expired.finish_s < first.finish_s <= last.launch_s
+    assert first.batch_fill == 1
+    assert report.verified_requests == [0, 2]
 
 
 # -- verify failure reporting (satellite a) ----------------------------------
@@ -564,11 +584,11 @@ def test_verify_failure_names_request_and_deviation():
         for r, n in zip(requests, noises)
     }
     outcomes = {0: "completed", 1: "completed"}
-    assert _verify_continuous("tiny", engine, requests, noises, good, outcomes) == [0, 1]
+    assert _verify("tiny", engine, requests, noises, good, outcomes, 2) == [0, 1]
     bad = dict(good)
     bad[1] = bad[1] + 1e-3
     with pytest.raises(AssertionError) as err:
-        _verify_continuous("tiny", engine, requests, noises, bad, outcomes)
+        _verify("tiny", engine, requests, noises, bad, outcomes, 2)
     message = str(err.value)
     assert "request 1" in message
     assert "2 steps" in message
@@ -580,10 +600,10 @@ def test_verify_reports_lost_and_sampleless_requests():
     requests = generate_requests(2, pattern="burst", seed=0)
     noises = [r.draw_noise(engine.pipeline.sample_shape) for r in requests]
     with pytest.raises(AssertionError, match=r"lost requests \[1\]"):
-        _verify_continuous("tiny", engine, requests, noises, {}, {0: "completed"})
+        _verify("tiny", engine, requests, noises, {}, {0: "completed"}, 2)
     outcomes = {0: "completed", 1: "cancelled"}
     with pytest.raises(AssertionError, match="no sample"):
-        _verify_continuous("tiny", engine, requests, noises, {}, outcomes)
+        _verify("tiny", engine, requests, noises, {}, outcomes, 2)
 
 
 # -- CLI surface -------------------------------------------------------------

@@ -13,10 +13,10 @@ from repro.runtime.serving import (
     generate_requests,
     pool_budget_row_cap,
     simulate_serving,
-    _drain_queue,
+    _drain,
 )
 
-from helpers import make_tiny_spec
+from helpers import make_tiny_engine, make_tiny_spec
 
 
 # -- request generation -----------------------------------------------------
@@ -64,21 +64,11 @@ def test_generate_requests_validation():
         generate_requests(4, rate_rps=0.0, pattern="poisson")
 
 
-# -- micro-batching ---------------------------------------------------------
+# -- lockstep micro-batching (the fixed admission rule) ----------------------
 
-class _InstantEngine:
-    """Stub engine: constant service time, records each launch's x_init."""
-
-    class _Result:
-        def __init__(self, samples):
-            self.samples = samples
-
-    def __init__(self):
-        self.launches = []
-
-    def run(self, batch_size=1, seed=0, x_init=None, record_trace=True, rngs=None):
-        self.launches.append(np.array(x_init))
-        return self._Result(np.array(x_init))
+@pytest.fixture(scope="module")
+def tiny_engine():
+    return make_tiny_engine(num_steps=2)
 
 
 def _reqs(arrivals):
@@ -88,48 +78,57 @@ def _reqs(arrivals):
     ]
 
 
-def _noises(n):
-    return [np.full((1, 2), float(i)) for i in range(n)]
-
-
-def test_burst_fills_batches_to_cap():
-    reqs = _reqs([0.0] * 6)
-    served, service = _drain_queue(
-        _InstantEngine(), reqs, _noises(6), window_s=0.0, max_batch=4
+def _drain_fixed(engine, arrivals, window_s, capacity):
+    """Drain a hand-made trace under the lockstep admission rule."""
+    reqs = _reqs(arrivals)
+    noises = [r.draw_noise(engine.pipeline.sample_shape) for r in reqs]
+    served, step_times, occupancies, samples, _, _ = _drain(
+        engine, reqs, noises, capacity, scheduler="fixed", window_s=window_s
     )
+    return served, step_times, occupancies, samples, noises
+
+
+def test_burst_fills_batches_to_cap(tiny_engine):
+    served, step_times, _, _, _ = _drain_fixed(tiny_engine, [0.0] * 6, 0.0, 4)
     assert [s.batch_fill for s in served] == [4, 4, 4, 4, 2, 2]
-    assert len(service) == 2
+    # Two lockstep batches of two denoiser steps each.
+    assert len({s.launch_s for s in served}) == 2
+    assert len(step_times) == 2 * 2
 
 
-def test_window_admits_near_arrivals():
+def test_window_admits_near_arrivals(tiny_engine):
     # Second request lands inside the 0.2 s window, third far outside.
-    reqs = _reqs([0.0, 0.1, 5.0])
-    served, service = _drain_queue(
-        _InstantEngine(), reqs, _noises(3), window_s=0.2, max_batch=8
-    )
+    served, _, _, _, _ = _drain_fixed(tiny_engine, [0.0, 0.1, 5.0], 0.2, 8)
     assert [s.batch_fill for s in served] == [2, 2, 1]
+    # The unfilled batch waited out its window; the next opened at arrival.
+    assert [s.launch_s for s in served] == pytest.approx([0.2, 0.2, 5.2])
 
 
-def test_window_zero_serves_immediately():
-    reqs = _reqs([0.0, 0.3, 0.6])
-    served, service = _drain_queue(
-        _InstantEngine(), reqs, _noises(3), window_s=0.0, max_batch=8
-    )
-    # Service is near-instant, so nothing queues up behind the server.
+def test_window_zero_serves_immediately(tiny_engine):
+    served, _, _, _, _ = _drain_fixed(tiny_engine, [0.0, 0.3, 0.6], 0.0, 8)
+    # Service is a few ms, so nothing queues up behind the server.
     assert [s.batch_fill for s in served] == [1, 1, 1]
+    assert [s.launch_s for s in served] == [0.0, 0.3, 0.6]
     assert all(s.latency_s >= 0.0 for s in served)
 
 
-def test_batch_order_preserves_request_order():
-    reqs = _reqs([0.0] * 4)
-    engine = _InstantEngine()
-    served, _ = _drain_queue(
-        engine, reqs, _noises(4), window_s=0.0, max_batch=4
-    )
-    # The stacked x_init must follow request order: request i's noise is the
-    # constant i, recorded by the stub engine at launch.
-    np.testing.assert_array_equal(engine.launches[0][:, 0], [0.0, 1.0, 2.0, 3.0])
+def test_batch_order_preserves_request_order(tiny_engine):
+    served, _, _, samples, noises = _drain_fixed(tiny_engine, [0.0] * 4, 0.0, 4)
     assert [s.req_id for s in served] == [0, 1, 2, 3]
+    # Each row carries its own request's noise: every served sample is its
+    # request's batch-1 run.
+    for j, noise in enumerate(noises):
+        np.testing.assert_array_equal(
+            samples[j], tiny_engine.run(x_init=noise, record_trace=False).samples
+        )
+
+
+def test_mean_batch_fill_counts_batches_not_requests(tiny_engine):
+    _, _, occupancies, _, _ = _drain_fixed(tiny_engine, [0.0] * 6, 0.0, 4)
+    # One batch of 4 + one of 2, each for the same number of steps: the
+    # per-step mean is the per-batch mean 3.0 (a request-weighted mean
+    # would claim 3.33).
+    assert np.mean(occupancies) == pytest.approx(3.0)
 
 
 # -- end-to-end simulation --------------------------------------------------
@@ -163,8 +162,9 @@ def test_simulate_serving_reports_all_batch_sizes(tiny_report):
 
 
 def test_simulate_serving_verifies_invariance(tiny_report):
-    # verify_invariance re-ran a micro-batch request-by-request bit-exactly.
+    # verify_invariance re-ran every served request batch-1 bit-exactly.
     assert tiny_report.invariance_checked
+    assert tiny_report.verified_requests == [0, 1, 2, 3]
 
 
 def test_serving_verify_smoke():
@@ -210,16 +210,6 @@ def test_verify_refuses_when_no_multi_request_batch_possible():
             calibrate=False,
             verify_invariance=True,
         )
-
-
-def test_mean_batch_fill_counts_batches_not_requests():
-    reqs = _reqs([0.0] * 6)
-    served, service = _drain_queue(
-        _InstantEngine(), reqs, _noises(6), window_s=0.0, max_batch=4
-    )
-    # One batch of 4 + one of 2: per-batch mean is 3.0 (a request-weighted
-    # mean would claim 3.33).
-    assert len(served) / len(service) == pytest.approx(3.0)
 
 
 # -- continuous scheduler ----------------------------------------------------
@@ -268,8 +258,7 @@ def test_continuous_report_serializes(continuous_report):
     text = continuous_report.summary()
     assert "continuous scheduler" in text
     assert "utilization" in text
-    # Continuous verify covers every request; the tail must say so (the
-    # fixed scheduler's weaker one-micro-batch claim is tested separately).
+    # Verify covers every request; the tail must say so.
     assert "every request verified" in text
 
 
@@ -280,10 +269,9 @@ def test_fixed_report_has_utilization(tiny_report):
         )
     text = tiny_report.summary()
     assert "utilization" in text
-    # Fixed verify checks one synthetic micro-batch, not every request -
-    # the tail must claim only what ran.
-    assert "batch-N == N x batch-1" in text
-    assert "every request verified" not in text
+    assert "fixed scheduler" in text
+    # Verify checks every served request under either scheduler.
+    assert "every request verified bit-exact" in text
     assert tiny_report.to_json()["scheduler"] == "fixed"
 
 
@@ -297,6 +285,27 @@ def test_sampler_override_conflicts_with_prebuilt_engine():
             spec, batch_sizes=(1,), num_requests=2,
             engine=engine, sampler="ddpm",
         )
+
+
+def test_prebuilt_engine_supplies_steps_and_plan_key(tmp_path):
+    """A prebuilt engine's own step count names the report and the plan key:
+    a 2-step engine served under a 4-step spec must not cache its 2-call
+    plan where the spec's own 4-step engine will look it up."""
+    from repro.core import DittoEngine
+
+    spec = make_tiny_spec("tinyPrebuilt", num_steps=4)
+    short = DittoEngine.from_benchmark(spec, num_steps=2, calibrate=False)
+    serve = dict(
+        batch_sizes=(1,), num_requests=2, pattern="burst", calibrate=False,
+        use_plan=True, plan_cache_dir=tmp_path,
+    )
+    assert simulate_serving(spec, engine=short, **serve).num_steps == 2
+    full = simulate_serving(spec, **serve)
+    assert (full.num_steps, full.plan_source) == (4, "derived")
+    with pytest.raises(ValueError, match="prebuilt 2-step engine"):
+        simulate_serving(spec, engine=short, num_steps=4, **serve)
+    with pytest.raises(ValueError, match="guidance_scale=2 conflicts"):
+        simulate_serving(spec, engine=short, guidance_scale=2.0, **serve)
 
 
 def test_runtime_package_exports_serving_surface():
