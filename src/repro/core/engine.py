@@ -280,9 +280,10 @@ class DittoEngine:
 
         for _, qlayer in iter_qlayers(self.qmodel):
             if isinstance(qlayer, QAttention):
-                # The attention wrapper's own input_quant is never exercised
-                # (the projections quantize); requiring it would force the
-                # probe forward on every uninstrumented run forever.
+                # The wrapper's input_quant is its children's (self
+                # attention) or never exercised (cross attention, where the
+                # projections quantize); requiring it would force the probe
+                # forward on every uninstrumented run forever.
                 if not all(
                     q.calibrated
                     for q in (

@@ -128,9 +128,15 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         output = self.forward(*args, **kwargs)
+        self.run_forward_hooks(args, output)
+        return output
+
+    def run_forward_hooks(self, args: Tuple, output) -> None:
+        """Fire the forward hooks as a call would.  A parent that computes
+        a child's output itself (a fused projection) calls this so hooked
+        analyses still observe the child."""
         for hook in list(self._forward_hooks):
             hook(self, args, output)
-        return output
 
     def extra_repr(self) -> str:
         return ""

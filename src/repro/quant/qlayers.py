@@ -24,6 +24,21 @@ Attention gets the paper's two algebraic tricks: self-attention temporal
 processing uses ``Q_t K_t = Q_{t+1} K_{t+1} + Q_t dK + dQ K_{t+1}`` (two
 sub-operations instead of three), and cross-attention treats the constant
 context projections K'/V' as weights.
+
+Self-attention's Q/K/V projections read the same tensor through one shared
+input quantizer, so they run as **one projection**: one quantize, one
+temporal difference, one set of dense / spatial / temporal stats and one
+GEMM against the three weights stacked as column blocks of an
+``(in, 3*dim)`` array; each block then gets its own projection's epilogue
+and trace record, bit-identical to three separate forwards.  The attention
+layer holds that projection's temporal state; ``to_q`` / ``to_k`` /
+``to_v`` hold none.
+
+Weight layout: a :class:`QLinear` stores its integer weight once,
+C-contiguous in GEMM-native ``(in, out)`` order; ``q_weight`` is the
+``(out, in)`` transposed view, so ``x @ q_weight.T`` is a plain NN GEMM.
+Self-attention's ``to_q`` / ``to_k`` / ``to_v`` weights are column blocks
+of the stacked array, so no weight is stored twice.
 """
 
 from __future__ import annotations
@@ -83,16 +98,9 @@ def _spatial_diff_rows(mat: np.ndarray) -> np.ndarray:
     return d
 
 
-def _diff_scratch_dtype(src_dtype: np.dtype):
-    """Storage dtype for spatial-difference scratch buffers.
-
-    Layers on the provably-exact float32 path carry quantized values of at
-    most ~2^13 magnitude, so their row differences fit int16 exactly - and
-    the bit-width classifier has a 2-byte fast path for that dtype.  The
-    float64 route keeps float scratch (values there may come from wider
-    quantizers).
-    """
-    return np.int16 if src_dtype == np.float32 else src_dtype
+# Spatial-difference scratch is int16 throughout: a difference of two
+# ``bits``-bit quantized values spans |d| <= 2^bits - 1 <= 32767 (QLayerBase
+# caps ``bits`` at 15), and int16 is the dtype classify narrows to anyway.
 
 
 def _row_diff_stats(mat: np.ndarray) -> BitWidthStats:
@@ -104,7 +112,7 @@ def _row_diff_stats(mat: np.ndarray) -> BitWidthStats:
     """
     if mat.shape[0] <= 1:
         return classify(mat)
-    buf = F.scratch_buffer("rowdiff", mat.shape, _diff_scratch_dtype(mat.dtype))
+    buf = F.scratch_buffer("rowdiff", mat.shape, np.int16)
     buf[:1] = mat[:1]  # exact: values are small integers
     np.subtract(mat[1:], mat[:-1], out=buf[1:], casting="unsafe")
     return classify(buf)
@@ -125,9 +133,7 @@ def _cols_spatial_stats_t(cols_t: np.ndarray) -> BitWidthStats:
     diff = np.subtract(
         cols_t[:, :, 1:],
         cols_t[:, :, :-1],
-        out=F.scratch_buffer(
-            "coldiff", diff_shape, _diff_scratch_dtype(cols_t.dtype)
-        ),
+        out=F.scratch_buffer("coldiff", diff_shape, np.int16),
         casting="unsafe",
     )
     return classify_many(cols_t[:, :, :1], diff)
@@ -152,17 +158,16 @@ def _rows_spatial_stats(
     wp = out_w + kernel - 1
     img = rows.reshape(n, dot, length // wp, wp)
     hp = img.shape[2]
-    dtype = _diff_scratch_dtype(rows.dtype)
     within = np.subtract(
         img[..., 1:out_w],
         img[..., : out_w - 1],
-        out=F.scratch_buffer("rowdiff-within", (n, dot, hp, out_w - 1), dtype),
+        out=F.scratch_buffer("rowdiff-within", (n, dot, hp, out_w - 1), np.int16),
         casting="unsafe",
     )
     across = np.subtract(
         img[:, :, 1:, 0],
         img[:, :, :-1, out_w - 1],
-        out=F.scratch_buffer("rowdiff-across", (n, dot, hp - 1), dtype),
+        out=F.scratch_buffer("rowdiff-across", (n, dot, hp - 1), np.int16),
         casting="unsafe",
     )
     pieces = []
@@ -183,6 +188,10 @@ class QLayerBase(Module):
 
     def __init__(self, bits: int = 8) -> None:
         super().__init__()
+        if bits > 15:
+            # Quantized values and their differences must fit int16, the
+            # dtype bit-width classification runs on (repro.core.bitwidth).
+            raise ValueError(f"at most 15-bit quantization is supported, got {bits}")
         self.layer_name = ""
         self.mode = ExecutionMode.DENSE
         self.bits = bits
@@ -237,31 +246,100 @@ class QLayerBase(Module):
             return ExecutionMode.DENSE
         return self.mode
 
+    def _project(self, x: np.ndarray, q_weight: np.ndarray):
+        """Integer linear projection of ``x`` against ``q_weight`` (out, in).
 
-def _quantize_weight(weight: np.ndarray, bits: int, per_channel: bool):
+        Quantizes with this layer's input quantizer, differences against
+        its held state and runs the one GEMM; returns ``(q_in, diff,
+        out_int)``.  :class:`QLinear` projects through its own weight;
+        self-attention projects Q/K/V at once through the stacked weight,
+        holding the state itself (see :class:`QAttention`).
+        """
+        # The weight is stored in the dtype its GEMM runs (the exact-f32
+        # gate); quantized values are exact small integers, so a float32
+        # q_in halves the traffic of every downstream scan.
+        q_in = self.input_quant.quantize(
+            x, out_dtype=np.float32 if q_weight.dtype == np.float32 else None
+        )
+        diff = self._temporal_diff(q_in)
+        bk = backends.active()
+        if self._effective_mode(diff) is ExecutionMode.TEMPORAL:
+            # float64 + float32 upcasts exactly; the sum runs in float64.
+            out_int = self._prev_out_int + bk.linear(diff, q_weight)
+        else:
+            # Dense and spatial paths share arithmetic: the spatial path's
+            # row-cumulative reconstruction telescopes to the plain matmul.
+            out_int = bk.linear(q_in, q_weight)
+            if out_int.dtype != np.float64:
+                out_int = out_int.astype(np.float64)
+        return q_in, diff, out_int
+
+
+def _quantize_weight(
+    weight: np.ndarray, bits: int, per_channel: bool, out: np.ndarray
+):
     """Weight quantization: per-tensor or per-output-channel scales.
 
     Q-Diffusion quantizes weights per output channel; Ditto is agnostic
     because weights are static - only the *activation* grid must be shared
     across steps.  Per-channel scales tighten the weight grid and therefore
     the end accuracy, at zero cost to difference processing.
+
+    The integer weight is written into ``out`` (``weight``'s shape, any
+    layout, the dtype the layer's GEMM runs): the cast and any layout
+    change ride on the one copy out of the rounding pass.  No clip pass:
+    every scale is its own tensor's (or channel's) peak over ``qmax``, so
+    ``|weight / scale| <= qmax`` up to one rounding and ``rint`` stays on
+    the grid.
     """
-    qmin, qmax = qrange(bits)
+    _, qmax = qrange(bits)
     if per_channel:
         flat = weight.reshape(weight.shape[0], -1)
         peaks = np.max(np.abs(flat), axis=1)
         scales = np.where(peaks > 0.0, peaks, 1.0) / qmax
-        shaped = scales.reshape((-1,) + (1,) * (weight.ndim - 1))
-        q_weight = np.clip(np.rint(weight / shaped), qmin, qmax)
-        return q_weight, scales
-    quantizer = SymmetricQuantizer(bits)
-    quantizer.observe(weight)
-    quantizer.freeze()
-    return quantizer.quantize(weight), quantizer.scale
+        divisor = scales.reshape((-1,) + (1,) * (weight.ndim - 1))
+    else:
+        quantizer = SymmetricQuantizer(bits)
+        quantizer.observe(weight)
+        scales = divisor = quantizer.freeze()
+    # Blocks of 32 rows through one cache-resident buffer: into a
+    # transposed ``out`` a whole-array pass walks one side with a large
+    # stride and runs 2-4x slower on tall weights.
+    block = np.empty((min(32, weight.shape[0]),) + weight.shape[1:])
+    for i in range(0, weight.shape[0], 32):
+        rows = weight[i : i + 32]
+        q = block[: rows.shape[0]]
+        np.divide(rows, divisor[i : i + 32] if per_channel else divisor, out=q)
+        np.rint(q, out=q)
+        out[i : i + 32] = q
+    return out, scales
+
+
+def _linear_gemm_dtype(in_features: int, bits: int) -> np.dtype:
+    """The dtype a linear layer's integer GEMM runs in (see QConv2d): f32
+    while every partial dot product stays inside float32's 2^24
+    exact-integer range, else f64."""
+    exact_f32 = in_features * _max_product(bits) < (1 << 24)
+    return np.dtype(np.float32 if exact_f32 else np.float64)
+
+
+def _linear_stats(q_in: np.ndarray, diff: Optional[np.ndarray]) -> tuple:
+    """Dense, spatial (token-row) and temporal stats of one projection's
+    operand - shared by every projection that reads it."""
+    return (
+        classify(q_in),
+        _row_diff_stats(_flatten_rows(q_in)),
+        None if diff is None else classify(diff),
+    )
 
 
 class QLinear(QLayerBase):
-    """Quantized fully-connected layer with difference processing."""
+    """Quantized fully-connected layer with difference processing.
+
+    ``weight_t``, when given, is the ``(in, out)`` array the integer weight
+    is written into - self-attention passes column blocks of its stacked
+    Q/K/V weight; by default the layer allocates its own.
+    """
 
     kind = "fc"
 
@@ -271,60 +349,64 @@ class QLinear(QLayerBase):
         bias: Optional[np.ndarray],
         bits: int = 8,
         per_channel: bool = False,
+        weight_t: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__(bits)
         self.out_features, self.in_features = weight.shape
         self.per_channel = per_channel
+        dtype = _linear_gemm_dtype(self.in_features, bits)
+        self._use_f32 = dtype == np.float32
+        if weight_t is None:
+            weight_t = np.empty((self.in_features, self.out_features), dtype)
+        # One integer weight copy, GEMM-native: C-contiguous (in, out) in the
+        # dtype this layer's GEMM runs.  q_weight is its (out, in) view.
         self.q_weight, self.weight_scale = _quantize_weight(
-            weight, bits, per_channel
+            weight, bits, per_channel, out=weight_t.T
         )
         self.bias = None if bias is None else np.array(bias, dtype=np.float64)
-        # See QConv2d: the f32 integer GEMM is exact while every partial dot
-        # product stays inside float32's 2^24 exact-integer range.
-        self._use_f32 = self.in_features * _max_product(bits) < (1 << 24)
-        # One integer weight copy, in the dtype this layer's GEMM runs.
-        if self._use_f32:
-            self.q_weight = self.q_weight.astype(np.float32)
 
     @classmethod
     def from_float(
-        cls, layer: Linear, bits: int = 8, per_channel: bool = False
+        cls,
+        layer: Linear,
+        bits: int = 8,
+        per_channel: bool = False,
+        weight_t: Optional[np.ndarray] = None,
     ) -> "QLinear":
         bias = layer.bias.data if layer.bias is not None else None
-        return cls(layer.weight.data, bias, bits, per_channel)
+        return cls(layer.weight.data, bias, bits, per_channel, weight_t)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        q_in = self.input_quant.quantize(
-            x, out_dtype=np.float32 if self._use_f32 else None
-        )
-        diff = self._temporal_diff(q_in)
-        mode = self._effective_mode(diff)
-        bk = backends.active()
-        if mode is ExecutionMode.TEMPORAL:
-            # float64 + float32 upcasts exactly; the sum runs in float64.
-            out_int = self._prev_out_int + bk.linear(diff, self.q_weight)
-        else:
-            # Dense and spatial paths share arithmetic: the spatial path's
-            # row-cumulative reconstruction telescopes to the plain matmul.
-            out_int = bk.linear(q_in, self.q_weight)
-            if out_int.dtype != np.float64:
-                out_int = out_int.astype(np.float64)
+        q_in, diff, out_int = self._project(x, self.q_weight)
+        out = self._epilogue(out_int)
+        self._record(q_in, diff, out_int, self._effective_mode(diff))
+        self._keep_state(q_in, out_int)
+        return out
+
+    def _epilogue(self, out_int: np.ndarray) -> np.ndarray:
+        """Dequantize this projection's integer output and add the bias."""
         # weight_scale is a scalar (per-tensor) or an (out,) vector
         # (per-channel); both broadcast over the trailing output dim.
         out = out_int * (self.input_quant.scale * self.weight_scale)
         if self.bias is not None:
             out += self.bias
-        self._record(q_in, diff, out_int)
-        self._keep_state(q_in, out_int)
         return out
 
     def _record(
-        self, q_in: np.ndarray, diff: Optional[np.ndarray], out_int: np.ndarray
+        self,
+        q_in: np.ndarray,
+        diff: Optional[np.ndarray],
+        out_int: np.ndarray,
+        executed_mode: ExecutionMode,
+        stats: Optional[tuple] = None,
     ) -> None:
+        """Record this projection's step; ``stats`` (see
+        :func:`_linear_stats`) is passed in when another projection of the
+        same operand already computed it."""
         if TraceRecorder.current() is None:
             return  # nobody is listening; skip the stats passes entirely
-        rows = _flatten_rows(q_in)
-        macs = rows.shape[0] * self.in_features * self.out_features
+        dense, spatial, temporal = stats or _linear_stats(q_in, diff)
+        macs = _flatten_rows(q_in).shape[0] * self.in_features * self.out_features
         record_step(
             RichLayerStep(
                 step_index=_current_step(),
@@ -335,15 +417,15 @@ class QLinear(QLayerBase):
                 out_elems=int(out_int.size),
                 weight_elems=int(self.q_weight.size),
                 data_elems=int(q_in.size),
-                stats_dense=classify(q_in),
-                stats_spatial=_row_diff_stats(rows),
-                stats_temporal=None if diff is None else classify(diff),
+                stats_dense=dense,
+                stats_spatial=spatial,
+                stats_temporal=temporal,
                 sub_ops_temporal=1,
                 vpu_elems=int(out_int.size) if self.nonlinear_after else 0,
                 nonlinear_after=self.nonlinear_after,
                 chained_input=self.chained_input,
                 producer_kind=self.producer_kind,
-                executed_mode=self._effective_mode(diff),
+                executed_mode=executed_mode,
             )
         )
 
@@ -370,10 +452,6 @@ class QConv2d(QLayerBase):
         self.stride = stride
         self.padding = padding
         self.per_channel = per_channel
-        self.q_weight, self.weight_scale = _quantize_weight(
-            weight, bits, per_channel
-        )
-        self.bias = None if bias is None else np.array(bias, dtype=np.float64)
         # Single-precision integer GEMM, used only when provably exact: every
         # partial dot product must stay inside float32's 2^24 exact-integer
         # range for the worst-case operands (see _max_product - temporal
@@ -384,8 +462,10 @@ class QConv2d(QLayerBase):
         self._use_f32 = dot_len * _max_product(bits) < (1 << 24)
         self._cols_dtype = np.dtype(np.float32 if self._use_f32 else np.float64)
         # One integer weight copy, in the dtype this layer's GEMM runs.
-        if self._use_f32:
-            self.q_weight = self.q_weight.astype(np.float32)
+        self.q_weight, self.weight_scale = _quantize_weight(
+            weight, bits, per_channel, out=np.empty(weight.shape, self._cols_dtype)
+        )
+        self.bias = None if bias is None else np.array(bias, dtype=np.float64)
         # Stride-1 convs run the row-shift GEMMs (see _conv), one per
         # vertical tap: _w_rows[ki][o, c*k + kj] == q_weight[o, c, ki, kj].
         self._w_rows = None
@@ -544,10 +624,19 @@ class QConv2d(QLayerBase):
 class QAttention(QLayerBase):
     """Quantized multi-head attention with temporal difference processing.
 
-    The projection layers become independent :class:`QLinear` children; this
-    class handles the two activation-by-activation matmuls.  For cross
-    attention the context projections are computed once and cached - K'/V'
-    are constant across time steps (paper Section IV-A).
+    The projections are :class:`QLinear` children (names, calibration and
+    trace records); this class handles the two activation-by-activation
+    matmuls.  For cross attention ``to_q`` runs alone and the context
+    projections are computed once and cached - K'/V' are constant across
+    time steps (paper Section IV-A).
+
+    Self-attention runs ``to_q`` / ``to_k`` / ``to_v`` as one shared
+    projection (:meth:`_project_qkv`): the three share one input quantizer
+    object - this layer's ``input_quant`` - and their ``q_weight`` arrays
+    are views of column blocks of one stacked ``(in, 3*dim)`` weight.  This
+    layer holds the shared projection's temporal state (``_prev_q_in`` /
+    ``_prev_out_int`` / ``_prev_scale``, over all three blocks) and it runs
+    in this layer's mode; the three children hold no state.
     """
 
     kind = "attn"
@@ -560,9 +649,26 @@ class QAttention(QLayerBase):
         self.num_heads = attn.num_heads
         self.head_dim = attn.head_dim
         self.is_cross = attn.is_cross
-        self.to_q = QLinear.from_float(attn.to_q, bits, per_channel)
-        self.to_k = QLinear.from_float(attn.to_k, bits, per_channel)
-        self.to_v = QLinear.from_float(attn.to_v, bits, per_channel)
+        projections = (attn.to_q, attn.to_k, attn.to_v)
+        if self.is_cross:
+            self._qkv_weight = None
+            blocks = (None, None, None)
+        else:
+            # The shared projection's weight: Q, K and V column blocks of
+            # one GEMM-native (in, 3*dim) array, written in place by each
+            # child's weight quantization.
+            in_features = attn.to_q.in_features
+            stacked = np.empty(
+                (in_features, 3 * self.dim), _linear_gemm_dtype(in_features, bits)
+            )
+            self._qkv_weight = stacked.T
+            blocks = [stacked[:, i * self.dim : (i + 1) * self.dim] for i in range(3)]
+        self.to_q, self.to_k, self.to_v = (
+            QLinear.from_float(proj, bits, per_channel, weight_t=block)
+            for proj, block in zip(projections, blocks)
+        )
+        if not self.is_cross:
+            self.share_projection_quantizer(self.to_q.input_quant)
         self.to_out = QLinear.from_float(attn.to_out, bits, per_channel)
         # The P x V product feeds the linear output projection directly.
         self.to_out.chained_input = True
@@ -602,6 +708,13 @@ class QAttention(QLayerBase):
     ) -> "QAttention":
         return cls(attn, bits, per_channel)
 
+    def share_projection_quantizer(self, quantizer: SymmetricQuantizer) -> None:
+        """Make ``quantizer`` the one input quantizer of self-attention's
+        shared Q/K/V projection (this layer's and all three children's)."""
+        self.input_quant = quantizer
+        for child in (self.to_q, self.to_k, self.to_v):
+            child.input_quant = quantizer
+
     # -- state -----------------------------------------------------------
     def reset_state(self) -> None:
         super().reset_state()
@@ -616,14 +729,13 @@ class QAttention(QLayerBase):
 
     # -- forward -----------------------------------------------------------
     def forward(self, x: np.ndarray, context: Optional[np.ndarray] = None) -> np.ndarray:
-        if self.is_cross and context is None:
+        if not self.is_cross:
+            q_full, k_full, v_full = self._project_qkv(x)
+        elif context is None:
             raise ValueError(f"cross attention {self.layer_name!r} needs context")
-        q_full = self.to_q(x)
-        if self.is_cross:
-            k_full, v_full = self._context_kv(context)
         else:
-            k_full = self.to_k(x)
-            v_full = self.to_v(x)
+            q_full = self.to_q(x)
+            k_full, v_full = self._context_kv(context)
         q = self._split(q_full)
         k = self._split(k_full)
         v = self._split(v_full)
@@ -650,6 +762,26 @@ class QAttention(QLayerBase):
         b, h, t, d = out.shape
         merged = out.transpose(0, 2, 1, 3).reshape(b, t, h * d)
         return self.to_out(merged)
+
+    def _project_qkv(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Self-attention's Q, K and V: one quantize, difference, stats pass
+        and GEMM over the stacked weight, then each child's epilogue, trace
+        record and forward hooks on its column block - the outputs and
+        records of three separate ``QLinear`` forwards, bit for bit."""
+        q_in, diff, out_int = self._project(x, self._qkv_weight)
+        mode = self._effective_mode(diff)
+        stats = None
+        if TraceRecorder.current() is not None:
+            stats = _linear_stats(q_in, diff)
+        outs = []
+        for i, child in enumerate((self.to_q, self.to_k, self.to_v)):
+            block = out_int[..., i * self.dim : (i + 1) * self.dim]
+            out = child._epilogue(block)
+            child._record(q_in, diff, block, mode, stats)
+            child.run_forward_hooks((x,), out)
+            outs.append(out)
+        self._keep_state(q_in, out_int)
+        return tuple(outs)
 
     def _context_kv(self, context: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         cached = self._context_cache.get(id(context))
@@ -758,14 +890,19 @@ class QAttention(QLayerBase):
         b, h, t_data, inner = data.shape
         t_other = other.shape[2]
         macs = b * h * t_data * t_other * inner
+        stats_dense = classify(data)
+        stats_spatial = _row_diff_stats(_flatten_rows(data))
         if other_is_weight:
-            stats_dense = classify(data)
             stats_temporal = None if d_data is None else classify(d_data)
             sub_ops = 1
             in_elems = data.size
             weight_elems = other.size
         else:
-            stats_dense = classify_many(data, other)
+            # The activation operand counts (undifferenced) in both the dense
+            # and the spatial mix: classify it once.
+            other_stats = classify(other)
+            stats_dense = stats_dense.merge(other_stats)
+            stats_spatial = stats_spatial.merge(other_stats)
             if d_data is None or d_other is None:
                 stats_temporal = None
             else:
@@ -773,10 +910,6 @@ class QAttention(QLayerBase):
             sub_ops = 2
             in_elems = data.size + other.size
             weight_elems = 0
-        token_rows = data.reshape(-1, data.shape[-1])
-        stats_spatial = _row_diff_stats(token_rows)
-        if not other_is_weight:
-            stats_spatial = stats_spatial.merge(classify(other))
         record_step(
             RichLayerStep(
                 step_index=_current_step(),
@@ -833,6 +966,10 @@ def quantize_model(
     layers freeze their scale on first use (hardware-style "dynamic"
     quantization).  The swap happens in place and ``model`` is returned for
     chaining.
+
+    Self-attention's ``to_q`` / ``to_k`` / ``to_v`` read one tensor and run
+    as one projection through one quantizer (see :class:`QAttention`):
+    calibration must give the three the same grid, else ``ValueError``.
     """
 
     def swap(module: Module) -> None:
@@ -866,7 +1003,16 @@ def quantize_model(
                 continue
             scale = calibration.get(name)
             if scale is not None:
-                module.input_quant.scale = float(scale)
+                module.input_quant = SymmetricQuantizer(module.bits, float(scale))
+    for name, module in iter_qlayers(model):
+        if isinstance(module, QAttention) and not module.is_cross:
+            quantizers = [c.input_quant for c in (module.to_q, module.to_k, module.to_v)]
+            if len({q.grid() for q in quantizers}) > 1:
+                raise ValueError(
+                    f"self-attention {name!r}: to_q / to_k / to_v read one "
+                    f"tensor but were calibrated to different grids: {quantizers}"
+                )
+            module.share_projection_quantizer(quantizers[0])
     return model
 
 

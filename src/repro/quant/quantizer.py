@@ -113,6 +113,10 @@ class SymmetricQuantizer:
             self.freeze()
         return self.scale
 
+    def grid(self) -> tuple:
+        """What fixes this quantizer's integer grid, as a comparable key."""
+        return (type(self).__name__, self.bits, self.scale)
+
     # -- conversion -----------------------------------------------------------
     def quantize(self, x: np.ndarray, out_dtype=None) -> np.ndarray:
         scale = self.ensure_scale(x)

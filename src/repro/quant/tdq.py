@@ -173,6 +173,9 @@ class TimestepClusteredQuantizer(SymmetricQuantizer):
     def quantize(self, x: np.ndarray, out_dtype=None) -> np.ndarray:
         return quantize(x, self.ensure_scale(x), self.bits, out_dtype=out_dtype)
 
+    def grid(self) -> tuple:
+        return super().grid() + (tuple(self._cluster_scales), tuple(self._bounds))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TimestepClusteredQuantizer(bits={self.bits}, "

@@ -9,9 +9,37 @@ import numpy as np
 
 from repro.core import DittoEngine, RichLayerStep
 from repro.core.bitwidth import BitWidthStats
+from repro.quant import QAttention, iter_qlayers
 from repro.workloads.suite import BenchmarkSpec
 
-__all__ = ["make_rich", "make_tiny_engine", "make_tiny_spec", "TINY_SUITE"]
+__all__ = [
+    "assert_temporal_state_held",
+    "make_rich",
+    "make_tiny_engine",
+    "make_tiny_spec",
+    "TINY_SUITE",
+]
+
+
+def assert_temporal_state_held(qmodel):
+    """Every layer kept state, so every call after the first differenced.
+
+    Self-attention's Q/K/V run as one projection whose state the attention
+    layer owns: it must hold that state, and ``to_q`` / ``to_k`` / ``to_v``
+    must hold none of their own.
+    """
+    shared = set()
+    for name, q in iter_qlayers(qmodel):
+        if isinstance(q, QAttention):
+            assert q._prev, name
+            if not q.is_cross:
+                assert q._prev_q_in is not None, name
+                assert q._prev_out_int is not None, name
+                shared.update(id(c) for c in (q.to_q, q.to_k, q.to_v))
+        elif id(q) in shared:
+            assert q._prev_q_in is None and q._prev_out_int is None, name
+        else:
+            assert q._prev_q_in is not None, name
 
 
 def make_rich(

@@ -126,3 +126,41 @@ def test_merge_is_additive(seed):
     merged = classify(a).merge(classify(b))
     joint = classify(np.concatenate([a, b]))
     assert merged == joint
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    size=st.integers(1, 600),
+    dtype=st.sampled_from([np.float32, np.float64, np.int64, np.int16]),
+)
+def test_int16_narrowing_matches_required_bits(seed, size, dtype):
+    """classify narrows every operand to int16; over the whole supported
+    range [-32767, 32767] its buckets equal a required_bits reference for
+    every input dtype - band edges, the range ends and -0.0 included."""
+    from repro.core.bitwidth import classify_many
+
+    rng = np.random.default_rng(seed)
+    edges = np.array([0, -8, 7, -9, 8, 1, -1, 32767, -32767], dtype=np.int64)
+    ints = np.concatenate([edges, rng.integers(-32767, 32768, size=size)])
+    values = ints.astype(dtype)
+    if values.dtype.kind == "f":
+        values[0] = -0.0
+    bits = required_bits(ints)
+    expected = BitWidthStats(
+        total=ints.size,
+        zero=int(np.count_nonzero(bits == 0)),
+        low=int(np.count_nonzero((bits > 0) & (bits <= 4))),
+        high=int(np.count_nonzero(bits > 4)),
+    )
+    assert classify(values) == expected
+    half = values.size // 2
+    assert classify_many(values[:half], values[half:]) == expected
+
+
+def test_quantized_layers_reject_more_than_15_bits():
+    from repro.quant.qlayers import QLayerBase
+
+    QLayerBase(bits=15)
+    with pytest.raises(ValueError, match="15-bit"):
+        QLayerBase(bits=16)

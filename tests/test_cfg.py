@@ -9,6 +9,7 @@ even with guidance enabled.
 
 import numpy as np
 import pytest
+from helpers import assert_temporal_state_held
 
 from repro.core.modes import ExecutionMode
 from repro.diffusion import DiffusionSchedule, GenerationPipeline, make_sampler
@@ -16,7 +17,6 @@ from repro.models import build_text_encoder
 from repro.models.unet import UNet
 from repro.nn import Module
 from repro.quant import (
-    iter_qlayers,
     quantize_model,
     reset_model_state,
     set_model_mode,
@@ -175,6 +175,5 @@ def test_cfg_ditto_bit_exact():
     dense = run(ExecutionMode.DENSE)
     temporal = run(ExecutionMode.TEMPORAL)
     # State is held, so every call after the first ran on differences.
-    for name, q in iter_qlayers(qmodel):
-        assert q._prev_q_in is not None or getattr(q, "_prev", None), name
+    assert_temporal_state_held(qmodel)
     np.testing.assert_allclose(temporal, dense, rtol=1e-9, atol=1e-12)

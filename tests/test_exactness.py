@@ -9,12 +9,12 @@ every model family - UNets, cross-attention UNets, and adaLN transformers.
 
 import numpy as np
 import pytest
+from helpers import assert_temporal_state_held
 
 from repro.core.modes import ExecutionMode
 from repro.diffusion import DiffusionSchedule, GenerationPipeline, make_sampler
 from repro.models import UNet, build_dit, build_text_encoder
 from repro.quant import (
-    iter_qlayers,
     quantize_model,
     reset_model_state,
     set_model_mode,
@@ -33,12 +33,6 @@ def run_pipeline(qmodel, pipeline, mode, seed=9):
     if mode is ExecutionMode.TEMPORAL:
         assert_temporal_state_held(qmodel)
     return out
-
-
-def assert_temporal_state_held(qmodel):
-    """Every layer kept state, so every call after the first differenced."""
-    for name, q in iter_qlayers(qmodel):
-        assert q._prev_q_in is not None or getattr(q, "_prev", None), name
 
 
 def small_unet(block_type, context_dim=None, seed=3):

@@ -102,6 +102,26 @@ def test_qlinear_shape_change_resets_diff(rng):
     assert out.shape == (3, 4)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 5000),
+    out_features=st.integers(1, 70),
+    magnitude=st.sampled_from([1e-6, 1.0, 3e4]),
+    per_channel=st.booleans(),
+)
+def test_qlinear_weight_matches_clipped_reference(seed, out_features, magnitude, per_channel):
+    """Weight quantization writes the GEMM-native (in, out) copy directly
+    and skips the clip: the grid must still equal the clipped reference."""
+    rng = np.random.default_rng(seed)
+    weight = rng.normal(size=(out_features, 9)) * magnitude
+    weight[0, 0] = 0.0
+    q = QLinear(weight, None, per_channel=per_channel)
+    scale = np.asarray(q.weight_scale).reshape(-1, 1)
+    expected = np.clip(np.rint(weight / scale), -128, 127)
+    np.testing.assert_array_equal(q.q_weight, expected)
+    assert q.q_weight.T.flags.c_contiguous and q.q_weight.dtype == np.float32
+
+
 # ---------------------------------------------------------------------------
 # QConv2d
 # ---------------------------------------------------------------------------
@@ -260,6 +280,131 @@ def test_qattention_cross_single_sub_op(rng):
 
 
 # ---------------------------------------------------------------------------
+# self-attention's shared Q/K/V projection
+# ---------------------------------------------------------------------------
+
+def _clustered(x0, num_steps=4):
+    """A two-cluster TDQ quantizer whose grid changes at step 2."""
+    from repro.quant import TimestepClusteredQuantizer
+
+    quant = TimestepClusteredQuantizer(8, num_clusters=2)
+    quant.configure(num_steps)
+    quant.observe_step(x0, 0)
+    quant.observe_step(3.0 * x0, num_steps - 1)
+    quant.freeze_clusters()
+    return quant
+
+
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("quantizer", ["sticky", "clustered"])
+@pytest.mark.parametrize("mode", [ExecutionMode.DENSE, ExecutionMode.TEMPORAL])
+def test_shared_qkv_projection_matches_unfused_reference(mode, quantizer, per_channel):
+    """The fused Q/K/V projection's outputs (seen through the children's
+    forward hooks) and trace records equal three standalone QLinear
+    forwards of the same weights, step by step."""
+    from repro.quant import set_active_step
+
+    rng = np.random.default_rng(17)
+    fp = Attention(8, num_heads=2, rng=rng)
+    fused = QAttention.from_float(fp, per_channel=per_channel)
+    fused.layer_name = "attn"
+    refs = [
+        QLinear.from_float(proj, per_channel=per_channel)
+        for proj in (fp.to_q, fp.to_k, fp.to_v)
+    ]
+    x = rng.normal(size=(2, 5, 8))
+    if quantizer == "clustered":
+        fused.share_projection_quantizer(_clustered(x))
+        for ref in refs:
+            ref.input_quant = _clustered(x)
+    fused.mode = mode
+    for child in (fused.to_q, fused.to_k, fused.to_v, fused.to_out):
+        child.mode = mode
+    for ref, suffix in zip(refs, ("to_q", "to_k", "to_v")):
+        ref.mode = mode
+        ref.layer_name = f"attn.{suffix}"
+    seen = {}
+    for name in ("to_q", "to_k", "to_v"):
+        getattr(fused, name).register_forward_hook(
+            lambda module, args, out, name=name: seen.__setitem__(name, (args, out))
+        )
+    executed = []
+    try:
+        for step in range(4):
+            set_active_step(step)
+            with TraceRecorder() as rec_fused:
+                fused(x)
+            with TraceRecorder() as rec_ref:
+                expected = [ref(x) for ref in refs]
+            for name, want in zip(("to_q", "to_k", "to_v"), expected):
+                args, got = seen[name]
+                assert args[0] is x
+                np.testing.assert_array_equal(got, want)
+            projections = [
+                r for r in rec_fused.trace if r.layer_name.split(".")[-1] in seen
+            ]
+            assert projections == list(rec_ref.trace)
+            executed.append(projections[0].executed_mode)
+            x = x + rng.normal(0.0, 0.05, size=x.shape)
+    finally:
+        set_active_step(None)
+    if mode is ExecutionMode.DENSE:
+        assert executed == [ExecutionMode.DENSE] * 4
+    elif quantizer == "clustered":  # the grid changes at step 2: one dense re-run
+        assert executed == [ExecutionMode.DENSE, ExecutionMode.TEMPORAL] * 2
+    else:
+        assert executed == [ExecutionMode.DENSE] + [ExecutionMode.TEMPORAL] * 3
+
+
+def test_shared_qkv_projection_stores_each_weight_once(rng):
+    fp = Attention(8, num_heads=2, rng=rng)
+    q = QAttention.from_float(fp)
+    stacked = q._qkv_weight.T
+    assert stacked.flags.c_contiguous and stacked.shape == (8, 24)
+    children = (q.to_q, q.to_k, q.to_v)
+    for i, child in enumerate(children):
+        assert child.q_weight.base is q._qkv_weight.base  # one allocation
+        np.testing.assert_array_equal(child.q_weight, stacked[:, 8 * i : 8 * i + 8].T)
+        assert child.input_quant is q.input_quant
+    # A standalone projection is GEMM-native: (in, out) C-contiguous storage.
+    assert q.to_out.q_weight.T.flags.c_contiguous
+
+
+def test_shared_qkv_state_lives_on_the_attention(rng):
+    fp = Attention(8, num_heads=2, rng=rng)
+    q = QAttention.from_float(fp)
+    q.mode = ExecutionMode.TEMPORAL
+    q(rng.normal(size=(1, 5, 8)))
+    assert q._prev_q_in is not None and q._prev_out_int.shape == (1, 5, 24)
+    for child in (q.to_q, q.to_k, q.to_v):
+        assert child._prev_q_in is None and child._prev_out_int is None
+    q.reset_state()
+    assert q._prev_q_in is None and q._prev_out_int is None
+
+
+def test_static_analysis_verdicts_see_the_shared_projection():
+    """The fused projection fires its children's forward hooks, so the Defo
+    graph pass still sees SDM's self-attention Q/K/V read the LayerNorm."""
+    from repro.core import DittoEngine
+    from repro.workloads.suite import get_benchmark
+
+    engine = DittoEngine.from_benchmark(get_benchmark("SDM"), num_steps=2, calibrate=False)
+    info = engine.analyze_graph()
+    selfs = [
+        name for name, q in iter_qlayers(engine.qmodel)
+        if isinstance(q, QAttention) and not q.is_cross
+    ]
+    assert selfs
+    for attn in selfs:
+        for suffix in ("to_q", "to_k", "to_v"):
+            verdict = info[f"{attn}.{suffix}"]
+            assert verdict.producer_kind == "layernorm", verdict
+            assert not verdict.chained_input
+            assert verdict.nonlinear_after
+        assert info[f"{attn}.to_out"].chained_input
+
+
+# ---------------------------------------------------------------------------
 # quantize_model
 # ---------------------------------------------------------------------------
 
@@ -298,6 +443,21 @@ def test_quantize_model_applies_calibration():
     qmodel = quantize_model(model, calibration={"conv_in": 0.125})
     layers = dict(iter_qlayers(qmodel))
     assert layers["conv_in"].input_quant.scale == 0.125
+
+
+def test_quantize_model_rejects_mismatched_qkv_grids():
+    model = _tiny_unet()
+    qmodel = quantize_model(_tiny_unet())
+    attn = next(
+        name for name, q in iter_qlayers(qmodel)
+        if isinstance(q, QAttention) and not q.is_cross
+    )
+    equal = {f"{attn}.{s}": 0.05 for s in ("to_q", "to_k", "to_v")}
+    quantize_model(_tiny_unet(), calibration=equal)  # one grid: accepted
+    with pytest.raises(ValueError, match="different grids"):
+        quantize_model(model, calibration={**equal, f"{attn}.to_k": 0.06})
+    with pytest.raises(ValueError, match="different grids"):
+        quantize_model(_tiny_unet(), calibration={f"{attn}.to_q": 0.05})
 
 
 def test_set_mode_and_reset_state_helpers(rng):
