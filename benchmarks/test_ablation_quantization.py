@@ -14,7 +14,7 @@ Two studies beyond the paper's figures:
 
 import numpy as np
 
-from repro.core import DittoEngine, lower_temporal
+from repro.core import DittoEngine, EngineConfig, lower_temporal
 from repro.core.bitwidth import BitWidthStats
 from repro.workloads import get_benchmark
 
@@ -44,11 +44,13 @@ def test_ablation_step_cluster_count(benchmark, record_result):
             else:
                 engine = DittoEngine.from_model(
                     spec.build_model(),
-                    sampler_name=spec.sampler,
-                    num_steps=STEPS,
+                    EngineConfig(
+                        num_steps=STEPS,
+                        step_clusters=clusters,
+                        sampler=spec.sampler,
+                    ),
                     sample_shape=spec.sample_shape,
                     conditioning=spec.build_conditioning(),
-                    step_clusters=clusters,
                     benchmark=spec.name,
                 )
             result = engine.run(seed=0)

@@ -8,7 +8,7 @@ Ditto's speedup - quantifying the regime in which the paper's mechanism
 pays off.
 """
 
-from repro.core import DittoEngine
+from repro.core import DittoEngine, EngineConfig
 from repro.core.bitwidth import BitWidthStats
 from repro.hw import DesignPoint, evaluate_designs
 from repro.workloads import get_benchmark
@@ -23,8 +23,7 @@ def _run(sampler: str, steps: int):
     spec = get_benchmark("DDPM")
     engine = DittoEngine.from_model(
         spec.build_model(),
-        sampler_name=sampler,
-        num_steps=steps,
+        EngineConfig(num_steps=steps, sampler=sampler),
         sample_shape=spec.sample_shape,
         conditioning=spec.build_conditioning(),
         benchmark=f"DDPM-{sampler}{steps}",

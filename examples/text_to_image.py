@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from repro.core import DittoEngine
+from repro.core import DittoEngine, EngineConfig
 from repro.diffusion import DiffusionSchedule, GenerationPipeline, make_sampler
 from repro.metrics import FeatureExtractor, clip_score, snr_db
 from repro.models import build_conditional_unet, build_text_encoder, build_vae
@@ -51,15 +51,12 @@ def main() -> None:
     # -- Ditto trajectory (quantized + temporal difference processing) -------
     engine = DittoEngine.from_model(
         build_conditional_unet(seed=13),
-        sampler_name="plms",
-        num_steps=spec.num_steps,
+        EngineConfig(num_steps=spec.num_steps, guidance_scale=guidance, sampler="plms"),
         sample_shape=spec.sample_shape,
         conditioning={"context": context},
+        uncond_conditioning=uncond,
         benchmark="SDM",
     )
-    if guidance:
-        engine.pipeline.guidance_scale = guidance
-        engine.pipeline.uncond_conditioning = uncond
     result = engine.run(seed=0)
     print(result.summary())
 

@@ -115,12 +115,11 @@ class BenchmarkStudy:
 
 def run_study(
     benchmark: str,
-    num_steps: Optional[int] = None,
     designs: Optional[List[DesignPoint]] = None,
     seed: int = 0,
-    step_clusters: int = 1,
     batch_size: int = 1,
     engine_result: Optional[EngineResult] = None,
+    **axes,
 ) -> BenchmarkStudy:
     """Run one benchmark end to end and evaluate the hardware designs.
 
@@ -129,15 +128,14 @@ def run_study(
     :class:`repro.runtime.EngineRunner` and only the hardware-design
     post-processing is performed.  ``batch_size`` sizes the generated batch
     of a fresh run (per-batch-element temporal state keeps the Ditto
-    statistics valid at any batch size).
+    statistics valid at any batch size); ``axes`` override the engine's
+    build axes (:class:`~repro.core.config.EngineConfig` fields).
     """
     spec = get_benchmark(benchmark)
     if engine_result is not None:
         result = engine_result
     else:
-        engine = DittoEngine.from_benchmark(
-            spec, num_steps=num_steps, step_clusters=step_clusters
-        )
+        engine = DittoEngine.from_benchmark(spec, **axes)
         result = engine.run(batch_size=batch_size, seed=seed)
     design_results = evaluate_designs(designs or FIG13_DESIGNS, result.rich_trace)
     return BenchmarkStudy(

@@ -24,9 +24,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import profiling
-from .core import DittoEngine
+from .core import DittoEngine, EngineConfig
 from .core.bitwidth import clear_classification_pool
-from .defaults import resolve_calibration_dtype
+from .core.config import DEFAULT_CALIBRATION_DTYPE
 from .runtime import ResultCache, default_cache_dir, normalize_batch_sizes
 from .runtime.hashing import engine_key
 from .scratch import clear_scratch
@@ -89,7 +89,9 @@ def _median_phases(per_repeat: List[Dict[str, float]]) -> Dict[str, float]:
 
 def _bench_one_batch_size(
     spec,
-    params: Dict[str, object],
+    config: EngineConfig,
+    seed: int,
+    batch: int,
     repeats: int,
     cache_dir,
 ) -> Dict[str, object]:
@@ -132,19 +134,10 @@ def _bench_one_batch_size(
         clear_pools()  # measure each repeat from a cold scratch state
         with profiling.profile() as build_prof:
             t0 = time.perf_counter()
-            engine = DittoEngine.from_benchmark(
-                spec,
-                num_steps=params["num_steps"],
-                calibrate=params["calibrate"],
-                calibration_seed=params["calibration_seed"],
-                step_clusters=params["step_clusters"],
-                calibration_dtype=params.get("calibration_dtype"),
-            )
+            engine = DittoEngine.from_benchmark(spec, **config.axes())
             t1 = time.perf_counter()
         with profiling.profile() as run_prof:
-            result = engine.run(
-                batch_size=params["batch_size"], seed=params["seed"]
-            )
+            result = engine.run(batch_size=batch, seed=seed)
             t2 = time.perf_counter()
         cold_runs.append(
             {
@@ -169,7 +162,7 @@ def _bench_one_batch_size(
     # Warm path: persist the result, then time the cache read that a warm
     # sweep / benchmark session would perform instead of rebuilding.
     cache = ResultCache(cache_dir or default_cache_dir())
-    key = engine_key(spec, **params)
+    key = engine_key(spec, seed=seed, batch_size=batch, **config.axes())
     cache.put(key, result)
     t0 = time.perf_counter()
     loaded = cache.get(key)
@@ -178,13 +171,11 @@ def _bench_one_batch_size(
         warm_s = None  # null in JSON; NaN would break strict parsers
 
     trace = result.rich_trace
-    batch = int(params["batch_size"])
 
     # Plan-then-execute: the plan-replay run phase vs the plain-forward
     # floor, both steady-state.  One untimed record_trace=False run first so
     # the one-time sticky-scale probe forward is excluded from every timed
     # repeat (a serving loop pays it once, not per run).
-    seed = params["seed"]
     engine.run(batch_size=batch, seed=seed, record_trace=False)
     plain_times = []
     for _ in range(max(repeats, 1)):
@@ -252,20 +243,15 @@ def bench_benchmark(
     # duplicated size would re-run the cold measurement and silently
     # overwrite its by_batch_size entry.
     sizes = normalize_batch_sizes(batch_sizes or [1], preserve_order=True)
-    by_size: Dict[str, Dict[str, object]] = {}
-    for size in sizes:
-        # One params dict drives BOTH the engine construction and the cache
-        # key, so the stored entry can never claim parameters not used.
-        params = {
-            "num_steps": num_steps if num_steps is not None else spec.num_steps,
-            "calibrate": True,
-            "calibration_seed": 11,
-            "step_clusters": 1,
-            "seed": seed,
-            "batch_size": size,
-            "calibration_dtype": calibration_dtype,
-        }
-        by_size[str(size)] = _bench_one_batch_size(spec, params, repeats, cache_dir)
+    # One config drives BOTH the engine construction and the cache key, so
+    # the stored entry can never claim parameters not used.
+    config = EngineConfig.resolve(
+        spec, num_steps=num_steps, calibration_dtype=calibration_dtype
+    )
+    by_size: Dict[str, Dict[str, object]] = {
+        str(size): _bench_one_batch_size(spec, config, seed, size, repeats, cache_dir)
+        for size in sizes
+    }
     headline = by_size[str(sizes[0])]
     record = {
         key: headline[key]
@@ -334,12 +320,10 @@ def run_bench(
             "seed": seed,
             "num_steps": num_steps,
             "batch_sizes": sizes,
-            # The run-level default through the one shared resolution rule;
-            # per-spec float64 pins (if a spec carries one) are reflected in
-            # each engine's cache key, not re-recorded here.
-            "calibration_dtype": resolve_calibration_dtype(
-                None, calibration_dtype
-            ),
+            # The run-level default; per-spec float64 pins (if a spec
+            # carries one) are reflected in each engine's cache key, not
+            # re-recorded here.
+            "calibration_dtype": calibration_dtype or DEFAULT_CALIBRATION_DTYPE,
         },
         "benchmarks": results,
     }

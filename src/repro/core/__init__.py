@@ -8,6 +8,7 @@ from .bops import (
     relative_bops,
     trace_bops,
 )
+from .config import EngineConfig
 from .defo import DefoReport, run_defo, run_ideal
 from .engine import DittoEngine, EngineResult
 from .session import EngineSession
@@ -63,6 +64,7 @@ __all__ = [
     "LayerStaticInfo",
     "analyze_model",
     "DittoEngine",
+    "EngineConfig",
     "EngineResult",
     "EngineSession",
     "ActivationCapture",

@@ -37,6 +37,7 @@ from ..nn.module import Module
 # repro.quant here therefore breaks ``import repro.quant`` whenever quant
 # is the first repro package touched (partially-initialized-module
 # ImportError).  Every method below needs them only at execution time.
+from .config import EngineConfig
 from .graphinfo import GraphAnalyzer, LayerStaticInfo
 from .modes import ExecutionMode
 from .trace import RichTrace, TraceRecorder
@@ -75,12 +76,13 @@ class DittoEngine:
         self,
         qmodel: Module,
         pipeline: GenerationPipeline,
+        config: EngineConfig,
         benchmark: str = "custom",
     ) -> None:
         self.qmodel = qmodel
         self.pipeline = pipeline
+        self.config = config
         self.benchmark = benchmark
-        self.step_clusters = 1
         self._session = None  # the open EngineSession, if any
 
     # -- constructors ------------------------------------------------------
@@ -88,78 +90,67 @@ class DittoEngine:
     def from_model(
         cls,
         fp_model: Module,
-        sampler_name: str,
-        num_steps: int,
+        config: EngineConfig,
         sample_shape,
         conditioning: Optional[dict] = None,
-        num_train_steps: int = 1000,
-        calibrate: bool = True,
-        benchmark: str = "custom",
-        calibration_seed: int = 11,
-        step_clusters: int = 1,
-        guidance_scale: Optional[float] = None,
         uncond_conditioning: Optional[dict] = None,
-        sampler_eta: Optional[float] = None,
-        calibration_dtype: Optional[str] = None,
+        benchmark: str = "custom",
+        num_train_steps: int = 1000,
     ) -> "DittoEngine":
-        """Quantize ``fp_model`` (optionally trajectory-calibrated) and wrap it.
+        """Quantize ``fp_model`` as ``config`` says and wrap it.
 
-        ``calibrate=True`` runs one FP32 trajectory first (Q-Diffusion-style
-        offline calibration) so input scales cover the whole value drift.
-        ``step_clusters > 1`` switches to timestep-clustered quantization
-        (TDQ synergy, see :mod:`repro.quant.tdq`): each cluster of steps gets
-        its own, tighter scale, and the engine re-runs one dense step at each
-        cluster boundary.  ``guidance_scale`` enables classifier-free
-        guidance (the calibration trajectory then covers the stacked
-        [cond; uncond] layout the serving run uses).  ``sampler_eta``
-        selects stochastic DDIM (eta > 0 posterior noise).  The model is
-        quantized *in place*.
-
-        ``calibration_dtype`` selects the precision of the calibration
-        trajectory: ``"float32"`` (the default fast path - the observed
-        peaks move by ulps, far below quantization resolution; see
-        :func:`repro.quant.calibration.calibration_precision`) or
-        ``"float64"`` for the legacy exact trajectory.
+        ``config.calibrate`` runs one trajectory first (Q-Diffusion-style
+        offline calibration) so input scales cover the whole value drift, in
+        ``config.calibration_dtype`` precision (see
+        :func:`repro.quant.calibration.calibration_precision`).
+        ``config.step_clusters > 1`` switches to timestep-clustered
+        quantization (TDQ synergy, see :mod:`repro.quant.tdq`): each cluster
+        of steps gets its own, tighter scale, and the engine re-runs one
+        dense step at each cluster boundary.  ``config.guidance_scale``
+        enables classifier-free guidance over ``uncond_conditioning`` (the
+        calibration trajectory then covers the stacked [cond; uncond] layout
+        the serving run uses).  The model is quantized *in place*; the
+        engine records ``config`` as ``engine.config``.
         """
         schedule = DiffusionSchedule(num_train_steps)
-        sampler = make_sampler(sampler_name, schedule, num_steps, eta=sampler_eta)
+        sampler = make_sampler(
+            config.sampler, schedule, config.num_steps, eta=config.sampler_eta
+        )
         pipeline = GenerationPipeline(
             fp_model,
             sampler,
             sample_shape,
             conditioning,
-            guidance_scale=guidance_scale,
+            guidance_scale=config.guidance_scale,
             uncond_conditioning=uncond_conditioning,
         )
-        from ..defaults import resolve_calibration_dtype
         from ..quant.calibration import calibrate_model, calibration_precision
         from ..quant.qlayers import quantize_model
 
-        rng = np.random.default_rng(calibration_seed)
-        cal_dtype = resolve_calibration_dtype(None, calibration_dtype)
+        rng = np.random.default_rng(config.calibration_seed)
 
         def run_trajectory():
             with profiling.phase("trajectory"):
                 return pipeline.generate(1, rng)
 
-        if step_clusters > 1:
+        if config.step_clusters > 1:
             from ..quant.calibration import calibrate_model_clustered
 
             # The trajectory's steps announce their denoiser-call indices,
             # which bucket the observed ranges by cluster.
-            with calibration_precision(fp_model, pipeline, cal_dtype):
+            with calibration_precision(fp_model, pipeline, config.calibration_dtype):
                 with profiling.phase("calibration"):
                     quantizers = calibrate_model_clustered(
                         fp_model,
                         run_trajectory,
                         num_steps=pipeline.num_model_calls(),
-                        num_clusters=step_clusters,
+                        num_clusters=config.step_clusters,
                     )
             with profiling.phase("quantize"):
                 qmodel = quantize_model(fp_model, input_quantizers=quantizers)
         else:
-            if calibrate:
-                with calibration_precision(fp_model, pipeline, cal_dtype):
+            if config.calibrate:
+                with calibration_precision(fp_model, pipeline, config.calibration_dtype):
                     with profiling.phase("calibration"):
                         scales = calibrate_model(fp_model, run_trajectory)
             else:
@@ -167,64 +158,36 @@ class DittoEngine:
             with profiling.phase("quantize"):
                 qmodel = quantize_model(fp_model, calibration=scales)
         pipeline.model = qmodel
-        engine = cls(qmodel, pipeline, benchmark=benchmark)
-        engine.step_clusters = step_clusters
-        return engine
+        return cls(qmodel, pipeline, config, benchmark=benchmark)
 
     @classmethod
-    def from_benchmark(
-        cls,
-        spec,
-        num_steps: Optional[int] = None,
-        calibrate: bool = True,
-        calibration_seed: int = 11,
-        step_clusters: int = 1,
-        guidance_scale: Optional[float] = None,
-        sampler: Optional[str] = None,
-        sampler_eta: Optional[float] = None,
-        calibration_dtype: Optional[str] = None,
-    ) -> "DittoEngine":
+    def from_benchmark(cls, spec, **axes) -> "DittoEngine":
         """Build an engine from a Table I :class:`BenchmarkSpec`.
 
-        ``guidance_scale`` overrides the spec's default guidance; passing a
-        value requires the spec to provide ``build_uncond_conditioning``
-        (e.g. the empty-prompt embedding for text-conditional benchmarks).
-        ``sampler`` / ``sampler_eta`` override the spec's sampler (e.g. to
-        serve a benchmark under stochastic DDPM ancestral sampling).
-        ``calibration_dtype`` overrides the spec's calibration-trajectory
-        precision (default: the float32 fast path; ``"float64"`` is the
-        escape hatch - see :meth:`from_model`).
+        ``axes`` override the spec's build axes by :class:`EngineConfig`
+        field name (``num_steps``, ``sampler``, ``calibrate``, ...); see
+        :meth:`EngineConfig.resolve`.  A guidance scale, from the spec or
+        passed, requires the spec's ``build_uncond_conditioning`` (e.g. the
+        empty-prompt embedding for text-conditional benchmarks).
         """
-        from ..defaults import resolve_calibration_dtype
-
         fp_model = spec.build_model()
         conditioning = spec.build_conditioning()
-        calibration_dtype = resolve_calibration_dtype(spec, calibration_dtype)
-        if guidance_scale is None:
-            guidance_scale = getattr(spec, "guidance_scale", None)
+        config = EngineConfig.resolve(spec, **axes)
         uncond_conditioning = None
-        if guidance_scale is not None:
-            build_uncond = getattr(spec, "build_uncond_conditioning", None)
-            if build_uncond is None:
+        if config.guidance_scale is not None:
+            if spec.build_uncond_conditioning is None:
                 raise ValueError(
                     f"benchmark {spec.name!r} has no build_uncond_conditioning; "
                     "classifier-free guidance needs an unconditional branch"
                 )
-            uncond_conditioning = build_uncond()
+            uncond_conditioning = spec.build_uncond_conditioning()
         return cls.from_model(
             fp_model,
-            sampler_name=sampler or spec.sampler,
-            sampler_eta=sampler_eta,
-            num_steps=num_steps or spec.num_steps,
-            sample_shape=spec.sample_shape,
-            conditioning=conditioning,
-            calibrate=calibrate,
-            benchmark=spec.name,
-            calibration_seed=calibration_seed,
-            step_clusters=step_clusters,
-            guidance_scale=guidance_scale,
+            config,
+            spec.sample_shape,
+            conditioning,
             uncond_conditioning=uncond_conditioning,
-            calibration_dtype=calibration_dtype,
+            benchmark=spec.name,
         )
 
     # -- static analysis -----------------------------------------------------

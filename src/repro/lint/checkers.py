@@ -1,10 +1,10 @@
-"""The repo-specific invariant checkers (RPL001, RPL003-RPL006, RPL011).
+"""The repo-specific invariant checkers (RPL001, RPL004-RPL006, RPL011).
 
 Each rule encodes a contract that a past PR violated by hand before being
 fixed by inspection; see README "Invariants & static checks" for the full
 contract table and suppression instructions.  The dataflow-backed rules
 (RPL007-RPL010) live in :mod:`repro.lint.dataflow.rules`;
-:func:`default_checkers` returns all ten.
+:func:`default_checkers` returns all nine.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .framework import Checker, Finding, Project, SourceFile
 
 __all__ = [
     "DtypePromotionChecker",
-    "SpecCacheKeyChecker",
     "ProfilerPhaseChecker",
     "GemmLayoutChecker",
     "SwallowedExceptionChecker",
@@ -289,91 +288,6 @@ class DtypePromotionChecker(Checker):
                 f"wrap in float(...)"
             ),
         )
-
-
-# ---------------------------------------------------------------------------
-# RPL003 - every BenchmarkSpec field feeds the cache key
-# ---------------------------------------------------------------------------
-
-
-class SpecCacheKeyChecker(Checker):
-    """RPL003: spec fields must be consumed by both cache-key producers.
-
-    PR 5 had to thread ``calibration_dtype`` into ``engine_key`` by hand to
-    stop differently-calibrated engines from aliasing one cache entry.  Any
-    ``BenchmarkSpec`` dataclass field must be referenced by
-    ``BenchmarkSpec.signature()`` *and* by the duck-typing fallback in
-    ``repro.runtime.hashing.spec_signature`` (which ``engine_key`` consumes).
-    """
-
-    rule = "RPL003"
-    title = "BenchmarkSpec field missing from the cache-key signature"
-
-    spec_suffix = "workloads/suite.py"
-    hashing_suffix = "runtime/hashing.py"
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        spec_file = project.find(self.spec_suffix)
-        hashing_file = project.find(self.hashing_suffix)
-        if spec_file is None or hashing_file is None:
-            return []
-        spec_cls = self._find_class(spec_file.tree, "BenchmarkSpec")
-        if spec_cls is None:
-            return []
-        fields = self._dataclass_fields(spec_cls)
-        signature = self._find_function(spec_cls, "signature")
-        fallback = self._find_function(hashing_file.tree, "spec_signature")
-        findings: List[Finding] = []
-        for name, line in fields:
-            missing = []
-            if signature is not None and not self._references(signature, name):
-                missing.append("BenchmarkSpec.signature()")
-            if fallback is not None and not self._references(fallback, name):
-                missing.append("runtime.hashing.spec_signature()")
-            if missing:
-                findings.append(
-                    Finding(
-                        path=spec_file.rel_path,
-                        line=line,
-                        rule=self.rule,
-                        message=(
-                            f"spec field {name!r} is not consumed by "
-                            f"{' or '.join(missing)}; new knobs must reach the "
-                            f"engine cache key or cached engines alias"
-                        ),
-                    )
-                )
-        return findings
-
-    def _find_class(self, tree: ast.AST, name: str) -> Optional[ast.ClassDef]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == name:
-                return node
-        return None
-
-    def _find_function(self, tree: ast.AST, name: str) -> Optional[ast.FunctionDef]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == name:
-                return node
-        return None
-
-    def _dataclass_fields(self, cls: ast.ClassDef) -> List[Tuple[str, int]]:
-        fields = []
-        for node in cls.body:
-            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                annotation = ast.unparse(node.annotation) if node.annotation else ""
-                if "ClassVar" in annotation:
-                    continue
-                fields.append((node.target.id, node.lineno))
-        return fields
-
-    def _references(self, fn: ast.FunctionDef, name: str) -> bool:
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Attribute) and node.attr == name:
-                return True
-            if isinstance(node, ast.Constant) and node.value == name:
-                return True
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +708,6 @@ def default_checkers() -> List[Checker]:
 
     return [
         DtypePromotionChecker(),
-        SpecCacheKeyChecker(),
         ProfilerPhaseChecker(),
         GemmLayoutChecker(),
         SwallowedExceptionChecker(),

@@ -29,7 +29,6 @@ from .hashing import (
     engine_key,
     plan_key,
     similarity_key,
-    spec_signature,
     stable_hash,
 )
 from .runner import SIMILARITY_MAX_STEPS, EngineRunner, normalize_batch_sizes
@@ -85,6 +84,5 @@ __all__ = [
     "pool_budget_row_cap",
     "similarity_key",
     "simulate_serving",
-    "spec_signature",
     "stable_hash",
 ]

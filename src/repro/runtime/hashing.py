@@ -5,14 +5,19 @@ A cache key must be reproducible across processes and sessions (so a second
 change whenever anything that influences the computed result changes:
 
 * the benchmark specification (model family, sampler, step counts, shapes),
-* the run parameters (step overrides, clustering, calibration/run seeds,
-  batch size),
+* the engine's build axes - one resolved
+  :class:`~repro.core.config.EngineConfig` - plus the run axes of the
+  result kind (run seed and batch size, plan derivation parameters),
 * the code that produces the numbers.
 
 The last point is covered by :func:`code_fingerprint`, which hashes the
 source of every module in the ``repro`` package plus the cache schema
 version.  Editing any source file therefore invalidates all prior entries -
 the blunt but safe interpretation of "code-relevant config".
+
+Every engine-derived key is one function, :func:`_key`, over ``(kind,
+spec.signature(), config, run axes)``; the build axes are listed once, in
+:class:`EngineConfig`.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ import hashlib
 import inspect
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
-from ..defaults import resolve_calibration_dtype
+from ..core.config import EngineConfig
 from ..nn.backends import get_backend
 
 __all__ = [
@@ -32,7 +37,6 @@ __all__ = [
     "callable_fingerprint",
     "code_fingerprint",
     "stable_hash",
-    "spec_signature",
     "engine_key",
     "engine_build_key",
     "plan_key",
@@ -40,8 +44,9 @@ __all__ = [
 ]
 
 # Bump when the cached payload layout changes (e.g. new EngineResult fields
-# that old pickles would silently lack).
-CACHE_SCHEMA_VERSION = 1
+# that old pickles would silently lack).  2: pickled engines carry their
+# EngineConfig, and every key hashes the resolved config.
+CACHE_SCHEMA_VERSION = 2
 
 _CODE_FINGERPRINT: Optional[str] = None
 
@@ -90,8 +95,6 @@ def _normalize(obj: Any) -> Any:
         return [_normalize(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
-    if hasattr(obj, "signature"):
-        return _normalize(obj.signature())
     raise TypeError(f"cannot hash {type(obj).__name__!r} into a cache key")
 
 
@@ -101,164 +104,70 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def spec_signature(spec) -> Dict[str, Any]:
-    """Cache-relevant description of a :class:`BenchmarkSpec`-like object."""
-    if hasattr(spec, "signature"):
-        return spec.signature()
-    build = getattr(spec, "build_model", None)
-    build_cond = getattr(spec, "build_conditioning", None)
-    build_uncond = getattr(spec, "build_uncond_conditioning", None)
-    return {
-        "name": spec.name,
-        "sampler": spec.sampler,
-        "num_steps": spec.num_steps,
-        # paper_steps feeds run-time step overrides ("paper steps" sweeps);
-        # a duck-typed spec without it inherits num_steps, matching how the
-        # engine falls back.
-        "paper_steps": getattr(spec, "paper_steps", None),
-        "sample_shape": list(spec.sample_shape),
-        "dataset": getattr(spec, "dataset", ""),
-        "latent": getattr(spec, "latent", False),
-        "is_video": getattr(spec, "is_video", False),
-        "builder": "" if build is None else callable_fingerprint(build),
-        # Conditioning builders shape the sampled trajectory just as much as
-        # the model builder; leaving them out aliased cached engines across
-        # differently-conditioned duck-typed specs.
-        "cond_builder": "" if build_cond is None else callable_fingerprint(build_cond),
-        "guidance_scale": getattr(spec, "guidance_scale", None),
-        "uncond_builder": (
-            "" if build_uncond is None else callable_fingerprint(build_uncond)
-        ),
-        # Normalized like BenchmarkSpec.signature(): an explicit default pin
-        # is behaviorally identical to None and must share cache entries.
-        "calibration_dtype": resolve_calibration_dtype(spec),
-    }
+def _key(kind: str, spec, axes: Mapping[str, Any], **run_axes: Any) -> str:
+    """The one key derivation: result kind, spec, the engine config the
+    axis overrides resolve to, and the kind's run axes."""
+    return stable_hash(
+        {
+            "kind": kind,
+            "code": code_fingerprint(),
+            "spec": spec.signature(),
+            "config": EngineConfig.resolve(spec, **axes).axes(),
+            **run_axes,
+        }
+    )
 
 
-def engine_key(
-    spec,
-    num_steps: Optional[int] = None,
-    calibrate: bool = True,
-    calibration_seed: int = 11,
-    step_clusters: int = 1,
-    seed: int = 0,
-    batch_size: int = 1,
-    guidance_scale: Optional[float] = None,
-    calibration_dtype: Optional[str] = None,
-) -> str:
+def engine_key(spec, seed: int = 0, batch_size: int = 1, **axes: Any) -> str:
     """Cache key for one instrumented :class:`EngineResult`.
 
-    ``calibration_dtype`` normalizes through the one shared
-    :func:`repro.defaults.resolve_calibration_dtype` rule -
-    exactly how ``DittoEngine.from_benchmark`` resolves it - so equivalent
-    invocations share one entry while differently-calibrated engines can
-    never collide.
+    ``axes`` are :class:`EngineConfig` overrides, resolved against the spec
+    exactly as ``DittoEngine.from_benchmark`` resolves them, so equivalent
+    invocations share one entry while differently-built engines never
+    collide.
     """
-    resolved_cal_dtype = resolve_calibration_dtype(spec, calibration_dtype)
-    return stable_hash(
-        {
-            "kind": "engine_result",
-            "code": code_fingerprint(),
-            "spec": spec_signature(spec),
-            "num_steps": num_steps,
-            "calibrate": calibrate,
-            "calibration_seed": calibration_seed,
-            "step_clusters": step_clusters,
-            "seed": seed,
-            "batch_size": batch_size,
-            "guidance_scale": guidance_scale,
-            "calibration_dtype": str(resolved_cal_dtype),
-        }
-    )
+    return _key("engine_result", spec, axes, seed=seed, batch_size=batch_size)
 
 
-def engine_build_key(
-    spec,
-    num_steps: Optional[int] = None,
-    calibrate: bool = True,
-    calibration_seed: int = 11,
-    step_clusters: int = 1,
-    guidance_scale: Optional[float] = None,
-    sampler: Optional[str] = None,
-    sampler_eta: Optional[float] = None,
-    calibration_dtype: Optional[str] = None,
-) -> str:
+def engine_build_key(spec, **axes: Any) -> str:
     """Cache key for one built :class:`DittoEngine` *object*.
 
-    Distinct from :func:`engine_key`: no run parameters (seed/batch size) -
-    the engine build is what crash recovery reloads, and the same build
-    serves any run.  Carries the sampler override because
-    ``DittoEngine.from_benchmark`` accepts one (the run-result key predates
-    that axis and never passes it).
+    No run axes: the engine build is what crash recovery reloads, and the
+    same build serves any run.
     """
-    resolved_cal_dtype = resolve_calibration_dtype(spec, calibration_dtype)
-    return stable_hash(
-        {
-            "kind": "engine_build",
-            "code": code_fingerprint(),
-            "spec": spec_signature(spec),
-            "num_steps": num_steps,
-            "calibrate": calibrate,
-            "calibration_seed": calibration_seed,
-            "step_clusters": step_clusters,
-            "guidance_scale": guidance_scale,
-            "sampler": sampler,
-            "sampler_eta": sampler_eta,
-            "calibration_dtype": str(resolved_cal_dtype),
-        }
-    )
+    return _key("engine_build", spec, axes)
 
 
 def plan_key(
     spec,
-    num_steps: Optional[int] = None,
-    calibrate: bool = True,
-    calibration_seed: int = 11,
-    step_clusters: int = 1,
-    guidance_scale: Optional[float] = None,
-    sampler: Optional[str] = None,
-    sampler_eta: Optional[float] = None,
-    calibration_dtype: Optional[str] = None,
-    backend: Optional[str] = None,
     derivation_seed: int = 0,
     derivation_batch_size: int = 1,
     hardware: str = "Ditto",
     plan_format: int = 1,
+    backend: Optional[str] = None,
+    **axes: Any,
 ) -> str:
     """Cache key for one :class:`~repro.core.plan.ExecutionPlan`.
 
-    Same engine-construction axes as :func:`engine_build_key` (a plan is a
-    property of the built engine, not of any one serving run), plus the
-    *derivation* run parameters (``derivation_seed`` /
-    ``derivation_batch_size`` - bitwidth stats depend on the sampled noise),
-    the Defo hardware model, and the plan payload format.  Embeds
-    :func:`code_fingerprint`, so every source edit strands stale plans
-    exactly like every other cache entry.
+    The engine config (a plan is a property of the built engine, not of
+    any one serving run), plus the *derivation* run parameters
+    (``derivation_seed`` / ``derivation_batch_size`` - bitwidth stats
+    depend on the sampled noise), the Defo hardware model, and the plan
+    payload format.
 
     ``backend`` names the compute path the plan was derived on; there is
     one, so it only accepts ``"reference"`` and leaves the key unchanged.
     """
     if backend is not None:
         get_backend(backend)  # raises ValueError for any other name
-    resolved_cal_dtype = resolve_calibration_dtype(spec, calibration_dtype)
-    return stable_hash(
-        {
-            "kind": "execution_plan",
-            "code": code_fingerprint(),
-            "spec": spec_signature(spec),
-            "num_steps": num_steps,
-            "calibrate": calibrate,
-            "calibration_seed": calibration_seed,
-            "step_clusters": step_clusters,
-            "guidance_scale": guidance_scale,
-            "sampler": sampler,
-            "sampler_eta": sampler_eta,
-            "calibration_dtype": str(resolved_cal_dtype),
-            "derivation_seed": derivation_seed,
-            "derivation_batch_size": derivation_batch_size,
-            "hardware": hardware,
-            "plan_format": plan_format,
-        }
+    return _key(
+        "execution_plan",
+        spec,
+        axes,
+        derivation_seed=derivation_seed,
+        derivation_batch_size=derivation_batch_size,
+        hardware=hardware,
+        plan_format=plan_format,
     )
 
 
@@ -268,7 +177,7 @@ def similarity_key(spec, num_steps: int, seed: int = 1) -> str:
         {
             "kind": "similarity_report",
             "code": code_fingerprint(),
-            "spec": spec_signature(spec),
+            "spec": spec.signature(),
             "num_steps": num_steps,
             "seed": seed,
         }

@@ -31,6 +31,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.config import EngineConfig
 from ..core.engine import DittoEngine, EngineResult
 from ..core.similarity import SimilarityReport, similarity_report
 from .cache import CacheStats, ResultCache, default_cache_dir
@@ -75,16 +76,14 @@ def _resolve_spec(spec_or_name: SpecOrName):
 
 
 def _compute_engine_result(spec, params: dict) -> EngineResult:
-    engine = DittoEngine.from_benchmark(
-        spec,
-        num_steps=params["num_steps"],
-        calibrate=params["calibrate"],
-        calibration_seed=params["calibration_seed"],
-        step_clusters=params["step_clusters"],
-        guidance_scale=params.get("guidance_scale"),
-        calibration_dtype=params.get("calibration_dtype"),
-    )
+    engine = DittoEngine.from_benchmark(spec, **params["config"])
     return engine.run(batch_size=params["batch_size"], seed=params["seed"])
+
+
+def _engine_result_key(spec, params: dict) -> str:
+    return engine_key(
+        spec, seed=params["seed"], batch_size=params["batch_size"], **params["config"]
+    )
 
 
 def _compute_similarity(spec, params: dict) -> SimilarityReport:
@@ -103,18 +102,23 @@ def _compute_similarity(spec, params: dict) -> SimilarityReport:
     )
 
 
+def _similarity_key(spec, params: dict) -> str:
+    return similarity_key(spec, **params)
+
+
 _COMPUTE = {
-    "engine": (_compute_engine_result, engine_key),
-    "similarity": (_compute_similarity, similarity_key),
+    "engine": (_compute_engine_result, _engine_result_key),
+    "similarity": (_compute_similarity, _similarity_key),
 }
 
 
 def _normalized_params(kind: str, spec, params: dict) -> dict:
     """Resolve defaults that depend on the spec, so equivalent invocations
     share one cache key (``num_steps=None`` vs the resolved step count)."""
+    if kind == "engine":
+        config = EngineConfig.resolve(spec, **params["config"])
+        return {**params, "config": config.axes()}
     if params.get("num_steps") is None:
-        if kind == "engine":
-            return {**params, "num_steps": spec.num_steps}
         return {**params, "num_steps": min(spec.num_steps, SIMILARITY_MAX_STEPS)}
     return params
 
@@ -126,7 +130,7 @@ def _run_one(
     compute, make_key = _COMPUTE[kind]
     spec = _resolve_spec(spec_or_name)
     params = _normalized_params(kind, spec, params)
-    key = make_key(spec, **params)
+    key = make_key(spec, params)
     value = cache.get(key)
     if value is None:
         value = compute(spec, params)
@@ -148,7 +152,14 @@ def _pool_worker(
 
 
 class EngineRunner:
-    """Runs benchmark engines across a process pool with a shared result cache."""
+    """Runs benchmark engines across a process pool with a shared result cache.
+
+    Every engine method takes the build axes as
+    :class:`~repro.core.config.EngineConfig` keyword overrides
+    (``num_steps=4``, ``calibrate=False``, ...), resolved once per spec;
+    pool workers receive the benchmark name, the resolved config fields
+    and the run's seed and batch size, all plain primitives.
+    """
 
     def __init__(
         self,
@@ -177,77 +188,36 @@ class EngineRunner:
     def run_benchmark(
         self,
         spec_or_name: SpecOrName,
-        num_steps: Optional[int] = None,
-        calibrate: bool = True,
-        calibration_seed: int = 11,
-        step_clusters: int = 1,
         seed: int = 0,
         batch_size: int = 1,
-        guidance_scale: Optional[float] = None,
-        calibration_dtype: Optional[str] = None,
+        **axes,
     ) -> EngineResult:
-        """One cached instrumented run (serial; use :meth:`run_suite` to fan out)."""
-        params = {
-            "num_steps": num_steps,
-            "calibrate": calibrate,
-            "calibration_seed": calibration_seed,
-            "step_clusters": step_clusters,
-            "seed": seed,
-            "batch_size": batch_size,
-            "guidance_scale": guidance_scale,
-            "calibration_dtype": calibration_dtype,
-        }
+        """One cached instrumented run (serial; use :meth:`run_suite` to fan out).
+
+        ``axes`` are :class:`~repro.core.config.EngineConfig` overrides.
+        """
+        params = {"config": axes, "seed": seed, "batch_size": batch_size}
         return _run_one("engine", spec_or_name, params, self._cache)[1]
 
-    def build_engine(
-        self,
-        spec_or_name: SpecOrName,
-        num_steps: Optional[int] = None,
-        calibrate: bool = True,
-        calibration_seed: int = 11,
-        step_clusters: int = 1,
-        guidance_scale: Optional[float] = None,
-        sampler: Optional[str] = None,
-        sampler_eta: Optional[float] = None,
-        calibration_dtype: Optional[str] = None,
-    ) -> DittoEngine:
+    def build_engine(self, spec_or_name: SpecOrName, **axes) -> DittoEngine:
         """One cached engine *build* (quantization + calibration, no run).
 
         This is the crash-recovery path of the serving tier: rebuilding a
         killed session's engine must be fast, so the built
         :class:`DittoEngine` object itself is stored in the
         content-addressed cache (engines are plain numpy + pure-Python
-        state, so they pickle; the key carries the source fingerprint and
-        every build parameter).  Builds are deterministic given the
-        calibration seed, so a cache miss rebuilds bit-identically - the
-        cache only buys warmth, never correctness.
+        state plus their :class:`~repro.core.config.EngineConfig`, so they
+        pickle; the key carries the source fingerprint and the resolved
+        config).  Builds are deterministic given the calibration seed, so a
+        cache miss rebuilds bit-identically - the cache only buys warmth,
+        never correctness.
         """
         spec = _resolve_spec(spec_or_name)
-        resolved_steps = num_steps if num_steps is not None else spec.num_steps
-        key = engine_build_key(
-            spec,
-            num_steps=resolved_steps,
-            calibrate=calibrate,
-            calibration_seed=calibration_seed,
-            step_clusters=step_clusters,
-            guidance_scale=guidance_scale,
-            sampler=sampler,
-            sampler_eta=sampler_eta,
-            calibration_dtype=calibration_dtype,
-        )
+        config = EngineConfig.resolve(spec, **axes)
+        key = engine_build_key(spec, **config.axes())
         engine = self._cache.get(key)
         if engine is None:
-            engine = DittoEngine.from_benchmark(
-                spec,
-                num_steps=resolved_steps,
-                calibrate=calibrate,
-                calibration_seed=calibration_seed,
-                step_clusters=step_clusters,
-                guidance_scale=guidance_scale,
-                sampler=sampler,
-                sampler_eta=sampler_eta,
-                calibration_dtype=calibration_dtype,
-            )
+            engine = DittoEngine.from_benchmark(spec, **config.axes())
             try:
                 self._cache.put(key, engine)
             except Exception:
@@ -261,13 +231,8 @@ class EngineRunner:
         self,
         spec_or_name: SpecOrName,
         batch_sizes: Iterable[int] = (1, 2, 4, 8),
-        num_steps: Optional[int] = None,
-        calibrate: bool = True,
-        calibration_seed: int = 11,
-        step_clusters: int = 1,
         seed: int = 0,
-        guidance_scale: Optional[float] = None,
-        calibration_dtype: Optional[str] = None,
+        **axes,
     ) -> Dict[int, EngineResult]:
         """Cached instrumented runs of one benchmark across batch sizes.
 
@@ -278,19 +243,7 @@ class EngineRunner:
         """
         sizes = normalize_batch_sizes(batch_sizes)
         items = [
-            (
-                spec_or_name,
-                {
-                    "num_steps": num_steps,
-                    "calibrate": calibrate,
-                    "calibration_seed": calibration_seed,
-                    "step_clusters": step_clusters,
-                    "seed": seed,
-                    "batch_size": size,
-                    "guidance_scale": guidance_scale,
-                    "calibration_dtype": calibration_dtype,
-                },
-            )
+            (spec_or_name, {"config": axes, "seed": seed, "batch_size": size})
             for size in sizes
         ]
         # _map_varied yields results in completion order and every item here
@@ -321,26 +274,16 @@ class EngineRunner:
     def run_suite(
         self,
         benchmarks: Optional[Iterable[SpecOrName]] = None,
-        num_steps: Optional[int] = None,
-        calibrate: bool = True,
-        calibration_seed: int = 11,
-        step_clusters: int = 1,
         seed: int = 0,
         batch_size: int = 1,
-        guidance_scale: Optional[float] = None,
-        calibration_dtype: Optional[str] = None,
+        **axes,
     ) -> Dict[str, EngineResult]:
-        """Instrumented runs for every benchmark, cache-first then pooled."""
-        params = {
-            "num_steps": num_steps,
-            "calibrate": calibrate,
-            "calibration_seed": calibration_seed,
-            "step_clusters": step_clusters,
-            "seed": seed,
-            "batch_size": batch_size,
-            "guidance_scale": guidance_scale,
-            "calibration_dtype": calibration_dtype,
-        }
+        """Instrumented runs for every benchmark, cache-first then pooled.
+
+        ``axes`` override every benchmark's build axes; each spec resolves
+        its own defaults.
+        """
+        params = {"config": axes, "seed": seed, "batch_size": batch_size}
         return self._map("engine", self._default_suite(benchmarks), params)
 
     def similarity_suite(
@@ -383,7 +326,7 @@ class EngineRunner:
         for item, params in items:
             spec = _resolve_spec(item)
             if self._cache.contains(
-                make_key(spec, **_normalized_params(kind, spec, params))
+                make_key(spec, _normalized_params(kind, spec, params))
             ):
                 out.append(_run_one(kind, item, params, self._cache))
             else:

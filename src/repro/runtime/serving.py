@@ -75,6 +75,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import lower_temporal, relative_bops
+from ..core.config import EngineConfig
 from ..core.engine import DittoEngine
 from . import faults
 
@@ -629,7 +630,7 @@ def _drain(
     window_s: float,
     fault_plan: Optional[faults.FaultPlan] = None,
     cancel_tokens: Optional[Dict[int, faults.CancelToken]] = None,
-    engine_factory: Optional[Callable[[], DittoEngine]] = None,
+    rebuild: Optional[Callable[[], DittoEngine]] = None,
     max_retries: int = 3,
     retry_backoff_s: float = 0.05,
     retry_backoff_cap_s: float = 2.0,
@@ -668,7 +669,7 @@ def _drain(
     times with capped exponential backoff on the simulated clock - exact
     replay is guaranteed by the session (stateless dense step + rewound rng
     streams).  A killed session (or exhausted retries) triggers crash
-    recovery: snapshot the rows, rebuild the engine via ``engine_factory``,
+    recovery: snapshot the rows, rebuild the engine via ``rebuild``,
     re-admit every row at its recorded step with its stream fast-forwarded
     past its recorded draws.  With recovery disabled or exhausted
     (``max_recoveries``), the in-flight rows are recorded ``failed`` and the
@@ -730,9 +731,9 @@ def _drain(
         inflight = dead.snapshot()
         draws = {tag: streams[tag].draws if streams.get(tag) else 0 for tag, *_ in inflight}
         dead.close()  # resets the shared layer state; safe when unhealthy
-        if recover and engine_factory is not None and stats.recoveries < max_recoveries:
+        if recover and rebuild is not None and stats.recoveries < max_recoveries:
             stats.recoveries += 1
-            engine = engine_factory()
+            engine = rebuild()
             fresh = engine.open_session(capacity=capacity, plan=execution_plan)
             for tag, step_k, x_k, history in inflight:
                 rng = None
@@ -920,16 +921,11 @@ def simulate_serving(
     rate_rps: float = 4.0,
     pattern: str = "poisson",
     window_s: float = 0.25,
-    num_steps: Optional[int] = None,
     seed: int = 0,
-    guidance_scale: Optional[float] = None,
-    calibrate: bool = True,
     verify_invariance: bool = False,
     engine: Optional[DittoEngine] = None,
     scheduler: str = "fixed",
     pool_budget_mb: Optional[float] = None,
-    sampler: Optional[str] = None,
-    sampler_eta: Optional[float] = None,
     deadline_s: Optional[float] = None,
     slo: Optional[object] = None,
     fault_spec: Optional[str] = None,
@@ -937,9 +933,9 @@ def simulate_serving(
     max_retries: int = 3,
     retry_backoff_s: float = 0.05,
     recover: bool = True,
-    engine_factory: Optional[Callable[[], DittoEngine]] = None,
     use_plan: bool = False,
     plan_cache_dir=None,
+    **axes,
 ) -> ServingReport:
     """Replay one request trace at every batch size and report the numbers.
 
@@ -947,12 +943,17 @@ def simulate_serving(
     batch-independent) and reused across batch sizes; ``batch_sizes`` sweep
     the persistent session's *capacity*.  ``scheduler`` picks the admission
     rule: ``"fixed"`` launches lockstep micro-batches after a ``window_s``
-    batching window, ``"continuous"`` admits at every step boundary.  A
-    prebuilt ``engine`` supplies the step count, guidance and sampler;
-    conflicting ``num_steps``/``guidance_scale``/``sampler`` arguments
-    raise.  ``pool_budget_mb`` caps every batch size at what the
-    scratch-pool memory budget admits.  ``sampler``/``sampler_eta`` override
-    the spec's sampler (e.g. stochastic ddpm).
+    batching window, ``"continuous"`` admits at every step boundary.
+    ``pool_budget_mb`` caps every batch size at what the scratch-pool
+    memory budget admits.
+
+    The engine's identity is one :class:`~repro.core.config.EngineConfig`.
+    A prebuilt ``engine`` supplies it (``engine.config``), and any axis
+    passed explicitly in ``axes`` that differs from it raises.  Otherwise
+    the config resolves from the spec and ``axes``, keyed by config field
+    name (e.g. ``sampler="ddpm"`` serves stochastic ddpm).  The plan key,
+    the recovery rebuild and the report's steps, guidance and sampler all
+    read that config.
 
     ``verify_invariance=True`` re-runs requests individually and demands
     bit-exact agreement with the batched replay - the temporal-state
@@ -970,9 +971,10 @@ def simulate_serving(
     :class:`~repro.runtime.faults.FaultPlan` is built per batch size so
     firing budgets never leak across the sweep.  ``max_retries`` /
     ``retry_backoff_s`` bound the exact-replay retry loop; ``recover``
-    toggles crash recovery, which rebuilds the engine via
-    ``engine_factory`` (default: the content-addressed engine-object cache
-    for spec-built engines, reopening the same object for prebuilt ones).
+    toggles crash recovery, which rebuilds a spec-built engine warm from
+    the content-addressed engine-object cache
+    (:meth:`~repro.runtime.runner.EngineRunner.build_engine`) and reopens a
+    prebuilt one.
 
     ``use_plan=True`` switches to plan-then-execute mode (``repro serve
     --plan``, see ``docs/plan-cache.md``): the bitwidth/Defo numbers come
@@ -1000,30 +1002,11 @@ def simulate_serving(
             f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
         )
     prebuilt = engine is not None
-    if prebuilt:
-        # A prebuilt engine already owns its sampler, step count and
-        # guidance; silently recording an override that never took effect
-        # would falsify the report metadata and the plan key.
-        if sampler is not None or sampler_eta is not None:
-            raise ValueError(
-                "sampler/sampler_eta overrides conflict with a prebuilt engine; "
-                "build the engine with the desired sampler instead"
-            )
-        steps = len(engine.pipeline.sampler.timesteps)
-        if num_steps is not None and num_steps != steps:
-            raise ValueError(
-                f"num_steps={num_steps} conflicts with a prebuilt {steps}-step "
-                "engine; build the engine with the desired step count instead"
-            )
-        built_guidance = engine.pipeline.guidance_scale
-        if guidance_scale is not None and guidance_scale != built_guidance:
-            raise ValueError(
-                f"guidance_scale={guidance_scale:g} conflicts with a prebuilt "
-                f"engine's guidance {built_guidance}; build the engine with "
-                "the desired guidance instead"
-            )
-    else:
-        steps = num_steps if num_steps is not None else spec.num_steps
+    config = (
+        _prebuilt_config(engine, spec, axes)
+        if prebuilt
+        else EngineConfig.resolve(spec, **axes)
+    )
     if fault_spec is None:
         fault_spec = os.environ.get("REPRO_FAULTS") or None
     slo_classes: Optional[List[SLOClass]] = None
@@ -1032,37 +1015,22 @@ def simulate_serving(
     elif deadline_s is not None:
         slo_classes = [SLOClass(DEFAULT_SLO_CLASS.name, deadline_s)]
     sizes = normalize_batch_sizes(batch_sizes)
-    if not prebuilt:
-        engine = DittoEngine.from_benchmark(
-            spec,
-            num_steps=steps,
-            calibrate=calibrate,
-            guidance_scale=guidance_scale,
-            sampler=sampler,
-            sampler_eta=sampler_eta,
-        )
-    if engine_factory is None:
-        if prebuilt:
-            # Reopening the same object is a valid rebuild: EngineSession
-            # resets every layer's state on open, and an injected
-            # kill corrupts no engine-side state in this simulation.
-            def engine_factory(engine=engine):
-                return engine
-        else:
-            def engine_factory():
-                # Warm rebuild: the engine-object cache is content-addressed
-                # (source fingerprint + spec + build params), so recovery
-                # reloads the deterministic build instead of recalibrating.
-                from .runner import EngineRunner
+    if prebuilt:
+        # Reopening the same object is a valid rebuild: EngineSession
+        # resets every layer's state on open, and an injected kill corrupts
+        # no engine-side state in this simulation.
+        def rebuild(engine=engine):
+            return engine
+    else:
+        engine = DittoEngine.from_benchmark(spec, **config.axes())
 
-                return EngineRunner().build_engine(
-                    spec,
-                    num_steps=steps,
-                    calibrate=calibrate,
-                    guidance_scale=guidance_scale,
-                    sampler=sampler,
-                    sampler_eta=sampler_eta,
-                )
+        def rebuild():
+            # Warm rebuild: the engine-object cache is content-addressed
+            # (source fingerprint + spec + config), so recovery reloads the
+            # deterministic build instead of recalibrating.
+            from .runner import EngineRunner
+
+            return EngineRunner().build_engine(spec, **config.axes())
     execution_plan = None
     plan_source = None
     plan_drift: Optional[Dict[str, object]] = None
@@ -1073,14 +1041,7 @@ def simulate_serving(
 
         plan_cache = ResultCache(plan_cache_dir or default_cache_dir())
         key = plan_key(
-            spec,
-            num_steps=steps,
-            calibrate=calibrate,
-            guidance_scale=guidance_scale,
-            sampler=sampler,
-            sampler_eta=sampler_eta,
-            derivation_seed=seed,
-            derivation_batch_size=1,
+            spec, derivation_seed=seed, derivation_batch_size=1, **config.axes()
         )
         execution_plan = plan_cache.get(key)
         if execution_plan is None:
@@ -1117,15 +1078,15 @@ def simulate_serving(
 
     report = ServingReport(
         benchmark=spec.name,
-        num_steps=steps,
+        num_steps=config.num_steps,
         pattern=pattern,
         rate_rps=rate_rps,
         window_s=window_s,
         num_requests=num_requests,
-        guidance_scale=engine.pipeline.guidance_scale,
+        guidance_scale=config.guidance_scale,
         invariance_checked=False,
         scheduler=scheduler,
-        sampler=sampler,
+        sampler=config.sampler,
         pool_budget_mb=pool_budget_mb,
         pool_row_cap=pool_row_cap,
         fault_spec=fault_spec,
@@ -1162,7 +1123,7 @@ def simulate_serving(
                 window_s=window_s,
                 fault_plan=plan,
                 cancel_tokens=tokens,
-                engine_factory=engine_factory,
+                rebuild=rebuild,
                 max_retries=max_retries,
                 retry_backoff_s=retry_backoff_s,
                 recover=recover,
@@ -1221,6 +1182,29 @@ def simulate_serving(
         )
         report.invariance_checked = True
     return report
+
+
+def _prebuilt_config(engine: DittoEngine, spec, axes) -> EngineConfig:
+    """A prebuilt engine's config; every axis passed explicitly must match it.
+
+    Silently recording an override that never took effect would falsify the
+    report and alias the plan key.
+    """
+    EngineConfig.resolve(spec, **axes)  # unknown axis names raise TypeError
+    built = engine.config
+
+    def show(name, value):
+        return f"{name}={value:g}" if isinstance(value, float) else f"{name}={value!r}"
+
+    for name, value in axes.items():
+        if value is not None and value != getattr(built, name):
+            raise ValueError(
+                f"{show(name, value)} conflicts with a prebuilt "
+                f"{built.num_steps}-step engine built with "
+                f"{show(name, getattr(built, name))}; a prebuilt engine owns "
+                f"its config, so build it with the desired {name} instead"
+            )
+    return built
 
 
 def _deviation(got: np.ndarray, want: np.ndarray) -> str:

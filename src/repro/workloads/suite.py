@@ -21,11 +21,12 @@ original counts and any experiment can override ``num_steps``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.config import DEFAULT_CALIBRATION_DTYPE
 from ..models import zoo
 from ..nn.module import Module
 
@@ -57,8 +58,8 @@ class BenchmarkSpec:
 
     name: str
     # Human-facing only; never influences the computed result, so it is
-    # deliberately absent from the cache-key signatures.
-    description: str  # repro-lint: ignore[RPL003]
+    # the one field left out of the cache-key signature.
+    description: str = field(metadata={"signature": False})
     dataset: str
     sampler: str
     num_steps: int
@@ -74,11 +75,10 @@ class BenchmarkSpec:
     # either here or per-run via ``DittoEngine.from_benchmark``.
     guidance_scale: Optional[float] = None
     build_uncond_conditioning: Optional[Callable[[], Optional[dict]]] = None
-    # Calibration-trajectory precision: ``None`` means the engine default
-    # (the float32 fast path); set ``"float64"`` to pin a benchmark to the
-    # legacy exact trajectory.  Overridable per run via
-    # ``DittoEngine.from_benchmark(calibration_dtype=...)``.
-    calibration_dtype: Optional[str] = None
+    # Calibration-trajectory precision: the float32 fast path by default;
+    # set ``"float64"`` to pin a benchmark to the legacy exact trajectory.
+    # Overridable per run via ``DittoEngine.from_benchmark(calibration_dtype=...)``.
+    calibration_dtype: str = DEFAULT_CALIBRATION_DTYPE
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -89,36 +89,25 @@ class BenchmarkSpec:
     def signature(self) -> Dict[str, object]:
         """Stable, hashable identity for the runtime result cache.
 
-        Callables are identified by module-qualified name plus a hash of
-        their source (see :func:`repro.runtime.hashing.callable_fingerprint`),
-        so editing a builder - even one defined outside the ``repro``
-        package - invalidates cached results, while the signature stays
-        identical across processes and sessions.
+        Every field except those marked ``signature: False`` in their
+        metadata, so a new field reaches every cache key with no other
+        edit.  Callables are identified by module-qualified name plus a
+        hash of their source (see
+        :func:`repro.runtime.hashing.callable_fingerprint`), so editing a
+        builder - even one defined outside the ``repro`` package -
+        invalidates cached results, while the signature stays identical
+        across processes and sessions.
         """
-        from ..defaults import resolve_calibration_dtype
         from ..runtime.hashing import callable_fingerprint
 
+        values = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.metadata.get("signature", True)
+        }
         return {
-            "name": self.name,
-            "dataset": self.dataset,
-            "sampler": self.sampler,
-            "num_steps": self.num_steps,
-            "paper_steps": self.paper_steps,
-            "sample_shape": list(self.sample_shape),
-            "latent": self.latent,
-            "is_video": self.is_video,
-            "build_model": callable_fingerprint(self.build_model),
-            "build_conditioning": callable_fingerprint(self.build_conditioning),
-            "guidance_scale": self.guidance_scale,
-            "build_uncond_conditioning": (
-                None
-                if self.build_uncond_conditioning is None
-                else callable_fingerprint(self.build_uncond_conditioning)
-            ),
-            # Normalized through the one shared resolution rule: a spec
-            # explicitly pinned to the engine default is behaviorally
-            # identical to an unpinned one and must share its cache entries.
-            "calibration_dtype": resolve_calibration_dtype(self),
+            name: callable_fingerprint(value) if callable(value) else value
+            for name, value in values.items()
         }
 
 

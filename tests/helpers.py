@@ -7,7 +7,7 @@ imports that broke collection when the test directory is not a package.
 
 import numpy as np
 
-from repro.core import DittoEngine, RichLayerStep
+from repro.core import DittoEngine, EngineConfig, RichLayerStep
 from repro.core.bitwidth import BitWidthStats
 from repro.quant import QAttention, iter_qlayers
 from repro.workloads.suite import BenchmarkSpec
@@ -96,11 +96,9 @@ def make_tiny_engine(
     """A fast DittoEngine over a miniature UNet (for integration tests)."""
     return DittoEngine.from_model(
         _tiny_unet(seed, block_type),
-        sampler_name=sampler,
-        num_steps=num_steps,
+        EngineConfig(num_steps=num_steps, calibrate=calibrate, sampler=sampler),
         sample_shape=(2, 8, 8),
         num_train_steps=100,
-        calibrate=calibrate,
         benchmark="tiny",
     )
 

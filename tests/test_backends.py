@@ -23,12 +23,7 @@ from repro.core import DittoEngine, ExecutionMode
 from repro.nn import backends, functional as F
 from repro.nn.backends import ComputeBackend
 from repro.quant.qlayers import QConv2d, QLinear
-from repro.runtime.hashing import (
-    engine_build_key,
-    engine_key,
-    plan_key,
-    spec_signature,
-)
+from repro.runtime.hashing import engine_build_key, engine_key, plan_key
 
 from helpers import make_tiny_spec
 
@@ -272,7 +267,7 @@ def test_stale_backend_env_moves_no_key(monkeypatch):
 
     def keys():
         return (
-            spec_signature(spec),
+            spec.signature(),
             engine_key(spec),
             engine_build_key(spec),
             plan_key(spec),

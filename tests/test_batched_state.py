@@ -23,7 +23,7 @@ The contract extends along two axes pinned below:
 import numpy as np
 import pytest
 
-from repro.core import DittoEngine
+from repro.core import DittoEngine, EngineConfig
 from repro.models import UNet, build_text_encoder
 from repro.quant.qlayers import QAttention, iter_qlayers
 
@@ -50,12 +50,14 @@ def _conv_engine(calibrate=False, step_clusters=1, num_steps=4):
     """Pure-conv UNet: no attention blocks at all."""
     return DittoEngine.from_model(
         _unet("none", attention_levels=()),
-        sampler_name="ddim",
-        num_steps=num_steps,
+        EngineConfig(
+            num_steps=num_steps,
+            calibrate=calibrate,
+            step_clusters=step_clusters,
+            sampler="ddim",
+        ),
         sample_shape=(2, 8, 8),
         num_train_steps=100,
-        calibrate=calibrate,
-        step_clusters=step_clusters,
         benchmark="tiny-conv",
     )
 
@@ -65,13 +67,15 @@ def _cfg_engine(calibrate=True, num_steps=4):
     encoder = build_text_encoder()
     return DittoEngine.from_model(
         _unet("transformer", context_dim=16, seed=7),
-        sampler_name="ddim",
-        num_steps=num_steps,
+        EngineConfig(
+            num_steps=num_steps,
+            calibrate=calibrate,
+            guidance_scale=3.5,
+            sampler="ddim",
+        ),
         sample_shape=(2, 8, 8),
         num_train_steps=100,
-        calibrate=calibrate,
         benchmark="tiny-cfg",
-        guidance_scale=3.5,
         conditioning={"context": encoder.encode(["a blue car"])},
         uncond_conditioning={"context": encoder.encode([""])},
     )
@@ -115,11 +119,9 @@ def test_plms_batch_invariance():
     """PLMS's warmup double-call keeps the same stacked layout every step."""
     engine = DittoEngine.from_model(
         _unet("attention", seed=9),
-        sampler_name="plms",
-        num_steps=3,
+        EngineConfig(num_steps=3, calibrate=False, sampler="plms"),
         sample_shape=(2, 8, 8),
         num_train_steps=100,
-        calibrate=False,
         benchmark="tiny-plms",
     )
     batched, singles = _batch_vs_singles(engine, batch=2, seed=8)
@@ -210,11 +212,9 @@ def _batch_vs_singles_streams(engine, batch, seed=3):
 def _ddpm_engine(num_steps=5):
     return DittoEngine.from_model(
         _unet("none", attention_levels=()),
-        sampler_name="ddpm",
-        num_steps=num_steps,
+        EngineConfig(num_steps=num_steps, calibrate=False, sampler="ddpm"),
         sample_shape=(2, 8, 8),
         num_train_steps=100,
-        calibrate=False,
         benchmark="tiny-ddpm",
     )
 
@@ -232,13 +232,10 @@ def test_ddim_eta_stochastic_batch_invariance():
     """Stochastic DDIM (eta > 0) at batch 2 and 4 under per-element streams."""
     engine = DittoEngine.from_model(
         _unet("none", attention_levels=()),
-        sampler_name="ddim",
-        num_steps=4,
+        EngineConfig(num_steps=4, calibrate=False, sampler="ddim", sampler_eta=0.7),
         sample_shape=(2, 8, 8),
         num_train_steps=100,
-        calibrate=False,
         benchmark="tiny-eta",
-        sampler_eta=0.7,
     )
     assert engine.pipeline.sampler.eta == 0.7
     for batch in (2, 4):
@@ -418,12 +415,14 @@ def test_continuous_session_multistep_samplers(sampler, step_clusters):
     the step index).  Bit-exact with instrumented batch-1 references."""
     engine = DittoEngine.from_model(
         _unet("none", attention_levels=()),
-        sampler_name=sampler,
-        num_steps=6,
+        EngineConfig(
+            num_steps=6,
+            calibrate=True,
+            step_clusters=step_clusters,
+            sampler=sampler,
+        ),
         sample_shape=(2, 8, 8),
         num_train_steps=100,
-        calibrate=True,
-        step_clusters=step_clusters,
         benchmark=f"tiny-{sampler}",
     )
     noises = [

@@ -174,6 +174,53 @@ def test_plan_key_axes():
     )
 
 
+def test_plan_key_resolves_spec_defaults():
+    """An axis left unset and the same axis set to the spec's default name
+    one engine, so they share one key."""
+    spec = make_tiny_spec()
+    assert plan_key(spec) == plan_key(
+        spec, num_steps=spec.num_steps, sampler=spec.sampler
+    )
+    assert plan_key(spec) == plan_key(spec, num_steps=None, calibrate=None)
+    assert plan_key(spec) != plan_key(spec, sampler="ddpm")
+
+
+def test_benchmark_plan_key_call_shape_is_what_serving_looks_up(tmp_path):
+    """The benchmark harness stores a plan under
+    ``plan_key(spec, num_steps=N, backend=engine.backend, derivation_seed=s,
+    derivation_batch_size=1)`` and serves ``from_benchmark(spec,
+    num_steps=N)`` with ``num_steps=N`` and the same seed: the serve must
+    replay that plan, drift-free."""
+    spec = make_tiny_spec()
+    steps, seed = 2, 5
+    engine = DittoEngine.from_benchmark(spec, num_steps=steps)
+    plan = engine.derive_plan(seed=seed, batch_size=1)
+    key = plan_key(
+        spec,
+        num_steps=steps,
+        backend=engine.backend,
+        derivation_seed=seed,
+        derivation_batch_size=1,
+    )
+    ResultCache(tmp_path).put(key, plan)
+    report = simulate_serving(
+        spec,
+        batch_sizes=[2],
+        num_requests=3,
+        rate_rps=20.0,
+        pattern="poisson",
+        num_steps=steps,
+        seed=seed,
+        engine=engine,
+        scheduler="continuous",
+        use_plan=True,
+        plan_cache_dir=tmp_path,
+    )
+    assert report.plan_source == "cache"
+    assert report.plan_digest == plan.digest
+    assert report.plan_drift["matches"]
+
+
 # -- drift check -----------------------------------------------------------
 
 def test_drift_check_fires_on_perturbed_plan(tmp_path):

@@ -14,7 +14,6 @@ from repro.runtime import (
     engine_build_key,
     engine_key,
     similarity_key,
-    spec_signature,
     stable_hash,
 )
 from repro.workloads import get_benchmark
@@ -119,7 +118,7 @@ def test_engine_build_key_sensitivity():
 def test_custom_spec_signature_is_stable():
     a = make_tiny_spec("tinyA", num_steps=3)
     b = make_tiny_spec("tinyA", num_steps=3)
-    assert spec_signature(a) == spec_signature(b)
+    assert a.signature() == b.signature()
     assert engine_key(a) == engine_key(b)
     assert engine_key(a) != engine_key(make_tiny_spec("tinyA", num_steps=4))
 

@@ -308,6 +308,64 @@ def test_prebuilt_engine_supplies_steps_and_plan_key(tmp_path):
         simulate_serving(spec, engine=short, guidance_scale=2.0, **serve)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [{"calibrate": False}, {"sampler": "ddpm"}],
+    ids=["uncalibrated", "ddpm"],
+)
+def test_prebuilt_engine_keys_its_plan_under_its_own_config(tmp_path, build):
+    """A prebuilt engine's config names its plan and its report even when
+    the serve repeats none of its build axes: a later default serve of the
+    same spec must derive its own plan, not replay the prebuilt one's."""
+    from repro.core import DittoEngine
+
+    spec = make_tiny_spec("tinyOwnConfig", num_steps=2)
+    serve = dict(
+        batch_sizes=(1,), num_requests=2, pattern="burst",
+        use_plan=True, plan_cache_dir=tmp_path,
+    )
+    prebuilt = DittoEngine.from_benchmark(spec, **build)
+    report = simulate_serving(spec, engine=prebuilt, **serve)
+    default = simulate_serving(spec, **serve)
+    assert (report.plan_source, default.plan_source) == ("derived", "derived")
+    assert default.plan_digest != report.plan_digest
+    assert report.sampler == build.get("sampler", "ddim")
+    assert default.sampler == "ddim"
+
+
+def test_prebuilt_ddpm_engine_reports_its_sampler():
+    from repro.core import DittoEngine
+
+    spec = make_tiny_spec("tinyDdpmReport", num_steps=2)
+    engine = DittoEngine.from_benchmark(spec, calibrate=False, sampler="ddpm")
+    report = simulate_serving(spec, batch_sizes=(1,), num_requests=2, engine=engine)
+    assert report.sampler == "ddpm"
+    assert report.to_json()["sampler"] == "ddpm"
+
+
+@pytest.mark.parametrize(
+    "axis", [{"calibrate": True}, {"step_clusters": 2}, {"sampler_eta": 0.5}]
+)
+def test_prebuilt_engine_rejects_conflicting_build_axes(axis):
+    from repro.core import DittoEngine
+
+    spec = make_tiny_spec("tinyAxisConflict", num_steps=2)
+    engine = DittoEngine.from_benchmark(spec, calibrate=False)
+    name = next(iter(axis))
+    with pytest.raises(ValueError, match=f"{name}=.* conflicts with a prebuilt"):
+        simulate_serving(
+            spec, batch_sizes=(1,), num_requests=2, engine=engine, **axis
+        )
+
+
+def test_serving_rejects_unknown_build_axis():
+    with pytest.raises(TypeError, match="unknown engine config axes: steps"):
+        simulate_serving(
+            make_tiny_spec("tinyUnknownAxis", num_steps=2),
+            batch_sizes=(1,), num_requests=2, steps=3,
+        )
+
+
 def test_runtime_package_exports_serving_surface():
     from repro.runtime import (  # noqa: F401
         SCHEDULERS,

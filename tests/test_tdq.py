@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DittoEngine
+from repro.core import DittoEngine, EngineConfig
 from repro.core.modes import ExecutionMode
 from repro.quant import (
     TimestepClusteredQuantizer,
@@ -158,14 +158,12 @@ def test_engine_with_step_clusters_runs_and_falls_back():
     )
     clustered_engine = DittoEngine.from_model(
         model,
-        sampler_name="ddim",
-        num_steps=6,
+        EngineConfig(num_steps=6, step_clusters=3, sampler="ddim"),
         sample_shape=(2, 8, 8),
         num_train_steps=100,
-        step_clusters=3,
         benchmark="tiny-tdq",
     )
-    assert clustered_engine.step_clusters == 3
+    assert clustered_engine.config.step_clusters == 3
     clustered = clustered_engine.run(seed=2)
     # Boundary steps re-run dense: more records without temporal stats.
     def dense_fallbacks(result):
