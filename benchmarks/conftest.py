@@ -16,7 +16,10 @@ Environment knobs:
 ``REPRO_BENCH_JOBS``
     Worker processes for cold-cache engine construction (default 1).
 ``REPRO_CACHE_DIR``
-    Cache location (default ``~/.cache/ditto-repro``).
+    Cache location (default ``~/.cache/ditto-repro``).  In a full tier-1
+    run the ``tests/`` session fixture has already pointed it at a
+    private temporary directory, so the suite leaves the user's cache
+    untouched; run ``benchmarks/`` alone to reuse a warm cache.
 ``REPRO_BENCH_NO_CACHE``
     Set to any non-empty value to force rebuilding from scratch.
 

@@ -18,8 +18,9 @@ Commands
     1 2 4 8) through one step-level scheduler whose admission rule is
     ``--scheduler fixed`` (lockstep micro-batches after a ``--window``)
     or ``--scheduler continuous`` (admission at every step boundary, rows
-    at their own timesteps); reports throughput, latency percentiles,
-    utilization, and temporal-mode MAC savings per batch size.
+    at their own timesteps); reports throughput, latency percentiles and
+    utilization per batch size, and the temporal-mode MAC savings of the
+    engine's ExecutionPlan (loaded from the cache or derived once).
     ``--pool-budget-mb`` caps batch sizes by scratch-memory footprint;
     ``--verify`` asserts every request is bit-exact with its seeded
     batch-1 reference.  Fault tolerance (both schedulers):
@@ -182,13 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--verify", action="store_true",
         help="re-run every served request batch-1 and assert bit-exactness",
-    )
-    serve_p.add_argument(
-        "--plan", dest="use_plan", action="store_true",
-        help="plan-then-execute: load (or derive once and cache) the "
-             "ExecutionPlan and serve instrumentation-free; cached plans "
-             "are drift-checked against a re-instrumented derivation run "
-             "(with --verify, references run instrumented)",
     )
     serve_p.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -392,7 +386,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fault_seed=args.fault_seed,
         max_retries=args.max_retries,
         recover=args.recover,
-        use_plan=args.use_plan,
     )
     print(report.summary())
     if args.out:

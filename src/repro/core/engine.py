@@ -268,12 +268,13 @@ class DittoEngine:
     ):
         """Run one instrumented pass and extract its :class:`ExecutionPlan`.
 
-        The plan-then-execute split (see ``docs/plan-cache.md``): this is the
-        *only* instrumented run a plan-mode serve performs; every later run
-        replays with ``record_trace=False`` and reports the plan's derived
-        bitwidth/Defo numbers.  Deterministic - the same engine, seed, and
-        batch size always derive the identical plan (digest included), which
-        is what the serving drift check relies on.
+        The plan-then-execute split (see ``docs/plan-cache.md``): every
+        serve derives its plan with this run on a cache miss, or repeats it
+        once to drift-check a cached plan; the served runs replay with
+        ``record_trace=False`` and report the plan's derived bitwidth/Defo
+        numbers.  Deterministic - the same engine, seed, and batch size
+        always derive the identical plan (digest included), which is what
+        the serving drift check relies on.
 
         Parameters
         ----------
@@ -303,23 +304,23 @@ class DittoEngine:
         )
 
     # -- row-granular serving ------------------------------------------------
-    def open_session(self, capacity: Optional[int] = None, plan=None):
+    def open_session(self, capacity: Optional[int] = None):
         """Open a continuous-batching session over this engine.
 
         The session owns the model until closed: rows are admitted/evicted
         at step boundaries and each advances at its own timestep, executing
         dense and bit-exact with its seeded batch-1 reference run.  See
-        :class:`repro.core.session.EngineSession`.  ``plan`` attaches a
-        pre-derived :class:`~repro.core.plan.ExecutionPlan` (plan-replay
-        mode - the session never instruments, so the plan is where its
-        bitwidth/Defo numbers come from).
+        :class:`repro.core.session.EngineSession`.  A session never
+        instruments; the serving tier reads its bitwidth/Defo numbers from
+        the engine's :class:`~repro.core.plan.ExecutionPlan`
+        (:meth:`derive_plan`).
 
         Raises ``RuntimeError`` while another session on this engine is
         open: one engine serves one session at a time.
         """
         from .session import EngineSession
 
-        return EngineSession(self, capacity=capacity, plan=plan)
+        return EngineSession(self, capacity=capacity)
 
     def _check_idle(self, action: str) -> None:
         """Refuse ``action`` while a session owns the model."""

@@ -95,38 +95,21 @@ class EngineSession:
         Maximum concurrent rows (``None`` = unbounded).  The serving driver
         derives this from the micro-batch size sweep and, optionally, from a
         scratch-pool memory budget.
-    plan:
-        Optional pre-derived :class:`~repro.core.plan.ExecutionPlan`
-        (plan-replay mode).  Sessions never instrument, so an attached plan
-        is where the serving tier reads bitwidth/Defo numbers from; it must
-        describe this engine (benchmark and step count are validated).
 
     Raises
     ------
     ValueError
-        If ``capacity < 1`` or ``plan`` describes a different engine.
+        If ``capacity < 1``.
     RuntimeError
         If another session on ``engine`` is still open.
     """
 
-    def __init__(self, engine, capacity: Optional[int] = None, plan=None) -> None:
+    def __init__(self, engine, capacity: Optional[int] = None) -> None:
         engine._check_idle("open a session")
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if plan is not None:
-            if plan.benchmark != engine.benchmark:
-                raise ValueError(
-                    f"plan was derived for benchmark {plan.benchmark!r}; "
-                    f"this engine serves {engine.benchmark!r}"
-                )
-            if plan.num_model_calls != engine.pipeline.num_model_calls():
-                raise ValueError(
-                    f"plan covers {plan.num_model_calls} denoiser calls; "
-                    f"this engine makes {engine.pipeline.num_model_calls()}"
-                )
         self.engine = engine
         self.capacity = capacity
-        self.plan = plan
         self.num_steps = len(engine.pipeline.sampler.timesteps)
         self._sample_shape = tuple(engine.pipeline.sample_shape)
         self._rows: List[_SessionRow] = []

@@ -35,8 +35,9 @@ so a batch-N run is bit-exact with N independent batch-1 runs (pinned by
 reference, which executes temporal - so every check also tests the
 zero-state difference algebra).  Stochastic samplers (ddpm, ddim eta>0)
 join the contract through per-request ``SeedSequence.spawn`` noise streams
-(:meth:`Request.sampler_rng`).  The per-batch-size MAC/BOPs savings come
-from one instrumented run per batch size; the timed runs skip
+(:meth:`Request.sampler_rng`).  The MAC/BOPs savings come from one
+:class:`~repro.core.plan.ExecutionPlan` per engine, loaded from the cache
+or derived once by one instrumented run; the timed runs skip
 instrumentation so stats scans do not pollute the latency numbers.
 
 Both schedulers carry the serving tier's fault-tolerance contract
@@ -74,10 +75,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import lower_temporal, relative_bops
 from ..core.config import EngineConfig
 from ..core.engine import DittoEngine
+from ..core.plan import compare_plans
 from . import faults
+from .cache import ResultCache, default_cache_dir
+from .hashing import plan_key
 
 __all__ = [
     "ARRIVAL_PATTERNS",
@@ -400,6 +403,12 @@ class ServingReport:
     num_requests: int
     guidance_scale: Optional[float]
     invariance_checked: bool
+    # Where the serve's ExecutionPlan came from ("derived" | "cache"), its
+    # content digest, and the drift-check result ({"checked": bool,
+    # "matches": bool, "mismatches": [...]}).
+    plan_source: str
+    plan_digest: str
+    plan_drift: Dict[str, object]
     scheduler: str = "fixed"
     sampler: Optional[str] = None
     pool_budget_mb: Optional[float] = None
@@ -409,12 +418,6 @@ class ServingReport:
     # Request ids --verify actually re-ran batch-1 and matched bit-exactly
     # (the completed requests of the largest-capacity replay).
     verified_requests: List[int] = field(default_factory=list)
-    # Plan-replay mode (use_plan=True): where the ExecutionPlan came from
-    # ("derived" | "cache"), its content digest, and the drift-check result
-    # ({"checked": bool, "matches": bool, "mismatches": [...]}).
-    plan_source: Optional[str] = None
-    plan_digest: Optional[str] = None
-    plan_drift: Optional[Dict[str, object]] = None
     per_batch: Dict[int, BatchSizeReport] = field(default_factory=dict)
 
     def rows(self) -> List[List[object]]:
@@ -497,25 +500,23 @@ class ServingReport:
             )
         if self.fault_spec:
             head += f"\nfault plan: {self.fault_spec}"
-        if self.plan_source is not None:
-            digest = (self.plan_digest or "")[:12]
+        head += (
+            f"\nplan-replay mode: ExecutionPlan {self.plan_source} "
+            f"[{self.plan_digest[:12]}], runs instrumentation-free"
+        )
+        drift = self.plan_drift
+        if not drift["checked"]:
+            pass  # freshly derived: nothing older to drift from
+        elif drift["matches"]:
+            head += "; drift check: re-derived plan matches bit-exactly"
+        else:
+            mismatches = drift["mismatches"]
             head += (
-                f"\nplan-replay mode: ExecutionPlan {self.plan_source} "
-                f"[{digest}], runs instrumentation-free"
+                f"\nWARNING plan drift: cached plan diverges from "
+                f"re-derivation ({len(mismatches)} difference(s): "
+                + "; ".join(str(m) for m in mismatches[:3])
+                + ")"
             )
-            drift = self.plan_drift or {}
-            if not drift.get("checked"):
-                pass  # freshly derived: nothing older to drift from
-            elif drift.get("matches"):
-                head += "; drift check: re-derived plan matches bit-exactly"
-            else:
-                mismatches = drift.get("mismatches") or []
-                head += (
-                    f"\nWARNING plan drift: cached plan diverges from "
-                    f"re-derivation ({len(mismatches)} difference(s): "
-                    + "; ".join(str(m) for m in mismatches[:3])
-                    + ")"
-                )
         table = format_table(
             ["batch", "req/s", "p50 s", "p99 s", "fill", "MAC sav%"],
             self.rows(),
@@ -636,7 +637,6 @@ def _drain(
     retry_backoff_cap_s: float = 2.0,
     recover: bool = True,
     max_recoveries: int = 8,
-    execution_plan=None,
 ) -> Tuple[
     List[ServedRequest],
     List[float],
@@ -734,7 +734,7 @@ def _drain(
         if recover and rebuild is not None and stats.recoveries < max_recoveries:
             stats.recoveries += 1
             engine = rebuild()
-            fresh = engine.open_session(capacity=capacity, plan=execution_plan)
+            fresh = engine.open_session(capacity=capacity)
             for tag, step_k, x_k, history in inflight:
                 rng = None
                 if needs_rng:
@@ -746,9 +746,9 @@ def _drain(
         for tag, *_ in inflight:
             streams.pop(tag, None)
             _finish(tag, "failed", launch_at[tag], 0)
-        return engine.open_session(capacity=capacity, plan=execution_plan)
+        return engine.open_session(capacity=capacity)
 
-    session = engine.open_session(capacity=capacity, plan=execution_plan)
+    session = engine.open_session(capacity=capacity)
     try:
         while i < n or session.occupancy:
             # -- the admission rule: requests[i:stop] may join at `now` -----
@@ -907,13 +907,6 @@ def pool_budget_row_cap(engine: DittoEngine, budget_mb: float) -> int:
     return cap
 
 
-def _mac_savings(engine: DittoEngine, batch_size: int, seed: int) -> Tuple[float, float]:
-    """Instrumented run -> (temporal relative BOPs, savings % vs dense)."""
-    result = engine.run(batch_size=batch_size, seed=seed)
-    rel = relative_bops(lower_temporal(result.rich_trace))
-    return rel, 100.0 * (1.0 - rel)
-
-
 def simulate_serving(
     spec_or_name,
     batch_sizes: Iterable[int] = (1, 2, 4, 8),
@@ -933,7 +926,7 @@ def simulate_serving(
     max_retries: int = 3,
     retry_backoff_s: float = 0.05,
     recover: bool = True,
-    use_plan: bool = False,
+    use_plan: bool = True,
     plan_cache_dir=None,
     **axes,
 ) -> ServingReport:
@@ -976,18 +969,16 @@ def simulate_serving(
     (:meth:`~repro.runtime.runner.EngineRunner.build_engine`) and reopens a
     prebuilt one.
 
-    ``use_plan=True`` switches to plan-then-execute mode (``repro serve
-    --plan``, see ``docs/plan-cache.md``): the bitwidth/Defo numbers come
-    from an :class:`~repro.core.plan.ExecutionPlan` loaded from the
+    Every serve is plan-then-execute (see ``docs/plan-cache.md``): the
+    bitwidth/Defo numbers of every batch size come from one
+    :class:`~repro.core.plan.ExecutionPlan` loaded from the
     content-addressed cache (``plan_cache_dir``, default
-    :func:`~repro.runtime.cache.default_cache_dir`) or derived once on miss
-    - instead of one instrumented run *per batch size*.  A cache-hit plan is
+    :func:`~repro.runtime.cache.default_cache_dir`) or derived once on a
+    miss by one instrumented run.  A cache-hit plan is
     drift-checked: the derivation run is re-instrumented once and its plan
     must match the cached artifact bit-exactly; divergence is reported in
-    ``ServingReport.plan_drift``, never raised.  With
-    ``verify_invariance=True`` the batch-1 references are run *instrumented*
-    in this mode, proving the plan-replay path bit-exact against the
-    instrumented path per request.
+    ``ServingReport.plan_drift``, never raised.  ``use_plan`` accepts only
+    ``True`` (the one mode) and will go.
     """
     if isinstance(spec_or_name, str):
         from ..workloads import get_benchmark
@@ -1000,6 +991,11 @@ def simulate_serving(
     if scheduler not in SCHEDULERS:
         raise ValueError(
             f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
+        )
+    if not use_plan:
+        raise ValueError(
+            "every serve reads its numbers from an ExecutionPlan; "
+            f"use_plan={use_plan!r} names a serving mode that no longer exists"
         )
     prebuilt = engine is not None
     config = (
@@ -1031,42 +1027,34 @@ def simulate_serving(
             from .runner import EngineRunner
 
             return EngineRunner().build_engine(spec, **config.axes())
-    execution_plan = None
-    plan_source = None
-    plan_drift: Optional[Dict[str, object]] = None
-    if use_plan:
-        from ..core.plan import compare_plans
-        from .cache import ResultCache, default_cache_dir
-        from .hashing import plan_key
-
-        plan_cache = ResultCache(plan_cache_dir or default_cache_dir())
-        key = plan_key(
-            spec, derivation_seed=seed, derivation_batch_size=1, **config.axes()
+    plan_cache = ResultCache(plan_cache_dir or default_cache_dir())
+    key = plan_key(
+        spec, derivation_seed=seed, derivation_batch_size=1, **config.axes()
+    )
+    execution_plan = plan_cache.get(key)
+    if execution_plan is None:
+        # Cache miss: derive once (one instrumented run) and persist.
+        execution_plan = engine.derive_plan(seed=seed, batch_size=1)
+        plan_cache.put(key, execution_plan)
+        plan_source = "derived"
+        plan_drift = {"checked": False, "matches": True, "mismatches": []}
+    else:
+        plan_source = "cache"
+        # Drift check: replay the exact derivation run (deterministic, so
+        # the digests must match bit-exactly) and report - never raise -
+        # divergence between the cached artifact and what the current
+        # engine actually computes.
+        fresh = engine.derive_plan(
+            seed=execution_plan.derivation_seed,
+            batch_size=execution_plan.derivation_batch_size,
+            hardware=execution_plan.hardware,
         )
-        execution_plan = plan_cache.get(key)
-        if execution_plan is None:
-            # The one instrumented pass of this serve: derive and persist.
-            execution_plan = engine.derive_plan(seed=seed, batch_size=1)
-            plan_cache.put(key, execution_plan)
-            plan_source = "derived"
-            plan_drift = {"checked": False, "matches": True, "mismatches": []}
-        else:
-            plan_source = "cache"
-            # Drift check: replay the exact derivation run (deterministic,
-            # so the digests must match bit-exactly) and report - never
-            # raise - divergence between the cached artifact and what the
-            # current engine actually computes.
-            fresh = engine.derive_plan(
-                seed=execution_plan.derivation_seed,
-                batch_size=execution_plan.derivation_batch_size,
-                hardware=execution_plan.hardware,
-            )
-            mismatches = compare_plans(execution_plan, fresh)
-            plan_drift = {
-                "checked": True,
-                "matches": not mismatches,
-                "mismatches": mismatches,
-            }
+        mismatches = compare_plans(execution_plan, fresh)
+        plan_drift = {
+            "checked": True,
+            "matches": not mismatches,
+            "mismatches": mismatches,
+        }
     pool_row_cap = None
     if pool_budget_mb is not None:
         pool_row_cap = pool_budget_row_cap(engine, pool_budget_mb)
@@ -1092,7 +1080,7 @@ def simulate_serving(
         fault_spec=fault_spec,
         slo_spec=slo if isinstance(slo, str) else None,
         plan_source=plan_source,
-        plan_digest=execution_plan.digest if execution_plan is not None else None,
+        plan_digest=execution_plan.digest,
         plan_drift=plan_drift,
     )
     track_outcomes = bool(slo_classes or fault_spec)
@@ -1127,20 +1115,12 @@ def simulate_serving(
                 max_retries=max_retries,
                 retry_backoff_s=retry_backoff_s,
                 recover=recover,
-                execution_plan=execution_plan,
             )
         mean_fill = float(np.mean(occupancies)) if occupancies else 0.0
         completed = [s for s in served if s.outcome == "completed"]
         latencies = np.array([s.latency_s for s in completed])
         first_arrival = min(req.arrival_s for req in requests)
         makespan = max(s.finish_s for s in served) - first_arrival
-        if execution_plan is not None:
-            # Plan-replay: the persisted artifact carries the derived
-            # numbers; no per-batch-size instrumented run at all.
-            rel_bops = execution_plan.temporal_relative_bops
-            savings = execution_plan.mac_savings_pct
-        else:
-            rel_bops, savings = _mac_savings(engine, size, seed)
 
         def _pct(q: float) -> float:
             return float(np.percentile(latencies, q)) if completed else float("nan")
@@ -1158,8 +1138,8 @@ def simulate_serving(
             latency_p90_s=_pct(90),
             latency_p99_s=_pct(99),
             mean_service_s=float(np.mean(step_times)) if step_times else 0.0,
-            temporal_relative_bops=rel_bops,
-            mac_savings_pct=savings,
+            temporal_relative_bops=execution_plan.temporal_relative_bops,
+            mac_savings_pct=execution_plan.mac_savings_pct,
             utilization=mean_fill / size,
             served=served,
             outcomes={s.req_id: s.outcome for s in served},

@@ -24,6 +24,22 @@ def _numeric_sanitizer():
         yield
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _private_cache_dir(tmp_path_factory):
+    """Point the default result cache at a per-session temporary directory.
+
+    Every serve derives (and caches) an ExecutionPlan, and engine builds
+    cache too; without this the suite would write into the user's
+    ``~/.cache/ditto-repro``, and a plan left there by an earlier run could
+    change a test's ``plan_source``.  Session scope also covers the
+    ``benchmarks/`` suite that runs after ``tests/`` in a full run.  The
+    previous value is restored at the end of the session.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
+        yield
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

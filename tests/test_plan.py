@@ -5,10 +5,11 @@ Three properties pinned here (see ``docs/plan-cache.md``):
 * **Determinism** - deriving a plan from the same engine source twice
   yields a bit-identical digest, so the digest is a real identity and the
   drift check can demand exact equality.
-* **Replay exactness** - ``simulate_serving(use_plan=True,
-  verify_invariance=True)`` proves every served request of the
-  plan-replay (``record_trace=False``) path bit-exact against its
-  *instrumented* batch-1 reference, for both schedulers.
+* **Replay exactness** - ``simulate_serving(verify_invariance=True)``
+  proves every served request of the plan-replay (``record_trace=False``)
+  path bit-exact against its *instrumented* batch-1 reference, for both
+  schedulers.  Every serve is a plan replay: one instrumented run derives
+  (or drift-checks) the plan, whatever the batch sizes.
 * **Cache hygiene** - ``plan_key`` embeds the package source fingerprint
   (a source edit strands every cached plan), and a cache-hit plan is
   drift-checked against a re-instrumented derivation: a perturbed cached
@@ -42,7 +43,6 @@ def _serve(tmp_path, **kwargs):
         window_s=0.05,
         seed=0,
         calibrate=False,
-        use_plan=True,
         plan_cache_dir=tmp_path,
     )
     params.update(kwargs)
@@ -140,6 +140,46 @@ def test_plan_mode_reports_consistent_savings_across_batch_sizes(tmp_path):
     assert len(savings) == 1
 
 
+def test_one_recording_run_per_serve_whatever_the_batch_sizes(
+    tmp_path, monkeypatch
+):
+    """A default serve records exactly one instrumented run: the plan's
+    derivation on a cold cache, its drift-check replay on a hit.  Every
+    batch size reports the plan's BOPs rather than running its own."""
+    recorded = []
+    run = DittoEngine.run
+
+    def counting_run(self, *args, record_trace=True, **kwargs):
+        if record_trace:
+            recorded.append(kwargs.get("batch_size"))
+        return run(self, *args, record_trace=record_trace, **kwargs)
+
+    monkeypatch.setattr(DittoEngine, "run", counting_run)
+    cold = _serve(tmp_path)
+    assert (cold.plan_source, len(recorded)) == ("derived", 1)
+    hit = _serve(tmp_path)
+    assert (hit.plan_source, len(recorded)) == ("cache", 2)
+    assert recorded == [1, 1]
+    plan = ResultCache(tmp_path).get(
+        plan_key(
+            make_tiny_spec(), calibrate=False,
+            derivation_seed=0, derivation_batch_size=1,
+        )
+    )
+    for report in (cold, hit):
+        assert sorted(report.per_batch) == [1, 2]
+        for size_report in report.per_batch.values():
+            assert (
+                size_report.temporal_relative_bops
+                == plan.temporal_relative_bops
+            )
+
+
+def test_use_plan_false_names_a_mode_that_is_gone(tmp_path):
+    with pytest.raises(ValueError, match="use_plan=False"):
+        _serve(tmp_path, use_plan=False)
+
+
 # -- invalidation ----------------------------------------------------------
 
 def test_plan_key_changes_with_code_fingerprint(monkeypatch):
@@ -213,7 +253,6 @@ def test_benchmark_plan_key_call_shape_is_what_serving_looks_up(tmp_path):
         seed=seed,
         engine=engine,
         scheduler="continuous",
-        use_plan=True,
         plan_cache_dir=tmp_path,
     )
     assert report.plan_source == "cache"
@@ -223,7 +262,10 @@ def test_benchmark_plan_key_call_shape_is_what_serving_looks_up(tmp_path):
 
 # -- drift check -----------------------------------------------------------
 
-def test_drift_check_fires_on_perturbed_plan(tmp_path):
+@pytest.mark.parametrize("field_name", ["total_macs", "benchmark"])
+def test_drift_check_fires_on_perturbed_plan(tmp_path, field_name):
+    """A perturbed cached plan - or a foreign one, derived for another
+    benchmark - is reported by name, never trusted and never a crash."""
     first = _serve(tmp_path)
     assert first.plan_source == "derived"
     key = plan_key(
@@ -233,27 +275,18 @@ def test_drift_check_fires_on_perturbed_plan(tmp_path):
     cache = ResultCache(tmp_path)
     cached = cache.get(key)
     assert cached is not None and cached.digest == first.plan_digest
-    cache.put(key, dataclasses.replace(cached, total_macs=cached.total_macs + 1))
+    perturbed = {"total_macs": cached.total_macs + 1, "benchmark": "other"}
+    cache.put(
+        key, dataclasses.replace(cached, **{field_name: perturbed[field_name]})
+    )
 
     report = _serve(tmp_path)
     assert report.plan_source == "cache"
     assert report.plan_drift["checked"] is True
     assert report.plan_drift["matches"] is False
-    assert any("total_macs" in m for m in report.plan_drift["mismatches"])
+    assert any(field_name in m for m in report.plan_drift["mismatches"])
     assert "WARNING plan drift" in report.summary()
     assert report.to_json()["plan_drift"]["matches"] is False
-
-
-# -- session validation ----------------------------------------------------
-
-def test_session_rejects_foreign_plan():
-    engine = _tiny_engine()
-    plan = engine.derive_plan(seed=0, batch_size=1)
-    wrong = dataclasses.replace(plan, benchmark="other")
-    with pytest.raises(ValueError, match="benchmark"):
-        engine.open_session(capacity=2, plan=wrong)
-    with engine.open_session(capacity=2, plan=plan) as session:
-        assert session.plan is plan
 
 
 def test_plan_payload_round_trips_canonically():

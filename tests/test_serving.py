@@ -297,7 +297,7 @@ def test_prebuilt_engine_supplies_steps_and_plan_key(tmp_path):
     short = DittoEngine.from_benchmark(spec, num_steps=2, calibrate=False)
     serve = dict(
         batch_sizes=(1,), num_requests=2, pattern="burst", calibrate=False,
-        use_plan=True, plan_cache_dir=tmp_path,
+        plan_cache_dir=tmp_path,
     )
     assert simulate_serving(spec, engine=short, **serve).num_steps == 2
     full = simulate_serving(spec, **serve)
@@ -322,7 +322,7 @@ def test_prebuilt_engine_keys_its_plan_under_its_own_config(tmp_path, build):
     spec = make_tiny_spec("tinyOwnConfig", num_steps=2)
     serve = dict(
         batch_sizes=(1,), num_requests=2, pattern="burst",
-        use_plan=True, plan_cache_dir=tmp_path,
+        plan_cache_dir=tmp_path,
     )
     prebuilt = DittoEngine.from_benchmark(spec, **build)
     report = simulate_serving(spec, engine=prebuilt, **serve)
