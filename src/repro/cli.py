@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint",
-        help="run the AST + dataflow invariant checkers (RPL001-RPL011)",
+        help="run the AST invariant checkers (RPL001, RPL011)",
         add_help=False,
     )
     # All flags are owned by repro.lint.main (one source of truth); forward

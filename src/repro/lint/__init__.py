@@ -1,16 +1,15 @@
 """``repro lint``: AST invariant checkers + runtime numeric sanitizer.
 
-Static side (``repro lint`` / ``python -m repro.lint``): nine repo-specific
-rules over ``src/repro`` (plus ``scripts/`` and the lintable test helpers) -
-RPL001, RPL004-RPL006 and RPL011 are syntactic (see :mod:`repro.lint.checkers`),
-RPL007-RPL010 ride the interprocedural dataflow engine
-(:mod:`repro.lint.dataflow`).  See
-README "Invariants & static checks" for the rule table.  Exit status is 0
-when the repo is clean (modulo baseline), 1 otherwise.
+Static side (``repro lint`` / ``python -m repro.lint``): two repo-specific
+syntactic rules over ``src/repro``, RPL001 and RPL011 (see
+:mod:`repro.lint.checkers`), kept because no test or runtime check catches
+their defects.  See README "Invariants & static checks" for the rule table.
+Exit status is 0 when the repo is clean, 1 otherwise.
 
 Runtime side: :mod:`repro.lint.runtime`, an opt-in (``REPRO_SANITIZE=1``)
-kernel-wrapping sanitizer that the test suite installs from conftest; its
-static twin is RPL007 (the two share one kernel/region model).
+kernel-wrapping sanitizer that the test suite installs from conftest.  It is
+the one guard of float64 inside a float32 calibration region and of cols
+layout into the conv GEMM.
 """
 
 from __future__ import annotations
@@ -23,17 +22,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .checkers import default_checkers
-from .framework import (
-    ALL_SCOPES,
-    Finding,
-    Project,
-    SourceFile,
-    load_baseline,
-    load_project,
-    run_checkers,
-    run_lint,
-    write_baseline,
-)
+from .framework import Finding, Project, SourceFile, load_project, run_checkers, run_lint
 
 __all__ = [
     "Finding",
@@ -55,7 +44,7 @@ def _default_root() -> Path:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="Run the repo's AST invariant checkers (RPL001-RPL011).",
+        description="Run the repo's AST invariant checkers (RPL001, RPL011).",
     )
     parser.add_argument(
         "--root",
@@ -68,7 +57,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=Path,
         default=None,
         metavar="PATH",
-        help="also write all findings (including baselined) as JSON",
+        help="also write all findings as JSON",
     )
     parser.add_argument(
         "--sarif",
@@ -78,41 +67,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also write all findings as SARIF 2.1.0 (CI inline annotations)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "sarif"),
-        default="text",
-        help="stdout format for new findings (default: text)",
-    )
-    parser.add_argument(
-        "--scope",
-        default=",".join(ALL_SCOPES),
-        metavar="SCOPES",
-        help=(
-            "comma-separated source scopes to lint: src, scripts, tests "
-            "(default: all three; rules still only fire in scopes they declare)"
-        ),
-    )
-    parser.add_argument(
         "--time-budget",
         type=float,
         default=None,
         metavar="SECONDS",
-        help=(
-            "fail (exit 3) if the whole lint run - including the dataflow "
-            "fixed point - exceeds this wall-clock budget"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="JSON baseline of accepted findings; only new findings fail",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to --baseline and exit 0",
+        help="fail (exit 3) if the whole lint run exceeds this wall-clock budget",
     )
     parser.add_argument(
         "--list-rules",
@@ -124,22 +83,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     checkers = default_checkers()
     if args.list_rules:
         for checker in checkers:
-            scopes = ",".join(sorted(checker.scopes))
-            print(f"{checker.rule}  [{scopes}]  {checker.title}")
+            print(f"{checker.rule}  {checker.title}")
         return 0
 
-    scopes = [part.strip() for part in args.scope.split(",") if part.strip()]
-    for scope in scopes:
-        if scope not in ALL_SCOPES:
-            print(f"unknown scope {scope!r} (choose from {', '.join(ALL_SCOPES)})", file=sys.stderr)
-            return 2
-
     root = args.root if args.root is not None else _default_root()
-    baseline = None
-    if args.baseline is not None and args.baseline.exists() and not args.write_baseline:
-        baseline = load_baseline(args.baseline)
     started = time.perf_counter()
-    findings, new = run_lint(root, checkers, baseline, scopes=scopes)
+    findings = run_lint(root, checkers)
     elapsed = time.perf_counter() - started
 
     if args.json is not None:
@@ -149,33 +98,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.sarif is not None:
         from .sarif import write_sarif
 
-        write_sarif(args.sarif, findings, checkers, baseline)
-    if args.write_baseline:
-        if args.baseline is None:
-            print("--write-baseline requires --baseline PATH", file=sys.stderr)
-            return 2
-        write_baseline(findings, args.baseline)
-        print(f"wrote {len(findings)} finding(s) to {args.baseline}")
-        return 0
-
-    if args.format == "sarif":
-        from .sarif import findings_to_sarif
-
-        print(json.dumps(findings_to_sarif(findings, checkers, baseline), indent=2))
-    else:
-        for finding in new:
-            print(finding)
-        suppressed = len(findings) - len(new)
-        tail = f" ({suppressed} baselined)" if suppressed else ""
-        print(
-            f"repro lint: {len(new)} finding(s){tail}, {len(checkers)} checkers, "
-            f"{elapsed:.2f}s"
-        )
+        write_sarif(args.sarif, findings, checkers)
+    for finding in findings:
+        print(finding)
+    print(f"repro lint: {len(findings)} finding(s), {len(checkers)} checkers, {elapsed:.2f}s")
     if args.time_budget is not None and elapsed > args.time_budget:
         print(
-            f"repro lint: time budget exceeded ({elapsed:.2f}s > "
-            f"{args.time_budget:.2f}s) - the dataflow fixed point is too slow",
+            f"repro lint: time budget exceeded ({elapsed:.2f}s > {args.time_budget:.2f}s)",
             file=sys.stderr,
         )
         return 3
-    return 1 if new else 0
+    return 1 if findings else 0

@@ -1,31 +1,28 @@
-"""The repo-specific invariant checkers (RPL001, RPL004-RPL006, RPL011).
+"""The repo-specific invariant checkers (RPL001, RPL006, RPL011).
 
-Each rule encodes a contract that a past PR violated by hand before being
-fixed by inspection; see README "Invariants & static checks" for the full
-contract table and suppression instructions.  The dataflow-backed rules
-(RPL007-RPL010) live in :mod:`repro.lint.dataflow.rules`;
-:func:`default_checkers` returns all nine.
+Each rule encodes a contract that a past PR violated by hand and that no
+test or runtime sanitizer catches; see README "Invariants & static checks"
+for the rule table, the retired rules and what now guards their defects.
+All three are syntactic, per-file AST passes.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from .framework import Checker, Finding, Project, SourceFile
+from .framework import Checker, Finding, SourceFile
 
 __all__ = [
     "DtypePromotionChecker",
-    "ProfilerPhaseChecker",
-    "GemmLayoutChecker",
     "SwallowedExceptionChecker",
     "BackendDispatchChecker",
     "default_checkers",
 ]
 
-# Modules on the numeric hot path where NEP-50 scalar promotion and GEMM
-# layout mistakes actually cost correctness or throughput.
+# Modules on the numeric hot path where NEP-50 scalar promotion costs
+# correctness or throughput, and where quantized GEMMs live.
 _HOT_DIR_RE = re.compile(r"src/repro/(nn|diffusion|quant)/")
 _GEMM_DIR_RE = re.compile(r"src/repro/(nn|diffusion|quant|core)/")
 
@@ -40,14 +37,6 @@ def _is_numpy_call(node: ast.Call, names: Set[str]) -> bool:
         and func.value.id in _NUMPY_ALIASES
         and func.attr in names
     )
-
-
-def _attr_call_name(node: ast.Call) -> Optional[str]:
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    return None
 
 
 class _ParentAnnotator(ast.NodeVisitor):
@@ -149,29 +138,16 @@ def _annotation_is_array(node: Optional[ast.AST]) -> bool:
 class DtypePromotionChecker(Checker):
     """RPL001: ``np.<math>(scalar)`` in hot modules promotes f32 arrays.
 
-    Dataflow-backed since the RPL007-RPL010 engine landed: the local
-    name-evidence heuristic is refined by the interprocedural abstract
-    interpreter, so an argument produced by a helper that provably returns an
-    ndarray no longer trips the rule (and provably-scalar arguments flag even
-    when a same-named array exists in scope).  Rule ID and messages are
-    unchanged, so existing baselines and suppressions keep working.
+    An argument counts as an array when the enclosing function gives local
+    evidence for it: an ``ndarray`` annotation, an ``np.<producer>(...)``
+    call or array method, or a name assigned from one.  Anything else is
+    treated as a scalar.
     """
 
     rule = "RPL001"
     title = "numpy float64 scalar leaking into hot-path array arithmetic"
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        from .dataflow.rules import engine_for
-
-        engine = engine_for(project)
-        findings: List[Finding] = []
-        for handle in project.files.values():
-            if handle.scope not in self.scopes:
-                continue
-            findings.extend(self._check_handle(handle, engine))
-        return findings
-
-    def _check_handle(self, handle: SourceFile, engine=None) -> List[Finding]:
+    def check_file(self, handle: SourceFile) -> Iterable[Finding]:
         if not _HOT_DIR_RE.search(handle.rel_path):
             return []
         _annotate_parents(handle.tree)
@@ -185,7 +161,7 @@ class DtypePromotionChecker(Checker):
                     # Don't descend into nested function scopes twice.
                     if self._enclosing_scope(call) is not scope_node:
                         continue
-                    finding = self._check_call(call, info, handle, engine)
+                    finding = self._check_call(call, info, handle)
                     if finding is not None:
                         findings.append(finding)
         return findings
@@ -244,7 +220,7 @@ class DtypePromotionChecker(Checker):
     # -- the actual check --------------------------------------------------
 
     def _check_call(
-        self, call: ast.Call, info: _ScopeInfo, handle: SourceFile, engine=None
+        self, call: ast.Call, info: _ScopeInfo, handle: SourceFile
     ) -> Optional[Finding]:
         if not _is_numpy_call(call, _SCALAR_MATH_FNS):
             return None
@@ -259,24 +235,10 @@ class DtypePromotionChecker(Checker):
             and parent.func.id == "float"
         ):
             return None
-        # Dataflow refinement: positive array evidence on any argument (e.g.
-        # a helper whose summary provably returns an ndarray) means the dtype
-        # follows the array - fine even when no local name evidence exists.
-        if engine is not None and any(
-            engine.value_of(arg).array is True for arg in call.args
-        ):
-            return None
         # Any array evidence in the arguments means the result is an array
         # and dtype follows the input - fine.
         if any(self._is_arrayish(arg, info) for arg in call.args):
-            # ... unless the dataflow engine proves every argument scalar
-            # (a same-named scalar shadowing an array, a scalar helper).
-            if not (
-                engine is not None
-                and call.args
-                and all(engine.value_of(arg).array is False for arg in call.args)
-            ):
-                return None
+            return None
         fn = call.func.attr  # type: ignore[union-attr]
         return Finding(
             path=handle.rel_path,
@@ -288,232 +250,6 @@ class DtypePromotionChecker(Checker):
                 f"wrap in float(...)"
             ),
         )
-
-
-# ---------------------------------------------------------------------------
-# RPL004 - hot-loop entry points stay profiled; buckets stay gated
-# ---------------------------------------------------------------------------
-
-_PROFILING_NAMES = {"profiling", "prof", "profiler"}
-_PROFILING_CALLS = {"phase", "add", "record", "active"}
-
-
-class ProfilerPhaseChecker(Checker):
-    """RPL004: registered hot-loop entry points must carry phase hooks.
-
-    The bench schema and ``scripts/check_bench.py`` gate per-phase timings;
-    an entry point that silently loses its hook (or a bucket unknown to the
-    gate) makes the perf regression gate blind to exactly the loops it was
-    built to watch.
-    """
-
-    rule = "RPL004"
-    title = "hot-loop entry point without profiler-phase coverage"
-
-    # path suffix -> function names that must contain a profiling hook
-    entry_points: Dict[str, Set[str]] = {
-        "nn/functional.py": {
-            "group_norm", "layer_norm", "im2col", "im2col_t", "unfold_rows"
-        },
-        "core/engine.py": {"from_model"},
-    }
-    # files that must know every bucket name used at a phase call site
-    gate_files = ("scripts/check_bench.py", "src/repro/bench.py")
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        findings.extend(self._check_entry_points(project))
-        findings.extend(self._check_buckets(project))
-        return findings
-
-    def _check_entry_points(self, project: Project) -> List[Finding]:
-        findings = []
-        for suffix, names in self.entry_points.items():
-            handle = project.find(suffix)
-            if handle is None:
-                continue
-            for node in ast.walk(handle.tree):
-                if isinstance(node, ast.FunctionDef) and node.name in names:
-                    if not self._has_profiling_call(node):
-                        findings.append(
-                            Finding(
-                                path=handle.rel_path,
-                                line=node.lineno,
-                                rule=self.rule,
-                                message=(
-                                    f"hot-loop entry point {node.name!r} has no "
-                                    f"profiling phase hook (profiling.phase / "
-                                    f"prof.add / profiling.record)"
-                                ),
-                            )
-                        )
-        return findings
-
-    def _has_profiling_call(self, fn: ast.FunctionDef) -> bool:
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                base = node.func.value
-                if (
-                    isinstance(base, ast.Name)
-                    and base.id in _PROFILING_NAMES
-                    and node.func.attr in _PROFILING_CALLS
-                ):
-                    return True
-        return False
-
-    def _check_buckets(self, project: Project) -> List[Finding]:
-        findings = []
-        gates = {suffix: project.text(suffix) for suffix in self.gate_files}
-        for handle in project.files.values():
-            for bucket, line in self._bucket_sites(handle):
-                for suffix, text in gates.items():
-                    if text is None:
-                        continue
-                    if not re.search(rf"\b{re.escape(bucket)}\b", text):
-                        findings.append(
-                            Finding(
-                                path=handle.rel_path,
-                                line=line,
-                                rule=self.rule,
-                                message=(
-                                    f"phase bucket {bucket!r} is unknown to "
-                                    f"{suffix}; the perf gate cannot watch it"
-                                ),
-                            )
-                        )
-        return findings
-
-    def _bucket_sites(self, handle: SourceFile) -> List[Tuple[str, int]]:
-        sites = []
-        for node in ast.walk(handle.tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            base = node.func.value
-            if not (isinstance(base, ast.Name) and base.id in _PROFILING_NAMES):
-                continue
-            if node.func.attr not in {"phase", "add", "record"}:
-                continue
-            if node.args and isinstance(node.args[0], ast.Constant):
-                value = node.args[0].value
-                if isinstance(value, str):
-                    sites.append((value, node.lineno))
-        return sites
-
-
-# ---------------------------------------------------------------------------
-# RPL005 - layout discipline at the exact-f32 GEMM call sites
-# ---------------------------------------------------------------------------
-
-_GEMM_SINKS = {"conv2d_from_cols", "conv2d_from_cols_t", "linear", "matmul", "dot"}
-_VIEW_METHODS = {"transpose", "swapaxes", "reshape"}
-
-
-# Receiver spellings of the compute-backend dispatch surface:
-# ``bk = backends.active(); bk.matmul(...)`` or ``backends.active().linear(...)``.
-_BACKEND_RECEIVERS = {"bk", "backend", "backends"}
-
-
-def is_backend_dispatch(node: ast.AST) -> bool:
-    """True for calls routed through the compute-backend dispatch.
-
-    The dispatch surface owns operand layout - it may materialize or
-    re-block strided views internally - so the layout rules treat
-    dispatched calls as sanctioned and keep watching the raw kernels,
-    including the dispatch implementation itself.
-    """
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-        return False
-    recv = node.func.value
-    if isinstance(recv, ast.Name) and recv.id in _BACKEND_RECEIVERS:
-        return True
-    return (
-        isinstance(recv, ast.Call)
-        and isinstance(recv.func, ast.Attribute)
-        and recv.func.attr == "active"
-    )
-
-
-def is_direct_strided_view(node: ast.AST) -> bool:
-    """Syntactic ``.T`` / ``.transpose()`` / ``.reshape()`` view expression.
-
-    Shared with RPL008 so the flow-sensitive rule skips exactly the operands
-    the direct rule already owns (one finding per defect, stable rule IDs).
-    """
-    if isinstance(node, ast.Attribute) and node.attr == "T":
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr in _VIEW_METHODS:
-            return True
-    return False
-
-
-class GemmLayoutChecker(Checker):
-    """RPL005: no transposed/reshaped views straight into the GEMM kernels.
-
-    The blocked integer GEMMs and the exact-f32 fast path assume C-contiguous
-    operands (the PR 2 "reduction temporaries must inherit layout" subtlety);
-    a strided view silently forces a copy per call or, worse, a slow BLAS
-    path.  Wrap the operand in ``np.ascontiguousarray(...)`` (or materialize
-    it earlier) to state the layout explicitly.
-    """
-
-    rule = "RPL005"
-    title = "strided view fed directly into an exact-f32 GEMM call site"
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        from .dataflow.rules import engine_for
-
-        engine = engine_for(project)
-        findings: List[Finding] = []
-        for handle in project.files.values():
-            if handle.scope not in self.scopes:
-                continue
-            findings.extend(self._check_handle(handle, engine))
-        return findings
-
-    def _check_handle(self, handle: SourceFile, engine=None) -> List[Finding]:
-        if not _GEMM_DIR_RE.search(handle.rel_path):
-            return []
-        findings: List[Finding] = []
-        for node in ast.walk(handle.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = _attr_call_name(node)
-            if callee not in _GEMM_SINKS:
-                continue
-            if is_backend_dispatch(node):
-                continue
-            # np.dot/np.matmul check both operands; the repo kernels take the
-            # layout-critical cols/data operand first.
-            n_args = 2 if callee in {"matmul", "dot"} else 1
-            for arg in node.args[:n_args]:
-                if self._is_strided_view(arg):
-                    # Dataflow refinement: reshape of a provably C-contiguous
-                    # base is itself C-contiguous - no copy, no strided view.
-                    if (
-                        engine is not None
-                        and isinstance(arg, ast.Call)
-                        and isinstance(arg.func, ast.Attribute)
-                        and arg.func.attr == "reshape"
-                        and engine.value_of(arg.func.value).is_contig
-                    ):
-                        continue
-                    findings.append(
-                        Finding(
-                            path=handle.rel_path,
-                            line=arg.lineno,
-                            rule=self.rule,
-                            message=(
-                                f"{ast.unparse(arg)} is a strided view passed "
-                                f"directly to {callee}(); wrap in "
-                                f"np.ascontiguousarray(...) to guarantee layout"
-                            ),
-                        )
-                    )
-        return findings
-
-    def _is_strided_view(self, node: ast.AST) -> bool:
-        return is_direct_strided_view(node)
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +327,16 @@ _RAW_GEMM_CALLS = {"matmul", "einsum"}
 
 # Operand spellings that carry quantized-integer evidence in this codebase:
 # the q_*-prefixed quantized activations/weights, the qq/qk/qv/qp/dq/dk/dv/dp
-# attention operand idiom, temporal diffs and prev_* carries, and *_int
-# accumulators.  A raw product over such operands is exactly the GEMM the
-# backend interface exists to own.
+# attention operand idiom, temporal diffs and prev_* carries, *_int
+# accumulators, and the unfolded cols buffers the quantized convs multiply.
+# A raw product over such operands is exactly the GEMM the backend interface
+# exists to own.
 _QUANT_NAME_RE = re.compile(
     r"^(qq|qk|qv|qp|dq|dk|dv|dp)$"
     r"|^(q|int|diff|quant)_"
     r"|^(diff|prev)"
-    r"|_(q|int|cols)$"
+    r"|_(q|int)$"
+    r"|(^|_)cols$"
 )
 
 
@@ -614,26 +352,14 @@ class BackendDispatchChecker(Checker):
     ``# repro-lint: ignore[RPL011]`` when the product is genuinely not a
     GEMM worth counting.
 
-    The operand test is the name heuristic above refined by the dataflow
-    engine: operands it proves non-array (plain scalars that merely reuse a
-    quantized-sounding name) never fire.
+    The operand test is the name heuristic above: a scalar that merely
+    reuses a quantized-sounding name fires too, and takes the suppression.
     """
 
     rule = "RPL011"
     title = "quantized GEMM bypassing the compute-backend dispatch"
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        from .dataflow.rules import engine_for
-
-        engine = engine_for(project)
-        findings: List[Finding] = []
-        for handle in project.files.values():
-            if handle.scope not in self.scopes:
-                continue
-            findings.extend(self._check_handle(handle, engine))
-        return findings
-
-    def _check_handle(self, handle: SourceFile, engine=None) -> List[Finding]:
+    def check_file(self, handle: SourceFile) -> Iterable[Finding]:
         if not _GEMM_DIR_RE.search(handle.rel_path):
             return []
         if _BACKEND_DIR_RE.search(handle.rel_path):
@@ -645,13 +371,6 @@ class BackendDispatchChecker(Checker):
                 continue
             quantized = [op for op in operands if self._is_quantized(op)]
             if not quantized:
-                continue
-            # Dataflow refinement: when every quantized-named operand is
-            # provably non-array (a float knob reusing a quantized-sounding
-            # name), this is scalar math, not a GEMM.
-            if engine is not None and all(
-                engine.value_of(op).array is False for op in quantized
-            ):
                 continue
             shown = ", ".join(ast.unparse(op) for op in quantized)
             findings.append(
@@ -698,22 +417,4 @@ class BackendDispatchChecker(Checker):
 
 
 def default_checkers() -> List[Checker]:
-    # Imported lazily: dataflow.rules imports the sink sets from this module.
-    from .dataflow.rules import (
-        DtypeFlowChecker,
-        LayoutFlowChecker,
-        RngStreamChecker,
-        SessionLifecycleChecker,
-    )
-
-    return [
-        DtypePromotionChecker(),
-        ProfilerPhaseChecker(),
-        GemmLayoutChecker(),
-        SwallowedExceptionChecker(),
-        DtypeFlowChecker(),
-        LayoutFlowChecker(),
-        RngStreamChecker(),
-        SessionLifecycleChecker(),
-        BackendDispatchChecker(),
-    ]
+    return [DtypePromotionChecker(), SwallowedExceptionChecker(), BackendDispatchChecker()]

@@ -1,44 +1,33 @@
-"""Tiny AST-lint framework for the repo's own serving-stack invariants.
+"""Tiny AST-lint framework for the repo's own numeric-path invariants.
 
-``repro lint`` is not a general-purpose linter: every rule encodes a contract
-this codebase has already been bitten by (NEP-50 scalar promotion, the
-temporal-state registry, cache-key coverage, profiler-phase coverage, GEMM
-layout discipline).  The framework keeps the moving parts small:
+``repro lint`` is not a general-purpose linter: each rule encodes a contract
+this codebase has been bitten by and that no test or runtime check catches
+(NEP-50 scalar promotion, exceptions swallowed in the serving stack,
+quantized GEMMs bypassing the traced dispatch).
+The framework keeps the moving parts small:
 
 * :class:`SourceFile` - one parsed ``.py`` file plus its per-line suppression
   table (``# repro-lint: ignore[RULE]``).
-* :class:`Project` - every source file under ``src/repro`` plus auxiliary
-  texts (``scripts/check_bench.py``) that cross-file rules need to read.
-* :class:`Checker` - a rule.  Per-file rules implement :meth:`~Checker.check_file`;
-  cross-file rules implement :meth:`~Checker.check_project`.
-* :func:`run_lint` - load, check, filter suppressions, apply the optional
-  JSON baseline, and return findings sorted by location.
+* :class:`Project` - every source file under ``src/repro``.
+* :class:`Checker` - a rule; subclasses implement :meth:`~Checker.check_file`.
+* :func:`run_lint` - load, check, filter suppressions, and return findings
+  sorted by location.
 
 Suppression semantics: a ``# repro-lint: ignore[RPL001]`` comment suppresses
 matching findings anchored on its own line; when the comment sits alone on a
 line it applies to the next *code* line instead - blank lines and further
 comments are skipped, and when that code line is a decorator the suppression
 extends through the decorated ``def``/``class`` statement.  ``ignore[*]``
-suppresses every rule.  ``# repro-lint: assume[...]`` comments carry dataflow
-facts (``f32``, ``c-contiguous``, ``row-shape``, ...) with the same
-line-targeting rules; the abstract interpreter and the RPL007-RPL010 rules
-consume them.  Baselines are JSON files listing finding keys (rule + path +
-message, deliberately line-number free so unrelated edits don't churn them).
-
-Scopes: every :class:`SourceFile` carries a ``scope`` - ``"src"`` for the
-package, ``"scripts"`` for ``scripts/*.py``, ``"tests"`` for the lintable
-test helpers.  Checkers declare which scopes they apply to via
-:attr:`Checker.scopes`, so test-only idioms don't trip production rules.
+suppresses every rule.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 __all__ = [
     "Finding",
@@ -48,12 +37,9 @@ __all__ = [
     "load_project",
     "run_checkers",
     "run_lint",
-    "load_baseline",
-    "write_baseline",
 ]
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*ignore\[([A-Za-z0-9_*,\s]+)\]")
-_ASSUME_RE = re.compile(r"#\s*repro-lint:\s*assume\[([A-Za-z0-9_\-*,\s]+)\]")
 
 
 @dataclass(frozen=True, order=True)
@@ -65,11 +51,6 @@ class Finding:
     rule: str
     message: str
 
-    @property
-    def key(self) -> str:
-        """Baseline identity: line-free so edits above a finding don't churn it."""
-        return f"{self.rule}:{self.path}:{self.message}"
-
     def to_json(self) -> Dict[str, object]:
         return {"rule": self.rule, "path": self.path, "line": self.line, "message": self.message}
 
@@ -78,28 +59,25 @@ class Finding:
 
 
 class SourceFile:
-    """A parsed source file plus its suppression/assumption tables."""
+    """A parsed source file plus its suppression table."""
 
-    def __init__(self, rel_path: str, source: str, scope: str = "src") -> None:
+    def __init__(self, rel_path: str, source: str) -> None:
         self.rel_path = rel_path.replace("\\", "/")
-        self.source = source
-        self.scope = scope
         self.tree = ast.parse(source, filename=rel_path)
         lines = source.splitlines()
         self._suppressions: Dict[int, Set[str]] = {}
-        self._assumptions: Dict[int, Set[str]] = {}
         for lineno, text in enumerate(lines, start=1):
-            for regex, table in ((_SUPPRESS_RE, self._suppressions), (_ASSUME_RE, self._assumptions)):
-                match = regex.search(text)
-                if not match:
-                    continue
-                rules = {part.strip() for part in match.group(1).split(",") if part.strip()}
-                # A comment-only line shields the code below it.
-                if text[: match.start()].strip() == "":
-                    for target in self._comment_targets(lines, lineno):
-                        table.setdefault(target, set()).update(rules)
-                else:
-                    table.setdefault(lineno, set()).update(rules)
+            match = _SUPPRESS_RE.search(text)
+            if not match:
+                continue
+            rules = {part.strip() for part in match.group(1).split(",") if part.strip()}
+            # A comment-only line shields the code below it.
+            if text[: match.start()].strip() == "":
+                targets = self._comment_targets(lines, lineno)
+            else:
+                targets = [lineno]
+            for target in targets:
+                self._suppressions.setdefault(target, set()).update(rules)
 
     @staticmethod
     def _comment_targets(lines: List[str], comment_line: int) -> List[int]:
@@ -133,155 +111,55 @@ class SourceFile:
         rules = self._suppressions.get(line, ())
         return rule in rules or "*" in rules
 
-    def assumptions(self, line: int) -> Set[str]:
-        """Dataflow facts asserted for ``line`` via ``assume[...]`` comments."""
-        return self._assumptions.get(line, set())
-
 
 class Project:
-    """All lintable sources plus auxiliary raw texts cross-file rules read."""
+    """All lintable sources, keyed by repo-relative path."""
 
-    def __init__(self, files: Mapping[str, SourceFile], aux: Optional[Mapping[str, str]] = None):
+    def __init__(self, files: Mapping[str, SourceFile]):
         self.files: Dict[str, SourceFile] = dict(files)
-        self.aux: Dict[str, str] = dict(aux or {})
 
     @classmethod
-    def from_sources(
-        cls, sources: Mapping[str, str], aux: Optional[Mapping[str, str]] = None
-    ) -> "Project":
+    def from_sources(cls, sources: Mapping[str, str]) -> "Project":
         """Build an in-memory project (used by the checker fixture tests)."""
-        return cls(
-            {path: SourceFile(path, text, scope=_scope_of(path)) for path, text in sources.items()},
-            aux,
-        )
-
-    def find(self, suffix: str) -> Optional[SourceFile]:
-        """The unique source file whose path ends with ``suffix`` (if any)."""
-        for path, handle in self.files.items():
-            if path.endswith(suffix):
-                return handle
-        return None
-
-    def text(self, suffix: str) -> Optional[str]:
-        """Raw text of a source or auxiliary file by path suffix."""
-        handle = self.find(suffix)
-        if handle is not None:
-            return handle.source
-        for path, text in self.aux.items():
-            if path.replace("\\", "/").endswith(suffix):
-                return text
-        return None
+        return cls({path: SourceFile(path, text) for path, text in sources.items()})
 
 
 class Checker:
-    """Base class: subclasses set ``rule``/``title`` and override one hook.
-
-    ``scopes`` declares which source scopes the rule applies to; per-file
-    hooks are only invoked for in-scope files, and project-level rules are
-    expected to consult ``handle.scope`` (the dataflow rules do).
-    """
+    """Base class: subclasses set ``rule``/``title`` and override ``check_file``."""
 
     rule: str = "RPL000"
     title: str = ""
-    scopes: FrozenSet[str] = frozenset({"src"})
 
     def check_file(self, handle: SourceFile) -> Iterable[Finding]:
         return ()
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        return ()
 
-
-ALL_SCOPES = ("src", "scripts", "tests")
-
-
-def _scope_of(rel_path: str) -> str:
-    path = rel_path.replace("\\", "/")
-    if path.startswith("scripts/") or "/scripts/" in path:
-        return "scripts"
-    if path.startswith("tests/") or "/tests/" in path:
-        return "tests"
-    return "src"
-
-
-def load_project(root: Path, scopes: Optional[Sequence[str]] = None) -> Project:
-    """Load the lintable sources and the aux texts the project rules need.
-
-    ``scopes`` selects which source trees are loaded: ``src`` is
-    ``src/repro/**``, ``scripts`` is ``scripts/*.py``, and ``tests`` is the
-    importable test helpers (``tests/helpers.py``) - not the test modules
-    themselves, whose fixture code intentionally violates the rules.
-    """
+def load_project(root: Path) -> Project:
+    """Load every ``.py`` file under ``src/repro`` of the repo at ``root``."""
     root = Path(root)
-    selected = set(scopes if scopes is not None else ALL_SCOPES)
     files: Dict[str, SourceFile] = {}
-
-    def load(path: Path, scope: str) -> None:
-        rel = path.relative_to(root).as_posix()
-        files[rel] = SourceFile(rel, path.read_text(), scope=scope)
-
-    if "src" in selected:
-        package = root / "src" / "repro"
-        for path in sorted(package.rglob("*.py")):
-            if "__pycache__" not in path.parts:
-                load(path, "src")
-    if "scripts" in selected:
-        for path in sorted((root / "scripts").glob("*.py")):
-            load(path, "scripts")
-    if "tests" in selected:
-        helpers = root / "tests" / "helpers.py"
-        if helpers.exists():
-            load(helpers, "tests")
-    aux: Dict[str, str] = {}
-    check_bench = root / "scripts" / "check_bench.py"
-    if check_bench.exists():
-        aux["scripts/check_bench.py"] = check_bench.read_text()
-    return Project(files, aux)
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        if "__pycache__" not in path.parts:
+            rel = path.relative_to(root).as_posix()
+            files[rel] = SourceFile(rel, path.read_text())
+    return Project(files)
 
 
 def run_checkers(project: Project, checkers: Sequence[Checker]) -> List[Finding]:
     """Run every checker over the project and filter suppressed findings."""
-    findings: List[Finding] = []
-    for checker in checkers:
-        for handle in project.files.values():
-            if handle.scope in checker.scopes:
-                findings.extend(checker.check_file(handle))
-        findings.extend(checker.check_project(project))
-    kept = []
-    for finding in findings:
-        handle = project.files.get(finding.path)
-        if handle is not None and handle.suppressed(finding.line, finding.rule):
-            continue
-        kept.append(finding)
-    return sorted(set(kept))
+    kept = set()
+    for handle in project.files.values():
+        for checker in checkers:
+            for finding in checker.check_file(handle):
+                if not handle.suppressed(finding.line, finding.rule):
+                    kept.add(finding)
+    return sorted(kept)
 
 
-def load_baseline(path: Path) -> Set[str]:
-    payload = json.loads(Path(path).read_text())
-    return set(payload.get("suppressed", []))
-
-
-def write_baseline(findings: Sequence[Finding], path: Path) -> None:
-    payload = {"version": 1, "suppressed": sorted({f.key for f in findings})}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def run_lint(
-    root: Path,
-    checkers: Optional[Sequence[Checker]] = None,
-    baseline: Optional[Set[str]] = None,
-    scopes: Optional[Sequence[str]] = None,
-) -> Tuple[List[Finding], List[Finding]]:
-    """Lint the repo at ``root``.
-
-    Returns ``(all_findings, new_findings)`` where ``new_findings`` excludes
-    anything covered by the baseline.  CI fails on ``new_findings`` only.
-    """
+def run_lint(root: Path, checkers: Optional[Sequence[Checker]] = None) -> List[Finding]:
+    """Lint the repo at ``root``; every returned finding fails CI."""
     if checkers is None:
         from .checkers import default_checkers
 
         checkers = default_checkers()
-    findings = run_checkers(load_project(root, scopes=scopes), checkers)
-    baseline = baseline or set()
-    new = [f for f in findings if f.key not in baseline]
-    return findings, new
+    return run_checkers(load_project(root), checkers)

@@ -1,16 +1,15 @@
 """Opt-in runtime numeric sanitizer for the serving stack.
 
-The static checkers catch the patterns we know how to spot in source; this
-module catches the same invariant classes *dynamically*:
+It is the one guard of two defect classes, checked on every kernel call:
 
 * **no float64 inside a float32 calibration region** - the
   ``calibration_precision("float32")`` fast path casts the whole model to
   float32; any float64 array reaching a kernel inside that region means a
-  NEP-50 promotion leak snuck past RPL001 (and silently doubles the
-  calibration cost).
-* **no non-C-contiguous cols into the integer GEMMs** - the blocked
-  ``conv2d_from_cols``/``conv2d_from_cols_t`` kernels assume C-contiguous
-  column buffers (RPL005's runtime twin).
+  NEP-50 promotion leak (and silently doubles the calibration cost).
+* **no non-C-contiguous cols into the conv GEMM** - ``conv2d_from_cols_t``
+  assumes a C-contiguous column buffer.  Every conv, the compute-backend
+  dispatch included, resolves the kernel through ``repro.nn.functional``,
+  so the wrapper sees them all.
 
 Activation is opt-in: set ``REPRO_SANITIZE=1`` and the test suite's conftest
 installs the kernel wrappers for the whole session (one CI matrix leg runs
@@ -34,8 +33,6 @@ import numpy as np
 
 __all__ = [
     "SanitizerError",
-    "DTYPE_CHECKED_KERNELS",
-    "COLS_CHECKED_KERNELS",
     "enabled",
     "calibration_region",
     "active_calibration_dtype",
@@ -44,12 +41,6 @@ __all__ = [
     "installed",
     "sanitized",
 ]
-
-# The shared region/sink model: these are the kernels install() wraps, and
-# the RPL007 static rule (repro.lint.dataflow.rules) imports the same tuples
-# so the runtime sanitizer and its static twin can never drift apart.
-DTYPE_CHECKED_KERNELS = ("linear", "conv2d", "group_norm", "layer_norm")
-COLS_CHECKED_KERNELS = ("conv2d_from_cols", "conv2d_from_cols_t")
 
 
 class SanitizerError(AssertionError):
@@ -146,10 +137,9 @@ def install() -> None:
         _originals[name] = original
         setattr(F, name, wrapper)
 
-    for kernel in DTYPE_CHECKED_KERNELS:
+    for kernel in ("linear", "conv2d", "group_norm", "layer_norm"):
         wrap_dtype(kernel)
-    for kernel in COLS_CHECKED_KERNELS:
-        wrap_cols(kernel)
+    wrap_cols("conv2d_from_cols_t")
 
 
 def uninstall() -> None:

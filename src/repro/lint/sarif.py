@@ -1,18 +1,16 @@
-"""SARIF 2.1.0 output for ``repro lint --format sarif`` / ``--sarif PATH``.
+"""SARIF 2.1.0 output for ``repro lint --sarif PATH``.
 
 SARIF is the interchange format CI code-scanning UIs ingest to annotate pull
 requests inline.  The document is deliberately minimal: one run, one tool
 (``repro-lint``), one rule entry per active checker, one ``result`` per
-finding with a physical location.  Baselined findings are emitted with
-``"baselineState": "unchanged"`` so scanners can hide them while new
-findings surface as ``"new"``.
+finding with a physical location.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Sequence
 
 from .framework import Checker, Finding
 
@@ -25,11 +23,7 @@ _SARIF_SCHEMA = (
 )
 
 
-def findings_to_sarif(
-    findings: Sequence[Finding],
-    checkers: Sequence[Checker],
-    baseline: Optional[Set[str]] = None,
-) -> Dict:
+def findings_to_sarif(findings: Sequence[Finding], checkers: Sequence[Checker]) -> Dict:
     rules = [
         {
             "id": checker.rule,
@@ -40,14 +34,12 @@ def findings_to_sarif(
         for checker in checkers
     ]
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    baseline = baseline or set()
     results = []
     for finding in findings:
         result = {
             "ruleId": finding.rule,
             "level": "error",
             "message": {"text": finding.message},
-            "baselineState": "unchanged" if finding.key in baseline else "new",
             "locations": [
                 {
                     "physicalLocation": {
@@ -82,11 +74,6 @@ def findings_to_sarif(
     }
 
 
-def write_sarif(
-    path: Path,
-    findings: Sequence[Finding],
-    checkers: Sequence[Checker],
-    baseline: Optional[Set[str]] = None,
-) -> None:
-    document = findings_to_sarif(findings, checkers, baseline)
+def write_sarif(path: Path, findings: Sequence[Finding], checkers: Sequence[Checker]) -> None:
+    document = findings_to_sarif(findings, checkers)
     Path(path).write_text(json.dumps(document, indent=2) + "\n")

@@ -50,7 +50,6 @@ __all__ = [
     "im2col_t",
     "unfold_rows",
     "conv2d",
-    "conv2d_from_cols",
     "conv2d_from_cols_t",
     "linear",
     "avg_pool2d",
@@ -256,9 +255,8 @@ def im2col(
     rows in place (callers owning reusable buffers skip the per-call
     allocation); otherwise a fresh array is returned.
 
-    This is the row-major layout consumed by :func:`conv2d_from_cols`; the
-    quantized conv hot path uses the transposed, block-copied
-    :func:`im2col_t` instead.
+    This is the row-major layout; the conv hot path uses the transposed,
+    block-copied :func:`im2col_t` instead.
     """
     prof = profiling.active()
     t0 = _perf_counter() if prof is not None else 0.0
@@ -459,27 +457,6 @@ def unfold_rows(
         # keep timing im2col_t's square-kernel gather for the parity gate.
         prof.add("im2col", _perf_counter() - t0)
     return rows, (ph - kernel + 1, pw - kernel + 1)
-
-
-def conv2d_from_cols(
-    cols: np.ndarray,
-    weight: np.ndarray,
-    out_hw: Tuple[int, int],
-    bias: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Finish a convolution given pre-unfolded patch rows.
-
-    ``weight`` has shape ``(out_c, in_c, k, k)``; ``cols`` comes from
-    :func:`im2col`.
-    """
-    out_c = weight.shape[0]
-    flat_w = weight.reshape(out_c, -1)
-    out = cols @ flat_w.T
-    if bias is not None:
-        out = out + bias
-    n = cols.shape[0]
-    out_h, out_w = out_hw
-    return out.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2)
 
 
 def conv2d_from_cols_t(

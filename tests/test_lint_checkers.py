@@ -1,10 +1,11 @@
-"""Checker-level tests for ``repro lint`` (the syntactic rules RPL001-RPL006)
-plus the shared framework: suppression edge cases, baselines, scopes, SARIF
-and the CLI.  The dataflow rules RPL007-RPL010 live in
-``tests/test_lint_dataflow.py``.
+"""Checker-level tests for ``repro lint`` (RPL001, RPL006, RPL011) plus the
+shared framework: suppression edge cases, SARIF and the CLI.
 
-Each rule gets a violating fixture proving it fires and a clean twin proving
-it stays quiet, plus the end-to-end assertion that the repo itself is clean.
+Each rule gets a violating fixture proving it fires, a clean twin proving it
+stays quiet, and a pinning fixture: a seeded mutation of real source that
+only the rule catches (tier-1 and the sanitizer suite pass under it), so
+deleting the rule fails here.  Plus the end-to-end assertion that the repo
+itself is clean.
 """
 
 import json
@@ -13,22 +14,25 @@ from pathlib import Path
 import repro
 from repro.lint import Project, default_checkers, main as lint_main, run_checkers, run_lint
 from repro.lint.checkers import (
+    BackendDispatchChecker,
     DtypePromotionChecker,
-    GemmLayoutChecker,
-    ProfilerPhaseChecker,
     SwallowedExceptionChecker,
 )
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 
 
-def lint_sources(sources, aux=None, checkers=None):
-    project = Project.from_sources(sources, aux)
+def lint_sources(sources, checkers=None):
+    project = Project.from_sources(sources)
     return run_checkers(project, checkers or default_checkers())
 
 
-def rules_of(findings):
-    return {f.rule for f in findings}
+def lint_seeded_mutation(rel_path, old, new):
+    """Lint the real ``rel_path`` with ``old`` replaced by ``new`` in memory."""
+    source = (REPO_ROOT / rel_path).read_text()
+    assert source.count(old) == 1, f"seed site moved: {old!r} in {rel_path}"
+    assert lint_sources({rel_path: source}) == []
+    return lint_sources({rel_path: source.replace(old, new)})
 
 
 # ---------------------------------------------------------------------------
@@ -76,112 +80,17 @@ def test_rpl001_only_applies_to_hot_modules():
     assert lint_sources({"src/repro/workloads/bad.py": RPL001_BAD}) == []
 
 
-# ---------------------------------------------------------------------------
-# RPL004 - profiler-phase coverage
-# ---------------------------------------------------------------------------
-
-RPL004_FUNCTIONAL_BAD = """\
-from .. import profiling
-
-
-def group_norm(x):
-    return x
-
-
-def layer_norm(x):
-    prof = profiling.active()
-    if prof:
-        prof.add("mystery", 1.0)
-    return x
-
-
-def im2col(x):
-    prof = profiling.active()
-    if prof:
-        prof.add("im2col", 1.0)
-    return x
-
-
-def im2col_t(x):
-    prof = profiling.active()
-    if prof:
-        prof.add("im2col", 1.0)
-    return x
-"""
-
-RPL004_FUNCTIONAL_CLEAN = RPL004_FUNCTIONAL_BAD.replace(
-    "def group_norm(x):\n    return x",
-    'def group_norm(x):\n    prof = profiling.active()\n'
-    '    if prof:\n        prof.add("norm", 1.0)\n    return x',
-).replace('"mystery"', '"norm"')
-
-RPL004_GATES = "norm im2col calibration trajectory quantize"
-
-
-def _rpl004_project(functional_src):
-    return {
-        "src/repro/nn/functional.py": functional_src,
-        "src/repro/bench.py": f'"""{RPL004_GATES}"""\n',
-    }
-
-
-def test_rpl004_flags_unprofiled_entry_point_and_unknown_bucket():
-    findings = lint_sources(
-        _rpl004_project(RPL004_FUNCTIONAL_BAD),
-        aux={"scripts/check_bench.py": RPL004_GATES},
-        checkers=[ProfilerPhaseChecker()],
+def test_rpl001_pins_quantized_attention_scale():
+    # The quantized attention divides its exact-f32 scores by this scale.
+    # Unwrapped, np.sqrt promotes them to float64 without moving a sample
+    # or tripping the sanitizer, so only RPL001 catches it.
+    findings = lint_seeded_mutation(
+        "src/repro/quant/qlayers.py",
+        "/ float(np.sqrt(self.head_dim))",
+        "/ np.sqrt(self.head_dim)",
     )
-    messages = "\n".join(f.message for f in findings)
-    assert "'group_norm'" in messages  # lost its hook
-    assert "'mystery'" in messages  # bucket unknown to both gate files
-    assert len([f for f in findings if "mystery" in f.message]) == 2
-
-
-def test_rpl004_clean_twin_is_quiet():
-    findings = lint_sources(
-        _rpl004_project(RPL004_FUNCTIONAL_CLEAN),
-        aux={"scripts/check_bench.py": RPL004_GATES},
-        checkers=[ProfilerPhaseChecker()],
-    )
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# RPL005 - GEMM layout discipline
-# ---------------------------------------------------------------------------
-
-RPL005_BAD = """\
-import numpy as np
-
-from ..nn import functional as F
-
-
-def run(cols, w, out_hw, a, b):
-    part = F.conv2d_from_cols_t(cols.T, w, out_hw)
-    return part + np.matmul(a, b.transpose(1, 0))
-"""
-
-RPL005_CLEAN = """\
-import numpy as np
-
-from ..nn import functional as F
-
-
-def run(cols, w, out_hw, a, b):
-    part = F.conv2d_from_cols_t(np.ascontiguousarray(cols.T), w, out_hw)
-    return part + np.matmul(a, np.ascontiguousarray(b.transpose(1, 0)))
-"""
-
-
-def test_rpl005_flags_strided_views_into_gemms():
-    findings = lint_sources({"src/repro/quant/bad.py": RPL005_BAD})
-    assert [f.rule for f in findings] == ["RPL005", "RPL005"]
-    assert "cols.T" in findings[0].message
-    assert "ascontiguousarray" in findings[0].message
-
-
-def test_rpl005_clean_twin_is_quiet():
-    assert lint_sources({"src/repro/quant/good.py": RPL005_CLEAN}) == []
+    assert [f.rule for f in findings] == ["RPL001"]
+    assert "np.sqrt(<scalar>)" in findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +150,27 @@ def test_rpl006_only_applies_to_serving_stack():
     assert lint_sources({"src/repro/diffusion/samplers.py": RPL006_BAD}) == []
 
 
+def test_rpl006_pins_serving_kill_handler():
+    # EngineSession.step already marks a killed session unhealthy, so a
+    # serve whose kill handler forgets to recover still produces bit-exact
+    # samples: the next step raises and the retry branch recovers.  But it
+    # reports the kill as retries and charges their backoff to latency
+    # (3 retries, p50 0.015 s -> 0.37 s on the chaos trace of test_faults).
+    # No test catches that; only RPL006 does.
+    findings = lint_seeded_mutation(
+        "src/repro/runtime/serving.py",
+        "                    if session.healthy:\n"
+        "                        session.mark_unhealthy(str(exc) or \"session killed\")\n"
+        "                    session = _recover_or_fail(session, str(exc))\n"
+        "                    break\n",
+        "                    break\n",
+    )
+    assert [f.rule for f in findings] == ["RPL006"]
+    assert "except faults.SessionKilled" in findings[0].message
+
+
 # ---------------------------------------------------------------------------
-# framework: suppression, baseline, CLI
+# framework: suppression, CLI
 # ---------------------------------------------------------------------------
 
 
@@ -270,21 +198,24 @@ def test_suppression_wildcard_and_wrong_rule():
     assert lint_sources({"src/repro/diffusion/bad.py": wildcard}) == []
     wrong = RPL001_BAD.replace(
         "return np.sqrt(a_bar) * x",
-        "return np.sqrt(a_bar) * x  # repro-lint: ignore[RPL005]",
+        "return np.sqrt(a_bar) * x  # repro-lint: ignore[RPL011]",
     )
     assert len(lint_sources({"src/repro/diffusion/bad.py": wrong})) == 1
 
 
-# RPL004 anchors on the `def` line, so an unprofiled entry point behind a
-# decorator chain exercises the decorated-def suppression path end to end.
-RPL004_DECORATED = """\
+# A raw quantized product in a default argument anchors RPL011 on the `def`
+# line, so a decorator chain above it exercises the decorated-def
+# suppression path.
+RPL011_DECORATED = """\
 import functools
+
+from .weights import q_w
 
 
 {comment}@functools.lru_cache(maxsize=1)
 @functools.wraps(object)
-def group_norm(x):
-    return x
+def gram(x, g=q_w @ q_w):
+    return x + g
 """
 
 
@@ -298,81 +229,40 @@ def test_suppression_standalone_comment_skips_blank_lines():
 
 
 def test_suppression_covers_decorated_def():
-    bad = RPL004_DECORATED.format(comment="")
-    findings = lint_sources({"src/repro/nn/functional.py": bad})
-    assert [f.rule for f in findings] == ["RPL004"]
-    assert findings[0].line == 6  # the `def` line, not the decorator line
+    bad = RPL011_DECORATED.format(comment="")
+    findings = lint_sources({"src/repro/quant/gram.py": bad})
+    assert [f.rule for f in findings] == ["RPL011"]
+    assert findings[0].line == 8  # the `def` line, not the decorator line
 
-    for comment in ("# repro-lint: ignore[RPL004]\n", "# repro-lint: ignore[*]\n"):
-        shielded = RPL004_DECORATED.format(comment=comment)
-        assert lint_sources({"src/repro/nn/functional.py": shielded}) == []
-
-
-def test_baseline_key_is_line_free_but_rename_sensitive():
-    findings = lint_sources({"src/repro/diffusion/bad.py": RPL001_BAD})
-    key = findings[0].key
-    # Edits above the finding shift lines but keep the key stable...
-    shifted = "import math  # unrelated new line\n" + RPL001_BAD
-    moved = lint_sources({"src/repro/diffusion/bad.py": shifted})
-    assert moved[0].line == findings[0].line + 1
-    assert moved[0].key == key
-    # ...while renaming the file changes the key: a baselined finding in a
-    # renamed file resurfaces for re-triage instead of staying hidden.
-    renamed = lint_sources({"src/repro/diffusion/renamed.py": RPL001_BAD})
-    assert renamed[0].key != key
-    assert renamed[0].key.replace("renamed.py", "bad.py") == key
+    for comment in ("# repro-lint: ignore[RPL011]\n", "# repro-lint: ignore[*]\n"):
+        shielded = RPL011_DECORATED.format(comment=comment)
+        assert lint_sources({"src/repro/quant/gram.py": shielded}) == []
 
 
 # ---------------------------------------------------------------------------
-# scopes: scripts/ + tests/helpers.py coverage with per-rule opt-in
+# what gets linted: the package's hot modules only
 # ---------------------------------------------------------------------------
-
-
-def test_scope_of_paths():
-    from repro.lint.framework import _scope_of
-
-    assert _scope_of("src/repro/nn/functional.py") == "src"
-    assert _scope_of("scripts/check_bench.py") == "scripts"
-    assert _scope_of("tests/helpers.py") == "tests"
 
 
 def test_scoped_rules_skip_out_of_scope_files():
-    # RPL001 declares scope {src}: the same violating code in scripts/ or
-    # tests/helpers.py (test-only idioms) must stay quiet.
+    # The rules watch src/repro's hot modules: the same violating code in
+    # scripts/ or tests/helpers.py (test-only idioms) must stay quiet.
     assert lint_sources({"scripts/bad.py": RPL001_BAD}) == []
     assert lint_sources({"tests/helpers.py": RPL001_BAD}) == []
 
 
-def test_load_project_scope_selection(tmp_path):
+def test_load_project_reads_only_the_package(tmp_path):
     from repro.lint import load_project
 
-    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "sub").mkdir(parents=True)
     (tmp_path / "scripts").mkdir()
     (tmp_path / "tests").mkdir()
     (tmp_path / "src" / "repro" / "mod.py").write_text("x = 1\n")
+    (tmp_path / "src" / "repro" / "sub" / "deep.py").write_text("x = 2\n")
     (tmp_path / "scripts" / "tool.py").write_text("y = 2\n")
     (tmp_path / "tests" / "helpers.py").write_text("z = 3\n")
-    (tmp_path / "tests" / "test_mod.py").write_text("bad = 4\n")
 
-    everything = load_project(tmp_path)
-    assert set(everything.files) == {
-        "src/repro/mod.py",
-        "scripts/tool.py",
-        "tests/helpers.py",  # test *modules* are never loaded
-    }
-    assert everything.files["scripts/tool.py"].scope == "scripts"
-    src_only = load_project(tmp_path, scopes=["src"])
-    assert set(src_only.files) == {"src/repro/mod.py"}
-
-
-def test_cli_scope_knob(tmp_path, capsys):
-    root = _write_tmp_repo(tmp_path)
-    assert lint_main(["--root", str(root), "--scope", "scripts,tests"]) == 0
-    capsys.readouterr()
-    assert lint_main(["--root", str(root), "--scope", "src"]) == 1
-    capsys.readouterr()
-    assert lint_main(["--root", str(root), "--scope", "bogus"]) == 2
-    assert "unknown scope" in capsys.readouterr().err
+    assert set(load_project(tmp_path).files) == {"src/repro/mod.py", "src/repro/sub/deep.py"}
 
 
 # ---------------------------------------------------------------------------
@@ -383,36 +273,27 @@ def test_cli_scope_knob(tmp_path, capsys):
 def test_sarif_document_shape():
     from repro.lint.sarif import findings_to_sarif
 
-    checkers = default_checkers()
     findings = lint_sources({"src/repro/diffusion/bad.py": RPL001_BAD})
-    baseline = {findings[0].key}
-    doc = findings_to_sarif(findings, checkers, baseline)
+    doc = findings_to_sarif(findings, default_checkers())
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    assert rule_ids == [f"RPL{n:03d}" for n in range(1, 12) if n not in (2, 3)]
+    assert rule_ids == ["RPL001", "RPL006", "RPL011"]
     result = run["results"][0]
     assert result["ruleId"] == "RPL001"
-    assert result["baselineState"] == "unchanged"
+    assert result["ruleIndex"] == 0
     location = result["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == "src/repro/diffusion/bad.py"
     assert location["region"]["startLine"] == findings[0].line
-    # Without the baseline the same finding surfaces as new.
-    fresh = findings_to_sarif(findings, checkers, None)
-    assert fresh["runs"][0]["results"][0]["baselineState"] == "new"
 
 
-def test_cli_sarif_outputs(tmp_path, capsys):
+def test_cli_sarif_outputs(tmp_path):
     root = _write_tmp_repo(tmp_path)
     sarif_path = tmp_path / "findings.sarif"
     assert lint_main(["--root", str(root), "--sarif", str(sarif_path)]) == 1
     payload = json.loads(sarif_path.read_text())
     assert payload["runs"][0]["results"][0]["ruleId"] == "RPL001"
-    capsys.readouterr()
-    assert lint_main(["--root", str(root), "--format", "sarif"]) == 1
-    stdout_doc = json.loads(capsys.readouterr().out)
-    assert stdout_doc["version"] == "2.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -447,26 +328,13 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
     assert "RPL001" in out
 
 
-def test_cli_baseline_accepts_known_findings(tmp_path, capsys):
-    root = _write_tmp_repo(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert lint_main(["--root", str(root), "--baseline", str(baseline), "--write-baseline"]) == 0
-    assert lint_main(["--root", str(root), "--baseline", str(baseline)]) == 0
-    assert "baselined" in capsys.readouterr().out
-    # A fresh violation still fails against the old baseline.
-    extra = root / "src" / "repro" / "diffusion" / "worse.py"
-    extra.write_text(RPL001_BAD)
-    assert lint_main(["--root", str(root), "--baseline", str(baseline)]) == 1
-
-
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for number in range(1, 12):
-        assert (f"RPL{number:03d}" in out) == (number not in (2, 3))
-    # --list-rules also advertises each rule's scopes.
-    assert "[src]" in out
-    assert "src,tests" in out or "tests" in out
+        assert (f"RPL{number:03d}" in out) == (number in (1, 6, 11))
+    # --list-rules also prints each rule's title.
+    assert BackendDispatchChecker.title in out
 
 
 def test_repro_cli_forwards_lint(capsys):
@@ -506,12 +374,6 @@ def qk_scores(qq, dq, prev_k, x, weight):
     return s_int + probs
 """
 
-RPL011_SCALAR = """\
-def blend(other):
-    q_gain = 0.5
-    return q_gain @ other
-"""
-
 
 def test_rpl011_flags_raw_quantized_gemms():
     findings = lint_sources({"src/repro/quant/bad_gemm.py": RPL011_BAD})
@@ -534,10 +396,23 @@ def test_rpl011_out_of_scope_dirs_are_quiet():
     assert lint_sources({"src/repro/workloads/bad_gemm.py": RPL011_BAD}) == []
 
 
-def test_rpl011_dataflow_clears_scalar_operands():
-    # A provably-scalar float knob reusing a quantized-sounding name is not
-    # a GEMM; the dataflow refinement keeps the rule quiet.
-    assert lint_sources({"src/repro/quant/scalar.py": RPL011_SCALAR}) == []
+def test_rpl011_pins_quantized_gemm_dispatch():
+    # A raw QK^T product computes the same scores, so no sample moves and no
+    # test fails; only the per-layer ledger silently loses the GEMM.
+    findings = lint_seeded_mutation(
+        "src/repro/quant/qlayers.py",
+        "            s_int = bk.matmul(qq, kt)",
+        "            s_int = qq @ kt",
+    )
+    assert [f.rule for f in findings] == ["RPL011"]
+    assert "operand(s) qq " in findings[0].message
+    # The stride-1 quantized conv's row-shift GEMMs are pinned the same way.
+    findings = lint_seeded_mutation(
+        "src/repro/quant/qlayers.py",
+        "        conv = bk.matmul(self._w_rows[0], cols[:, :, :span])",
+        "        conv = self._w_rows[0] @ cols[:, :, :span]",
+    )
+    assert [f.rule for f in findings] == ["RPL011"]
 
 
 def test_rpl011_suppression():
@@ -550,36 +425,21 @@ def test_rpl011_suppression():
 
 
 # ---------------------------------------------------------------------------
-# end to end: the repo itself is clean under all nine checkers
+# end to end: the repo itself is clean under every checker
 # ---------------------------------------------------------------------------
 
 
 def test_repo_is_clean():
-    assert len(default_checkers()) == 9
-    findings, new = run_lint(REPO_ROOT)
+    assert len(default_checkers()) == 3
+    findings = run_lint(REPO_ROOT)
     assert findings == [], "\n".join(str(f) for f in findings)
-    assert new == []
 
 
 def test_checker_classes_cover_every_rule():
-    from repro.lint.checkers import BackendDispatchChecker
-    from repro.lint.dataflow import (
-        DtypeFlowChecker,
-        LayoutFlowChecker,
-        RngStreamChecker,
-        SessionLifecycleChecker,
-    )
-
     rules = {
         DtypePromotionChecker.rule,
-        ProfilerPhaseChecker.rule,
-        GemmLayoutChecker.rule,
         SwallowedExceptionChecker.rule,
-        DtypeFlowChecker.rule,
-        LayoutFlowChecker.rule,
-        RngStreamChecker.rule,
-        SessionLifecycleChecker.rule,
         BackendDispatchChecker.rule,
     }
-    assert rules == {f"RPL{n:03d}" for n in range(1, 12)} - {"RPL002", "RPL003"}
+    assert rules == {"RPL001", "RPL006", "RPL011"}
     assert {c.rule for c in default_checkers()} == rules

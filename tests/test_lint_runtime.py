@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.lint import runtime as lint_runtime
+from repro.nn import backends
 from repro.nn import functional as F
 from repro.nn.layers import Linear
 from repro.quant.calibration import calibration_precision
@@ -58,17 +59,42 @@ def test_norm_kernels_are_guarded(sanitizer):
             F.layer_norm(np.ones((2, 8)))
 
 
+def _fortran_cols(x):
+    """im2col_t columns in a non-C-contiguous layout (same values)."""
+    cols_t, out_hw = F.im2col_t(x, 3, 1, 1)
+    return np.asfortranarray(cols_t), out_hw
+
+
 def test_noncontiguous_cols_trip(sanitizer):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, 2, 4, 4))
     w = rng.standard_normal((3, 2, 3, 3))
-    cols, out_hw = F.im2col(x, 3, 1, 1)
-    bad = np.asfortranarray(cols)
+    bad, out_hw = _fortran_cols(x)
     with pytest.raises(sanitizer.SanitizerError, match="non-C-contiguous"):
-        F.conv2d_from_cols(bad, w, out_hw)
+        F.conv2d_from_cols_t(bad, w, out_hw)
     # The contiguous original passes and matches the direct convolution.
-    good = F.conv2d_from_cols(cols, w, out_hw)
+    good = F.conv2d_from_cols_t(np.ascontiguousarray(bad), w, out_hw)
     np.testing.assert_allclose(good, F.conv2d(x, w, None, 1, 1))
+
+
+def test_noncontiguous_cols_trip_through_the_dispatch(sanitizer, monkeypatch):
+    # The sanitizer is the one guard of cols layout, so it must see the
+    # calls the quantized layers actually make.
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((1, 2, 4, 4))
+    w = rng.standard_normal((3, 2, 3, 3))
+    bk = backends.active()
+    bad, out_hw = _fortran_cols(x)
+    with pytest.raises(sanitizer.SanitizerError, match="non-C-contiguous"):
+        bk.conv2d_from_cols_t(bad, w, out_hw)
+    # ComputeBackend.conv2d composes im2col_t with the cols GEMM; a strided
+    # view slipped in between is caught too.
+    unfold = bk.im2col_t
+    monkeypatch.setattr(
+        bk, "im2col_t", lambda *a, **k: (np.asfortranarray(unfold(*a, **k)[0]), out_hw)
+    )
+    with pytest.raises(sanitizer.SanitizerError, match="non-C-contiguous"):
+        bk.conv2d(x, w, None, 1, 1)
 
 
 def test_install_uninstall_restores_kernels():

@@ -236,7 +236,8 @@ def test_conv2d_from_cols_t_matches_row_major(rng):
     w = rng.normal(size=(5, 3, 3, 3))
     bias = rng.normal(size=5)
     cols, hw = F.im2col(x, 3, 1, 1)
-    want = F.conv2d_from_cols(cols, w, hw, bias)
+    # Row-major reference: (N, positions, dot) @ (dot, out_c), then NCHW.
+    want = (cols @ w.reshape(5, -1).T + bias).reshape(2, *hw, 5).transpose(0, 3, 1, 2)
     cols_t, _ = F.im2col_t(x, 3, 1, 1)
     got = F.conv2d_from_cols_t(cols_t, w, hw, bias)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
