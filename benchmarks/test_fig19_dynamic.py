@@ -23,15 +23,9 @@ def test_fig19_dynamic_ditto(benchmark, engine_results, record_result):
             drifted = apply_similarity_drift(result.rich_trace, period=6, strength=0.95)
             static = run_defo(drifted, hardware)
             dynamic = run_defo(drifted, hardware, dynamic=True)
-            ideal_cycles = sum(
-                hardware.layer_cycles(s).cycles for s in run_ideal(drifted, hardware)
-            )
-            static_cycles = sum(
-                hardware.layer_cycles(s).cycles for s in static.trace
-            )
-            dynamic_cycles = sum(
-                hardware.layer_cycles(s).cycles for s in dynamic.trace
-            )
+            ideal_cycles = hardware.run(run_ideal(drifted, hardware)).total_cycles
+            static_cycles = hardware.run(static.trace).total_cycles
+            dynamic_cycles = hardware.run(dynamic.trace).total_cycles
             # Accuracy on the *original* trace for the drop comparison.
             base_acc = run_defo(result.rich_trace, hardware).accuracy
             rows[name] = {

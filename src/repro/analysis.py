@@ -56,19 +56,13 @@ class BenchmarkStudy:
     # -- algorithm-level findings ------------------------------------------
     def temporal_stats(self) -> BitWidthStats:
         trace = self.engine_result.rich_trace
-        if hasattr(trace, "col"):
-            mask = trace.col("has_temporal")
-            return BitWidthStats(
-                total=int(trace.col("t_total")[mask].sum()),
-                zero=int(trace.col("t_zero")[mask].sum()),
-                low=int(trace.col("t_low")[mask].sum()),
-                high=int(trace.col("t_high")[mask].sum()),
-            )
-        total = BitWidthStats.empty()
-        for step in trace:
-            if step.stats_temporal is not None:
-                total = total.merge(step.stats_temporal)
-        return total
+        mask = trace.col("has_temporal")
+        return BitWidthStats(
+            total=int(trace.col("t_total")[mask].sum()),
+            zero=int(trace.col("t_zero")[mask].sum()),
+            low=int(trace.col("t_low")[mask].sum()),
+            high=int(trace.col("t_high")[mask].sum()),
+        )
 
     def bops_table(self) -> str:
         trace = self.engine_result.rich_trace

@@ -1,13 +1,7 @@
 """The Ditto algorithm: difference processing, Defo, traces, analytics."""
 
 from .bitwidth import BitWidthStats, classify, required_bits, stats_from_counts
-from .bops import (
-    bops_per_mac,
-    layer_bops,
-    per_step_relative_bops,
-    relative_bops,
-    trace_bops,
-)
+from .bops import per_step_relative_bops, relative_bops, trace_bops
 from .config import EngineConfig
 from .defo import DefoReport, run_defo, run_ideal
 from .engine import DittoEngine, EngineResult
@@ -25,14 +19,7 @@ from .similarity import (
     temporal_similarity,
     value_ranges,
 )
-from .trace import (
-    LayerStep,
-    RichLayerStep,
-    RichTrace,
-    Trace,
-    TraceRecorder,
-    derive_layer_step,
-)
+from .trace import RichLayerStep, RichTrace, Trace, TraceRecorder
 
 __all__ = [
     "ExecutionMode",
@@ -43,14 +30,10 @@ __all__ = [
     "ExecutionPlan",
     "extract_plan",
     "compare_plans",
-    "LayerStep",
     "RichLayerStep",
     "Trace",
     "RichTrace",
     "TraceRecorder",
-    "derive_layer_step",
-    "bops_per_mac",
-    "layer_bops",
     "trace_bops",
     "relative_bops",
     "per_step_relative_bops",

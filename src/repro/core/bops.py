@@ -6,7 +6,8 @@ operands bucketed by :mod:`repro.core.bitwidth`, a layer's BOPs are::
 
     BOPs = macs * (zero_frac * 0 + low_frac * 4*8 + high_frac * 8*8)
 
-normalized against ``macs * 8*8`` for the dense quantized baseline.
+normalized against ``macs * 8*8`` for the dense quantized baseline.  Every
+count runs over the columns of a lowered :class:`~repro.core.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ from typing import Dict
 
 import numpy as np
 
-from .bitwidth import BitWidthStats, FULL_BITS, LOW_BITS
-from .modes import ExecutionMode
-from .trace import DENSE_ID, LayerStep, Trace
+from .bitwidth import FULL_BITS, LOW_BITS
+from .trace import DENSE_ID, Trace
 
 __all__ = [
-    "bops_per_mac",
-    "layer_bops",
     "trace_bops",
     "relative_bops",
     "per_step_relative_bops",
@@ -31,57 +29,25 @@ _DENSE_COST = FULL_BITS * FULL_BITS  # 8b activation x 8b weight
 _LOW_COST = LOW_BITS * FULL_BITS  # 4b difference x 8b weight
 
 
-def bops_per_mac(stats: BitWidthStats, zero_skipping: bool = True) -> float:
-    """Average bit-operations per MAC given operand composition.
-
-    Without zero skipping (e.g. pure dynamic-bit-width hardware), zero
-    elements still cost a low-bit operation.
-    """
-    zero_cost = 0.0 if zero_skipping else float(_LOW_COST)
-    return (
-        stats.zero_frac * zero_cost
-        + stats.low_frac * _LOW_COST
-        + stats.high_frac * _DENSE_COST
-    )
-
-
-def layer_bops(step: LayerStep, zero_skipping: bool = True) -> float:
-    """Total BOPs of one layer-step record (sub-operations included).
+def _record_bops(trace: Trace, zero_skipping: bool) -> np.ndarray:
+    """Per-record BOPs column, sub-operations included.
 
     Dense execution runs every operand as a full 8-bit multiply, so its cost
     is exactly ``macs * 64`` - the Fig. 6a "Activation" baseline of 1.0.
+    Without zero skipping (e.g. pure dynamic-bit-width hardware), zero
+    operands still cost a low-bit operation.
     """
-    if step.mode is ExecutionMode.DENSE:
-        return float(step.macs * step.sub_ops * _DENSE_COST)
-    return step.macs * step.sub_ops * bops_per_mac(step.stats, zero_skipping)
-
-
-def _layer_bops_column(trace: Trace, zero_skipping: bool) -> np.ndarray:
-    """Per-record BOPs as one vectorized column (see :func:`layer_bops`)."""
-    total = (trace.col("macs") * trace.col("sub_ops")).astype(np.float64)
-    dense = trace.col("mode") == DENSE_ID
-    elems = trace.col("st_total").astype(np.float64)
-    safe = np.where(elems > 0.0, elems, 1.0)
+    work = (trace.col("macs") * trace.col("sub_ops")).astype(np.float64)
+    zero_frac, low_frac, high_frac = trace.operand_fractions()
     zero_cost = 0.0 if zero_skipping else float(_LOW_COST)
-    per_mac = (
-        (trace.col("st_zero") / safe) * zero_cost
-        + (trace.col("st_low") / safe) * _LOW_COST
-        + (trace.col("st_high") / safe) * _DENSE_COST
+    per_mac = zero_frac * zero_cost + low_frac * _LOW_COST + high_frac * _DENSE_COST
+    return np.where(
+        trace.col("mode") == DENSE_ID, work * _DENSE_COST, work * per_mac
     )
-    return np.where(dense, total * _DENSE_COST, total * per_mac)
 
 
 def trace_bops(trace: Trace, zero_skipping: bool = True) -> float:
-    if hasattr(trace, "col"):
-        return float(_layer_bops_column(trace, zero_skipping).sum())
-    return sum(layer_bops(s, zero_skipping) for s in trace)
-
-
-def dense_bops(trace: Trace) -> float:
-    """BOPs the same trace would cost with original 8-bit activations."""
-    if hasattr(trace, "col"):
-        return float(int((trace.col("macs") * trace.col("sub_ops")).sum()) * _DENSE_COST)
-    return float(sum(s.macs * s.sub_ops for s in trace) * _DENSE_COST)
+    return float(_record_bops(trace, zero_skipping).sum())
 
 
 def relative_bops(trace: Trace, zero_skipping: bool = True) -> float:
@@ -94,29 +60,17 @@ def relative_bops(trace: Trace, zero_skipping: bool = True) -> float:
 
 def dense_bops_reference(trace: Trace) -> float:
     """Dense baseline counts each layer *once* (no difference sub-ops)."""
-    if hasattr(trace, "col"):
-        return float(int(trace.col("macs").sum()) * _DENSE_COST)
-    return float(sum(s.macs for s in trace) * _DENSE_COST)
+    return float(int(trace.col("macs").sum()) * _DENSE_COST)
 
 
 def per_step_relative_bops(
     trace: Trace, zero_skipping: bool = True
 ) -> Dict[int, float]:
     """Per-time-step relative BOPs (Fig. 6b)."""
-    if hasattr(trace, "col"):
-        step_col = trace.col("step_index")
-        steps, inverse = np.unique(step_col, return_inverse=True)
-        dense = np.bincount(inverse, weights=trace.col("macs")) * _DENSE_COST
-        actual = np.bincount(
-            inverse, weights=_layer_bops_column(trace, zero_skipping)
-        )
-        return {
-            int(step): float(actual[i] / dense[i]) if dense[i] else 0.0
-            for i, step in enumerate(steps)
-        }
-    result: Dict[int, float] = {}
-    for step_index, steps in trace.by_step().items():
-        dense = sum(s.macs for s in steps) * _DENSE_COST
-        actual = sum(layer_bops(s, zero_skipping) for s in steps)
-        result[step_index] = actual / dense if dense else 0.0
-    return result
+    steps, inverse = np.unique(trace.col("step_index"), return_inverse=True)
+    dense = np.bincount(inverse, weights=trace.col("macs")) * _DENSE_COST
+    actual = np.bincount(inverse, weights=_record_bops(trace, zero_skipping))
+    return {
+        int(step): float(actual[i] / dense[i]) if dense[i] else 0.0
+        for i, step in enumerate(steps)
+    }

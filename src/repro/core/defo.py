@@ -18,9 +18,12 @@ other direction - the hardware cannot observe difference cycles while
 running dense).  ``ideal`` is the oracle that picks the per-layer, per-step
 argmin; Fig. 17/18 measure how close Defo gets to it.
 
-The hardware model is a parameter (anything exposing
-``layer_cycles(LayerStep) -> LayerCycles``), so Defo decisions can be studied
-on Ditto hardware, Cambricon-D, or the DS/DB ablations.
+The hardware model is a parameter: anything with
+``cycles_array(Trace) -> per-record cycles`` (every model in
+:mod:`repro.hw.accelerators`), so Defo decisions can be studied on Ditto
+hardware, Cambricon-D, or the DS/DB ablations.  Both candidate costs of every
+record come from two lowerings of the whole rich trace, priced in one call
+each; the decision walk itself is plain bookkeeping.
 """
 
 from __future__ import annotations
@@ -31,17 +34,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .modes import ExecutionMode
-from .trace import (
-    DENSE_ID,
-    MODE_ID,
-    MODES,
-    SPATIAL_ID,
-    TEMPORAL_ID,
-    RichLayerStep,
-    RichTrace,
-    Trace,
-    derive_layer_step,
-)
+from .policy import constant_modes
+from .trace import MODE_ID, MODES, TEMPORAL_ID, RichTrace, Trace
 
 __all__ = ["DefoReport", "run_defo", "run_ideal"]
 
@@ -78,41 +72,29 @@ class DefoReport:
         )
 
 
-def _cycles(hardware, rich: RichLayerStep, mode: ExecutionMode, bypass: str) -> float:
-    return hardware.layer_cycles(derive_layer_step(rich, mode, bypass)).cycles
+def _candidate_cycles(
+    rich_trace: RichTrace,
+    hardware,
+    plus: bool,
+    bypass_style: str,
+    attention_diff: bool,
+) -> Tuple[ExecutionMode, np.ndarray, np.ndarray, np.ndarray]:
+    """``(fallback, allowed_ids, t_cycles, f_cycles)`` for every record.
 
-
-def _ordered_steps(rich_trace: RichTrace) -> List[int]:
-    return sorted(rich_trace.by_step())
-
-
-def _allowed_mode_ids(rich_trace: RichTrace, attention_diff: bool) -> np.ndarray:
-    """Per-record mode id of "temporal processing as allowed by the policy"."""
-    if attention_diff:
-        return np.full(len(rich_trace), TEMPORAL_ID, dtype=np.int64)
-    return np.where(rich_trace.attention_mask(), DENSE_ID, TEMPORAL_ID)
-
-
-def _cycles_for_modes(
-    rich_trace: RichTrace, hardware, mode_ids: np.ndarray, bypass: str
-) -> np.ndarray:
-    """Per-record cycle counts under a hypothetical per-record mode choice.
-
-    Uses the hardware model's vectorized column path when it has one;
-    falls back to scalar ``layer_cycles`` calls for custom/stub models.
+    ``allowed_ids`` is temporal processing as the policy allows it
+    (attention forced dense without ``attention_diff``); ``t_cycles`` and
+    ``f_cycles`` price every record under that choice and under the
+    fallback (dense for Defo, spatial for Defo+).
     """
-    if hasattr(hardware, "cycles_array"):
-        return np.asarray(
-            hardware.cycles_array(rich_trace.lower_modes(mode_ids, bypass)),
-            dtype=np.float64,
-        )
-    return np.array(
-        [
-            _cycles(hardware, view, MODES[mode_ids[i]], bypass)
-            for i, view in enumerate(rich_trace.steps)
-        ],
-        dtype=np.float64,
-    )
+    fallback = ExecutionMode.SPATIAL if plus else ExecutionMode.DENSE
+    allowed_ids = constant_modes(rich_trace, TEMPORAL_ID, attention_diff)
+    fallback_ids = np.full(len(rich_trace), MODE_ID[fallback], dtype=np.int64)
+
+    def cycles(mode_ids: np.ndarray) -> np.ndarray:
+        trace = rich_trace.lower_modes(mode_ids, bypass_style)
+        return np.asarray(hardware.cycles_array(trace), dtype=np.float64)
+
+    return fallback, allowed_ids, cycles(allowed_ids), cycles(fallback_ids)
 
 
 def run_defo(
@@ -123,25 +105,13 @@ def run_defo(
     bypass_style: str = "chained",
     attention_diff: bool = True,
 ) -> DefoReport:
-    """Lower ``rich_trace`` under Defo (or Defo+/Dynamic-Ditto) decisions.
-
-    The hypothetical per-record cycle counts (temporal-as-allowed vs
-    fallback) are produced by two vectorized lowerings up front; the
-    decision walk itself is then pure array/dict bookkeeping - no hardware
-    model calls inside the loop.
-    """
-    n = len(rich_trace)
+    """Lower ``rich_trace`` under Defo (or Defo+/Dynamic-Ditto) decisions."""
     step_col = rich_trace.col("step_index")
     steps = [int(s) for s in np.unique(step_col)]
     if len(steps) < 2:
         raise ValueError("Defo needs at least two time steps to decide")
-    fallback = ExecutionMode.SPATIAL if plus else ExecutionMode.DENSE
-    fallback_id = MODE_ID[fallback]
-
-    allowed_ids = _allowed_mode_ids(rich_trace, attention_diff)
-    t_cycles = _cycles_for_modes(rich_trace, hardware, allowed_ids, bypass_style)
-    f_cycles = _cycles_for_modes(
-        rich_trace, hardware, np.full(n, fallback_id, dtype=np.int64), bypass_style
+    fallback, allowed_ids, t_cycles, f_cycles = _candidate_cycles(
+        rich_trace, hardware, plus, bypass_style, attention_diff
     )
 
     names = rich_trace.layer_names()
@@ -194,11 +164,10 @@ def run_defo(
                 current[name] = fallback
 
     # -- lower the full trace ------------------------------------------------
-    first_mode_id = SPATIAL_ID if plus else DENSE_ID
-    mode_ids = np.empty(n, dtype=np.int64)
+    mode_ids = np.empty(len(rich_trace), dtype=np.int64)
     first_mask = step_col == steps[0]
     second_mask = step_col == steps[1]
-    mode_ids[first_mask] = first_mode_id
+    mode_ids[first_mask] = MODE_ID[fallback]
     mode_ids[second_mask] = allowed_ids[second_mask]
     for i in np.flatnonzero(~(first_mask | second_mask)):
         mode = assigned.get(
@@ -239,16 +208,8 @@ def run_ideal(
     """
     step_col = rich_trace.col("step_index")
     first_step = int(step_col.min()) if len(rich_trace) else 0
-    fallback = ExecutionMode.SPATIAL if plus else ExecutionMode.DENSE
-    fallback_id = MODE_ID[fallback]
-
-    allowed_ids = _allowed_mode_ids(rich_trace, attention_diff)
-    t_cycles = _cycles_for_modes(rich_trace, hardware, allowed_ids, bypass_style)
-    f_cycles = _cycles_for_modes(
-        rich_trace,
-        hardware,
-        np.full(len(rich_trace), fallback_id, dtype=np.int64),
-        bypass_style,
+    fallback, allowed_ids, t_cycles, f_cycles = _candidate_cycles(
+        rich_trace, hardware, plus, bypass_style, attention_diff
     )
     temporal_wins = (
         (step_col != first_step)
@@ -256,5 +217,5 @@ def run_ideal(
         & (allowed_ids == TEMPORAL_ID)
         & (t_cycles < f_cycles)
     )
-    mode_ids = np.where(temporal_wins, TEMPORAL_ID, fallback_id)
+    mode_ids = np.where(temporal_wins, TEMPORAL_ID, MODE_ID[fallback])
     return rich_trace.lower_modes(mode_ids, bypass_style=bypass_style)

@@ -1,8 +1,9 @@
 """Execution-flow policies: lowering rich traces to hardware traces.
 
-Each policy maps every :class:`~repro.core.trace.RichLayerStep` to an
-execution mode, producing the hardware-facing :class:`~repro.core.trace.Trace`
-a cycle model consumes:
+Each policy picks one execution mode per record of a
+:class:`~repro.core.trace.RichTrace` and lowers it with
+:meth:`~repro.core.trace.RichTrace.lower_modes` to the hardware-facing
+:class:`~repro.core.trace.Trace` a cycle model consumes:
 
 * ``dense`` - original quantized activations everywhere (ITC / GPU).
 * ``spatial`` - Diffy: intra-tensor differences at every step.
@@ -19,21 +20,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trace import DENSE_ID, SPATIAL_ID, TEMPORAL_ID, RichLayerStep, RichTrace, Trace
+from .trace import DENSE_ID, SPATIAL_ID, TEMPORAL_ID, RichTrace, Trace
 
 __all__ = [
     "lower_dense",
     "lower_spatial",
     "lower_temporal",
-    "is_attention",
 ]
 
 
-def is_attention(rich: RichLayerStep) -> bool:
-    return rich.kind.startswith("attn")
-
-
-def _constant_modes(
+def constant_modes(
     rich_trace: RichTrace, mode_id: int, attention_diff: bool
 ) -> np.ndarray:
     """One mode everywhere, except attention forced dense when restricted."""
@@ -45,14 +41,14 @@ def _constant_modes(
 def lower_dense(rich_trace: RichTrace) -> Trace:
     """Every layer at every step with original 8-bit activations."""
     return rich_trace.lower_modes(
-        _constant_modes(rich_trace, DENSE_ID, True), bypass_style="none"
+        constant_modes(rich_trace, DENSE_ID, True), bypass_style="none"
     )
 
 
 def lower_spatial(rich_trace: RichTrace, attention_diff: bool = True) -> Trace:
     """Diffy: spatial (intra-tensor) differences at every step."""
     return rich_trace.lower_modes(
-        _constant_modes(rich_trace, SPATIAL_ID, attention_diff), bypass_style="none"
+        constant_modes(rich_trace, SPATIAL_ID, attention_diff), bypass_style="none"
     )
 
 
@@ -67,6 +63,6 @@ def lower_temporal(
     inside the lowering automatically.)
     """
     return rich_trace.lower_modes(
-        _constant_modes(rich_trace, TEMPORAL_ID, attention_diff),
+        constant_modes(rich_trace, TEMPORAL_ID, attention_diff),
         bypass_style=bypass_style,
     )

@@ -14,23 +14,22 @@ Sparse-DySta simulator.
 Storage is columnar (structure-of-arrays): every trace keeps one numpy-backed
 column per scalar field plus interned string tables for layer / kind /
 producer names, so post-processing (BOPs, Defo, the hardware cycle models)
-runs as vectorized column arithmetic instead of per-record Python loops, and
-pickled traces are a handful of flat arrays instead of tens of thousands of
-dataclass objects.  The original record dataclasses survive as *views*:
-``trace[i]``, ``trace.steps`` and iteration materialize real
-:class:`RichLayerStep` / :class:`LayerStep` instances on demand, so existing
-record-at-a-time consumers keep working unchanged.
+runs as column arithmetic, and pickled traces are a handful of flat arrays
+instead of tens of thousands of dataclass objects.  A :class:`RichTrace` is
+recorded one :class:`RichLayerStep` at a time and also offers them back as
+views (``trace[i]``, ``trace.steps``, iteration, ``by_step`` / ``by_layer``).
 
-:class:`LayerStep` is the narrow, hardware-facing view: one chosen mode, its
-operand stats, and its byte traffic.  :func:`derive_layer_step` lowers a rich
-record into it; :meth:`RichTrace.lower_modes` is the vectorized equivalent
-over a whole trace.
+:meth:`RichTrace.lower_modes` lowers a rich trace to the hardware-facing
+:class:`Trace`: one chosen mode per record, its operand stats and its byte
+traffic.  A :class:`Trace` is columns only; the lowering, the hardware
+models (:mod:`repro.hw.accelerators`) and the BOPs count
+(:mod:`repro.core.bops`) each write their equations once, over those columns.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,9 +41,7 @@ __all__ = [
     "ACT_BYTES",
     "STATE_BYTES",
     "SIGN_MASK_KINDS",
-    "LayerStep",
     "RichLayerStep",
-    "derive_layer_step",
     "Trace",
     "RichTrace",
     "TraceRecorder",
@@ -66,34 +63,6 @@ MODE_ID: Dict[ExecutionMode, int] = {mode: i for i, mode in enumerate(MODES)}
 DENSE_ID = MODE_ID[ExecutionMode.DENSE]
 TEMPORAL_ID = MODE_ID[ExecutionMode.TEMPORAL]
 SPATIAL_ID = MODE_ID[ExecutionMode.SPATIAL]
-
-
-@dataclass
-class LayerStep:
-    """One linear-layer execution at one time step, in one chosen mode."""
-
-    step_index: int
-    layer_name: str
-    kind: str  # 'conv' | 'fc' | 'attn_qk' | 'attn_pv'
-    mode: ExecutionMode
-    macs: int  # multiply-accumulates of the layer operation
-    data_elems: int  # multiplier-operand elements (stats domain)
-    stats: BitWidthStats  # composition of those elements
-    bytes_in: int  # current-step input activation traffic
-    bytes_weight: int  # weight traffic
-    bytes_out: int  # output activation traffic
-    bytes_extra: int  # prev-step input/output traffic added by temporal mode
-    vpu_elems: int  # elements the Vector Processing Unit touches afterwards
-    sub_ops: int = 1  # attention temporal mode runs 2 sub-operations
-    nonlinear_after: bool = True
-    chained_input: bool = False  # producer is linear -> difference reusable
-
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_in + self.bytes_weight + self.bytes_out + self.bytes_extra
-
-    def with_mode(self, mode: ExecutionMode, **changes) -> "LayerStep":
-        return replace(self, mode=mode, **changes)
 
 
 @dataclass
@@ -128,111 +97,25 @@ class RichLayerStep:
 SIGN_MASK_KINDS = ("silu", "groupnorm")
 
 
-def _bypasses_prev_input(rich: RichLayerStep, bypass_style: str) -> bool:
-    """Whether the previous-step input reload can be skipped.
-
-    * ``'chained'`` - Defo's static dependency analysis: the producer is a
-      linear layer, so its difference output feeds this layer directly.
-    * ``'sign_mask'`` - Cambricon-D: only SiLU / GroupNorm producers qualify.
-    * ``'both'`` - hardware applying both techniques (paper Fig. 15).
-    * ``'none'`` - naive temporal difference processing.
-    """
-    if bypass_style == "chained":
-        return rich.chained_input
-    if bypass_style == "sign_mask":
-        return rich.producer_kind in SIGN_MASK_KINDS
-    if bypass_style == "both":
-        return rich.chained_input or rich.producer_kind in SIGN_MASK_KINDS
-    if bypass_style == "none":
-        return False
-    raise ValueError(f"unknown bypass style {bypass_style!r}")
-
-
-def derive_layer_step(
-    rich: RichLayerStep,
-    mode: ExecutionMode,
-    bypass_style: str = "chained",
-) -> LayerStep:
-    """Lower a rich record to the hardware-facing view for ``mode``.
-
-    Falls back to DENSE when temporal stats do not exist yet (first step).
-    The byte-traffic model charges temporal mode for loading the previous
-    step's input (skipped when the bypass style applies), storing the
-    current input for the next step, and a load + store of the partial-sum
-    state.
-    """
-    if mode is ExecutionMode.TEMPORAL and not rich.has_temporal:
-        mode = ExecutionMode.DENSE
-    bytes_in = rich.in_elems * ACT_BYTES
-    bytes_weight = rich.weight_elems * ACT_BYTES
-    bytes_out = rich.out_elems * ACT_BYTES
-    if mode is ExecutionMode.TEMPORAL:
-        stats = rich.stats_temporal
-        sub_ops = rich.sub_ops_temporal
-        prev_in = (
-            0
-            if _bypasses_prev_input(rich, bypass_style)
-            else rich.in_elems * ACT_BYTES
-        )
-        bytes_extra = (
-            prev_in
-            + rich.in_elems * ACT_BYTES  # store current input for next step
-            + 2 * rich.out_elems * STATE_BYTES  # load + store partial state
-        )
-    elif mode is ExecutionMode.SPATIAL:
-        stats = rich.stats_spatial
-        sub_ops = 1
-        bytes_extra = 0
-    else:
-        stats = rich.stats_dense
-        sub_ops = 1
-        bytes_extra = 0
-    return LayerStep(
-        step_index=rich.step_index,
-        layer_name=rich.layer_name,
-        kind=rich.kind,
-        mode=mode,
-        macs=rich.macs,
-        data_elems=rich.data_elems,
-        stats=stats,
-        bytes_in=bytes_in,
-        bytes_weight=bytes_weight,
-        bytes_out=bytes_out,
-        bytes_extra=bytes_extra,
-        vpu_elems=rich.vpu_elems,
-        sub_ops=sub_ops,
-        nonlinear_after=rich.nonlinear_after,
-        chained_input=rich.chained_input,
-    )
-
-
 class _ColumnarTrace:
     """Structure-of-arrays base shared by :class:`Trace` and :class:`RichTrace`.
 
-    Columns live as plain Python lists while recording (cheap appends) and
-    are sealed into flat numpy arrays on first vectorized access or when
-    pickled; ``col(name)`` returns the cached array form.  Layer / kind /
-    producer names are interned into per-trace string tables, so every
-    per-record field is a scalar.
+    ``col(name)`` returns a column as a flat numpy array (int64, bool for
+    flags), cached until the trace changes.  Layer / kind names are interned
+    into per-trace string tables, so every per-record field is a scalar.
     """
 
     _INT_FIELDS: Tuple[str, ...] = ()
     _BOOL_FIELDS: Tuple[str, ...] = ()
 
-    def __init__(self, steps: Optional[Sequence] = None) -> None:
+    def __init__(self) -> None:
         self._cols: Dict[str, list] = {
             name: [] for name in self._INT_FIELDS + self._BOOL_FIELDS
         }
         self._sealed = False
         self._names: List[str] = []
-        self._name_ids: Dict[str, int] = {}
         self._kinds: List[str] = []
-        self._kind_ids: Dict[str, int] = {}
         self._array_cache: Dict[str, np.ndarray] = {}
-        self._view_cache: Optional[list] = None
-        if steps:
-            for step in steps:
-                self.append(step)
 
     # -- column access ------------------------------------------------------
     def col(self, name: str) -> np.ndarray:
@@ -246,79 +129,13 @@ class _ColumnarTrace:
 
     def _invalidate(self) -> None:
         self._array_cache.clear()
-        self._view_cache = None
 
-    def _ensure_mutable(self) -> None:
-        """Convert sealed (array-backed) columns back to appendable lists."""
-        if not self._sealed:
-            return
-        for name, values in self._cols.items():
-            if isinstance(values, np.ndarray):
-                self._cols[name] = values.tolist()
-        self._sealed = False
-
-    def _intern(self, table: List[str], ids: Dict[str, int], value: str) -> int:
-        idx = ids.get(value)
-        if idx is None:
-            idx = len(table)
-            ids[value] = idx
-            table.append(value)
-        return idx
-
-    def _intern_name(self, value: str) -> int:
-        return self._intern(self._names, self._name_ids, value)
-
-    def _intern_kind(self, value: str) -> int:
-        return self._intern(self._kinds, self._kind_ids, value)
-
-    # -- sequence protocol ---------------------------------------------------
     def __len__(self) -> int:
-        values = self._cols["step_index"]
-        return len(values)
+        return len(self._cols["step_index"])
 
-    def __iter__(self) -> Iterator:
-        return iter(self.steps)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.steps[index]
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(index)
-        return self._view(index)
-
-    @property
-    def steps(self) -> list:
-        """All records materialized as dataclass views (cached)."""
-        if self._view_cache is None:
-            self._view_cache = [self._view(i) for i in range(len(self))]
-        return self._view_cache
-
-    def _view(self, index: int):
-        raise NotImplementedError
-
-    # -- grouping helpers ----------------------------------------------------
     def layer_names(self) -> List[str]:
         """Distinct layer names in first-appearance order."""
         return list(self._names)
-
-    def by_step(self) -> Dict[int, List]:
-        grouped: Dict[int, List] = {}
-        step_col = self.col("step_index")
-        views = self.steps
-        for i, view in enumerate(views):
-            grouped.setdefault(int(step_col[i]), []).append(view)
-        return grouped
-
-    def by_layer(self) -> Dict[str, List]:
-        grouped: Dict[str, List] = {}
-        layer_col = self.col("layer_id")
-        views = self.steps
-        for i, view in enumerate(views):
-            grouped.setdefault(self._names[layer_col[i]], []).append(view)
-        return grouped
 
     def num_steps(self) -> int:
         if not len(self):
@@ -342,31 +159,8 @@ class _ColumnarTrace:
 
     def __getstate__(self) -> dict:
         self.seal()
-        state = dict(self.__dict__)
-        state["_array_cache"] = {}
-        state["_view_cache"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._array_cache = {}
-        self._view_cache = None
-
-    @classmethod
-    def _from_columns(
-        cls,
-        columns: Dict[str, np.ndarray],
-        names: List[str],
-        kinds: List[str],
-    ) -> "_ColumnarTrace":
-        trace = cls()
-        trace._cols = dict(columns)
-        trace._sealed = True
-        trace._names = list(names)
-        trace._name_ids = {name: i for i, name in enumerate(names)}
-        trace._kinds = list(kinds)
-        trace._kind_ids = {kind: i for i, kind in enumerate(kinds)}
-        return trace
+        self._invalidate()
+        return dict(self.__dict__)
 
 
 _TRACE_INT_FIELDS = (
@@ -391,66 +185,42 @@ _TRACE_BOOL_FIELDS = ("nonlinear_after", "chained_input")
 
 
 class Trace(_ColumnarTrace):
-    """Hardware-facing trace: columnar storage of :class:`LayerStep` records."""
+    """Hardware-facing trace: one execution mode per record, as columns.
+
+    Built by :meth:`RichTrace.lower_modes`.  ``mode`` holds :data:`MODE_ID`
+    ids, ``st_*`` the operand stats of that mode, ``bytes_*`` its traffic
+    and ``sub_ops`` its sub-operation count.
+    """
 
     _INT_FIELDS = _TRACE_INT_FIELDS
     _BOOL_FIELDS = _TRACE_BOOL_FIELDS
 
-    def append(self, step: LayerStep) -> None:
-        self._ensure_mutable()
-        c = self._cols
-        c["step_index"].append(step.step_index)
-        c["layer_id"].append(self._intern_name(step.layer_name))
-        c["kind_id"].append(self._intern_kind(step.kind))
-        c["mode"].append(MODE_ID[step.mode])
-        c["macs"].append(step.macs)
-        c["data_elems"].append(step.data_elems)
-        stats = step.stats
-        c["st_total"].append(stats.total)
-        c["st_zero"].append(stats.zero)
-        c["st_low"].append(stats.low)
-        c["st_high"].append(stats.high)
-        c["bytes_in"].append(step.bytes_in)
-        c["bytes_weight"].append(step.bytes_weight)
-        c["bytes_out"].append(step.bytes_out)
-        c["bytes_extra"].append(step.bytes_extra)
-        c["vpu_elems"].append(step.vpu_elems)
-        c["sub_ops"].append(step.sub_ops)
-        c["nonlinear_after"].append(step.nonlinear_after)
-        c["chained_input"].append(step.chained_input)
-        self._invalidate()
+    @classmethod
+    def _from_columns(
+        cls,
+        columns: Dict[str, np.ndarray],
+        names: List[str],
+        kinds: List[str],
+    ) -> "Trace":
+        trace = cls()
+        trace._cols = dict(columns)
+        trace._sealed = True
+        trace._names = list(names)
+        trace._kinds = list(kinds)
+        return trace
 
-    def _view(self, index: int) -> LayerStep:
-        c = self._cols
-        return LayerStep(
-            step_index=int(c["step_index"][index]),
-            layer_name=self._names[int(c["layer_id"][index])],
-            kind=self._kinds[int(c["kind_id"][index])],
-            mode=MODES[int(c["mode"][index])],
-            macs=int(c["macs"][index]),
-            data_elems=int(c["data_elems"][index]),
-            stats=BitWidthStats(
-                total=int(c["st_total"][index]),
-                zero=int(c["st_zero"][index]),
-                low=int(c["st_low"][index]),
-                high=int(c["st_high"][index]),
-            ),
-            bytes_in=int(c["bytes_in"][index]),
-            bytes_weight=int(c["bytes_weight"][index]),
-            bytes_out=int(c["bytes_out"][index]),
-            bytes_extra=int(c["bytes_extra"][index]),
-            vpu_elems=int(c["vpu_elems"][index]),
-            sub_ops=int(c["sub_ops"][index]),
-            nonlinear_after=bool(c["nonlinear_after"][index]),
-            chained_input=bool(c["chained_input"][index]),
+    def operand_fractions(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(zero, low, high)`` fraction columns of each record's operands."""
+        total = self.col("st_total").astype(np.float64)
+        safe = np.where(total > 0.0, total, 1.0)
+        return (
+            self.col("st_zero") / safe,
+            self.col("st_low") / safe,
+            self.col("st_high") / safe,
         )
 
-    def modes(self) -> np.ndarray:
-        """Per-record execution-mode ids (see :data:`MODE_ID`)."""
-        return self.col("mode")
-
     def bytes_total(self) -> np.ndarray:
-        """Per-record total byte traffic as one vectorized column."""
+        """Per-record total byte traffic as one column."""
         return (
             self.col("bytes_in")
             + self.col("bytes_weight")
@@ -492,22 +262,47 @@ _RICH_BOOL_FIELDS = ("has_temporal", "nonlinear_after", "chained_input")
 
 
 class RichTrace(_ColumnarTrace):
-    """Algorithm-level trace: columnar storage of :class:`RichLayerStep`."""
+    """Algorithm-level trace: columnar storage of :class:`RichLayerStep`.
+
+    Columns live as plain Python lists while recording (cheap appends) and
+    are sealed into flat numpy arrays when pickled; an append after sealing
+    converts them back.  Records come back as :class:`RichLayerStep` views.
+    """
 
     _INT_FIELDS = _RICH_INT_FIELDS
     _BOOL_FIELDS = _RICH_BOOL_FIELDS
 
     def __init__(self, steps: Optional[Sequence[RichLayerStep]] = None) -> None:
+        super().__init__()
+        self._name_ids: Dict[str, int] = {}
+        self._kind_ids: Dict[str, int] = {}
         self._producers: List[str] = []
         self._producer_ids: Dict[str, int] = {}
-        super().__init__(steps)
+        self._view_cache: Optional[List[RichLayerStep]] = None
+        for step in steps or ():
+            self.append(step)
+
+    def _invalidate(self) -> None:
+        super()._invalidate()
+        self._view_cache = None
+
+    # -- recording ----------------------------------------------------------
+    def _intern(self, table: List[str], ids: Dict[str, int], value: str) -> int:
+        idx = ids.get(value)
+        if idx is None:
+            idx = len(table)
+            ids[value] = idx
+            table.append(value)
+        return idx
 
     def append(self, rich: RichLayerStep) -> None:
-        self._ensure_mutable()
+        if self._sealed:
+            self._cols = {name: values.tolist() for name, values in self._cols.items()}
+            self._sealed = False
         c = self._cols
         c["step_index"].append(rich.step_index)
-        c["layer_id"].append(self._intern_name(rich.layer_name))
-        c["kind_id"].append(self._intern_kind(rich.kind))
+        c["layer_id"].append(self._intern(self._names, self._name_ids, rich.layer_name))
+        c["kind_id"].append(self._intern(self._kinds, self._kind_ids, rich.kind))
         c["macs"].append(rich.macs)
         c["in_elems"].append(rich.in_elems)
         c["out_elems"].append(rich.out_elems)
@@ -538,6 +333,39 @@ class RichTrace(_ColumnarTrace):
         )
         c["executed_mode"].append(MODE_ID[rich.executed_mode])
         self._invalidate()
+
+    # -- record views --------------------------------------------------------
+    def __iter__(self) -> Iterator[RichLayerStep]:
+        return iter(self.steps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.steps[index]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError(index)
+        return self._view(index)
+
+    @property
+    def steps(self) -> List[RichLayerStep]:
+        """All records materialized as dataclass views (cached)."""
+        if self._view_cache is None:
+            self._view_cache = [self._view(i) for i in range(len(self))]
+        return self._view_cache
+
+    def by_step(self) -> Dict[int, List[RichLayerStep]]:
+        grouped: Dict[int, List[RichLayerStep]] = {}
+        for view in self.steps:
+            grouped.setdefault(view.step_index, []).append(view)
+        return grouped
+
+    def by_layer(self) -> Dict[str, List[RichLayerStep]]:
+        grouped: Dict[str, List[RichLayerStep]] = {}
+        for view in self.steps:
+            grouped.setdefault(view.layer_name, []).append(view)
+        return grouped
 
     def _view(self, index: int) -> RichLayerStep:
         c = self._cols
@@ -590,7 +418,15 @@ class RichTrace(_ColumnarTrace):
         return np.isin(self.col("kind_id"), np.asarray(attn_ids, dtype=np.int64))
 
     def bypass_mask(self, bypass_style: str) -> np.ndarray:
-        """Boolean column: records whose prev-input reload can be skipped."""
+        """Boolean column: records whose prev-input reload can be skipped.
+
+        * ``'chained'`` - Defo's static dependency analysis: the producer is
+          a linear layer, so its difference output feeds this layer directly.
+        * ``'sign_mask'`` - Cambricon-D: only SiLU / GroupNorm producers
+          qualify.
+        * ``'both'`` - hardware applying both techniques (paper Fig. 15).
+        * ``'none'`` - naive temporal difference processing.
+        """
         if bypass_style == "none":
             return np.zeros(len(self), dtype=bool)
         if bypass_style == "chained":
@@ -616,9 +452,11 @@ class RichTrace(_ColumnarTrace):
     ) -> Trace:
         """Vectorized lowering: one mode id per record (see :data:`MODE_ID`).
 
-        This is :func:`derive_layer_step` applied to the whole trace as
-        column arithmetic; records asked for TEMPORAL without temporal stats
-        fall back to DENSE exactly like the scalar path.
+        Records asked for TEMPORAL without temporal stats (the first step)
+        fall back to DENSE.  The traffic model charges temporal mode for
+        loading the previous step's input (skipped where ``bypass_style``
+        applies, see :meth:`bypass_mask`), storing the current input for the
+        next step, and a load + store of the partial-sum state.
         """
         modes = np.asarray(modes, dtype=np.int64)
         bypass = self.bypass_mask(bypass_style)  # validates the style
@@ -665,21 +503,6 @@ class RichTrace(_ColumnarTrace):
             "chained_input": self.col("chained_input"),
         }
         return Trace._from_columns(columns, self._names, self._kinds)
-
-    def lower(self, mode_for, bypass_style: str = "chained") -> Trace:
-        """Produce a :class:`Trace` choosing a mode per record.
-
-        ``mode_for(rich) -> ExecutionMode`` decides each record's mode; pass
-        e.g. ``lambda r: ExecutionMode.DENSE`` for the ITC baseline or a Defo
-        decision table lookup.  The callback sees dataclass views; the actual
-        lowering runs vectorized through :meth:`lower_modes`.
-        """
-        modes = np.fromiter(
-            (MODE_ID[mode_for(view)] for view in self.steps),
-            dtype=np.int64,
-            count=len(self),
-        )
-        return self.lower_modes(modes, bypass_style=bypass_style)
 
 
 class TraceRecorder:

@@ -8,7 +8,7 @@ from .accelerators import (
     build_accelerator,
 )
 from .config import TABLE_III, EnergyModel, HardwareConfig, get_config
-from .report import HardwareReport, LayerCycles
+from .report import HardwareReport
 from .simulator import (
     FIG13_DESIGNS,
     FIG15_DESIGNS,
@@ -33,7 +33,6 @@ __all__ = [
     "GPUModel",
     "build_accelerator",
     "HardwareReport",
-    "LayerCycles",
     "DesignPoint",
     "DesignResult",
     "evaluate_design",

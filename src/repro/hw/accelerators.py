@@ -12,12 +12,12 @@ Modelling level (deliberately matched to what decides the paper's results):
 * **Pipelining** - Encoding Unit, Compute Unit and Vector Processing Unit
   overlap; a layer costs the max of its stage times (paper Section V-A).
 
-The models consume hardware-facing :class:`~repro.core.trace.Trace` records.
-``run`` and ``cycles_array`` operate on the trace's numpy columns directly -
-one vectorized pass per design point instead of a Python loop over tens of
-thousands of records - while ``layer_cycles`` keeps the per-record scalar
-contract for custom/stub models and spot checks.  Any execution policy
-(dense / Diffy spatial / naive temporal / Defo / ideal oracle) can be
+The models consume the columns of a hardware-facing
+:class:`~repro.core.trace.Trace`: every equation is written once, as column
+arithmetic over all records.  ``run`` prices a whole trace into a
+:class:`~repro.hw.report.HardwareReport`; ``cycles_array`` returns just the
+per-record pipelined cycles, which is what Defo compares.  Any execution
+policy (dense / Diffy spatial / naive temporal / Defo / ideal oracle) can be
 evaluated on any hardware by lowering the rich trace accordingly.
 """
 
@@ -27,10 +27,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..core.modes import ExecutionMode
-from ..core.trace import DENSE_ID, MODES, LayerStep, Trace
+from ..core.trace import DENSE_ID, Trace
 from .config import EnergyModel, HardwareConfig, get_config
-from .report import HardwareReport, LayerCycles
+from .report import HardwareReport, pipelined_cycles
 
 __all__ = [
     "AdderTreeAccelerator",
@@ -38,9 +37,6 @@ __all__ = [
     "GPUModel",
     "build_accelerator",
 ]
-
-_MODE_STRS = [str(mode) for mode in MODES]
-
 
 class AdderTreeAccelerator:
     """Generic adder-tree accelerator: covers ITC, Diffy, Ditto, DS/DB.
@@ -57,80 +53,13 @@ class AdderTreeAccelerator:
         self.config = config
         self.name = config.name
 
-    # -- per-stage models (scalar contract) ---------------------------------
-    def _lane_ops(self, step: LayerStep) -> Dict[str, float]:
-        """Effective lane-operations split by operand class."""
-        cfg = self.config
-        total = step.macs * step.sub_ops
-        if step.mode is ExecutionMode.DENSE:
-            # Dense execution bypasses the Encoding Unit: every operand is
-            # treated as a full 8-bit activation.
-            high = float(total)
-            return {"low": 0.0, "high": high}
-        stats = step.stats
-        zero_cost = 0.0 if cfg.supports_zero_skip else 1.0
-        low = total * (stats.low_frac + stats.zero_frac * zero_cost)
-        high = total * stats.high_frac
-        return {"low": low, "high": high}
-
-    def compute_cycles(self, step: LayerStep) -> float:
-        cfg = self.config
-        ops = self._lane_ops(step)
-        if cfg.mult_bits >= 8:
-            lane_ops = ops["low"] + ops["high"]
-        else:
-            lane_ops = ops["low"] + 2.0 * ops["high"]
-        return lane_ops / cfg.num_mults
-
-    def encode_cycles(self, step: LayerStep) -> float:
-        if step.mode is ExecutionMode.DENSE:
-            return 0.0
-        # The Encoding Unit is sized for the Compute Unit's peak low-bit
-        # throughput (paper Section V-A): one operand per lane per cycle.
-        return step.data_elems / self.config.num_mults
-
-    def vpu_cycles(self, step: LayerStep) -> float:
-        # Vector lanes are provisioned at 1/8 of the multiplier count.
-        return step.vpu_elems / max(self.config.num_mults / 8.0, 1.0)
-
-    def memory_cycles(self, step: LayerStep) -> float:
-        return step.bytes_total / self.config.dram_bw_bytes_per_cycle
-
-    # -- energy (scalar contract) ------------------------------------------
-    def _energy(self, step: LayerStep, cycles: float) -> Dict[str, float]:
-        cfg = self.config
-        e: EnergyModel = cfg.energy
-        ops = self._lane_ops(step)
-        if cfg.mult_bits >= 8:
-            compute = (ops["low"] + ops["high"]) * e.mult8_pj
-        else:
-            compute = ops["low"] * e.mult4_pj + ops["high"] * e.mult8_pj
-        breakdown = {
-            "compute": compute,
-            "encode": (
-                0.0
-                if step.mode is ExecutionMode.DENSE
-                else step.data_elems * e.encode_pj
-            ),
-            "vpu": step.vpu_elems * e.vpu_pj,
-            "defo": e.defo_pj,
-            "sram": step.bytes_total * e.sram_byte_pj,
-            "dram": step.bytes_total * e.dram_byte_pj,
-            "leak": cycles * cfg.num_mults * e.leak_per_mult_cycle_pj,
-        }
-        return breakdown
-
-    # -- vectorized column models -------------------------------------------
+    # -- per-stage models ---------------------------------------------------
     def _lane_ops_arrays(self, trace: Trace):
         """``(low, high, dense_mask, total)`` lane-op columns for a trace."""
         cfg = self.config
         total = (trace.col("macs") * trace.col("sub_ops")).astype(np.float64)
         dense = trace.col("mode") == DENSE_ID
-        elems = trace.col("st_total").astype(np.float64)
-        safe = np.where(elems > 0.0, elems, 1.0)
-        zero_frac = trace.col("st_zero") / safe
-        low_frac = trace.col("st_low") / safe
-        high_frac = trace.col("st_high") / safe
+        zero_frac, low_frac, high_frac = trace.operand_fractions()
         zero_cost = 0.0 if cfg.supports_zero_skip else 1.0
         low = np.where(dense, 0.0, total * (low_frac + zero_frac * zero_cost))
         high = np.where(dense, total, total * high_frac)
@@ -155,16 +84,18 @@ class AdderTreeAccelerator:
     def memory_cycles_array(self, trace: Trace) -> np.ndarray:
         return trace.bytes_total() / self.config.dram_bw_bytes_per_cycle
 
+    def _stage_cycles(self, trace: Trace):
+        """``(compute, memory, encode, vpu)`` per-record stage cycles."""
+        return (
+            self.compute_cycles_array(trace),
+            self.memory_cycles_array(trace),
+            self.encode_cycles_array(trace),
+            self.vpu_cycles_array(trace),
+        )
+
     def cycles_array(self, trace: Trace) -> np.ndarray:
         """Per-record pipelined cycle counts (max over the four stages)."""
-        return np.maximum(
-            np.maximum(
-                self.compute_cycles_array(trace), self.memory_cycles_array(trace)
-            ),
-            np.maximum(
-                self.encode_cycles_array(trace), self.vpu_cycles_array(trace)
-            ),
-        )
+        return pipelined_cycles(*self._stage_cycles(trace))
 
     def _energy_arrays(
         self, trace: Trace, cycles: np.ndarray
@@ -189,37 +120,14 @@ class AdderTreeAccelerator:
         }
 
     # -- driver ------------------------------------------------------------
-    def layer_cycles(self, step: LayerStep) -> LayerCycles:
-        compute = self.compute_cycles(step)
-        memory = self.memory_cycles(step)
-        encode = self.encode_cycles(step)
-        vpu = self.vpu_cycles(step)
-        cycles = max(compute, memory, encode, vpu)
-        return LayerCycles(
-            layer_name=step.layer_name,
-            step_index=step.step_index,
-            mode=str(step.mode),
-            compute_cycles=compute,
-            memory_cycles=memory,
-            encode_cycles=encode,
-            vpu_cycles=vpu,
-            energy_pj=self._energy(step, cycles),
-            bytes_moved=step.bytes_total,
-        )
-
     def run(self, trace: Trace) -> HardwareReport:
-        compute = self.compute_cycles_array(trace)
-        memory = self.memory_cycles_array(trace)
-        encode = self.encode_cycles_array(trace)
-        vpu = self.vpu_cycles_array(trace)
-        cycles = np.maximum(np.maximum(compute, memory), np.maximum(encode, vpu))
+        compute, memory, encode, vpu = self._stage_cycles(trace)
+        cycles = pipelined_cycles(compute, memory, encode, vpu)
         return HardwareReport.from_arrays(
             hardware=self.name,
             layer_names=trace.layer_names(),
             layer_ids=trace.col("layer_id"),
             step_index=trace.col("step_index"),
-            modes=_MODE_STRS,
-            mode_ids=trace.col("mode"),
             compute=compute,
             memory=memory,
             encode=encode,
@@ -241,35 +149,17 @@ class CambriconDAccelerator(AdderTreeAccelerator):
     (Section VI-B, Fig. 15).
     """
 
-    def compute_cycles(self, step: LayerStep) -> float:
-        cfg = self.config
-        if step.mode is ExecutionMode.DENSE:
-            return (step.macs * step.sub_ops) / cfg.outlier_mults
-        ops = self._lane_ops(step)
-        normal = ops["low"] / cfg.num_mults
-        outlier = ops["high"] / cfg.outlier_mults
-        return max(normal, outlier)
-
     def compute_cycles_array(self, trace: Trace) -> np.ndarray:
         cfg = self.config
         low, high, dense, total = self._lane_ops_arrays(trace)
         routed = np.maximum(low / cfg.num_mults, high / cfg.outlier_mults)
         return np.where(dense, total / cfg.outlier_mults, routed)
 
-    def _energy(self, step: LayerStep, cycles: float) -> Dict[str, float]:
-        breakdown = super()._energy(step, cycles)
-        if step.mode is ExecutionMode.DENSE:
-            breakdown["compute"] = (
-                step.macs * step.sub_ops * self.config.energy.mult8_pj
-            )
-        return breakdown
-
     def _energy_arrays(
         self, trace: Trace, cycles: np.ndarray
     ) -> Dict[str, np.ndarray]:
         breakdown = super()._energy_arrays(trace, cycles)
-        dense = trace.col("mode") == DENSE_ID
-        total = (trace.col("macs") * trace.col("sub_ops")).astype(np.float64)
+        _, _, dense, total = self._lane_ops_arrays(trace)
         breakdown["compute"] = np.where(
             dense, total * self.config.energy.mult8_pj, breakdown["compute"]
         )
@@ -303,38 +193,17 @@ class GPUModel:
         self.power_w = power_w
         self.freq_ghz = freq_ghz
 
-    def _compute_array(self, trace: Trace) -> np.ndarray:
+    def cycles_array(self, trace: Trace) -> np.ndarray:
+        """Per-record cycles: compute at the utilized peak plus the launch."""
         return (
             trace.col("macs") / (self.peak_macs_per_cycle * self.utilization)
             + self.launch_cycles
         )
 
-    def cycles_array(self, trace: Trace) -> np.ndarray:
-        return self._compute_array(trace)
-
-    def layer_cycles(self, step: LayerStep) -> LayerCycles:
-        compute = (
-            step.macs / (self.peak_macs_per_cycle * self.utilization)
-            + self.launch_cycles
-        )
-        cycles = compute
-        seconds = cycles / (self.freq_ghz * 1e9)
-        energy_pj = {"gpu": self.power_w * seconds * 1e12}
-        return LayerCycles(
-            layer_name=step.layer_name,
-            step_index=step.step_index,
-            mode="dense",
-            compute_cycles=compute,
-            memory_cycles=0.0,
-            energy_pj=energy_pj,
-            bytes_moved=step.bytes_in + step.bytes_weight + step.bytes_out,
-        )
-
     def run(self, trace: Trace) -> HardwareReport:
-        compute = self._compute_array(trace)
-        n = len(trace)
+        compute = self.cycles_array(trace)
         seconds = compute / (self.freq_ghz * 1e9)
-        zeros = np.zeros(n)
+        zeros = np.zeros(len(trace))
         # The GPU model executes the original activations: no difference
         # traffic, so bytes_extra is excluded from bytes moved.
         bytes_moved = (
@@ -345,8 +214,6 @@ class GPUModel:
             layer_names=trace.layer_names(),
             layer_ids=trace.col("layer_id"),
             step_index=trace.col("step_index"),
-            modes=["dense"],
-            mode_ids=np.zeros(n, dtype=np.int64),
             compute=compute,
             memory=zeros,
             encode=zeros,

@@ -1,68 +1,36 @@
-"""Result containers produced by the hardware models.
+"""Result container produced by the hardware models.
 
-:class:`HardwareReport` has two storage modes.  Appending
-:class:`LayerCycles` records one at a time (tests, custom models) keeps a
-plain Python list.  The vectorized accelerators instead hand over flat
-numpy columns via :meth:`HardwareReport.from_arrays`; aggregate metrics then
-run as column reductions and per-record :class:`LayerCycles` views are only
-materialized if somebody iterates ``report.layers``.
+A :class:`HardwareReport` is the per-record columns one hardware model
+produced for one trace (stage cycles, energy components, bytes moved);
+every aggregate and grouping is a column reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["LayerCycles", "HardwareReport"]
+__all__ = ["HardwareReport", "pipelined_cycles"]
 
 
-@dataclass
-class LayerCycles:
-    """Cycle/energy outcome of one layer-step on one hardware model."""
-
-    layer_name: str
-    step_index: int
-    mode: str
-    compute_cycles: float
-    memory_cycles: float
-    encode_cycles: float = 0.0
-    vpu_cycles: float = 0.0
-    energy_pj: Dict[str, float] = field(default_factory=dict)
-    bytes_moved: int = 0
-
-    @property
-    def cycles(self) -> float:
-        """Pipelined execution: the slowest stage bounds the layer."""
-        return max(
-            self.compute_cycles,
-            self.memory_cycles,
-            self.encode_cycles,
-            self.vpu_cycles,
-        )
-
-    @property
-    def stall_cycles(self) -> float:
-        """Cycles the Compute Unit waits on memory."""
-        return max(0.0, self.memory_cycles - self.compute_cycles)
-
-    @property
-    def total_energy_pj(self) -> float:
-        return sum(self.energy_pj.values())
+def pipelined_cycles(compute, memory, encode, vpu) -> np.ndarray:
+    """Pipelined execution: the slowest stage bounds each record."""
+    return np.maximum(np.maximum(compute, memory), np.maximum(encode, vpu))
 
 
 class HardwareReport:
-    """Aggregate outcome of running a full trace on one hardware model."""
+    """Aggregate outcome of running a full trace on one hardware model.
 
-    def __init__(
-        self, hardware: str, layers: Optional[Sequence[LayerCycles]] = None
-    ) -> None:
+    ``columns`` holds one entry per trace record: ``compute`` / ``memory`` /
+    ``encode`` / ``vpu`` stage cycles, their pipelined ``cycles``, the
+    ``energy`` components (pJ) and ``bytes_moved``, plus ``step_index`` and
+    ``layer_ids`` into ``layer_names`` for grouping.
+    """
+
+    def __init__(self, hardware: str, columns: dict) -> None:
         self.hardware = hardware
-        self._layers: Optional[List[LayerCycles]] = (
-            list(layers) if layers is not None else []
-        )
-        self._arrays: Optional[dict] = None
+        self.columns = columns
 
     @classmethod
     def from_arrays(
@@ -71,8 +39,6 @@ class HardwareReport:
         layer_names: List[str],
         layer_ids: np.ndarray,
         step_index: np.ndarray,
-        modes: List[str],
-        mode_ids: np.ndarray,
         compute: np.ndarray,
         memory: np.ndarray,
         encode: np.ndarray,
@@ -80,110 +46,53 @@ class HardwareReport:
         energy: Dict[str, np.ndarray],
         bytes_moved: np.ndarray,
     ) -> "HardwareReport":
-        """Columnar constructor used by the vectorized accelerator models."""
-        report = cls(hardware)
-        report._layers = None
-        cycles = np.maximum(np.maximum(compute, memory), np.maximum(encode, vpu))
-        report._arrays = {
+        """Build a report from per-record columns (the accelerator models)."""
+        columns = {
             "layer_names": layer_names,
             "layer_ids": np.asarray(layer_ids),
             "step_index": np.asarray(step_index),
-            "modes": modes,
-            "mode_ids": np.asarray(mode_ids),
             "compute": np.asarray(compute, dtype=np.float64),
             "memory": np.asarray(memory, dtype=np.float64),
             "encode": np.asarray(encode, dtype=np.float64),
             "vpu": np.asarray(vpu, dtype=np.float64),
-            "cycles": cycles,
+            "cycles": pipelined_cycles(compute, memory, encode, vpu),
             "energy": {k: np.asarray(v, dtype=np.float64) for k, v in energy.items()},
             "bytes_moved": np.asarray(bytes_moved),
         }
-        return report
-
-    # -- record access -----------------------------------------------------
-    def _materialize(self) -> List[LayerCycles]:
-        a = self._arrays
-        energy_items = list(a["energy"].items())
-        layers = []
-        for i in range(len(a["step_index"])):
-            layers.append(
-                LayerCycles(
-                    layer_name=a["layer_names"][a["layer_ids"][i]],
-                    step_index=int(a["step_index"][i]),
-                    mode=a["modes"][a["mode_ids"][i]],
-                    compute_cycles=float(a["compute"][i]),
-                    memory_cycles=float(a["memory"][i]),
-                    encode_cycles=float(a["encode"][i]),
-                    vpu_cycles=float(a["vpu"][i]),
-                    energy_pj={k: float(v[i]) for k, v in energy_items},
-                    bytes_moved=int(a["bytes_moved"][i]),
-                )
-            )
-        return layers
-
-    @property
-    def layers(self) -> List[LayerCycles]:
-        if self._layers is None:
-            self._layers = self._materialize()
-        return self._layers
-
-    def append(self, layer: LayerCycles) -> None:
-        layers = self.layers  # materializes the views if needed
-        self._arrays = None  # record-level mutation invalidates the columns
-        layers.append(layer)
+        return cls(hardware, columns)
 
     def __len__(self) -> int:
-        if self._arrays is not None:
-            return len(self._arrays["step_index"])
-        return len(self._layers)
+        return len(self.columns["step_index"])
 
     # -- cycles ----------------------------------------------------------
     @property
     def total_cycles(self) -> float:
-        if self._arrays is not None:
-            return float(self._arrays["cycles"].sum())
-        return sum(layer.cycles for layer in self.layers)
+        return float(self.columns["cycles"].sum())
 
     @property
     def compute_cycles(self) -> float:
-        if self._arrays is not None:
-            a = self._arrays
-            return float(np.minimum(a["compute"], a["cycles"]).sum())
-        return sum(min(layer.compute_cycles, layer.cycles) for layer in self.layers)
+        a = self.columns
+        return float(np.minimum(a["compute"], a["cycles"]).sum())
 
     @property
     def stall_cycles(self) -> float:
-        if self._arrays is not None:
-            a = self._arrays
-            return float(np.maximum(a["memory"] - a["compute"], 0.0).sum())
-        return sum(layer.stall_cycles for layer in self.layers)
+        a = self.columns
+        return float(np.maximum(a["memory"] - a["compute"], 0.0).sum())
 
     # -- energy / traffic -------------------------------------------------
     @property
     def total_energy_pj(self) -> float:
-        if self._arrays is not None:
-            return float(
-                sum(arr.sum() for arr in self._arrays["energy"].values())
-            )
-        return sum(layer.total_energy_pj for layer in self.layers)
+        return float(sum(arr.sum() for arr in self.columns["energy"].values()))
 
     def energy_breakdown_pj(self) -> Dict[str, float]:
-        if self._arrays is not None:
-            return {
-                component: float(arr.sum())
-                for component, arr in self._arrays["energy"].items()
-            }
-        breakdown: Dict[str, float] = {}
-        for layer in self.layers:
-            for component, value in layer.energy_pj.items():
-                breakdown[component] = breakdown.get(component, 0.0) + value
-        return breakdown
+        return {
+            component: float(arr.sum())
+            for component, arr in self.columns["energy"].items()
+        }
 
     @property
     def total_bytes(self) -> int:
-        if self._arrays is not None:
-            return int(self._arrays["bytes_moved"].sum())
-        return sum(layer.bytes_moved for layer in self.layers)
+        return int(self.columns["bytes_moved"].sum())
 
     # -- comparisons --------------------------------------------------------
     def speedup_over(self, other: "HardwareReport") -> float:
@@ -203,28 +112,18 @@ class HardwareReport:
 
     # -- per-layer views ---------------------------------------------------
     def cycles_by_layer(self) -> Dict[str, float]:
-        if self._arrays is not None:
-            a = self._arrays
-            sums = np.bincount(
-                a["layer_ids"], weights=a["cycles"], minlength=len(a["layer_names"])
-            )
-            ids_present = np.unique(a["layer_ids"])
-            return {a["layer_names"][i]: float(sums[i]) for i in ids_present}
-        grouped: Dict[str, float] = {}
-        for layer in self.layers:
-            grouped[layer.layer_name] = grouped.get(layer.layer_name, 0.0) + layer.cycles
-        return grouped
+        a = self.columns
+        sums = np.bincount(
+            a["layer_ids"], weights=a["cycles"], minlength=len(a["layer_names"])
+        )
+        ids_present = np.unique(a["layer_ids"])
+        return {a["layer_names"][i]: float(sums[i]) for i in ids_present}
 
     def cycles_by_step(self) -> Dict[int, float]:
-        if self._arrays is not None:
-            a = self._arrays
-            steps, inverse = np.unique(a["step_index"], return_inverse=True)
-            sums = np.bincount(inverse, weights=a["cycles"])
-            return {int(step): float(sums[i]) for i, step in enumerate(steps)}
-        grouped: Dict[int, float] = {}
-        for layer in self.layers:
-            grouped[layer.step_index] = grouped.get(layer.step_index, 0.0) + layer.cycles
-        return grouped
+        a = self.columns
+        steps, inverse = np.unique(a["step_index"], return_inverse=True)
+        sums = np.bincount(inverse, weights=a["cycles"])
+        return {int(step): float(sums[i]) for i, step in enumerate(steps)}
 
     def summary(self) -> str:
         energy_uj = self.total_energy_pj / 1e6

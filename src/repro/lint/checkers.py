@@ -1,9 +1,9 @@
-"""The repo-specific invariant checkers (RPL001, RPL006, RPL011).
+"""The repo-specific invariant checkers (RPL001, RPL011).
 
 Each rule encodes a contract that a past PR violated by hand and that no
 test or runtime sanitizer catches; see README "Invariants & static checks"
 for the rule table, the retired rules and what now guards their defects.
-All three are syntactic, per-file AST passes.
+Both are syntactic, per-file AST passes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .framework import Checker, Finding, SourceFile
 
 __all__ = [
     "DtypePromotionChecker",
-    "SwallowedExceptionChecker",
     "BackendDispatchChecker",
     "default_checkers",
 ]
@@ -253,70 +252,6 @@ class DtypePromotionChecker(Checker):
 
 
 # ---------------------------------------------------------------------------
-# RPL006 - the fault-tolerant serving stack may not swallow exceptions
-# ---------------------------------------------------------------------------
-
-# The two modules that own session health.  A swallowed exception here leaves
-# a session that *looks* healthy but has diverged from its replay journal -
-# exactly the state the crash-recovery contract (PR 7) exists to rule out.
-_RPL006_FILE_RE = re.compile(r"src/repro/(core/session|runtime/serving)\.py$")
-
-
-class SwallowedExceptionChecker(Checker):
-    """RPL006: serving-stack ``except`` blocks must re-raise or mark unhealthy.
-
-    Fault-tolerant serving relies on failures being *loud*: a step failure
-    either propagates (so the retry/recovery machinery sees it) or flips the
-    session's health flag (so later calls refuse to run on diverged state).
-    An ``except`` handler in ``core/session.py`` or ``runtime/serving.py``
-    that does neither silently absorbs a fault and lets bit-exactness claims
-    rot.  Handlers that are intentionally terminal carry
-    ``# repro-lint: ignore[RPL006]``.
-    """
-
-    rule = "RPL006"
-    title = "exception swallowed in the fault-tolerant serving stack"
-
-    def check_file(self, handle: SourceFile) -> Iterable[Finding]:
-        if not _RPL006_FILE_RE.search(handle.rel_path):
-            return []
-        findings: List[Finding] = []
-        for node in ast.walk(handle.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if self._handler_is_loud(node):
-                continue
-            caught = ast.unparse(node.type) if node.type is not None else "BaseException"
-            findings.append(
-                Finding(
-                    path=handle.rel_path,
-                    line=node.lineno,
-                    rule=self.rule,
-                    message=(
-                        f"except {caught} swallows the exception; re-raise, "
-                        f"mark the session unhealthy, or annotate with "
-                        f"# repro-lint: ignore[RPL006]"
-                    ),
-                )
-            )
-        return findings
-
-    def _handler_is_loud(self, handler: ast.ExceptHandler) -> bool:
-        """True when the handler re-raises or touches session health."""
-        for stmt in handler.body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Raise):
-                    return True
-                # mark_unhealthy(...), session.healthy, self._healthy = False,
-                # "unhealthy" string reasons - any health-flag traffic counts.
-                if isinstance(node, ast.Attribute) and "healthy" in node.attr:
-                    return True
-                if isinstance(node, ast.Name) and "healthy" in node.id:
-                    return True
-        return False
-
-
-# ---------------------------------------------------------------------------
 # RPL011 - quantized GEMMs must go through the compute-backend dispatch
 # ---------------------------------------------------------------------------
 
@@ -417,4 +352,4 @@ class BackendDispatchChecker(Checker):
 
 
 def default_checkers() -> List[Checker]:
-    return [DtypePromotionChecker(), SwallowedExceptionChecker(), BackendDispatchChecker()]
+    return [DtypePromotionChecker(), BackendDispatchChecker()]

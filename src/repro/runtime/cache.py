@@ -131,28 +131,6 @@ class ResultCache:
         dump_pickle(value, self.path_for(key))
         self.stats.stores += 1
 
-    def get_or_compute(self, key: str, compute) -> Any:
-        """Return the cached value for ``key``, computing and storing on miss.
-
-        Parameters
-        ----------
-        key:
-            A stable hash from :mod:`repro.runtime.hashing`.
-        compute:
-            Zero-argument callable producing the value on a miss; its result
-            is stored before being returned.
-
-        Returns
-        -------
-        Any
-            The cached or freshly computed value.
-        """
-        value = self.get(key)
-        if value is None:
-            value = compute()
-            self.put(key, value)
-        return value
-
     def invalidate(self, key: str) -> bool:
         """Delete one entry; returns whether it existed."""
         path = self.path_for(key)

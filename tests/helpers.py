@@ -7,14 +7,17 @@ imports that broke collection when the test directory is not a package.
 
 import numpy as np
 
-from repro.core import DittoEngine, EngineConfig, RichLayerStep
+from repro.core import DittoEngine, EngineConfig, RichLayerStep, RichTrace
 from repro.core.bitwidth import BitWidthStats
+from repro.core.trace import MODE_ID
 from repro.quant import QAttention, iter_qlayers
 from repro.workloads.suite import BenchmarkSpec
 
 __all__ = [
     "assert_temporal_state_held",
+    "lower_one",
     "make_rich",
+    "only",
     "make_tiny_engine",
     "make_tiny_spec",
     "TINY_SUITE",
@@ -69,6 +72,17 @@ def make_rich(
         chained_input=chained,
         producer_kind=producer,
     )
+
+
+def lower_one(rich, mode, bypass="chained"):
+    """``rich`` lowered to ``mode`` as a one-record column ``Trace``."""
+    return RichTrace([rich]).lower_modes(np.array([MODE_ID[mode]]), bypass)
+
+
+def only(trace, name):
+    """The value of column ``name`` in a one-record trace."""
+    (value,) = trace.col(name).tolist()
+    return value
 
 
 def _tiny_unet(seed: int = 5, block_type: str = "attention"):

@@ -1,41 +1,49 @@
 """Unit tests for BOPs accounting (Fig. 6)."""
 
+import numpy as np
 import pytest
 
-from repro.core import ExecutionMode, per_step_relative_bops, relative_bops
+from repro.core import ExecutionMode, RichTrace, per_step_relative_bops, relative_bops
 from repro.core.bitwidth import BitWidthStats
-from repro.core.bops import bops_per_mac, dense_bops_reference, layer_bops
-from repro.core.trace import Trace
+from repro.core.bops import dense_bops_reference, trace_bops
+from repro.core.trace import MODE_ID, Trace
 
-from helpers import make_rich
-from repro.core.trace import derive_layer_step
+from helpers import lower_one, make_rich
 
 
 def make_trace(mode, steps=2, temporal=True, sub_ops=1):
-    trace = Trace()
+    trace = RichTrace()
     for s in range(steps):
-        rich = make_rich(step_index=s, temporal=temporal and s > 0, sub_ops=sub_ops)
-        trace.append(derive_layer_step(rich, mode))
-    return trace
+        trace.append(
+            make_rich(step_index=s, temporal=temporal and s > 0, sub_ops=sub_ops)
+        )
+    return trace.lower_modes(np.full(len(trace), MODE_ID[mode]))
+
+
+def per_mac(stats, zero_skipping=True):
+    """BOPs per MAC of one record whose temporal operands are ``stats``."""
+    rich = make_rich()
+    rich.stats_temporal = stats
+    trace = lower_one(rich, ExecutionMode.TEMPORAL)
+    return trace_bops(trace, zero_skipping) / rich.macs
 
 
 def test_bops_per_mac_with_zero_skipping():
     stats = BitWidthStats(total=100, zero=50, low=30, high=20)
     # 0.3 * 32 + 0.2 * 64 = 22.4
-    assert bops_per_mac(stats) == pytest.approx(22.4)
+    assert per_mac(stats) == pytest.approx(22.4)
 
 
 def test_bops_per_mac_without_zero_skipping():
     stats = BitWidthStats(total=100, zero=50, low=30, high=20)
     # zeros cost a 4-bit op: + 0.5 * 32
-    assert bops_per_mac(stats, zero_skipping=False) == pytest.approx(38.4)
+    assert per_mac(stats, zero_skipping=False) == pytest.approx(38.4)
 
 
 def test_dense_layer_costs_full_bops():
     """Dense execution is the Fig. 6a baseline: exactly macs * 8 * 8 BOPs."""
-    trace = make_trace(ExecutionMode.DENSE)
-    step = trace.steps[0]
-    assert layer_bops(step) == pytest.approx(step.macs * 64)
+    step = lower_one(make_rich(), ExecutionMode.DENSE)
+    assert trace_bops(step) == pytest.approx(step.total_macs() * 64)
 
 
 def test_dense_relative_bops_is_unity():
@@ -56,12 +64,9 @@ def test_relative_bops_bounds():
 
 
 def test_sub_ops_double_attention_cost():
-    single = make_trace(ExecutionMode.TEMPORAL, steps=2, sub_ops=1)
-    double = make_trace(ExecutionMode.TEMPORAL, steps=2, sub_ops=2)
-    # Step 0 is dense in both; step 1 doubles.
-    s1 = layer_bops(single.steps[1])
-    d1 = layer_bops(double.steps[1])
-    assert d1 == pytest.approx(2 * s1)
+    single = lower_one(make_rich(sub_ops=1), ExecutionMode.TEMPORAL)
+    double = lower_one(make_rich(sub_ops=2), ExecutionMode.TEMPORAL)
+    assert trace_bops(double) == pytest.approx(2 * trace_bops(single))
 
 
 def test_dense_reference_ignores_sub_ops():

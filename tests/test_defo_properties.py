@@ -13,9 +13,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ExecutionMode, RichTrace, run_defo, run_ideal
+from repro.core import ExecutionMode, RichTrace, lower_temporal, run_defo, run_ideal
 from repro.core.bitwidth import BitWidthStats
-from repro.core.trace import RichLayerStep
+from repro.core.trace import MODES, RichLayerStep
 from repro.hw import build_accelerator
 
 
@@ -54,7 +54,7 @@ def random_trace(seed: int, num_layers: int, num_steps: int) -> RichTrace:
 
 
 def total_cycles(hardware, trace) -> float:
-    return sum(hardware.layer_cycles(step).cycles for step in trace)
+    return hardware.run(trace).total_cycles
 
 
 @settings(max_examples=20, deadline=None)
@@ -69,9 +69,7 @@ def test_ideal_lower_bounds_defo_and_naive(seed, num_layers, num_steps, hw_name)
     hardware = build_accelerator(hw_name)
     ideal = total_cycles(hardware, run_ideal(trace, hardware))
     defo = total_cycles(hardware, run_defo(trace, hardware).trace)
-    naive = total_cycles(
-        hardware, trace.lower(lambda r: ExecutionMode.TEMPORAL)
-    )
+    naive = total_cycles(hardware, lower_temporal(trace))
     assert ideal <= defo + 1e-6
     assert ideal <= naive + 1e-6
 
@@ -116,11 +114,15 @@ def test_defo_trace_mode_consistency(seed):
     trace = random_trace(seed, 3, 5)
     hardware = build_accelerator("Ditto")
     report = run_defo(trace, hardware)
-    for step_record in report.trace:
-        if step_record.step_index == 0:
-            assert step_record.mode is ExecutionMode.DENSE
-        elif step_record.step_index == 1:
-            assert step_record.mode is ExecutionMode.TEMPORAL
+    lowered = report.trace
+    names = lowered.layer_names()
+    for step_index, layer_id, mode_id in zip(
+        lowered.col("step_index"), lowered.col("layer_id"), lowered.col("mode")
+    ):
+        mode = MODES[mode_id]
+        if step_index == 0:
+            assert mode is ExecutionMode.DENSE
+        elif step_index == 1:
+            assert mode is ExecutionMode.TEMPORAL
         else:
-            expected = report.decisions[step_record.layer_name]
-            assert step_record.mode is expected
+            assert mode is report.decisions[names[layer_id]]

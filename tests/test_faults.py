@@ -426,6 +426,9 @@ def test_session_kill_recovers_bit_exact(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     report = _chaos_serve("kill@req=1,step=1")
     batch = report.per_batch[2]
+    # The kill is recovered at once: a handler that skipped the recovery
+    # would still end bit-exact, via retries of the dead session.
+    assert batch.retries == 0
     assert batch.recoveries == 1
     assert _nonzero_counts(batch) == {"completed": 3}
     assert report.verified_requests == [0, 1, 2]

@@ -5,8 +5,9 @@ Pins the three invariants the PR-2 perf rebuild must not move:
 * the columnar ``RichTrace``/``Trace`` stores round-trip exactly to their
   dataclass views (append -> view -> append), including through pickle;
 * the fused ``classify_many`` equals merging per-array ``classify`` calls,
-  and the vectorized ``lower_modes``/accelerator columns equal the scalar
-  ``derive_layer_step``/``layer_cycles`` path record by record;
+  and the ``lower_modes``/accelerator columns equal, record by record, the
+  per-record reference model they replaced (its outputs on
+  :func:`build_mixed_trace` are frozen in ``golden_cost_model.json``);
 * an instrumented engine run is *bit-exact* with the naive pre-refactor
   formulation: plain (uninstrumented) dense generation produces the same
   samples, and the recorded per-step ``BitWidthStats`` match a reference
@@ -14,14 +15,23 @@ Pins the three invariants the PR-2 perf rebuild must not move:
   per-batch row differences.
 """
 
+import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import ExecutionMode, RichTrace, classify, derive_layer_step
+from repro.core import ExecutionMode, RichTrace, classify
 from repro.core.bitwidth import BitWidthStats, classify_many
-from repro.core.trace import MODE_ID, Trace, TraceRecorder
+from repro.core.trace import (
+    MODE_ID,
+    MODES,
+    SPATIAL_ID,
+    TEMPORAL_ID,
+    Trace,
+    TraceRecorder,
+)
 from repro.hw import build_accelerator
 from repro.nn import functional as F
 from repro.quant.qlayers import QConv2d
@@ -68,10 +78,14 @@ def test_rich_trace_pickle_round_trip():
 
 
 def test_lowered_trace_pickle_and_views():
-    lowered = build_mixed_trace().lower(lambda r: ExecutionMode.TEMPORAL)
+    trace = build_mixed_trace()
+    lowered = trace.lower_modes(np.full(len(trace), TEMPORAL_ID, dtype=np.int64))
     clone = pickle.loads(pickle.dumps(lowered))
     assert isinstance(clone, Trace)
-    assert list(clone) == list(lowered)
+    assert len(clone) == len(lowered)
+    assert clone.layer_names() == lowered.layer_names()
+    for name in Trace._INT_FIELDS + Trace._BOOL_FIELDS:
+        np.testing.assert_array_equal(clone.col(name), lowered.col(name))
     assert clone.total_bytes() == lowered.total_bytes()
 
 
@@ -103,7 +117,19 @@ def test_classify_f32_matches_f64():
     assert classify(values.astype(np.float32)) == classify(values)
 
 
-# -- vectorized lowering == scalar lowering ----------------------------------
+# -- column model == frozen per-record reference -----------------------------
+
+# Per-record outputs of the record-at-a-time lowering and hardware models on
+# ``build_mixed_trace()``, frozen before those models were retired in favour
+# of the column path: 3 modes x 4 bypass styles of lowering, and every stage
+# cycle, energy component and byte count of five hardware models.
+GOLDEN = json.loads(Path(__file__).with_name("golden_cost_model.json").read_text())
+
+_LOWERING_FIELDS = (
+    "st_total", "st_zero", "st_low", "st_high",
+    "bytes_in", "bytes_weight", "bytes_out", "bytes_extra", "sub_ops",
+)
+
 
 @pytest.mark.parametrize("bypass", ["chained", "sign_mask", "both", "none"])
 @pytest.mark.parametrize(
@@ -114,32 +140,38 @@ def test_lower_modes_matches_derive_layer_step(mode, bypass):
     lowered = trace.lower_modes(
         np.full(len(trace), MODE_ID[mode], dtype=np.int64), bypass
     )
-    for rich, got in zip(trace, lowered):
-        assert got == derive_layer_step(rich, mode, bypass)
+    golden = GOLDEN["lowering"][f"{mode}/{bypass}"]
+    assert [str(MODES[m]) for m in lowered.col("mode")] == golden["mode"]
+    for name in _LOWERING_FIELDS:
+        assert lowered.col(name).tolist() == golden[name], name
 
 
 @pytest.mark.parametrize("hardware", ["ITC", "Diffy", "Ditto", "Cambricon-D", "GPU"])
 def test_vectorized_accelerator_matches_scalar(hardware):
     accel = build_accelerator(hardware)
-    trace = build_mixed_trace().lower(
-        lambda r: ExecutionMode.TEMPORAL if r.has_temporal else ExecutionMode.SPATIAL
+    rich = build_mixed_trace()
+    trace = rich.lower_modes(
+        np.where(rich.col("has_temporal"), TEMPORAL_ID, SPATIAL_ID)
     )
+    golden = GOLDEN["hardware"][hardware]
     report = accel.run(trace)
-    for step, layer in zip(trace, report.layers):
-        ref = accel.layer_cycles(step)
-        assert layer.layer_name == ref.layer_name
-        assert layer.cycles == ref.cycles
-        assert layer.compute_cycles == ref.compute_cycles
-        assert layer.memory_cycles == ref.memory_cycles
-        assert layer.encode_cycles == ref.encode_cycles
-        assert layer.vpu_cycles == ref.vpu_cycles
-        assert layer.bytes_moved == ref.bytes_moved
-        assert set(layer.energy_pj) == set(ref.energy_pj)
-        for component, value in ref.energy_pj.items():
-            assert layer.energy_pj[component] == pytest.approx(value, rel=1e-12)
-    assert report.total_cycles == pytest.approx(
-        sum(accel.layer_cycles(s).cycles for s in trace), rel=1e-12
-    )
+    columns = report.columns
+    for name, key in [
+        ("compute_cycles", "compute"),
+        ("memory_cycles", "memory"),
+        ("encode_cycles", "encode"),
+        ("vpu_cycles", "vpu"),
+        ("cycles", "cycles"),
+        ("bytes_moved", "bytes_moved"),
+    ]:
+        assert columns[key].tolist() == golden[name], name
+    assert accel.cycles_array(trace).tolist() == golden["cycles"]
+    assert set(columns["energy"]) == set(golden["energy_pj"])
+    for component, values in golden["energy_pj"].items():
+        np.testing.assert_allclose(
+            columns["energy"][component], values, rtol=1e-12, atol=0.0
+        )
+    assert report.total_cycles == pytest.approx(sum(golden["cycles"]), rel=1e-12)
 
 
 # -- bit-exactness vs the pre-refactor formulation ---------------------------

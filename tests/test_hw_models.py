@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ExecutionMode, derive_layer_step
+from repro.core import ExecutionMode
 from repro.hw import (
     DBDS_CONFIG,
     DB_CONFIG,
@@ -15,11 +15,23 @@ from repro.hw import (
     get_config,
 )
 
-from helpers import make_rich
+from helpers import lower_one, make_rich
+
+MACS = 10_000  # make_rich()
 
 
 def lowered(mode=ExecutionMode.TEMPORAL, **kwargs):
-    return derive_layer_step(make_rich(**kwargs), mode)
+    return lower_one(make_rich(**kwargs), mode)
+
+
+def compute(hw, trace):
+    (value,) = hw.compute_cycles_array(trace).tolist()
+    return value
+
+
+def energy(hw, trace):
+    """Energy components (pJ) of a one-record trace."""
+    return hw.run(trace).energy_breakdown_pj()
 
 
 # -- Table III configuration -------------------------------------------------
@@ -63,50 +75,50 @@ def test_get_config_unknown():
 def test_itc_dense_cycles():
     itc = AdderTreeAccelerator(get_config("ITC"))
     step = lowered(ExecutionMode.DENSE)
-    assert itc.compute_cycles(step) == pytest.approx(step.macs / 27648)
+    assert compute(itc, step) == pytest.approx(MACS / 27648)
 
 
 def test_ditto_dense_pairs_lanes():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
     step = lowered(ExecutionMode.DENSE)
-    assert ditto.compute_cycles(step) == pytest.approx(2 * step.macs / 39398)
+    assert compute(ditto, step) == pytest.approx(2 * MACS / 39398)
 
 
 def test_ditto_temporal_skips_zeros():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
     step = lowered(ExecutionMode.TEMPORAL)
     # stats: 40% zero (skipped), 50% low (1 lane), 10% high (2 lanes)
-    expected = step.macs * (0.5 + 0.2) / 39398
-    assert ditto.compute_cycles(step) == pytest.approx(expected)
+    expected = MACS * (0.5 + 0.2) / 39398
+    assert compute(ditto, step) == pytest.approx(expected)
 
 
 def test_db_pays_for_zeros():
     db = AdderTreeAccelerator(DB_CONFIG)
     step = lowered(ExecutionMode.TEMPORAL)
-    expected = step.macs * (0.4 + 0.5 + 0.2) / 39398
-    assert db.compute_cycles(step) == pytest.approx(expected)
+    expected = MACS * (0.4 + 0.5 + 0.2) / 39398
+    assert compute(db, step) == pytest.approx(expected)
 
 
 def test_ds_eight_bit_lanes():
     ds = AdderTreeAccelerator(DS_CONFIG)
     step = lowered(ExecutionMode.TEMPORAL)
     # zero skipped, low and high both one 8-bit MAC
-    expected = step.macs * 0.6 / 27648
-    assert ds.compute_cycles(step) == pytest.approx(expected)
+    expected = MACS * 0.6 / 27648
+    assert compute(ds, step) == pytest.approx(expected)
 
 
 def test_dbds_equals_ditto_compute():
     step = lowered(ExecutionMode.TEMPORAL)
     ditto = AdderTreeAccelerator(get_config("Ditto"))
     dbds = AdderTreeAccelerator(DBDS_CONFIG)
-    assert dbds.compute_cycles(step) == pytest.approx(ditto.compute_cycles(step))
+    assert compute(dbds, step) == pytest.approx(compute(ditto, step))
 
 
 def test_sub_ops_scale_compute():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
     one = lowered(ExecutionMode.TEMPORAL, sub_ops=1)
     two = lowered(ExecutionMode.TEMPORAL, sub_ops=2)
-    assert ditto.compute_cycles(two) == pytest.approx(2 * ditto.compute_cycles(one))
+    assert compute(ditto, two) == pytest.approx(2 * compute(ditto, one))
 
 
 # -- Cambricon-D --------------------------------------------------------------
@@ -114,16 +126,16 @@ def test_sub_ops_scale_compute():
 def test_cambricon_outlier_bottleneck():
     camd = CambriconDAccelerator(get_config("Cambricon-D"))
     step = lowered(ExecutionMode.TEMPORAL)
-    normal = step.macs * 0.9 / 38280  # zero+low on normal lanes (no skip)
-    outlier = step.macs * 0.1 / 2552
-    assert camd.compute_cycles(step) == pytest.approx(max(normal, outlier))
-    assert camd.compute_cycles(step) == pytest.approx(outlier)  # outliers bind
+    normal = MACS * 0.9 / 38280  # zero+low on normal lanes (no skip)
+    outlier = MACS * 0.1 / 2552
+    assert compute(camd, step) == pytest.approx(max(normal, outlier))
+    assert compute(camd, step) == pytest.approx(outlier)  # outliers bind
 
 
 def test_cambricon_dense_runs_on_outliers_only():
     camd = CambriconDAccelerator(get_config("Cambricon-D"))
     step = lowered(ExecutionMode.DENSE)
-    assert camd.compute_cycles(step) == pytest.approx(step.macs / 2552)
+    assert compute(camd, step) == pytest.approx(MACS / 2552)
 
 
 # -- pipelining / memory -----------------------------------------------------
@@ -131,51 +143,50 @@ def test_cambricon_dense_runs_on_outliers_only():
 def test_layer_cycles_is_stage_max():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
     step = lowered(ExecutionMode.TEMPORAL)
-    result = ditto.layer_cycles(step)
-    assert result.cycles == pytest.approx(
-        max(result.compute_cycles, result.memory_cycles,
-            result.encode_cycles, result.vpu_cycles)
-    )
+    c = ditto.run(step).columns
+    stages = [c[key][0] for key in ("compute", "memory", "encode", "vpu")]
+    assert c["cycles"][0] == pytest.approx(max(stages))
+    assert ditto.cycles_array(step)[0] == c["cycles"][0]
 
 
 def test_memory_cycles_use_bandwidth():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
     step = lowered(ExecutionMode.TEMPORAL)
-    assert ditto.memory_cycles(step) == pytest.approx(step.bytes_total / 2048)
+    assert ditto.memory_cycles_array(step)[0] == pytest.approx(
+        step.total_bytes() / 2048
+    )
 
 
 def test_encode_only_for_difference_modes():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    assert ditto.encode_cycles(lowered(ExecutionMode.DENSE)) == 0.0
-    assert ditto.encode_cycles(lowered(ExecutionMode.TEMPORAL)) > 0.0
+    assert ditto.encode_cycles_array(lowered(ExecutionMode.DENSE))[0] == 0.0
+    assert ditto.encode_cycles_array(lowered(ExecutionMode.TEMPORAL))[0] > 0.0
 
 
 def test_stall_cycles_nonnegative():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    result = ditto.layer_cycles(lowered(ExecutionMode.TEMPORAL))
-    assert result.stall_cycles >= 0.0
+    assert ditto.run(lowered(ExecutionMode.TEMPORAL)).stall_cycles >= 0.0
 
 
 # -- energy ----------------------------------------------------------------
 
 def test_energy_components_present():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    energy = ditto.layer_cycles(lowered(ExecutionMode.TEMPORAL)).energy_pj
+    components = energy(ditto, lowered(ExecutionMode.TEMPORAL))
     for key in ("compute", "encode", "vpu", "defo", "sram", "dram", "leak"):
-        assert key in energy
-        assert energy[key] >= 0.0
+        assert key in components
+        assert components[key] >= 0.0
 
 
 def test_dense_has_no_encode_energy():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    energy = ditto.layer_cycles(lowered(ExecutionMode.DENSE)).energy_pj
-    assert energy["encode"] == 0.0
+    assert energy(ditto, lowered(ExecutionMode.DENSE))["encode"] == 0.0
 
 
 def test_temporal_compute_energy_below_dense():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    dense = ditto.layer_cycles(lowered(ExecutionMode.DENSE)).energy_pj["compute"]
-    temporal = ditto.layer_cycles(lowered(ExecutionMode.TEMPORAL)).energy_pj["compute"]
+    dense = energy(ditto, lowered(ExecutionMode.DENSE))["compute"]
+    temporal = energy(ditto, lowered(ExecutionMode.TEMPORAL))["compute"]
     assert temporal < dense
 
 
@@ -183,10 +194,9 @@ def test_temporal_compute_energy_below_dense():
 
 def test_gpu_model_launch_overhead():
     gpu = GPUModel(utilization=0.1, launch_cycles=100.0)
-    step = lowered(ExecutionMode.DENSE)
-    result = gpu.layer_cycles(step)
-    assert result.compute_cycles > 100.0
-    assert result.total_energy_pj > 0
+    report = gpu.run(lowered(ExecutionMode.DENSE))
+    assert report.compute_cycles > 100.0
+    assert report.total_energy_pj > 0
 
 
 def test_build_accelerator_factory():

@@ -1,4 +1,4 @@
-"""Checker-level tests for ``repro lint`` (RPL001, RPL006, RPL011) plus the
+"""Checker-level tests for ``repro lint`` (RPL001, RPL011) plus the
 shared framework: suppression edge cases, SARIF and the CLI.
 
 Each rule gets a violating fixture proving it fires, a clean twin proving it
@@ -13,11 +13,7 @@ from pathlib import Path
 
 import repro
 from repro.lint import Project, default_checkers, main as lint_main, run_checkers, run_lint
-from repro.lint.checkers import (
-    BackendDispatchChecker,
-    DtypePromotionChecker,
-    SwallowedExceptionChecker,
-)
+from repro.lint.checkers import BackendDispatchChecker, DtypePromotionChecker
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 
@@ -91,82 +87,6 @@ def test_rpl001_pins_quantized_attention_scale():
     )
     assert [f.rule for f in findings] == ["RPL001"]
     assert "np.sqrt(<scalar>)" in findings[0].message
-
-
-# ---------------------------------------------------------------------------
-# RPL006 - swallowed exceptions in the serving stack
-# ---------------------------------------------------------------------------
-
-RPL006_BAD = """\
-def step(session):
-    try:
-        session.forward()
-    except ValueError:
-        pass
-    try:
-        session.forward()
-    except Exception as exc:
-        log(exc)
-"""
-
-RPL006_CLEAN = """\
-def step(session):
-    try:
-        session.forward()
-    except ValueError:
-        raise
-    try:
-        session.forward()
-    except Exception as exc:
-        session.mark_unhealthy(str(exc))
-    try:
-        session.forward()
-    except RuntimeError:
-        if not session.healthy:
-            return None
-    try:
-        session.forward()
-    except OSError:  # terminal by design  # repro-lint: ignore[RPL006]
-        log("gone")
-"""
-
-
-def test_rpl006_flags_swallowed_exceptions():
-    findings = lint_sources({"src/repro/core/session.py": RPL006_BAD})
-    assert [f.rule for f in findings] == ["RPL006", "RPL006"]
-    assert "swallows the exception" in findings[0].message
-    assert "ValueError" in findings[0].message
-    assert "ignore[RPL006]" in findings[0].message
-
-
-def test_rpl006_clean_twin_is_quiet():
-    assert lint_sources({"src/repro/runtime/serving.py": RPL006_CLEAN}) == []
-
-
-def test_rpl006_only_applies_to_serving_stack():
-    # The same swallowing handler elsewhere is out of scope: RPL006 guards
-    # the session-health contract, not general exception hygiene.
-    assert lint_sources({"src/repro/runtime/runner.py": RPL006_BAD}) == []
-    assert lint_sources({"src/repro/diffusion/samplers.py": RPL006_BAD}) == []
-
-
-def test_rpl006_pins_serving_kill_handler():
-    # EngineSession.step already marks a killed session unhealthy, so a
-    # serve whose kill handler forgets to recover still produces bit-exact
-    # samples: the next step raises and the retry branch recovers.  But it
-    # reports the kill as retries and charges their backoff to latency
-    # (3 retries, p50 0.015 s -> 0.37 s on the chaos trace of test_faults).
-    # No test catches that; only RPL006 does.
-    findings = lint_seeded_mutation(
-        "src/repro/runtime/serving.py",
-        "                    if session.healthy:\n"
-        "                        session.mark_unhealthy(str(exc) or \"session killed\")\n"
-        "                    session = _recover_or_fail(session, str(exc))\n"
-        "                    break\n",
-        "                    break\n",
-    )
-    assert [f.rule for f in findings] == ["RPL006"]
-    assert "except faults.SessionKilled" in findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +199,7 @@ def test_sarif_document_shape():
     run = doc["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    assert rule_ids == ["RPL001", "RPL006", "RPL011"]
+    assert rule_ids == ["RPL001", "RPL011"]
     result = run["results"][0]
     assert result["ruleId"] == "RPL001"
     assert result["ruleIndex"] == 0
@@ -332,7 +252,7 @@ def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for number in range(1, 12):
-        assert (f"RPL{number:03d}" in out) == (number in (1, 6, 11))
+        assert (f"RPL{number:03d}" in out) == (number in (1, 11))
     # --list-rules also prints each rule's title.
     assert BackendDispatchChecker.title in out
 
@@ -430,16 +350,12 @@ def test_rpl011_suppression():
 
 
 def test_repo_is_clean():
-    assert len(default_checkers()) == 3
+    assert len(default_checkers()) == 2
     findings = run_lint(REPO_ROOT)
     assert findings == [], "\n".join(str(f) for f in findings)
 
 
 def test_checker_classes_cover_every_rule():
-    rules = {
-        DtypePromotionChecker.rule,
-        SwallowedExceptionChecker.rule,
-        BackendDispatchChecker.rule,
-    }
-    assert rules == {"RPL001", "RPL006", "RPL011"}
+    rules = {DtypePromotionChecker.rule, BackendDispatchChecker.rule}
+    assert rules == {"RPL001", "RPL011"}
     assert {c.rule for c in default_checkers()} == rules

@@ -1,11 +1,16 @@
 """Unit tests for policy lowering and the Defo decision machinery."""
 
+import numpy as np
 import pytest
 
 from repro.core import ExecutionMode, RichTrace, run_defo, run_ideal
 from repro.core.policy import lower_dense, lower_spatial, lower_temporal
 from repro.core.bitwidth import BitWidthStats
-from repro.core.trace import RichLayerStep
+from repro.core.trace import MODE_ID, RichLayerStep
+
+DENSE_ID = MODE_ID[ExecutionMode.DENSE]
+TEMPORAL_ID = MODE_ID[ExecutionMode.TEMPORAL]
+SPATIAL_ID = MODE_ID[ExecutionMode.SPATIAL]
 
 
 class StubHardware:
@@ -18,23 +23,23 @@ class StubHardware:
         self.throughput = throughput
         self.bw = bw
 
-    def layer_cycles(self, step):
-        class R:
-            pass
+    def cycles_array(self, trace):
+        _, low, high = trace.operand_fractions()
+        macs = trace.col("macs")
+        compute = np.where(
+            trace.col("mode") == DENSE_ID,
+            2.0 * macs,
+            macs * trace.col("sub_ops") * (low + 2 * high),
+        ) / self.throughput
+        return np.maximum(compute, trace.bytes_total() / self.bw)
 
-        stats = step.stats
-        if step.mode is ExecutionMode.DENSE:
-            compute = 2.0 * step.macs / self.throughput
-        else:
-            compute = (
-                step.macs
-                * step.sub_ops
-                * (stats.low_frac + 2 * stats.high_frac)
-                / self.throughput
-            )
-        r = R()
-        r.cycles = max(compute, step.bytes_total / self.bw)
-        return r
+    def total_cycles(self, trace):
+        return float(self.cycles_array(trace).sum())
+
+
+def modes_at(trace, step):
+    """Mode ids of a lowered trace's records at ``step``."""
+    return trace.col("mode")[trace.col("step_index") == step]
 
 
 def rich_step(step_index, name, zero=60, low=30, high=10, temporal=True,
@@ -77,19 +82,18 @@ def build_trace(num_steps=4, compute_layer=True, memory_layer=True):
 
 def test_lower_dense_all_dense():
     trace = lower_dense(build_trace())
-    assert all(s.mode is ExecutionMode.DENSE for s in trace)
+    assert (trace.col("mode") == DENSE_ID).all()
 
 
 def test_lower_spatial_all_spatial():
     trace = lower_spatial(build_trace())
-    assert all(s.mode is ExecutionMode.SPATIAL for s in trace)
+    assert (trace.col("mode") == SPATIAL_ID).all()
 
 
 def test_lower_temporal_first_step_dense():
     trace = lower_temporal(build_trace())
-    by_step = trace.by_step()
-    assert all(s.mode is ExecutionMode.DENSE for s in by_step[0])
-    assert all(s.mode is ExecutionMode.TEMPORAL for s in by_step[1])
+    assert (modes_at(trace, 0) == DENSE_ID).all()
+    assert (modes_at(trace, 1) == TEMPORAL_ID).all()
 
 
 def test_lower_temporal_attention_guard():
@@ -97,7 +101,7 @@ def test_lower_temporal_attention_guard():
     for s in range(2):
         trace.append(rich_step(s, "attn.qk", temporal=s > 0, kind="attn_qk"))
     lowered = lower_temporal(trace, attention_diff=False)
-    assert all(s.mode is ExecutionMode.DENSE for s in lowered)
+    assert (lowered.col("mode") == DENSE_ID).all()
 
 
 def test_defo_keeps_compute_layer_temporal():
@@ -119,8 +123,7 @@ def test_defo_plus_uses_spatial_fallback():
     report = run_defo(build_trace(), StubHardware(), plus=True)
     assert report.plus
     assert report.decisions["heavy"] is ExecutionMode.SPATIAL
-    first_steps = report.trace.by_step()[0]
-    assert all(s.mode is ExecutionMode.SPATIAL for s in first_steps)
+    assert (modes_at(report.trace, 0) == SPATIAL_ID).all()
 
 
 def test_defo_accuracy_perfect_on_stationary_trace():
@@ -153,9 +156,7 @@ def test_dynamic_defo_switches_on_drift():
     last_step = max(s for (_, s) in dynamic.assigned)
     assert dynamic.assigned[("drifty", last_step)] is ExecutionMode.DENSE
     hw = StubHardware()
-    static_cycles = sum(hw.layer_cycles(s).cycles for s in static.trace)
-    dynamic_cycles = sum(hw.layer_cycles(s).cycles for s in dynamic.trace)
-    assert dynamic_cycles < static_cycles
+    assert hw.total_cycles(dynamic.trace) < hw.total_cycles(static.trace)
 
 
 def test_ideal_at_least_as_good_as_defo():
@@ -163,15 +164,13 @@ def test_ideal_at_least_as_good_as_defo():
     hw = StubHardware()
     defo = run_defo(trace, hw)
     ideal = run_ideal(trace, hw)
-    defo_cycles = sum(hw.layer_cycles(s).cycles for s in defo.trace)
-    ideal_cycles = sum(hw.layer_cycles(s).cycles for s in ideal)
-    assert ideal_cycles <= defo_cycles + 1e-9
+    assert hw.total_cycles(ideal) <= hw.total_cycles(defo.trace) + 1e-9
 
 
 def test_ideal_first_step_fallback():
     trace = build_trace()
     ideal = run_ideal(trace, StubHardware())
-    assert all(s.mode is ExecutionMode.DENSE for s in ideal.by_step()[0])
+    assert (modes_at(ideal, 0) == DENSE_ID).all()
 
 
 def test_defo_summary_strings():

@@ -158,3 +158,46 @@ def test_make_sampler_factory(sched):
     assert isinstance(make_sampler("plms", sched, 5), PLMSSampler)
     with pytest.raises(ValueError):
         make_sampler("euler", sched, 5)
+
+
+# -- pinned sampler outputs ---------------------------------------------------
+
+# Three steps of every sampler on a 4-element latent, with the fixed affine
+# noise prediction below and one seeded generator for the initial latent and
+# all posterior noise.  Literal values (not a byte digest) so that every
+# supported numpy version compares them; any change to an update rule, or to
+# the number or order of draws, moves them.
+PINNED_SAMPLES = {
+    "ddpm": [1.4863356711087123, 2.1662511446242325, 1.762983771288603, -0.46378145315731745],
+    "ddim": [1.2414285932733327, 1.7383822215946314, 1.3369689511775078, -0.3814372087629794],
+    "ddim-eta": [1.048012121410418, 1.7105642083632298, 1.4166459872962174, -0.3138329010382901],
+    "plms": [1.2788592653517168, 1.7815349801126759, 1.3754997061514533, -0.36269274374699023],
+    "dpmpp": [1.4528560038991738, 1.9812115020756353, 1.5544334359161955, -0.272556631088298],
+}
+
+
+def _affine_eps(x, t):
+    return 0.6 * x + 0.002 * t - 0.1
+
+
+@pytest.mark.parametrize("case", list(PINNED_SAMPLES))
+def test_sampler_outputs_pinned(case):
+    name, eta = {"ddim-eta": ("ddim", 0.5)}.get(case, (case, None))
+    sampler = make_sampler(name, DiffusionSchedule(100), 3, eta=eta)
+    rng = np.random.default_rng(2024)
+    x = 0.5 + rng.standard_normal((1, 1, 2, 2))
+    history = ()
+    for index in range(sampler.num_steps):
+        eps = _affine_eps(x, int(sampler.timesteps[index]))
+        eps_next = None
+        if sampler.warmup and index == 0:
+            eps_next = _affine_eps(*sampler.warmup_point(eps, x))
+        x, history = sampler.step(
+            eps,
+            index,
+            x,
+            rng=rng if sampler.needs_rng else None,
+            history=history,
+            eps_next=eps_next,
+        )
+    np.testing.assert_allclose(x.ravel(), PINNED_SAMPLES[case], rtol=1e-12, atol=0)

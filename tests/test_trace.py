@@ -3,77 +3,84 @@
 import numpy as np
 import pytest
 
-from repro.core import ExecutionMode, RichTrace, derive_layer_step
-from repro.core.trace import ACT_BYTES, STATE_BYTES, Trace, TraceRecorder
+from repro.core import ExecutionMode, RichTrace
+from repro.core.trace import (
+    ACT_BYTES,
+    MODE_ID,
+    STATE_BYTES,
+    TEMPORAL_ID,
+    Trace,
+    TraceRecorder,
+)
 
-from helpers import make_rich
+from helpers import lower_one, make_rich, only
+
+DENSE = ExecutionMode.DENSE
+TEMPORAL = ExecutionMode.TEMPORAL
+SPATIAL = ExecutionMode.SPATIAL
 
 
 def test_dense_lowering_bytes():
-    step = derive_layer_step(make_rich(), ExecutionMode.DENSE)
-    assert step.bytes_in == 100 * ACT_BYTES
-    assert step.bytes_weight == 50 * ACT_BYTES
-    assert step.bytes_out == 200 * ACT_BYTES
-    assert step.bytes_extra == 0
-    assert step.stats.high == 60
+    step = lower_one(make_rich(), DENSE)
+    assert only(step, "bytes_in") == 100 * ACT_BYTES
+    assert only(step, "bytes_weight") == 50 * ACT_BYTES
+    assert only(step, "bytes_out") == 200 * ACT_BYTES
+    assert only(step, "bytes_extra") == 0
+    assert only(step, "st_high") == 60
 
 
 def test_temporal_lowering_adds_state_traffic():
-    step = derive_layer_step(make_rich(), ExecutionMode.TEMPORAL, "none")
+    step = lower_one(make_rich(), TEMPORAL, "none")
     # prev input load + current input store + state load/store
     expected_extra = 100 + 100 + 2 * 200 * STATE_BYTES
-    assert step.bytes_extra == expected_extra
-    assert step.stats.zero == 40
-    assert step.mode is ExecutionMode.TEMPORAL
+    assert only(step, "bytes_extra") == expected_extra
+    assert only(step, "st_zero") == 40
+    assert only(step, "mode") == MODE_ID[TEMPORAL]
 
 
 def test_temporal_without_stats_falls_back_dense():
-    step = derive_layer_step(make_rich(temporal=False), ExecutionMode.TEMPORAL)
-    assert step.mode is ExecutionMode.DENSE
-    assert step.bytes_extra == 0
+    step = lower_one(make_rich(temporal=False), TEMPORAL)
+    assert only(step, "mode") == MODE_ID[DENSE]
+    assert only(step, "bytes_extra") == 0
 
 
 def test_spatial_lowering_no_extra_bytes():
-    step = derive_layer_step(make_rich(), ExecutionMode.SPATIAL)
-    assert step.bytes_extra == 0
-    assert step.stats.zero == 10
+    step = lower_one(make_rich(), SPATIAL)
+    assert only(step, "bytes_extra") == 0
+    assert only(step, "st_zero") == 10
 
 
 def test_chained_bypass_skips_prev_input():
-    plain = derive_layer_step(make_rich(), ExecutionMode.TEMPORAL, "chained")
-    chained = derive_layer_step(
-        make_rich(chained=True), ExecutionMode.TEMPORAL, "chained"
+    plain = lower_one(make_rich(), TEMPORAL, "chained")
+    chained = lower_one(make_rich(chained=True), TEMPORAL, "chained")
+    assert (
+        only(plain, "bytes_extra") - only(chained, "bytes_extra") == 100 * ACT_BYTES
     )
-    assert plain.bytes_extra - chained.bytes_extra == 100 * ACT_BYTES
 
 
 def test_sign_mask_bypass_only_for_silu_groupnorm():
-    silu = derive_layer_step(
-        make_rich(producer="silu"), ExecutionMode.TEMPORAL, "sign_mask"
-    )
-    ln = derive_layer_step(
-        make_rich(producer="layernorm"), ExecutionMode.TEMPORAL, "sign_mask"
-    )
-    assert ln.bytes_extra - silu.bytes_extra == 100 * ACT_BYTES
+    silu = lower_one(make_rich(producer="silu"), TEMPORAL, "sign_mask")
+    ln = lower_one(make_rich(producer="layernorm"), TEMPORAL, "sign_mask")
+    assert only(ln, "bytes_extra") - only(silu, "bytes_extra") == 100 * ACT_BYTES
 
 
 def test_both_bypass_is_union():
     for kwargs in ({"chained": True}, {"producer": "groupnorm"}):
-        step = derive_layer_step(make_rich(**kwargs), ExecutionMode.TEMPORAL, "both")
-        baseline = derive_layer_step(make_rich(), ExecutionMode.TEMPORAL, "both")
-        assert step.bytes_extra < baseline.bytes_extra
+        step = lower_one(make_rich(**kwargs), TEMPORAL, "both")
+        baseline = lower_one(make_rich(), TEMPORAL, "both")
+        assert only(step, "bytes_extra") < only(baseline, "bytes_extra")
 
 
 def test_unknown_bypass_style_raises():
     with pytest.raises(ValueError):
-        derive_layer_step(make_rich(), ExecutionMode.TEMPORAL, "magic")
+        lower_one(make_rich(), TEMPORAL, "magic")
 
 
 def test_sub_ops_only_in_temporal():
     rich = make_rich(sub_ops=2)
-    assert derive_layer_step(rich, ExecutionMode.TEMPORAL).sub_ops == 2
-    assert derive_layer_step(rich, ExecutionMode.DENSE).sub_ops == 1
-    assert derive_layer_step(rich, ExecutionMode.SPATIAL).sub_ops == 1
+    assert only(lower_one(rich, TEMPORAL), "sub_ops") == 2
+    assert only(lower_one(rich, DENSE), "sub_ops") == 1
+    assert only(lower_one(rich, SPATIAL), "sub_ops") == 1
 
 
 def test_rich_trace_lower_and_grouping():
@@ -81,11 +88,12 @@ def test_rich_trace_lower_and_grouping():
     for step in range(3):
         for name in ("a", "b"):
             trace.append(make_rich(step_index=step, name=name, temporal=step > 0))
-    lowered = trace.lower(lambda r: ExecutionMode.TEMPORAL)
+    lowered = trace.lower_modes(np.full(len(trace), TEMPORAL_ID))
     assert isinstance(lowered, Trace)
     assert len(lowered) == 6
-    assert lowered.steps[0].mode is ExecutionMode.DENSE  # no temporal stats yet
-    assert lowered.steps[-1].mode is ExecutionMode.TEMPORAL
+    modes = lowered.col("mode")
+    assert modes[0] == MODE_ID[DENSE]  # no temporal stats yet
+    assert modes[-1] == MODE_ID[TEMPORAL]
     assert trace.num_steps() == 3
     assert trace.layer_names() == ["a", "b"]
     assert set(trace.by_layer()) == {"a", "b"}
@@ -93,9 +101,7 @@ def test_rich_trace_lower_and_grouping():
 
 
 def test_trace_totals():
-    trace = RichTrace()
-    trace.append(make_rich())
-    lowered = trace.lower(lambda r: ExecutionMode.DENSE)
+    lowered = lower_one(make_rich(), DENSE)
     assert lowered.total_macs() == 10_000
     assert lowered.total_bytes() == 350
 
