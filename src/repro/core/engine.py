@@ -349,13 +349,35 @@ class DittoEngine:
         stochastic draws, extending the batch-invariance contract to
         ddpm/eta>0: a batch-N run over streams ``[g_0..g_{N-1}]`` is
         bit-exact with N batch-1 runs each passed its own ``g_i``.
-        ``record_trace=False`` skips all bit-width instrumentation (the rich
-        trace comes back empty) and executes every layer dense, keeping no
-        temporal state - the throughput configuration, bit-identical to the
-        instrumented, temporal run.
+
+        Every layer executes dense.  An instrumented run records temporal:
+        each layer holds only the operands it differences and classifies
+        the differences into the trace.  ``record_trace=False`` skips all
+        bit-width instrumentation (the rich trace comes back empty) and
+        holds no state - the throughput configuration.  Both give the same
+        samples, which by the zero-state algebra (``docs/contracts.md``) are
+        also those of temporal execution.
 
         Raises ``RuntimeError`` while a session is open on this engine: the
         run would reset and re-mode the layers the session is serving.
+        """
+        return self._run(batch_size, seed, x_init, record_trace, rngs)
+
+    def _run(
+        self,
+        batch_size: int = 1,
+        seed: int = 0,
+        x_init: Optional[np.ndarray] = None,
+        record_trace: bool = True,
+        rngs: Optional[Sequence[np.random.Generator]] = None,
+        execution: ExecutionMode = ExecutionMode.DENSE,
+    ) -> EngineResult:
+        """:meth:`run`, executing every layer in ``execution`` mode.
+
+        ``ExecutionMode.TEMPORAL`` runs the difference algebra itself
+        (``prev_out + diff @ W`` and attention's two-GEMM forms): the
+        reference that pins the zero-state contract end to end, for
+        ``--verify`` and the exactness tests.  Nothing else needs it.
         """
         self._check_idle("run the engine")
         if x_init is not None:
@@ -389,15 +411,9 @@ class DittoEngine:
         from ..quant.qlayers import reset_model_state, set_model_mode
 
         reset_model_state(self.qmodel)
-        # Temporal state exists only where the trace records differences.
-        # A plain run executes dense: the same bits by the zero-state
-        # algebra (docs/contracts.md), without the subtraction, the float64
-        # add and the held state.  A TEMPORAL layer's first call finds no
-        # state and executes dense, so one mode serves the whole run.
-        set_model_mode(
-            self.qmodel,
-            ExecutionMode.TEMPORAL if record_trace else ExecutionMode.DENSE,
-        )
+        # A layer's first call finds no state and executes dense, so one
+        # mode serves the whole run.
+        set_model_mode(self.qmodel, execution, record_temporal=record_trace)
         recorder = TraceRecorder()
         rng = np.random.default_rng(seed)
         with recorder if record_trace else contextlib.nullcontext():

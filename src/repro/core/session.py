@@ -15,8 +15,8 @@ is the serving invariance contract extended to arbitrary interleavings:
   depends only on its own latent, timestep, sampler history and noise
   stream - never on its neighbours or on the batch's history.  Dense equals
   temporal execution by the zero-state algebra (``docs/contracts.md``),
-  which ``--verify`` checks against instrumented, temporal batch-1
-  references;
+  which ``--verify`` checks against batch-1 references that execute
+  temporal;
 * the session takes a lockstep run's step
   (:meth:`~repro.diffusion.pipeline.GenerationPipeline.denoise_rows`): it
   announces each row's denoiser-call index, so each row quantizes under
@@ -84,7 +84,7 @@ class EngineSession:
     Use as a context manager (or call :meth:`close`): the session owns the
     engine's model and sets every layer DENSE at open.  While it is open,
     the engine refuses ``run``, ``derive_plan`` and a second session - an
-    interleaved instrumented run would leave the layers TEMPORAL and
+    interleaved instrumented run would leave the layers recording and
     holding state, which the session's statelessness contract rules out.
 
     Parameters

@@ -85,7 +85,6 @@ class RichLayerStep:
     nonlinear_after: bool = True
     chained_input: bool = False
     producer_kind: str = "other"  # 'linear' | 'silu' | 'groupnorm' | ...
-    executed_mode: ExecutionMode = ExecutionMode.DENSE
 
     @property
     def has_temporal(self) -> bool:
@@ -256,7 +255,6 @@ _RICH_INT_FIELDS = (
     "sub_ops_temporal",
     "vpu_elems",
     "producer_id",
-    "executed_mode",
 )
 _RICH_BOOL_FIELDS = ("has_temporal", "nonlinear_after", "chained_input")
 
@@ -331,7 +329,6 @@ class RichTrace(_ColumnarTrace):
         c["producer_id"].append(
             self._intern(self._producers, self._producer_ids, rich.producer_kind)
         )
-        c["executed_mode"].append(MODE_ID[rich.executed_mode])
         self._invalidate()
 
     # -- record views --------------------------------------------------------
@@ -404,7 +401,6 @@ class RichTrace(_ColumnarTrace):
             nonlinear_after=bool(c["nonlinear_after"][index]),
             chained_input=bool(c["chained_input"][index]),
             producer_kind=self._producers[int(c["producer_id"][index])],
-            executed_mode=MODES[int(c["executed_mode"][index])],
         )
 
     # -- lowering ------------------------------------------------------------

@@ -63,7 +63,6 @@ def rich_step_to_dict(step: RichLayerStep) -> Dict[str, object]:
         "nonlinear_after": step.nonlinear_after,
         "chained_input": step.chained_input,
         "producer_kind": step.producer_kind,
-        "executed_mode": str(step.executed_mode),
     }
 
 

@@ -9,12 +9,18 @@ Each quantized layer supports three execution paths (paper Section IV):
 * **spatial** - Diffy-style intra-tensor differences between consecutive
   sliding windows / token rows; also bit-exact.
 
-Only a TEMPORAL layer keeps state (``_prev_*``, attention's ``_prev``); a
-DENSE layer is stateless.  On the host both modes give the same bits (the
-zero-state algebra, ``docs/contracts.md``), so the engine runs TEMPORAL only
-when a trace is recorded and DENSE otherwise - the accelerator's saving is
-modelled from the trace by :mod:`repro.hw`, not realised here.  A TEMPORAL
-layer with no state yet executes dense and records ``executed_mode=DENSE``.
+On the host every mode gives the same bits (the zero-state algebra,
+``docs/contracts.md``), and the accelerator's saving is modelled from the
+trace by :mod:`repro.hw`, not realised here.  So instrumented runs record
+temporal and execute dense: a *recording* layer (``record_temporal``) holds
+only the operands it differences (``_prev_q_in`` / ``_prev_scale``,
+attention's ``q`` / ``k`` / ``p`` / ``v``), takes each difference straight
+into int16 for classification and runs the dense GEMM.  Only a TEMPORAL
+layer - the executor behind the exactness tests and ``--verify``'s
+references - also holds its integer outputs (``_prev_out_int``, attention's
+``s`` / ``o``) and multiplies the differences.  Any other layer is
+stateless.  A layer with no state yet executes dense and records no
+temporal stats.
 
 Every forward records a :class:`~repro.core.trace.RichLayerStep` carrying the
 operand composition (zero / 4-bit / 8-bit) of *all three* paths, so the
@@ -98,9 +104,30 @@ def _spatial_diff_rows(mat: np.ndarray) -> np.ndarray:
     return d
 
 
-# Spatial-difference scratch is int16 throughout: a difference of two
-# ``bits``-bit quantized values spans |d| <= 2^bits - 1 <= 32767 (QLayerBase
-# caps ``bits`` at 15), and int16 is the dtype classify narrows to anyway.
+# Difference scratch that is only classified is int16 throughout: a
+# difference of two ``bits``-bit quantized values spans |d| <= 2^bits - 1 <=
+# 32767 (QLayerBase caps ``bits`` at 15), and int16 is the dtype classify
+# reads without a narrowing copy.
+
+
+def _difference(
+    cur: np.ndarray, prev: Optional[np.ndarray], execute: bool, tag: str
+) -> Optional[np.ndarray]:
+    """``cur - prev`` of two quantized operands; None without a same-shape
+    ``prev``.
+
+    The temporal executor (``execute``) multiplies the difference, so it
+    keeps ``cur``'s dtype, the GEMM's; a recording layer only classifies it,
+    so it goes straight into int16 (exact, see above).  Either way it is
+    consumed within this forward, before any other layer runs, so it lives
+    in the shared per-thread scratch pool under ``tag``.
+    """
+    if prev is None or prev.shape != cur.shape:
+        return None
+    dtype = cur.dtype if execute else np.int16
+    return np.subtract(
+        cur, prev, out=F.scratch_buffer(tag, cur.shape, dtype), casting="unsafe"
+    )
 
 
 def _row_diff_stats(mat: np.ndarray) -> BitWidthStats:
@@ -194,6 +221,7 @@ class QLayerBase(Module):
             raise ValueError(f"at most 15-bit quantization is supported, got {bits}")
         self.layer_name = ""
         self.mode = ExecutionMode.DENSE
+        self.record_temporal = False
         self.bits = bits
         self.input_quant = SymmetricQuantizer(bits)
         self.nonlinear_after = True
@@ -208,18 +236,26 @@ class QLayerBase(Module):
         self._prev_out_int = None
         self._prev_scale = None
 
-    def _keep_state(self, q_in: np.ndarray, out_int: np.ndarray) -> None:
-        """Hold this step's operands for the next temporal step.
+    @property
+    def _executes_temporal(self) -> bool:
+        return self.mode is ExecutionMode.TEMPORAL
 
-        Only a TEMPORAL layer keeps state; a DENSE (or SPATIAL) layer is
-        stateless, so plain runs and serving sessions carry no ``_prev_*``
-        tensors.  Plain state fields: skip Module.__setattr__'s checks.
+    def _keep_state(self, q_in: np.ndarray, out_int: np.ndarray) -> None:
+        """Hold this step's operands for the next step.
+
+        A recording layer holds the input it differences and its scale; a
+        TEMPORAL layer also holds the integer output its next step adds the
+        difference's product to.  Any other layer is stateless, so plain
+        runs and serving sessions carry no ``_prev_*`` tensors.  Plain state
+        fields: skip Module.__setattr__'s checks.
         """
-        if self.mode is ExecutionMode.TEMPORAL:
-            d = self.__dict__
-            d["_prev_q_in"] = q_in
+        d = self.__dict__
+        if self._executes_temporal:
             d["_prev_out_int"] = out_int
-            d["_prev_scale"] = self.input_quant.scale
+        elif not self.record_temporal:
+            return
+        d["_prev_q_in"] = q_in
+        d["_prev_scale"] = self.input_quant.scale
 
     def _temporal_diff(self, q_in: np.ndarray) -> Optional[np.ndarray]:
         prev = self._prev_q_in
@@ -234,17 +270,7 @@ class QLayerBase(Module):
         prev_scale, scale = self._prev_scale, self.input_quant.scale
         if prev_scale is not scale and np.any(prev_scale != scale):
             return None
-        # The difference is consumed within this forward (matmul operand
-        # and/or classification) before any other layer runs, so it can live
-        # in the shared per-thread scratch pool.
-        return np.subtract(
-            q_in, prev, out=F.scratch_buffer("temporal-diff", q_in.shape, q_in.dtype)
-        )
-
-    def _effective_mode(self, diff: Optional[np.ndarray]) -> ExecutionMode:
-        if self.mode is ExecutionMode.TEMPORAL and diff is None:
-            return ExecutionMode.DENSE
-        return self.mode
+        return _difference(q_in, prev, self._executes_temporal, "temporal-diff")
 
     def _project(self, x: np.ndarray, q_weight: np.ndarray):
         """Integer linear projection of ``x`` against ``q_weight`` (out, in).
@@ -263,7 +289,7 @@ class QLayerBase(Module):
         )
         diff = self._temporal_diff(q_in)
         bk = backends.active()
-        if self._effective_mode(diff) is ExecutionMode.TEMPORAL:
+        if diff is not None and self._executes_temporal:
             # float64 + float32 upcasts exactly; the sum runs in float64.
             out_int = self._prev_out_int + bk.linear(diff, q_weight)
         else:
@@ -379,7 +405,7 @@ class QLinear(QLayerBase):
     def forward(self, x: np.ndarray) -> np.ndarray:
         q_in, diff, out_int = self._project(x, self.q_weight)
         out = self._epilogue(out_int)
-        self._record(q_in, diff, out_int, self._effective_mode(diff))
+        self._record(q_in, diff, out_int)
         self._keep_state(q_in, out_int)
         return out
 
@@ -397,7 +423,6 @@ class QLinear(QLayerBase):
         q_in: np.ndarray,
         diff: Optional[np.ndarray],
         out_int: np.ndarray,
-        executed_mode: ExecutionMode,
         stats: Optional[tuple] = None,
     ) -> None:
         """Record this projection's step; ``stats`` (see
@@ -425,7 +450,6 @@ class QLinear(QLayerBase):
                 nonlinear_after=self.nonlinear_after,
                 chained_input=self.chained_input,
                 producer_kind=self.producer_kind,
-                executed_mode=executed_mode,
             )
         )
 
@@ -549,7 +573,7 @@ class QConv2d(QLayerBase):
             x, out_dtype=np.float32 if self._use_f32 else None
         )
         diff = self._temporal_diff(q_in)
-        temporal = self._effective_mode(diff) is ExecutionMode.TEMPORAL
+        temporal = diff is not None and self._executes_temporal
         # Temporal mode unfolds the input-sized difference, not the input:
         # the unfold is linear and the zero padding border unfolds to zero
         # in both operands, so conv(unfold(q - prev_q)) == conv(q) -
@@ -581,9 +605,9 @@ class QConv2d(QLayerBase):
         if TraceRecorder.current() is None:
             return  # nobody is listening; skip the stats passes entirely
         # Spatial (Diffy) differences live between consecutive sliding
-        # windows - reused from a dense forward's unfold; a temporal forward
-        # unfolded the difference, so the input is unfolded here (the GEMM
-        # is already done).
+        # windows - reused from a dense forward's unfold; the temporal
+        # executor unfolded the difference, so the input is unfolded here
+        # (the GEMM is already done).
         if cols is None:
             cols, _ = self._unfold(q_in)
         if self.stride == 1:
@@ -610,7 +634,6 @@ class QConv2d(QLayerBase):
                 nonlinear_after=self.nonlinear_after,
                 chained_input=self.chained_input,
                 producer_kind=self.producer_kind,
-                executed_mode=self._effective_mode(diff),
             )
         )
 
@@ -637,6 +660,10 @@ class QAttention(QLayerBase):
     layer holds the shared projection's temporal state (``_prev_q_in`` /
     ``_prev_out_int`` / ``_prev_scale``, over all three blocks) and it runs
     in this layer's mode; the three children hold no state.
+
+    The two matmuls' state lives in ``_prev``: a recording layer holds the
+    quantized operands ``q`` / ``k`` / ``p`` / ``v``; the temporal executor
+    also holds the integer products ``s`` (QK) and ``o`` (PV).
     """
 
     kind = "attn"
@@ -769,7 +796,6 @@ class QAttention(QLayerBase):
         record and forward hooks on its column block - the outputs and
         records of three separate ``QLinear`` forwards, bit for bit."""
         q_in, diff, out_int = self._project(x, self._qkv_weight)
-        mode = self._effective_mode(diff)
         stats = None
         if TraceRecorder.current() is not None:
             stats = _linear_stats(q_in, diff)
@@ -777,7 +803,7 @@ class QAttention(QLayerBase):
         for i, child in enumerate((self.to_q, self.to_k, self.to_v)):
             block = out_int[..., i * self.dim : (i + 1) * self.dim]
             out = child._epilogue(block)
-            child._record(q_in, diff, block, mode, stats)
+            child._record(q_in, diff, block, stats)
             child.run_forward_hooks((x,), out)
             outs.append(out)
         self._keep_state(q_in, out_int)
@@ -793,33 +819,55 @@ class QAttention(QLayerBase):
         return k_full, v_full
 
     # -- the two activation x activation matmuls ---------------------------
+    def _operand_diffs(self, data_name, data, other_name, other):
+        """Temporal differences of one matmul's two operands (None where no
+        same-shape operand is held).  Cross attention's ``other`` is the
+        constant K'/V' - a weight - so only its ``data`` is differenced."""
+        execute = self._executes_temporal
+        d_data = _difference(
+            data, self._prev.get(data_name), execute, f"temporal-diff-{data_name}"
+        )
+        d_other = None
+        if not self.is_cross:
+            d_other = _difference(
+                other, self._prev.get(other_name), execute, f"temporal-diff-{other_name}"
+            )
+        return d_data, d_other
+
+    def _held_product(self, name: str, d_data, d_other) -> Optional[np.ndarray]:
+        """The previous step's integer product ``name`` when the temporal
+        executor can difference this step against it, else None."""
+        differenced = d_data is not None and (self.is_cross or d_other is not None)
+        return self._prev.get(name) if differenced and self._executes_temporal else None
+
+    def _keep_operands(self, product_name: str, product: np.ndarray, **operands) -> None:
+        """Hold this matmul's operands for the next step's differences; the
+        temporal executor also holds its integer product."""
+        if self._executes_temporal:
+            self._prev[product_name] = product
+        elif not self.record_temporal:
+            return
+        self._prev.update(operands)
+
     def _qk_matmul(self, qq: np.ndarray, qk: np.ndarray) -> np.ndarray:
-        prev_q = self._prev.get("q")
-        prev_k = self._prev.get("k")
-        prev_s = self._prev.get("s")
-        dq = qq - prev_q if prev_q is not None and prev_q.shape == qq.shape else None
-        dk = qk - prev_k if prev_k is not None and prev_k.shape == qk.shape else None
-        have_state = prev_s is not None and dq is not None and (self.is_cross or dk is not None)
-        mode = self.mode
-        if mode is ExecutionMode.TEMPORAL and not have_state:
-            mode = ExecutionMode.DENSE
+        dq, dk = self._operand_diffs("q", qq, "k", qk)
+        prev_s = self._held_product("s", dq, dk)
         bk = backends.active()
         kt = qk.transpose(0, 1, 3, 2)
         # The transposed-K views below are intentional: batched matmul eats
         # the stride-swapped trailing axes copy-free, and the backend owns
         # any materialization its blocking wants.
-        if mode is ExecutionMode.TEMPORAL:
-            if self.is_cross:
-                s_int = prev_s + bk.matmul(dq, kt)
-            else:
-                # Q_t K_t^T = S_{t+1} + Q_t dK^T + dQ K_{t+1}^T
-                s_int = (
-                    prev_s
-                    + bk.matmul(qq, dk.transpose(0, 1, 3, 2))
-                    + bk.matmul(dq, prev_k.transpose(0, 1, 3, 2))
-                )
-        else:
+        if prev_s is None:
             s_int = bk.matmul(qq, kt)
+        elif self.is_cross:
+            s_int = prev_s + bk.matmul(dq, kt)
+        else:
+            # Q_t K_t^T = S_{t+1} + Q_t dK^T + dQ K_{t+1}^T
+            s_int = (
+                prev_s
+                + bk.matmul(qq, dk.transpose(0, 1, 3, 2))
+                + bk.matmul(dq, self._prev["k"].transpose(0, 1, 3, 2))
+            )
         if s_int.dtype != np.float64:  # exact-f32 GEMM, f64 state downstream
             s_int = s_int.astype(np.float64)
         self._record_matmul(
@@ -831,31 +879,21 @@ class QAttention(QLayerBase):
             d_other=dk,
             other_is_weight=self.is_cross,
             vpu_out=True,  # softmax + requantization follow
-            executed_mode=mode,
         )
-        if self.mode is ExecutionMode.TEMPORAL:
-            self._prev.update(q=qq, k=qk, s=s_int)
+        self._keep_operands("s", s_int, q=qq, k=qk)
         return s_int
 
     def _pv_matmul(self, qp: np.ndarray, qv: np.ndarray) -> np.ndarray:
-        prev_p = self._prev.get("p")
-        prev_v = self._prev.get("v")
-        prev_o = self._prev.get("o")
-        dp = qp - prev_p if prev_p is not None and prev_p.shape == qp.shape else None
-        dv = qv - prev_v if prev_v is not None and prev_v.shape == qv.shape else None
-        have_state = prev_o is not None and dp is not None and (self.is_cross or dv is not None)
-        mode = self.mode
-        if mode is ExecutionMode.TEMPORAL and not have_state:
-            mode = ExecutionMode.DENSE
+        dp, dv = self._operand_diffs("p", qp, "v", qv)
+        prev_o = self._held_product("o", dp, dv)
         bk = backends.active()
-        if mode is ExecutionMode.TEMPORAL:
-            if self.is_cross:
-                o_int = prev_o + bk.matmul(dp, qv)
-            else:
-                # P_t V_t = O_{t+1} + P_t dV + dP V_{t+1}
-                o_int = prev_o + bk.matmul(qp, dv) + bk.matmul(dp, prev_v)
-        else:
+        if prev_o is None:
             o_int = bk.matmul(qp, qv)
+        elif self.is_cross:
+            o_int = prev_o + bk.matmul(dp, qv)
+        else:
+            # P_t V_t = O_{t+1} + P_t dV + dP V_{t+1}
+            o_int = prev_o + bk.matmul(qp, dv) + bk.matmul(dp, self._prev["v"])
         if o_int.dtype != np.float64:  # exact-f32 GEMM, f64 state downstream
             o_int = o_int.astype(np.float64)
         self._record_matmul(
@@ -867,10 +905,8 @@ class QAttention(QLayerBase):
             d_other=dv,
             other_is_weight=self.is_cross,
             vpu_out=False,  # output feeds the linear projection directly
-            executed_mode=mode,
         )
-        if self.mode is ExecutionMode.TEMPORAL:
-            self._prev.update(p=qp, v=qv, o=o_int)
+        self._keep_operands("o", o_int, p=qp, v=qv)
         return o_int
 
     def _record_matmul(
@@ -883,7 +919,6 @@ class QAttention(QLayerBase):
         d_other: Optional[np.ndarray],
         other_is_weight: bool,
         vpu_out: bool,
-        executed_mode: ExecutionMode,
     ) -> None:
         if TraceRecorder.current() is None:
             return  # nobody is listening; skip the stats passes entirely
@@ -928,7 +963,6 @@ class QAttention(QLayerBase):
                 nonlinear_after=vpu_out,
                 chained_input=False,
                 producer_kind="other",
-                executed_mode=executed_mode,
             )
         )
 
@@ -1029,10 +1063,18 @@ def reset_model_state(model: Module) -> None:
         qlayer.reset_state()
 
 
-def set_model_mode(model: Module, mode: ExecutionMode) -> None:
-    """Set the execution mode of every quantized layer."""
+def set_model_mode(
+    model: Module, mode: ExecutionMode, record_temporal: bool = False
+) -> None:
+    """Set the execution mode of every quantized layer.
+
+    ``record_temporal`` makes each layer hold the operands it differences,
+    so a recorded trace carries temporal stats while the layers execute
+    ``mode``; a TEMPORAL layer holds them regardless.
+    """
     for _, qlayer in iter_qlayers(model):
         qlayer.mode = mode
+        qlayer.record_temporal = record_temporal
 
 
 def remap_model_rows(model: Module, mapping, old_batch: int) -> None:

@@ -31,9 +31,9 @@ Stacking requests is only sound because of the batch-invariance contract:
 served runs execute every quantized layer dense, holding no temporal state,
 so a batch-N run is bit-exact with N independent batch-1 runs (pinned by
 ``tests/test_batched_state.py`` and optionally re-checked per serve via
-``verify_invariance``: every served sample against its instrumented batch-1
-reference, which executes temporal - so every check also tests the
-zero-state difference algebra).  Stochastic samplers (ddpm, ddim eta>0)
+``verify_invariance``: every served sample against its batch-1 reference,
+which executes temporal - so every check also tests the zero-state
+difference algebra; instrumented runs record temporal and execute dense).  Stochastic samplers (ddpm, ddim eta>0)
 join the contract through per-request ``SeedSequence.spawn`` noise streams
 (:meth:`Request.sampler_rng`).  The MAC/BOPs savings come from one
 :class:`~repro.core.plan.ExecutionPlan` per engine, loaded from the cache
@@ -77,6 +77,7 @@ import numpy as np
 
 from ..core.config import EngineConfig
 from ..core.engine import DittoEngine
+from ..core.modes import ExecutionMode
 from ..core.plan import compare_plans
 from . import faults
 from .cache import ResultCache, default_cache_dir
@@ -869,7 +870,6 @@ def estimate_row_footprint(engine: DittoEngine) -> int:
     grows linearly with the batch, so half the batch-2 total is one row and
     ``budget // row_bytes`` bounds the admissible batch size.
     """
-    from ..core.modes import ExecutionMode
     from ..quant.qlayers import reset_model_state, set_model_mode
     from ..scratch import clear_scratch, scratch_pool_bytes
 
@@ -1215,9 +1215,9 @@ def _verify(
     the drain happened to form, so a multi-row batch is always checked.
     Each reference is computed once.
 
-    Served rows execute dense; each reference is an instrumented run, which
-    executes temporal, so the check also proves the zero-state difference
-    algebra end to end."""
+    Served rows execute dense; each reference executes temporal (an
+    unrecorded run of the difference algebra itself), so the check also
+    proves the zero-state difference algebra end to end."""
     from ..scratch import clear_scratch
 
     completed = sorted(
@@ -1259,8 +1259,11 @@ def _verify(
     # allocate theirs: the pool never evicts, so both sets would add up.
     clear_scratch()
     for j in sorted(set(completed) | set(members)):
-        reference = engine.run(
-            x_init=noises[j], rngs=[requests[j].sampler_rng()]
+        reference = engine._run(
+            x_init=noises[j],
+            record_trace=False,
+            rngs=[requests[j].sampler_rng()],
+            execution=ExecutionMode.TEMPORAL,
         ).samples
         if j in samples and not np.array_equal(samples[j], reference):
             raise AssertionError(

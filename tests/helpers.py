@@ -14,6 +14,7 @@ from repro.quant import QAttention, iter_qlayers
 from repro.workloads.suite import BenchmarkSpec
 
 __all__ = [
+    "assert_recording_state_held",
     "assert_temporal_state_held",
     "lower_one",
     "make_rich",
@@ -25,7 +26,8 @@ __all__ = [
 
 
 def assert_temporal_state_held(qmodel):
-    """Every layer kept state, so every call after the first differenced.
+    """After TEMPORAL execution every layer kept state, so every call after
+    the first differenced, and the executor held its integer outputs.
 
     Self-attention's Q/K/V run as one projection whose state the attention
     layer owns: it must hold that state, and ``to_q`` / ``to_k`` / ``to_v``
@@ -34,7 +36,7 @@ def assert_temporal_state_held(qmodel):
     shared = set()
     for name, q in iter_qlayers(qmodel):
         if isinstance(q, QAttention):
-            assert q._prev, name
+            assert set(q._prev) == {"q", "k", "s", "p", "v", "o"}, name
             if not q.is_cross:
                 assert q._prev_q_in is not None, name
                 assert q._prev_out_int is not None, name
@@ -43,6 +45,28 @@ def assert_temporal_state_held(qmodel):
             assert q._prev_q_in is None and q._prev_out_int is None, name
         else:
             assert q._prev_q_in is not None, name
+            assert q._prev_out_int is not None, name
+
+
+def assert_recording_state_held(qmodel):
+    """After a recorded dense run every layer held exactly the operands it
+    differences: its quantized input and scale, attention's ``q`` / ``k`` /
+    ``p`` / ``v`` - and none of the temporal executor's integer outputs
+    (``_prev_out_int``, attention's ``s`` / ``o``).  The shared Q/K/V
+    projection's state lives on the attention layer, as under TEMPORAL.
+    """
+    shared = set()
+    for name, q in iter_qlayers(qmodel):
+        assert q._prev_out_int is None, name
+        if isinstance(q, QAttention):
+            assert set(q._prev) == {"q", "k", "p", "v"}, name
+            if not q.is_cross:
+                assert q._prev_q_in is not None, name
+                shared.update(id(c) for c in (q.to_q, q.to_k, q.to_v))
+        elif id(q) in shared:
+            assert q._prev_q_in is None, name
+        else:
+            assert q._prev_q_in is not None and q._prev_scale is not None, name
 
 
 def make_rich(

@@ -1,10 +1,11 @@
 """Per-batch-element temporal-state invariance (the serving contract).
 
 A batch-N engine run must be bit-exact with N independent batch-1 runs
-seeded per element: an instrumented (temporal) run's cached state
-(``_prev_q_in`` / ``_prev_out_int`` / ``_prev_scale``, attention's ``_prev``
-dicts) differences along the batch axis, a plain run or session executes
-dense and holds no such state at all, and every sticky quantizer scale
+seeded per element: an instrumented run's recorded operands
+(``_prev_q_in`` / ``_prev_scale``, attention's ``_prev`` q/k/p/v) and the
+temporal executor's state (also ``_prev_out_int``, attention's s/o)
+difference along the batch axis, a plain run or session executes dense and
+holds no such state at all, and every sticky quantizer scale
 freezes batch-independently (the engine's probe tiles one sample).  These
 tests pin that contract for a conv-only benchmark, a CFG/attention
 benchmark, and a TDQ cluster-boundary crossing at batch > 1.
@@ -22,6 +23,7 @@ The contract extends along two axes pinned below:
 
 import numpy as np
 import pytest
+from helpers import assert_recording_state_held, assert_temporal_state_held
 
 from repro.core import DittoEngine, EngineConfig
 from repro.models import UNet, build_text_encoder
@@ -362,9 +364,8 @@ def test_continuous_session_cfg_attention():
 
 def test_session_first_step_records_dense_attention_matmuls():
     """A session runs every layer DENSE and holds no attention state, so
-    under a recorder its QK / PV matmuls record the dense mode that executed
-    and no temporal stats - on the first step and on every later one."""
-    from repro.core import ExecutionMode
+    under a recorder its QK / PV matmuls record no temporal stats - on the
+    first step and on every later one."""
     from repro.core.trace import TraceRecorder
 
     engine = _cfg_engine(calibrate=False)
@@ -377,17 +378,13 @@ def test_session_first_step_records_dense_attention_matmuls():
             steps = [s for s in rec.trace if s.kind in ("attn_qk", "attn_pv")]
             assert {s.kind for s in steps} == {"attn_qk", "attn_pv"}
             for step in steps:
-                assert step.executed_mode is ExecutionMode.DENSE, step.layer_name
-                assert step.stats_temporal is None
+                assert step.stats_temporal is None, step.layer_name
 
 
 def test_instrumented_first_call_records_dense_attention_matmuls():
-    """An instrumented run sets every layer TEMPORAL from the first call,
-    when the attention state is still empty, so that call's QK / PV matmuls
-    run dense: their trace records must carry the mode that actually
-    executed, not the layer's mode flag."""
-    from repro.core import ExecutionMode
-
+    """An instrumented run records temporal from the first call, when the
+    attention state is still empty, so that call's QK / PV matmuls have no
+    difference to classify; every later call's do."""
     engine = _cfg_engine(calibrate=False)
     trace = engine.run(batch_size=1, seed=5).rich_trace
     first, second = (
@@ -396,11 +393,9 @@ def test_instrumented_first_call_records_dense_attention_matmuls():
     )
     assert {s.kind for s in first} == {"attn_qk", "attn_pv"}
     for step in first:
-        assert step.executed_mode is ExecutionMode.DENSE, step.layer_name
-        assert step.stats_temporal is None
+        assert step.stats_temporal is None, step.layer_name
     for step in second:
-        assert step.executed_mode is ExecutionMode.TEMPORAL, step.layer_name
-        assert step.stats_temporal is not None
+        assert step.stats_temporal is not None, step.layer_name
 
 
 @pytest.mark.parametrize(
@@ -542,26 +537,52 @@ def test_step_failure_after_partial_draws_keeps_streams_exact():
 
 
 def test_conv_state_is_base_temporal_state_only():
-    """A temporal conv keeps no unfold state: it unfolds the input-sized
-    difference into the shared scratch pool, so its cached state is exactly
-    the base ``_prev_q_in`` / ``_prev_out_int`` / ``_prev_scale``."""
-    engine = _conv_engine(calibrate=False, num_steps=3)
-    engine.run(batch_size=2, seed=0)  # instrumented: executes temporal
+    """A conv keeps no unfold state: it unfolds into the shared scratch
+    pool, so its cached state is at most the base ``_prev_q_in`` /
+    ``_prev_out_int`` / ``_prev_scale``.  A recording conv holds only the
+    input it differences; the temporal executor also holds its output."""
+    from repro.core import ExecutionMode
     from repro.quant.qlayers import QConv2d
 
+    engine = _conv_engine(calibrate=False, num_steps=3)
     convs = [
         q for _, q in iter_qlayers(engine.qmodel) if isinstance(q, QConv2d)
     ]
     assert convs
     base = {"_prev_q_in", "_prev_out_int", "_prev_scale"}
-    for conv in convs:
-        buffers = {
-            name for name, value in vars(conv).items()
-            if isinstance(value, np.ndarray)
-            and name not in ("q_weight", "_w_rows", "bias", "weight_scale")
-        }
-        assert buffers <= base, buffers - base
-        assert conv._prev_q_in is not None and conv._prev_out_int is not None
+    for execution in (ExecutionMode.DENSE, ExecutionMode.TEMPORAL):
+        engine._run(batch_size=2, seed=0, execution=execution)  # instrumented
+        for conv in convs:
+            buffers = {
+                name for name, value in vars(conv).items()
+                if isinstance(value, np.ndarray)
+                and name not in ("q_weight", "_w_rows", "bias", "weight_scale")
+            }
+            assert buffers <= base, buffers - base
+            assert conv._prev_q_in is not None
+            held = conv._prev_out_int is not None
+            assert held is (execution is ExecutionMode.TEMPORAL)
+
+
+@pytest.mark.parametrize("name", ["DDPM", "DiT", "SDM"])
+def test_recorded_run_holds_only_the_differenced_operands(name):
+    """An instrumented run records temporal and executes dense: every layer
+    ends holding the operands it differences and none of the temporal
+    executor's integer outputs.  Its samples and every record equal those
+    of a run that executes the difference algebra itself."""
+    from repro.core import ExecutionMode
+    from repro.workloads.suite import get_benchmark
+
+    engine = DittoEngine.from_benchmark(
+        get_benchmark(name), num_steps=2, calibrate=False
+    )
+    recorded = engine.run(seed=3)
+    assert_recording_state_held(engine.qmodel)
+    temporal = engine._run(seed=3, execution=ExecutionMode.TEMPORAL)
+    assert_temporal_state_held(engine.qmodel)
+    np.testing.assert_array_equal(recorded.samples, temporal.samples)
+    assert any(step.has_temporal for step in recorded.rich_trace)
+    assert list(recorded.rich_trace) == list(temporal.rich_trace)
 
 
 def _prev_attrs(model):
@@ -653,7 +674,7 @@ def test_session_capacity_and_tags():
 def test_one_open_session_per_engine():
     """While a session is open the engine refuses a second session, run and
     derive_plan - an interleaved instrumented run would leave the served
-    layers TEMPORAL and holding state.  close() releases the engine."""
+    layers recording and holding state.  close() releases the engine."""
     engine = _conv_engine(calibrate=False, num_steps=3)
     shape = (1,) + engine.pipeline.sample_shape
     session = engine.open_session()

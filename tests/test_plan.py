@@ -18,7 +18,6 @@ Three properties pinned here (see ``docs/plan-cache.md``):
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from helpers import make_tiny_spec

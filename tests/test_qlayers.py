@@ -153,7 +153,7 @@ def test_qconv_temporal_exactness(seed):
         assert q_temp._use_f32 == (in_c < 64)
         x = rng.normal(size=(3, in_c, hw, hw))
         scales = np.full((3, 1, 1, 1), np.abs(x).max() / 127.0)
-        modes = []
+        temporal_stats = []
         for step in range(4):
             if step == 2:  # rows 0 and 2 cross a cluster boundary
                 scales = scales * np.array([1.5, 1.0, 0.75])[:, None, None, None]
@@ -166,9 +166,9 @@ def test_qconv_temporal_exactness(seed):
             np.testing.assert_array_equal(out_d, out_t)
             # The spatial stats re-unfold the input after the GEMM.
             assert rec_t.stats_spatial == rec_d.stats_spatial
-            modes.append(rec_t.executed_mode)
+            temporal_stats.append(rec_t.stats_temporal is not None)
             x = x + rng.normal(0.0, 0.05, size=x.shape)
-        assert modes == [ExecutionMode.DENSE, ExecutionMode.TEMPORAL] * 2
+        assert temporal_stats == [False, True] * 2
 
 
 def test_qconv_strided_temporal_exactness(rng):
@@ -280,6 +280,71 @@ def test_qattention_cross_single_sub_op(rng):
 
 
 # ---------------------------------------------------------------------------
+# recording: int16 temporal differences at their edges
+# ---------------------------------------------------------------------------
+
+def _unnarrowed_stats(*diffs):
+    """Bucket float64 differences through int64 ``required_bits`` - no int16
+    narrowing anywhere."""
+    from repro.core.bitwidth import LOW_BITS, BitWidthStats, required_bits
+
+    bits = np.concatenate(
+        [required_bits(np.asarray(d, dtype=np.float64).astype(np.int64)).ravel() for d in diffs]
+    )
+    zero = int(np.count_nonzero(bits == 0))
+    low = int(np.count_nonzero((bits > 0) & (bits <= LOW_BITS)))
+    return BitWidthStats(total=bits.size, zero=zero, low=low, high=bits.size - zero - low)
+
+
+def test_recorded_15_bit_difference_is_exact_at_the_int16_edge():
+    """A recording layer takes its temporal difference straight into int16:
+    at 15 bits, qmin -> qmax and qmax -> qmin span |d| = 32767, the int16
+    limit, and still classify exactly as the float64 difference does."""
+    from repro.quant.quantizer import qrange
+
+    qmin, qmax = qrange(15)
+    assert qmax - qmin == 32767
+    lin = QLinear(np.ones((2, 4)), None, bits=15)
+    lin.input_quant.scale = 1.0
+    lin.record_temporal = True
+    x0 = np.array([[qmin, qmax, qmax, 3.0]])
+    x1 = np.array([[qmax, qmin, qmax, -4.0]])
+    lin(x0)
+    with TraceRecorder() as rec:
+        out = lin(x1)
+    diff = x1 - x0
+    assert np.abs(diff).max() == 32767 and diff.min() == -32767
+    assert rec.trace[0].stats_temporal == _unnarrowed_stats(diff)
+    assert lin._prev_out_int is None  # recording executes dense
+    np.testing.assert_array_equal(out, x1 @ lin.q_weight.T * lin.weight_scale)
+
+
+def test_recorded_attention_p_difference_is_exact_at_its_edges(rng):
+    """The 8-bit softmax operand (fixed scale 1/127) swings 0 -> 127 and
+    127 -> 0 between steps while V swings -128 -> 127: the int16 PV
+    differences classify exactly as the float64 ones do."""
+    att = QAttention.from_float(Attention(8, num_heads=2, rng=rng))
+    att.record_temporal = True
+    assert att.p_quant.scale == 1.0 / 127.0
+    probs0 = np.zeros((1, 2, 3, 3))
+    probs0[..., 0] = 1.0
+    probs1 = probs0[..., ::-1].copy()  # one-hot moves to the last key
+    probs1[0, 0, 0] = 0.5
+    qp0, qp1 = (att.p_quant.quantize(p, out_dtype=np.float32) for p in (probs0, probs1))
+    qv0 = np.full((1, 2, 3, 4), -128.0, dtype=np.float32)
+    qv1 = qv0.copy()
+    qv1[..., :2] = 127.0
+    att._pv_matmul(qp0, qv0)
+    with TraceRecorder() as rec:
+        o_int = att._pv_matmul(qp1, qv1)
+    d_p, d_v = qp1.astype(np.float64) - qp0, qv1.astype(np.float64) - qv0
+    assert {d_p.max(), d_p.min(), d_v.max()} == {127.0, -127.0, 255.0}
+    assert rec.trace[0].stats_temporal == _unnarrowed_stats(d_p, d_v)
+    assert set(att._prev) == {"p", "v"}  # operands only, no product
+    np.testing.assert_array_equal(o_int, np.matmul(qp1, qv1))
+
+
+# ---------------------------------------------------------------------------
 # self-attention's shared Q/K/V projection
 # ---------------------------------------------------------------------------
 
@@ -297,11 +362,14 @@ def _clustered(x0, num_steps=4):
 
 @pytest.mark.parametrize("per_channel", [False, True])
 @pytest.mark.parametrize("quantizer", ["sticky", "clustered"])
-@pytest.mark.parametrize("mode", [ExecutionMode.DENSE, ExecutionMode.TEMPORAL])
+@pytest.mark.parametrize(
+    "mode", [ExecutionMode.DENSE, ExecutionMode.TEMPORAL, "record"]
+)
 def test_shared_qkv_projection_matches_unfused_reference(mode, quantizer, per_channel):
     """The fused Q/K/V projection's outputs (seen through the children's
     forward hooks) and trace records equal three standalone QLinear
-    forwards of the same weights, step by step."""
+    forwards of the same weights, step by step.  ``record`` executes dense
+    while recording temporal, as an instrumented engine run does."""
     from repro.quant import set_active_step
 
     rng = np.random.default_rng(17)
@@ -317,18 +385,19 @@ def test_shared_qkv_projection_matches_unfused_reference(mode, quantizer, per_ch
         fused.share_projection_quantizer(_clustered(x))
         for ref in refs:
             ref.input_quant = _clustered(x)
-    fused.mode = mode
-    for child in (fused.to_q, fused.to_k, fused.to_v, fused.to_out):
-        child.mode = mode
+    recording = mode == "record"
+    execution = ExecutionMode.DENSE if recording else mode
+    for layer in (fused, fused.to_q, fused.to_k, fused.to_v, fused.to_out, *refs):
+        layer.mode = execution
+        layer.record_temporal = recording
     for ref, suffix in zip(refs, ("to_q", "to_k", "to_v")):
-        ref.mode = mode
         ref.layer_name = f"attn.{suffix}"
     seen = {}
     for name in ("to_q", "to_k", "to_v"):
         getattr(fused, name).register_forward_hook(
             lambda module, args, out, name=name: seen.__setitem__(name, (args, out))
         )
-    executed = []
+    differenced = []
     try:
         for step in range(4):
             set_active_step(step)
@@ -344,16 +413,16 @@ def test_shared_qkv_projection_matches_unfused_reference(mode, quantizer, per_ch
                 r for r in rec_fused.trace if r.layer_name.split(".")[-1] in seen
             ]
             assert projections == list(rec_ref.trace)
-            executed.append(projections[0].executed_mode)
+            differenced.append(projections[0].stats_temporal is not None)
             x = x + rng.normal(0.0, 0.05, size=x.shape)
     finally:
         set_active_step(None)
     if mode is ExecutionMode.DENSE:
-        assert executed == [ExecutionMode.DENSE] * 4
+        assert differenced == [False] * 4
     elif quantizer == "clustered":  # the grid changes at step 2: one dense re-run
-        assert executed == [ExecutionMode.DENSE, ExecutionMode.TEMPORAL] * 2
+        assert differenced == [False, True] * 2
     else:
-        assert executed == [ExecutionMode.DENSE] + [ExecutionMode.TEMPORAL] * 3
+        assert differenced == [False] + [True] * 3
 
 
 def test_shared_qkv_projection_stores_each_weight_once(rng):
@@ -487,6 +556,16 @@ def test_full_model_dense_temporal_equivalence(rng):
     temporal1 = model(x1, t)
     with TraceRecorder() as rec:
         temporal2 = model(x2, t)
-    assert all(s.executed_mode is ExecutionMode.TEMPORAL for s in rec.trace)
+    assert all(s.stats_temporal is not None for s in rec.trace)
     np.testing.assert_allclose(temporal1, dense1, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(temporal2, dense2, rtol=1e-9, atol=1e-12)
+
+    # Recording temporal while executing dense: the dense outputs and the
+    # temporal executor's records.
+    reset_model_state(model)
+    set_model_mode(model, ExecutionMode.DENSE, record_temporal=True)
+    model(x1, t)
+    with TraceRecorder() as rec_recorded:
+        recorded2 = model(x2, t)
+    assert list(rec_recorded.trace) == list(rec.trace)
+    np.testing.assert_array_equal(recorded2, dense2)

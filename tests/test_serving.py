@@ -184,6 +184,44 @@ def test_serving_verify_smoke():
     assert not any("backend" in key for key in report.to_json())
 
 
+def test_verify_references_execute_temporal(tmp_path):
+    """--verify checks the dense-served samples against references that run
+    the difference algebra itself, so it also pins the zero-state contract:
+    each reference must end holding the temporal executor's integer
+    outputs, which no dense run (recorded or not) ever holds."""
+    from repro.core import DittoEngine
+    from repro.quant import iter_qlayers
+
+    spec = make_tiny_spec("tinyVerifyTemporal", num_steps=2)
+    engine = DittoEngine.from_benchmark(spec, calibrate=False)
+    generate = engine.pipeline.generate
+    executed_temporal = []
+
+    def spy(*args, **kwargs):
+        samples = generate(*args, **kwargs)
+        executed_temporal.append(
+            any(q._prev_out_int is not None for _, q in iter_qlayers(engine.qmodel))
+        )
+        return samples
+
+    engine.pipeline.generate = spy
+    report = simulate_serving(
+        spec,
+        engine=engine,
+        batch_sizes=(2,),
+        num_requests=3,
+        rate_rps=50.0,
+        pattern="burst",
+        plan_cache_dir=tmp_path,
+        verify_invariance=True,
+    )
+    assert report.verified_requests == [0, 1, 2]
+    # One temporal reference per request; the plan derivation and the
+    # stacked batch run dense.
+    assert executed_temporal.count(True) == 3
+    assert executed_temporal.count(False) >= 2
+
+
 def test_serving_report_renders_and_serializes(tiny_report):
     text = tiny_report.summary()
     assert "tinyServe" in text
