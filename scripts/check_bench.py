@@ -1,370 +1,241 @@
 #!/usr/bin/env python
-"""CI perf-regression gate: compare a fresh bench record to the baseline.
+"""CI perf gate: run perfbench's workloads and compare them with a record.
 
-``repro bench`` writes machine-readable cold/warm timings per benchmark and
-batch size (schema 3, see ``repro.bench``).  This script compares a freshly
-measured record against the committed baseline (``BENCH_PR10.json``) and
-exits non-zero when any timing regressed beyond the tolerance - turning the
-perf-smoke job from an artifact uploader into an actual gate.
+    python scripts/check_bench.py --baseline BENCH_PR25.json          # gate
+    python scripts/check_bench.py --baseline BENCH_PR25.json --write  # re-record
 
-Usage::
+For every workload in ``BENCHMARK.json`` the gate runs ``perfbench/run.py``
+twice at ``SEED`` for ``SECONDS``: untraced (``--trace 0``) for the
+end-to-end metrics and traced (``--trace 1``) for the per-layer ones.  It
+writes the fresh measurement to ``perfbench-fresh.json`` and fails when
 
-    python scripts/check_bench.py FRESH.json [--baseline BENCH_PR10.json]
-        [--tol 0.25]
+* a run reports ``correct: false`` or ``failed > 0``, or prints no result;
+* a workload or end-to-end metric of ``BENCHMARK.json`` has no value in the
+  record or in the fresh measurement;
+* an end-to-end metric is worse than the record by more than ``FACTOR``,
+  in the direction ``BENCHMARK.json``'s ``better`` gives it;
+* a per-layer timing is worse than the record by more than ``FACTOR`` and
+  by more than ``MIN_DELTA_S``.
 
-The gate is *per phase*, not just per total: ``cold_build_s`` and
-``cold_run_s`` are compared independently (both are medians across bench
-repeats since schema 3), and every bucket of the ``phases`` breakdown
-(build: calibration / trajectory / quantize / norm / im2col; run: norm /
-im2col) is gated on its own - so a large build-phase win can never mask a
-run-phase regression inside a healthy-looking total.
+The per-layer timings are the traced run's ``norm``, ``im2col``,
+``quantize``, ``gemm`` and conv self time per denoiser call, and its
+``calibrate``, ``build``, ``derive`` and ``cache.get`` time.  They are
+scaled to reference-host seconds by perfbench's own ``HostProbe``, timed
+just before and just after each traced run, as perfbench scales its
+end-to-end times.  A per-call timing's excess counts against
+``MIN_DELTA_S`` summed over the record's denoiser calls, so the floor is
+one traced pass's worth of time, like the set-up timings'.
 
-A fresh timing ``t`` fails against baseline ``b`` when ``t > b * (1 + tol)``
-*and* ``t - b > min_delta``.  The default tolerance is 25% (CI-runner noise
-on sub-second timings is real); override with ``--tol`` or the
-``REPRO_BENCH_TOL`` environment variable (``--tol`` wins).  ``min_delta``
-(default 50 ms, ``--min-delta`` / ``REPRO_BENCH_MIN_DELTA``) keeps
-micro-timings - the sub-millisecond warm cache load, the small per-phase
-buckets - from tripping the relative gate on scheduler jitter.  Speedups
-and new benchmarks/batch sizes/phases never fail; disappeared entries are
-reported but only warn (the gate guards regressions, not coverage).
-
-When both records carry the host speed probe (``host.speed_index_s``,
-recorded by ``repro bench`` since schema 2 of PR 4), timings are
-*normalized* by it before comparison - every phase included: a hosted CI
-runner that is 2x slower than the machine that recorded the baseline also
-measures a ~2x speed index, so the gate compares machine-relative work,
-not raw wall clock.  ``--no-normalize`` forces the raw comparison.
-
-Pluggable backends (PR 10) add a second *within-record* check: the blocked
-stride-2 ``im2col_t`` path must stay rate-competitive with the stride-1
-path.  ``repro bench`` records the stride-split profiler sub-buckets -
-``im2col_s1`` / ``im2col_s2`` seconds and the matching ``im2col_s1_elems``
-/ ``im2col_s2_elems`` element counters - and this script compares the
-*per-element* rates (seconds per gathered element), which is the only
-apples-to-apples comparison when the two strides move different volumes.
-Stride 2 fails when its rate exceeds the stride-1 rate by more than
-``--im2col-parity-tol`` (default 1.0, i.e. within 2x; ``REPRO_IM2COL_TOL``)
-while both buckets carry at least ``--im2col-min-seconds`` of signal
-(default 5 ms, ``REPRO_IM2COL_MIN_S`` - its own floor, far below the
-regression gate's ``min_delta``: stride-2 buckets are milliseconds-sized
-because downsample convs are a small share of the model, and a per-element
-rate derived from a sub-millisecond bucket is per-call overhead, not
-gather throughput).  The element counters themselves are deterministic
-counts, not timings, so the regression gate above skips every ``*_elems``
-bucket.
-
-Plan-then-execute (PR 9) adds a *within-record* acceptance check on the
-fresh measurement: ``plan_replay_run_s`` (the plan-mode serving run) must
-sit within ``--plan-floor-tol`` (default 15%, ``REPRO_PLAN_FLOOR_TOL``) of
-``plain_run_s`` (the uninstrumented plain-forward floor), subject to the
-same ``min_delta`` jitter slack.  Both timings come from the same record on
-the same machine, so no normalization applies; records without the plan
-fields are skipped.
+``--write`` records the fresh measurement as the new record instead of
+comparing; it refuses a measurement that failed its checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
-# The timings the gate guards, per (benchmark, batch size) record.
-GATED_METRICS = (
-    "cold_build_s",
-    "cold_run_s",
-    "cold_total_s",
-    "warm_load_s",
-    "plan_derive_s",
-    "plan_replay_run_s",
-    "plain_run_s",
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
+RUNNER = ROOT / "perfbench" / "run.py"
+FRESH = ROOT / "perfbench-fresh.json"
+
+SEED = 25
+SECONDS = 8.0
+FACTOR = 2.0  # fail when worse by more than this ratio ...
+MIN_DELTA_S = 0.05  # ... and, for per-layer timings, by more than this
+
+CALLS = "diffusion.pipeline.model_calls"
+# Self time per denoiser call in the traced run.  Conv self time holds the
+# stride-1 row-shift unfold, which the tracer does not wrap as im2col.
+PER_CALL = (
+    "nn.functional.norm_s",
+    "nn.backends.im2col_s",
+    "quant.quantizer.quantize_s",
+    "nn.backends.gemm_s",
+    "quant.qlayers.conv_self_s",
 )
+# Inclusive time over the traced run.
+PER_RUN = (
+    "quant.calibration.calibrate_s",
+    "core.engine.build_s",
+    "core.plan.derive_s",
+    "runtime.cache.get_s",
+)
+PER_CALL_SUFFIX = "_per_call"
 
 
-def iter_timings(record):
-    """Yield ``(benchmark, batch_size, metric, value)`` from a bench record.
-
-    Metrics cover the headline cold/warm timings plus one
-    ``<section>.<bucket>`` entry per phase bucket (e.g.
-    ``build.calibration``, ``run.norm``) for schema-3 records; older
-    records without a ``phases`` dict simply yield fewer metrics.
-    """
-    for bench, rec in record.get("benchmarks", {}).items():
-        for size, sized in rec.get("by_batch_size", {}).items():
-            for metric in GATED_METRICS:
-                value = sized.get(metric)
-                if value is not None:
-                    yield bench, size, metric, float(value)
-            for section, buckets in (sized.get("phases") or {}).items():
-                for bucket, value in (buckets or {}).items():
-                    # *_elems buckets are deterministic element counts, not
-                    # seconds; host-speed normalization would corrupt them
-                    # and the parity check below consumes them instead.
-                    if bucket.endswith("_elems"):
-                        continue
-                    if value is not None:
-                        yield bench, size, f"{section}.{bucket}", float(value)
+def _perfbench():
+    """``perfbench/run.py`` as a module, for its ``HostProbe``."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUNNER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def speed_scale(baseline: dict, fresh: dict):
-    """fresh/baseline host-speed ratio, or None when either probe is absent.
+def run_perfbench(workload: str, trace: int) -> dict:
+    """One perfbench run; its JSON result, or a failed one if it printed none."""
+    cmd = [
+        sys.executable, str(RUNNER), "--workload", workload, "--seed", str(SEED),
+        "--seconds", str(SECONDS), "--trace", str(trace),
+    ]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if proc.returncode or not isinstance(result, dict):
+        print(f"{workload} trace {trace}: exit status {proc.returncode}\n"
+              + proc.stdout + proc.stderr, file=sys.stderr)
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    for line in lines:
+        if line.startswith("CHECK FAILED"):
+            print(f"  {workload} trace {trace}: {line}")
+    return result
 
-    Dividing fresh timings by this ratio converts them to "baseline-machine
-    seconds", making the comparison machine-relative.
-    """
-    base_idx = (baseline.get("host") or {}).get("speed_index_s")
-    fresh_idx = (fresh.get("host") or {}).get("speed_index_s")
-    if not base_idx or not fresh_idx:
-        return None
-    return float(fresh_idx) / float(base_idx)
 
-
-def compare(
-    baseline: dict,
-    fresh: dict,
-    tolerance: float,
-    min_delta: float,
-    scale: float = 1.0,
-):
-    """Return (rows, regressions, missing): every comparison, the failures,
-    and baseline entries absent from the fresh record.  Fresh timings are
-    divided by ``scale`` (the host-speed ratio) before the gate applies."""
-    fresh_map = {
-        (b, s, m): v for b, s, m, v in iter_timings(fresh)
+def summarize(plain: dict, traced: dict, scale: float) -> dict:
+    """One workload's record entry from its untraced and traced results;
+    ``scale`` converts the traced run's seconds to reference-host seconds."""
+    layer = {name: entry["value"] for name, entry in traced["metrics"].items()}
+    per_layer = {}
+    if layer:
+        calls = layer[CALLS]
+        for name in PER_CALL:
+            per_layer[name + PER_CALL_SUFFIX] = layer[name] * scale / max(calls, 1.0)
+        for name in PER_RUN:
+            per_layer[name] = layer[name] * scale
+    return {
+        "correct": bool(plain["correct"] and traced["correct"]),
+        "attempted": plain["attempted"] + traced["attempted"],
+        "failed": plain["failed"] + traced["failed"],
+        "end_to_end": {name: e["value"] for name, e in plain["metrics"].items()},
+        "per_layer": per_layer,
+        "model_calls": layer.get(CALLS, 0.0),
+        "probe_scale": scale,
     }
-    rows, regressions, missing = [], [], []
-    for bench, size, metric, base in iter_timings(baseline):
-        key = (bench, size, metric)
-        new = fresh_map.get(key)
-        if new is None:
-            missing.append(key)
+
+
+def measure(workloads) -> dict:
+    """Run every workload untraced and traced; the fresh measurement."""
+    perfbench = _perfbench()
+    for var in perfbench.BLAS_THREAD_VARS:  # the probe runs as perfbench does
+        os.environ[var] = "1"
+    probe = perfbench.HostProbe()
+    entries = {}
+    for name in workloads:
+        plain = run_perfbench(name, 0)
+        before = probe()
+        traced = run_perfbench(name, 1)
+        scale = perfbench.scale_factors([before, probe()])[0]
+        entries[name] = summarize(plain, traced, scale)
+        print(f"measured {name}: correct {entries[name]['correct']}, "
+              f"host-probe scale {scale:.3f}")
+    return {"seed": SEED, "seconds": SECONDS, "workloads": entries}
+
+
+def _worse_by(recorded: float, fresh: float, better: str) -> float:
+    """How many times worse ``fresh`` is than ``recorded`` (< 1: better)."""
+    worse, base = (fresh, recorded) if better == "lower" else (recorded, fresh)
+    if base > 0:
+        return worse / base
+    return float("inf") if worse > 0 else 1.0
+
+
+def compare(spec: dict, record: dict, fresh: dict):
+    """Gate ``fresh`` against ``record``; returns ``(rows, failures)``.
+
+    Each row is ``(workload, metric, recorded, fresh, worse_by, failed)``;
+    each failure a message naming the workload and the metric.
+    """
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    rows, failures = [], []
+    for workload in (w["name"] for w in spec["workloads"]):
+        base = record["workloads"].get(workload)
+        new = fresh["workloads"].get(workload)
+        if base is None or new is None:
+            side = "record" if base is None else "fresh measurement"
+            failures.append(f"{workload}: missing from the {side}")
             continue
-        adjusted = new / scale
-        ratio = adjusted / base if base > 0 else float("inf")
-        regressed = (
-            adjusted > base * (1.0 + tolerance)
-            and adjusted - base > min_delta
-        )
-        rows.append((bench, size, metric, base, adjusted, ratio, regressed))
-        if regressed:
-            regressions.append(rows[-1])
-    return rows, regressions, missing
-
-
-def plan_floor_check(fresh: dict, tolerance: float, min_delta: float):
-    """Within-record check: plan replay must approach the plain floor.
-
-    Returns ``(rows, violations)`` where each row is ``(bench, size,
-    replay, plain, ratio, violated)``.  A record violates the floor when
-    ``plan_replay_run_s > plain_run_s * (1 + tolerance)`` *and* the absolute
-    gap exceeds ``min_delta`` - both timings come from the same fresh record
-    on the same machine, so no speed normalization applies.  Records without
-    the plan fields (older baselines) simply yield no rows.
-    """
-    rows, violations = [], []
-    for bench, rec in fresh.get("benchmarks", {}).items():
-        for size, sized in rec.get("by_batch_size", {}).items():
-            replay = sized.get("plan_replay_run_s")
-            plain = sized.get("plain_run_s")
-            if replay is None or plain is None:
+        if not new["correct"] or new["failed"]:
+            failures.append(f"{workload}: correct {new['correct']}, "
+                            f"failed {new['failed']} of {new['attempted']}")
+        for metric, direction in better.items():
+            if metric not in base["end_to_end"] or metric not in new["end_to_end"]:
+                failures.append(f"{workload} {metric}: no value")
                 continue
-            replay, plain = float(replay), float(plain)
-            ratio = replay / plain if plain > 0 else float("inf")
-            violated = (
-                replay > plain * (1.0 + tolerance)
-                and replay - plain > min_delta
-            )
-            rows.append((bench, size, replay, plain, ratio, violated))
-            if violated:
-                violations.append(rows[-1])
-    return rows, violations
-
-
-def im2col_parity_check(fresh: dict, tolerance: float, min_seconds: float):
-    """Within-record check: stride-2 im2col must be rate-competitive.
-
-    Returns ``(rows, violations)`` where each row is ``(bench, size,
-    section, rate_s2, rate_s1, ratio, violated)`` and the rates are seconds
-    per gathered element, computed from the stride-split profiler
-    sub-buckets (``im2col_s2`` / ``im2col_s2_elems`` vs ``im2col_s1`` /
-    ``im2col_s1_elems``).  Both strides time the same gather on the same
-    machine within one record, so no speed normalization applies.  A
-    section violates parity when the stride-2 rate exceeds the stride-1
-    rate by more than ``tolerance``; sections where either bucket carries
-    less than ``min_seconds`` of wall clock are skipped (a per-element rate
-    derived from scheduler-jitter-sized timings is noise, not signal).
-    Records without the sub-buckets (no stride-2 conv in the model, or an
-    older schema) simply yield no rows.
-    """
-    rows, violations = [], []
-    for bench, rec in fresh.get("benchmarks", {}).items():
-        for size, sized in rec.get("by_batch_size", {}).items():
-            for section, buckets in (sized.get("phases") or {}).items():
-                buckets = buckets or {}
-                s1 = buckets.get("im2col_s1")
-                s1_elems = buckets.get("im2col_s1_elems")
-                s2 = buckets.get("im2col_s2")
-                s2_elems = buckets.get("im2col_s2_elems")
-                if None in (s1, s1_elems, s2, s2_elems):
-                    continue
-                if not s1_elems or not s2_elems:
-                    continue
-                if float(s1) < min_seconds or float(s2) < min_seconds:
-                    continue
-                rate_s1 = float(s1) / float(s1_elems)
-                rate_s2 = float(s2) / float(s2_elems)
-                ratio = rate_s2 / rate_s1 if rate_s1 > 0 else float("inf")
-                violated = rate_s2 > rate_s1 * (1.0 + tolerance)
-                rows.append(
-                    (bench, size, section, rate_s2, rate_s1, ratio, violated)
-                )
-                if violated:
-                    violations.append(rows[-1])
-    return rows, violations
+            b, f = base["end_to_end"][metric], new["end_to_end"][metric]
+            worse = _worse_by(b, f, direction)
+            rows.append((workload, metric, b, f, worse, worse > FACTOR))
+        for metric, b in base["per_layer"].items():
+            f = new["per_layer"].get(metric)
+            if f is None:
+                failures.append(f"{workload} {metric}: no value")
+                continue
+            excess_s = f - b
+            if metric.endswith(PER_CALL_SUFFIX):
+                excess_s *= base["model_calls"]
+            worse = _worse_by(b, f, "lower")
+            rows.append((workload, metric, b, f, worse,
+                         worse > FACTOR and excess_s > MIN_DELTA_S))
+    failures += [
+        f"{workload} {metric}: {b:.6g} -> {f:.6g}, {worse:.2f}x worse"
+        for workload, metric, b, f, worse, failed in rows if failed
+    ]
+    return rows, failures
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="fail when a fresh repro-bench record regresses vs baseline"
-    )
-    parser.add_argument("fresh", help="freshly measured bench JSON")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--baseline", default="BENCH_PR10.json",
-        help="committed baseline record (default: BENCH_PR10.json)",
+        "--baseline", default="BENCH_PR25.json", metavar="PATH",
+        help="the committed record (default: BENCH_PR25.json)",
     )
     parser.add_argument(
-        "--tol", type=float, default=None, metavar="FRACTION",
-        help="allowed slowdown fraction (default: $REPRO_BENCH_TOL or 0.25)",
-    )
-    parser.add_argument(
-        "--min-delta", type=float, default=None, metavar="SECONDS",
-        help="absolute slack before the relative gate applies "
-             "(default: $REPRO_BENCH_MIN_DELTA or 0.05)",
-    )
-    parser.add_argument(
-        "--no-normalize", action="store_true",
-        help="compare raw wall clock even when both records carry the "
-             "host speed probe",
-    )
-    parser.add_argument(
-        "--plan-floor-tol", type=float, default=None, metavar="FRACTION",
-        help="allowed plan_replay_run_s excess over plain_run_s within the "
-             "fresh record (default: $REPRO_PLAN_FLOOR_TOL or 0.15)",
-    )
-    parser.add_argument(
-        "--im2col-parity-tol", type=float, default=None, metavar="FRACTION",
-        help="allowed stride-2 im2col per-element rate excess over the "
-             "stride-1 rate (default: $REPRO_IM2COL_TOL or 1.0)",
-    )
-    parser.add_argument(
-        "--im2col-min-seconds", type=float, default=None, metavar="SECONDS",
-        help="minimum wall clock BOTH stride buckets must carry before the "
-             "parity rate is trusted (default: $REPRO_IM2COL_MIN_S or 0.005)",
+        "--write", action="store_true",
+        help="write the fresh measurement to --baseline instead of comparing",
     )
     args = parser.parse_args(argv)
-
-    tolerance = args.tol
-    if tolerance is None:
-        tolerance = float(os.environ.get("REPRO_BENCH_TOL", "0.25"))
-    if tolerance < 0:
-        parser.error(f"tolerance must be >= 0, got {tolerance}")
-    min_delta = args.min_delta
-    if min_delta is None:
-        min_delta = float(os.environ.get("REPRO_BENCH_MIN_DELTA", "0.05"))
-    if min_delta < 0:
-        parser.error(f"min-delta must be >= 0, got {min_delta}")
-    floor_tol = args.plan_floor_tol
-    if floor_tol is None:
-        floor_tol = float(os.environ.get("REPRO_PLAN_FLOOR_TOL", "0.15"))
-    if floor_tol < 0:
-        parser.error(f"plan-floor-tol must be >= 0, got {floor_tol}")
-    parity_tol = args.im2col_parity_tol
-    if parity_tol is None:
-        parity_tol = float(os.environ.get("REPRO_IM2COL_TOL", "1.0"))
-    if parity_tol < 0:
-        parser.error(f"im2col-parity-tol must be >= 0, got {parity_tol}")
-    parity_min = args.im2col_min_seconds
-    if parity_min is None:
-        parity_min = float(os.environ.get("REPRO_IM2COL_MIN_S", "0.005"))
-    if parity_min < 0:
-        parser.error(f"im2col-min-seconds must be >= 0, got {parity_min}")
-
-    try:
-        baseline = json.loads(Path(args.baseline).read_text())
-        fresh = json.loads(Path(args.fresh).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"check_bench: cannot read records: {exc}", file=sys.stderr)
-        return 2
-
-    scale = None if args.no_normalize else speed_scale(baseline, fresh)
-    rows, regressions, missing = compare(
-        baseline, fresh, tolerance, min_delta, scale=scale or 1.0
-    )
-    if not rows:
-        print("check_bench: no comparable timings between the records",
-              file=sys.stderr)
-        return 2
-
-    width = max(len(f"{b} b{s} {m}") for b, s, m, *_ in rows)
-    print(f"perf gate: tolerance +{100 * tolerance:.0f}% "
-          f"(min delta {min_delta:g}s) "
-          f"({args.baseline} -> {args.fresh})")
-    if scale is None:
-        print("  raw wall clock (no host speed probe in both records)")
-    else:
-        print(f"  host speed ratio {scale:.3f} - fresh timings shown in "
-              "baseline-machine seconds")
-    for bench, size, metric, base, new, ratio, regressed in rows:
-        flag = "REGRESSED" if regressed else "ok"
-        print(f"  {f'{bench} b{size} {metric}':<{width}}  "
-              f"{base:8.4f}s -> {new:8.4f}s  x{ratio:5.2f}  {flag}")
-    for bench, size, metric in missing:
-        print(f"  warning: {bench} b{size} {metric} missing from fresh record")
-
-    # Plan-then-execute acceptance: within the fresh record, the plan-replay
-    # run must sit within --plan-floor-tol of the plain-forward floor.
-    floor_rows, floor_violations = plan_floor_check(fresh, floor_tol, min_delta)
-    if floor_rows:
-        print(f"plan floor: plan_replay_run_s vs plain_run_s "
-              f"(tolerance +{100 * floor_tol:.0f}%)")
-        for bench, size, replay, plain, ratio, violated in floor_rows:
-            flag = "ABOVE FLOOR" if violated else "ok"
-            print(f"  {bench} b{size}  replay {replay:8.4f}s vs plain "
-                  f"{plain:8.4f}s  x{ratio:5.2f}  {flag}")
-
-    # Blocked-stride acceptance: the stride-2 im2col per-element rate must
-    # stay within --im2col-parity-tol of the stride-1 rate.
-    parity_rows, parity_violations = im2col_parity_check(
-        fresh, parity_tol, parity_min
-    )
-    if parity_rows:
-        print(f"im2col parity: stride-2 vs stride-1 seconds/element "
-              f"(tolerance +{100 * parity_tol:.0f}%)")
-        for bench, size, section, r2, r1, ratio, violated in parity_rows:
-            flag = "OFF PARITY" if violated else "ok"
-            print(f"  {bench} b{size} {section}  s2 {r2:.3e} vs s1 "
-                  f"{r1:.3e} s/elem  x{ratio:5.2f}  {flag}")
-
-    if regressions or floor_violations or parity_violations:
-        if regressions:
-            print(f"\nFAIL: {len(regressions)} timing(s) regressed beyond "
-                  f"+{100 * tolerance:.0f}% (override via REPRO_BENCH_TOL)")
-        if floor_violations:
-            print(f"\nFAIL: plan replay above the plain-forward floor in "
-                  f"{len(floor_violations)} record(s) (override via "
-                  "REPRO_PLAN_FLOOR_TOL)")
-        if parity_violations:
-            print(f"\nFAIL: stride-2 im2col off rate parity in "
-                  f"{len(parity_violations)} section(s) (override via "
-                  "REPRO_IM2COL_TOL)")
+    spec = json.loads(BENCHMARK.read_text())
+    record = None
+    if not args.write:
+        try:
+            record = json.loads(Path(args.baseline).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"check_bench: cannot read the record: {exc}", file=sys.stderr)
+            return 2
+    fresh = measure([workload["name"] for workload in spec["workloads"]])
+    text = json.dumps(fresh, indent=1, sort_keys=True) + "\n"
+    FRESH.write_text(text)
+    if args.write:
+        broken = [name for name, entry in fresh["workloads"].items()
+                  if not entry["correct"] or entry["failed"]]
+        if broken:
+            print(f"FAIL: not recording, checks failed on {', '.join(broken)}")
+            return 1
+        Path(args.baseline).write_text(text)
+        print(f"wrote {args.baseline}")
+        return 0
+    rows, failures = compare(spec, record, fresh)
+    print(f"perf gate: {args.baseline} -> {FRESH.name}; fail when worse by "
+          f"more than {FACTOR:g}x (per-layer: and by more than {MIN_DELTA_S:g} s)")
+    width = max((len(metric) for _, metric, *_ in rows), default=0)
+    for workload, metric, b, f, worse, failed in rows:
+        flag = "REGRESSED" if failed else "ok"
+        print(f"  {workload:<15} {metric:<{width}}  {b:12.6g} -> {f:12.6g}"
+              f"  x{worse:5.2f}  {flag}")
+    if failures:
+        print(f"\nFAIL: {len(failures)} check(s) failed")
+        for message in failures:
+            print(f"  {message}")
         return 1
-    print(f"\nOK: {len(rows)} timing(s) within tolerance"
-          + (f", {len(floor_rows)} plan-floor check(s) passed"
-             if floor_rows else "")
-          + (f", {len(parity_rows)} im2col-parity check(s) passed"
-             if parity_rows else ""))
+    print(f"\nOK: {len(rows)} metric(s) within the gate")
     return 0
 
 

@@ -30,10 +30,6 @@ Commands
     ``--max-retries`` bounds exact-replay retries and ``--no-recover``
     disables crash recovery.  The report then carries per-class SLO
     accounting (every request completed/cancelled/expired/failed).
-``bench [BENCH ...]``
-    Time the cold engine build+run and warm cache load per benchmark and
-    batch size, and write machine-readable JSON (``--quick`` restricts to
-    DDPM with one repeat, for CI perf smoke).
 ``cache info|clear``
     Inspect or reclaim the on-disk result cache.
 
@@ -222,50 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the serving report as JSON",
     )
 
-    bench_p = sub.add_parser(
-        "bench", help="time cold/warm engine runs, write JSON perf record"
-    )
-    bench_p.add_argument(
-        "benchmarks", nargs="*", metavar="BENCH",
-        help="benchmarks to time (default: the whole suite)",
-    )
-    bench_p.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke mode: DDPM only (unless named), one repeat",
-    )
-    bench_p.add_argument(
-        "--repeats", type=int, default=2, metavar="N",
-        help="cold repeats per benchmark; headline cold_*/phase timings are "
-             "the medians across repeats (schema 3; cold_best_total_s keeps "
-             "the optimistic best-of-N total)",
-    )
-    bench_p.add_argument("--steps", type=int, default=None, help="override step count")
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument(
-        "--batch-size", type=int, nargs="+", default=[1], metavar="N",
-        dest="batch_sizes",
-        help="batch sizes to time (cold run + warm load recorded per size)",
-    )
-    bench_p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="output JSON path (default: BENCH_PR10.json)",
-    )
-    bench_p.add_argument(
-        "--calibration-dtype", default=None, metavar="DTYPE",
-        choices=["float32", "float64"], dest="calibration_dtype",
-        help="calibration-trajectory precision (default: float32 fast path; "
-             "float64 is the legacy exact trajectory)",
-    )
-    bench_p.add_argument(
-        "--baseline", type=float, default=None, metavar="SECONDS",
-        help="reference cold time to record a speedup against",
-    )
-    bench_p.add_argument(
-        "--baseline-ref", default=None, metavar="REF",
-        help="label for the reference measurement (e.g. a commit hash)",
-    )
-    bench_p.add_argument("--cache-dir", default=None, metavar="DIR")
-
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_p.add_argument("action", choices=["info", "clear"])
     cache_p.add_argument(
@@ -397,48 +349,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import DEFAULT_OUT, run_bench
-
-    unknown = [b for b in args.benchmarks if b not in SUITE]
-    if unknown:
-        print(f"unknown benchmark(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    out_path = args.out or DEFAULT_OUT
-    payload = run_bench(
-        benchmarks=args.benchmarks or None,
-        repeats=args.repeats,
-        quick=args.quick,
-        seed=args.seed,
-        num_steps=args.steps,
-        batch_sizes=args.batch_sizes,
-        out_path=out_path,
-        baseline_s=args.baseline,
-        baseline_ref=args.baseline_ref,
-        cache_dir=args.cache_dir,
-        calibration_dtype=args.calibration_dtype,
-    )
-    rows = []
-    for name, rec in payload["benchmarks"].items():
-        for size, sized in rec["by_batch_size"].items():
-            rows.append(
-                [name, int(size), sized["cold_build_s"], sized["cold_run_s"],
-                 sized["cold_total_s"], sized["warm_load_s"], sized["records"]]
-            )
-    print(format_table(
-        ["bench", "batch", "build s", "run s", "cold s", "warm s", "records"],
-        rows,
-    ))
-    baseline = payload.get("baseline")
-    if baseline:
-        print(
-            f"\n{baseline['benchmark']}: {baseline['speedup']}x vs "
-            f"{baseline['ref']} ({baseline['cold_total_s']}s)"
-        )
-    print(f"\nwrote {out_path}")
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache_dir or default_cache_dir())
     if args.action == "clear":
@@ -471,8 +381,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_sweep(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "cache":
         return _cmd_cache(args)
     if args.command == "lint":

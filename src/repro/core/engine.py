@@ -3,8 +3,8 @@
 The engine wires everything together for a benchmark:
 
 1. quantize the FP32 denoiser (optionally with trajectory calibration),
-2. run Defo's static graph analysis (annotating chained inputs / producer
-   non-linearities),
+2. run Defo's static graph analysis once per engine (annotating chained
+   inputs / producer non-linearities),
 3. generate a trajectory with the quantized model under a
    :class:`~repro.core.trace.TraceRecorder`; each record carries the
    denoiser-call index the pipeline's step announces (PLMS's warmup call
@@ -25,7 +25,6 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .. import profiling
 from ..diffusion.pipeline import GenerationPipeline
 from ..diffusion.samplers import make_sampler
 from ..diffusion.schedule import DiffusionSchedule
@@ -84,6 +83,9 @@ class DittoEngine:
         self.config = config
         self.benchmark = benchmark
         self._session = None  # the open EngineSession, if any
+        # Defo's static info, from the first instrumented run's graph probe:
+        # structural, so independent of the batch size and of later runs.
+        self._static_info: Optional[Dict[str, LayerStaticInfo]] = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -130,8 +132,7 @@ class DittoEngine:
         rng = np.random.default_rng(config.calibration_seed)
 
         def run_trajectory():
-            with profiling.phase("trajectory"):
-                return pipeline.generate(1, rng)
+            return pipeline.generate(1, rng)
 
         if config.step_clusters > 1:
             from ..quant.calibration import calibrate_model_clustered
@@ -139,24 +140,20 @@ class DittoEngine:
             # The trajectory's steps announce their denoiser-call indices,
             # which bucket the observed ranges by cluster.
             with calibration_precision(fp_model, pipeline, config.calibration_dtype):
-                with profiling.phase("calibration"):
-                    quantizers = calibrate_model_clustered(
-                        fp_model,
-                        run_trajectory,
-                        num_steps=pipeline.num_model_calls(),
-                        num_clusters=config.step_clusters,
-                    )
-            with profiling.phase("quantize"):
-                qmodel = quantize_model(fp_model, input_quantizers=quantizers)
+                quantizers = calibrate_model_clustered(
+                    fp_model,
+                    run_trajectory,
+                    num_steps=pipeline.num_model_calls(),
+                    num_clusters=config.step_clusters,
+                )
+            qmodel = quantize_model(fp_model, input_quantizers=quantizers)
         else:
             if config.calibrate:
                 with calibration_precision(fp_model, pipeline, config.calibration_dtype):
-                    with profiling.phase("calibration"):
-                        scales = calibrate_model(fp_model, run_trajectory)
+                    scales = calibrate_model(fp_model, run_trajectory)
             else:
                 scales = None
-            with profiling.phase("quantize"):
-                qmodel = quantize_model(fp_model, calibration=scales)
+            qmodel = quantize_model(fp_model, calibration=scales)
         pipeline.model = qmodel
         return cls(qmodel, pipeline, config, benchmark=benchmark)
 
@@ -400,14 +397,13 @@ class DittoEngine:
                 f"rngs supplies {len(rngs)} per-element streams for a batch "
                 f"of {batch_size}; need exactly one stream per element"
             )
-        if record_trace:
-            static_info = self.analyze_graph(batch_size)
+        if record_trace and self._static_info is None:
+            self._static_info = self.analyze_graph(batch_size)
         else:
-            # Serving path: the probe must still run (sticky scales freeze
-            # from it, batch-independently), but the static-info hooks and
-            # dataclasses would be discarded - skip them.
+            # The probe freezes sticky scales once per engine; later runs,
+            # and plain runs that discard static info, skip the hooks.
             self._freeze_scales(batch_size)
-            static_info = {}
+        static_info = dict(self._static_info) if record_trace else {}
         from ..quant.qlayers import reset_model_state, set_model_mode
 
         reset_model_state(self.qmodel)

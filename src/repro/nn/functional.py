@@ -33,12 +33,10 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .. import profiling
 
 __all__ = [
     "silu",
@@ -65,8 +63,6 @@ __all__ = [
 # only the interior of those buffers is ever written, so the border stays
 # zero).
 from ..scratch import scratch_buffer
-
-_perf_counter = time.perf_counter
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -152,8 +148,6 @@ def group_norm(
     ``out = x * (w/std) + (b - mean*w/std)``.  See the module docstring for
     the summation-order waiver.
     """
-    prof = profiling.active()
-    t0 = _perf_counter() if prof is not None else 0.0
     n, c, h, w = x.shape
     if c % num_groups:
         raise ValueError(f"channels {c} not divisible by groups {num_groups}")
@@ -184,8 +178,6 @@ def group_norm(
     shift = shift.reshape(n, c, 1, 1).astype(x.dtype, copy=False)
     out = x * scale
     out += shift
-    if prof is not None:
-        prof.add("norm", _perf_counter() - t0)
     return out
 
 
@@ -202,8 +194,6 @@ def layer_norm(
     separate passes because they are per-feature while the moments are
     per-row.
     """
-    prof = profiling.active()
-    t0 = _perf_counter() if prof is not None else 0.0
     d = x.shape[-1]
     # float64 accumulation regardless of input dtype - see _finish_moments.
     s1 = x.sum(axis=-1, keepdims=True, dtype=np.float64)
@@ -217,8 +207,6 @@ def layer_norm(
         out *= weight
     if bias is not None:
         out += bias
-    if prof is not None:
-        prof.add("norm", _perf_counter() - t0)
     return out
 
 
@@ -258,8 +246,6 @@ def im2col(
     This is the row-major layout; the conv hot path uses the transposed,
     block-copied :func:`im2col_t` instead.
     """
-    prof = profiling.active()
-    t0 = _perf_counter() if prof is not None else 0.0
     n, c, h, w = x.shape
     padded = None
     if padding:
@@ -280,15 +266,11 @@ def im2col(
         # copyto casts on the fly (e.g. float64 patches into a float32
         # buffer for the provably-exact single-precision integer GEMM).
         np.copyto(out.reshape(n, out_h, out_w, c, kernel, kernel), transposed)
-        if prof is not None:
-            prof.add("im2col", _perf_counter() - t0)
         return out, (out_h, out_w)
     cols = transposed.reshape(n, out_h * out_w, c * kernel * kernel)
     cols = np.ascontiguousarray(cols)
     if padded is not None and np.shares_memory(cols, padded):
         cols = cols.copy()  # detach from the reusable workspace
-    if prof is not None:
-        prof.add("im2col", _perf_counter() - t0)
     return cols, (out_h, out_w)
 
 
@@ -329,14 +311,10 @@ def im2col_t(
     axis in either formulation; the blocked form makes that structure
     explicit, removes the repo's last writeable=False ``as_strided``
     alias on the hot path, and is what a thread-per-block variant would
-    split.)  The per-stride cost is attributed to the ``im2col_s1`` /
-    ``im2col_s2`` profiling sub-buckets (plus ``im2col_s1_elems`` /
-    ``im2col_s2_elems`` element counters) so the stride-2-vs-stride-1
-    per-element parity claim is *gated* by ``scripts/check_bench.py``
-    against ``BENCH_PR10.json``, not asserted.
+    split.)  The benchmark's layer tracer (``perfbench/tracing.py``)
+    times the backend's ``im2col_t`` calls, every stride alike, into its
+    ``nn.backends.im2col`` bucket with their element counts.
     """
-    prof = profiling.active()
-    t0 = _perf_counter() if prof is not None else 0.0
     n, c, h, w = x.shape
     if padding:
         x = _pad_workspace(x, padding)
@@ -384,17 +362,6 @@ def im2col_t(
                     view6[:, :, ki, kj],
                     x[:, :, ki : ki + h_stop : stride, kj : kj + w_stop : stride],
                 )
-    if prof is not None:
-        elapsed = _perf_counter() - t0
-        prof.add("im2col", elapsed)
-        # Per-stride sub-buckets: check_bench.py gates stride-2 per-element
-        # parity with stride-1 from these (seconds + element counters).
-        if stride == 1:
-            prof.add("im2col_s1", elapsed)
-            prof.add("im2col_s1_elems", float(cols_t.size))
-        else:
-            prof.add("im2col_s2", elapsed)
-            prof.add("im2col_s2_elems", float(cols_t.size))
     return cols_t, (out_h, out_w)
 
 
@@ -431,8 +398,6 @@ def unfold_rows(
     Returns ``(rows, (out_h, out_w))``; ``out`` must have the rows shape
     and receives the unfold (with a cast, e.g. float64 into float32).
     """
-    prof = profiling.active()
-    t0 = _perf_counter() if prof is not None else 0.0
     n, c, h, w = x.shape
     ph, pw = h + 2 * padding, w + 2 * padding
     length = ph * pw
@@ -452,10 +417,6 @@ def unfold_rows(
     taps = rows.reshape(n, c, kernel, length)
     for kj in range(kernel):
         np.copyto(taps[:, :, kj], flat[:, :, kj : kj + length])
-    if prof is not None:
-        # The whole-unfold bucket only: the im2col_s1 / im2col_s2 sub-buckets
-        # keep timing im2col_t's square-kernel gather for the parity gate.
-        prof.add("im2col", _perf_counter() - t0)
     return rows, (ph - kernel + 1, pw - kernel + 1)
 
 

@@ -45,8 +45,9 @@ __all__ = [
 
 # Bump when the cached payload layout changes (e.g. new EngineResult fields
 # that old pickles would silently lack).  2: pickled engines carry their
-# EngineConfig, and every key hashes the resolved config.
-CACHE_SCHEMA_VERSION = 2
+# EngineConfig, and every key hashes the resolved config.  3: pickled engines
+# carry their memoized static analysis (``DittoEngine._static_info``).
+CACHE_SCHEMA_VERSION = 3
 
 _CODE_FINGERPRINT: Optional[str] = None
 

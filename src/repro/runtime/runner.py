@@ -40,20 +40,13 @@ from .hashing import engine_build_key, engine_key, similarity_key
 __all__ = ["EngineRunner", "SIMILARITY_MAX_STEPS", "normalize_batch_sizes"]
 
 
-def normalize_batch_sizes(
-    batch_sizes: Iterable[int], preserve_order: bool = False
-) -> List[int]:
-    """Dedupe and validate a batch-size axis (shared by bench/serve/sweeps).
+def normalize_batch_sizes(batch_sizes: Iterable[int]) -> List[int]:
+    """Dedupe, sort and validate a batch-size axis (shared by serve/sweeps).
 
-    ``preserve_order=True`` keeps first-occurrence order (``repro bench``
-    treats the first size as the headline record); the default sorts
-    ascending.  Rejects empty input and sizes < 1.
+    Rejects empty input and sizes < 1.
     """
     requested = [int(b) for b in batch_sizes]
-    if preserve_order:
-        sizes = list(dict.fromkeys(requested))
-    else:
-        sizes = sorted(set(requested))
+    sizes = sorted(set(requested))
     if not sizes:
         raise ValueError("need at least one batch size")
     if min(sizes) < 1:

@@ -699,3 +699,80 @@ def test_run_without_trace_matches_instrumented():
     assert len(instrumented.rich_trace) > 0
     assert len(bare.rich_trace) == 0
     assert bare.num_model_calls == instrumented.num_model_calls
+
+
+def _count_denoiser_calls(monkeypatch, engine):
+    """Count every denoiser evaluation, the graph probe's included."""
+    calls = [0]
+    predict = engine.pipeline.predict_noise_rows
+
+    def counted(x, t_rows):
+        calls[0] += 1
+        return predict(x, t_rows)
+
+    monkeypatch.setattr(engine.pipeline, "predict_noise_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["DDPM", "DiT"])
+def test_plain_rerun_does_no_instrumentation_work(name, monkeypatch):
+    """Plan replay is ``run(record_trace=False)``: once the engine has run,
+    a plain run makes exactly its trajectory's denoiser calls - no probe
+    forward - and classifies nothing, whether seeded or given explicit
+    noise and per-row streams."""
+    from repro.core import bitwidth
+    from repro.quant import qlayers
+    from repro.workloads.suite import get_benchmark
+
+    engine = DittoEngine.from_benchmark(
+        get_benchmark(name), num_steps=3, calibrate=False
+    )
+
+    def no_classify(*args):
+        raise AssertionError("a record_trace=False run classified")
+
+    engine.run(batch_size=2, seed=5, record_trace=False)
+    calls = _count_denoiser_calls(monkeypatch, engine)
+    for module in (bitwidth, qlayers):
+        monkeypatch.setattr(module, "classify", no_classify)
+        monkeypatch.setattr(module, "classify_many", no_classify)
+    x_init = np.random.default_rng(5).standard_normal(
+        (2,) + engine.pipeline.sample_shape
+    )
+    for kwargs in (
+        {"batch_size": 2, "seed": 5},
+        {"x_init": x_init, "rngs": [_stream(0), _stream(1)]},
+    ):
+        calls[0] = 0
+        result = engine.run(record_trace=False, **kwargs)
+        assert calls[0] == result.num_model_calls
+        assert len(result.rich_trace) == 0
+
+
+@pytest.mark.parametrize("name", ["DDPM", "DiT"])
+def test_static_analysis_runs_once_per_engine(name, monkeypatch, tmp_path):
+    """The graph probe is structural: the first instrumented run computes
+    the static info, later runs - at another batch size, and on the engine
+    reloaded from the result cache - reuse it without a probe forward and
+    record what a fresh engine's first run at that batch size records."""
+    from repro.runtime import ResultCache
+    from repro.workloads.suite import get_benchmark
+
+    def build():
+        return DittoEngine.from_benchmark(
+            get_benchmark(name), num_steps=3, calibrate=False
+        )
+
+    engine = build()
+    first = engine.run(seed=5)
+    assert first.static_info
+    cache = ResultCache(tmp_path)
+    cache.put("engine", engine)
+    fresh = build().run(batch_size=2, seed=5)
+    for target in (engine, cache.get("engine")):
+        calls = _count_denoiser_calls(monkeypatch, target)
+        second = target.run(batch_size=2, seed=5)
+        assert calls[0] == second.num_model_calls
+        assert second.static_info == first.static_info == fresh.static_info
+        np.testing.assert_array_equal(second.samples, fresh.samples)
+        assert list(second.rich_trace) == list(fresh.rich_trace)

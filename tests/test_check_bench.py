@@ -1,18 +1,21 @@
-"""Tests for the CI perf-regression gate (``scripts/check_bench.py``).
+"""Tests for the CI perf gate (``scripts/check_bench.py``).
 
-The gate must fail (exit 1) on a synthetic slowdown beyond the tolerance
-and pass (exit 0) on equal or faster records - the property the perf-smoke
-CI job relies on.  The script is run through ``main(argv)`` via import, so
-these tests exercise exactly what CI executes.
+The gate runs perfbench and compares the measurement with a committed
+record.  These tests start no perfbench run: they gate synthetic records
+through ``compare`` and ``main`` (with ``measure`` replaced), and check the
+committed ``BENCH_PR25.json`` against ``BENCHMARK.json``.
 """
 
+import copy
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_bench.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_SCRIPT = _ROOT / "scripts" / "check_bench.py"
+_SPEC = json.loads((_ROOT / "BENCHMARK.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -23,366 +26,253 @@ def check_bench():
     return module
 
 
-def _record(cold_total=1.0, cold_build=0.4, cold_run=0.6, warm=0.001,
-            speed=None, phases=None):
-    sized = {
-        "cold_build_s": cold_build,
-        "cold_run_s": cold_run,
-        "cold_total_s": cold_total,
-        "warm_load_s": warm,
-    }
-    if phases is not None:
-        sized["phases"] = phases
+def _entry(check_bench, calls=400.0):
+    per_layer = {name + check_bench.PER_CALL_SUFFIX: 1e-3 for name in check_bench.PER_CALL}
+    per_layer.update({name: 0.2 for name in check_bench.PER_RUN})
     return {
-        "schema": 3,
-        "host": {} if speed is None else {"speed_index_s": speed},
-        "benchmarks": {
-            "DDPM": {
-                "by_batch_size": {
-                    "1": sized,
-                }
-            }
+        "correct": True,
+        "attempted": 10,
+        "failed": 0,
+        "end_to_end": {
+            "setup_s": 0.3,
+            "gen_samples_per_s": 5.0,
+            "latency_p50_s": 0.8,
+            "peak_rss_mb": 70.0,
         },
+        "per_layer": per_layer,
+        "model_calls": calls,
+        "probe_scale": 1.0,
     }
 
 
-def _write(tmp_path, name, record):
-    path = tmp_path / name
-    path.write_text(json.dumps(record))
-    return str(path)
+def _record(check_bench, **kwargs):
+    return {
+        "seed": check_bench.SEED,
+        "seconds": check_bench.SECONDS,
+        "workloads": {w["name"]: _entry(check_bench, **kwargs) for w in _SPEC["workloads"]},
+    }
 
 
-def test_gate_passes_on_identical_records(tmp_path, check_bench, capsys):
-    base = _write(tmp_path, "base.json", _record())
-    fresh = _write(tmp_path, "fresh.json", _record())
-    assert check_bench.main([fresh, "--baseline", base]) == 0
+def _gate(check_bench, record, fresh):
+    return check_bench.compare(_SPEC, record, fresh)[1]
+
+
+def test_gate_passes_on_identical_records(check_bench):
+    record = _record(check_bench)
+    rows, failures = check_bench.compare(_SPEC, record, copy.deepcopy(record))
+    assert failures == []
+    per_workload = len(_SPEC["end_to_end"]) + len(check_bench.PER_CALL + check_bench.PER_RUN)
+    assert len(rows) == len(_SPEC["workloads"]) * per_workload
+
+
+def test_gate_fails_on_synthetic_slowdown(check_bench):
+    """2.1x worse fails in either direction: fewer samples per second
+    (``higher`` is better) or a longer set-up (``lower`` is better)."""
+    record = _record(check_bench)
+    for workload in record["workloads"]:
+        for metric, slower in (("gen_samples_per_s", 5.0 / 2.1), ("setup_s", 0.3 * 2.1)):
+            fresh = copy.deepcopy(record)
+            fresh["workloads"][workload]["end_to_end"][metric] = slower
+            failures = _gate(check_bench, record, fresh)
+            assert len(failures) == 1
+            assert failures[0].startswith(f"{workload} {metric}:")
+        fresh = copy.deepcopy(record)
+        fresh["workloads"][workload]["end_to_end"]["gen_samples_per_s"] = 5.0 / 1.9
+        assert _gate(check_bench, record, fresh) == []
+
+
+def test_gate_fails_on_incorrect_run(check_bench):
+    record = _record(check_bench)
+    for field, value in (("correct", False), ("failed", 1)):
+        fresh = copy.deepcopy(record)
+        fresh["workloads"]["serve-ddpm-c4"][field] = value
+        failures = _gate(check_bench, record, fresh)
+        assert len(failures) == 1 and failures[0].startswith("serve-ddpm-c4: correct")
+
+
+def test_phase_bucket_regression_fails_alone(check_bench):
+    """A per-layer timing that more than doubles fails while every
+    end-to-end metric holds."""
+    record = _record(check_bench)
+    for metric in record["workloads"]["replay-ddpm-b4"]["per_layer"]:
+        fresh = copy.deepcopy(record)
+        fresh["workloads"]["replay-ddpm-b4"]["per_layer"][metric] *= 2.5
+        failures = _gate(check_bench, record, fresh)
+        assert len(failures) == 1
+        assert failures[0].startswith(f"replay-ddpm-b4 {metric}:")
+        assert failures[0].endswith("2.50x worse")
+
+
+def test_build_win_cannot_mask_run_regression(check_bench):
+    record = _record(check_bench)
+    fresh = copy.deepcopy(record)
+    fresh["workloads"]["analyze-dit-b1"]["end_to_end"]["setup_s"] = 0.1
+    fresh["workloads"]["analyze-dit-b1"]["per_layer"]["core.engine.build_s"] = 0.05
+    fresh["workloads"]["analyze-dit-b1"]["end_to_end"]["latency_p50_s"] = 0.8 * 2.2
+    failures = _gate(check_bench, record, fresh)
+    assert len(failures) == 1 and failures[0].startswith("analyze-dit-b1 latency_p50_s:")
+
+
+def test_gate_ignores_sub_min_delta_jitter(check_bench):
+    """A per-run timing 10x worse by 18 ms is under the 50 ms floor."""
+    record = _record(check_bench)
+    for entry in record["workloads"].values():
+        entry["per_layer"]["runtime.cache.get_s"] = 0.002
+    fresh = copy.deepcopy(record)
+    fresh["workloads"]["replay-ddpm-b4"]["per_layer"]["runtime.cache.get_s"] = 0.02
+    assert _gate(check_bench, record, fresh) == []
+
+
+def test_phase_buckets_respect_min_delta_and_normalization(check_bench):
+    """A per-call timing's excess counts against the floor over the
+    record's denoiser calls; a host-speed change cancels in the probe
+    scale."""
+    metric = "nn.functional.norm_s" + check_bench.PER_CALL_SUFFIX
+    for calls, fails in ((10.0, False), (400.0, True)):
+        record = _record(check_bench, calls=calls)
+        fresh = copy.deepcopy(record)
+        fresh["workloads"]["replay-ddpm-b4"]["per_layer"][metric] = 3e-3  # 3x
+        assert bool(_gate(check_bench, record, fresh)) is fails
+    traced = _traced_result(check_bench, seconds=0.4, calls=400.0)
+    plain = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    slow_host = copy.deepcopy(traced)
+    for entry in slow_host["metrics"].values():
+        if entry["unit"] == "s":
+            entry["value"] *= 2.0
+    assert (check_bench.summarize(plain, slow_host, 0.5)["per_layer"]
+            == check_bench.summarize(plain, traced, 1.0)["per_layer"])
+
+
+def _traced_result(check_bench, seconds, calls):
+    metrics = {
+        name: {"value": seconds, "unit": "s"}
+        for name in check_bench.PER_CALL + check_bench.PER_RUN
+    }
+    metrics[check_bench.CALLS] = {"value": calls, "unit": "count"}
+    metrics["nn.backends.im2col_elems"] = {"value": 1e6, "unit": "elems"}
+    metrics["nn.backends.gemm_calls"] = {"value": 900.0, "unit": "count"}
+    return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+
+def test_gate_normalizes_by_host_speed_index(check_bench):
+    """The traced run's seconds are scaled by the host probe; the kernel
+    buckets are per denoiser call."""
+    traced = _traced_result(check_bench, seconds=0.4, calls=200.0)
+    plain = {
+        "correct": True, "attempted": 2, "failed": 0,
+        "metrics": {"setup_s": {"value": 0.3, "unit": "s"}},
+    }
+    entry = check_bench.summarize(plain, traced, 0.5)
+    for name in check_bench.PER_CALL:
+        assert entry["per_layer"][name + check_bench.PER_CALL_SUFFIX] == pytest.approx(1e-3)
+    for name in check_bench.PER_RUN:
+        assert entry["per_layer"][name] == pytest.approx(0.2)
+    assert entry["end_to_end"] == {"setup_s": 0.3}
+    assert (entry["correct"], entry["attempted"], entry["model_calls"]) == (True, 3, 200.0)
+
+
+def test_elems_counters_are_not_gated_as_timings(check_bench):
+    traced = _traced_result(check_bench, seconds=0.4, calls=200.0)
+    plain = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    per_layer = check_bench.summarize(plain, traced, 1.0)["per_layer"]
+    assert set(per_layer) == (
+        {name + check_bench.PER_CALL_SUFFIX for name in check_bench.PER_CALL}
+        | set(check_bench.PER_RUN)
+    )
+
+
+def test_gate_speedups_and_new_entries_pass(check_bench):
+    record = _record(check_bench)
+    fresh = copy.deepcopy(record)
+    for entry in fresh["workloads"].values():
+        entry["end_to_end"]["gen_samples_per_s"] *= 3
+        entry["end_to_end"]["setup_s"] /= 3
+        entry["per_layer"] = {name: v / 3 for name, v in entry["per_layer"].items()}
+        entry["per_layer"]["new.layer_s"] = 9.0
+    assert _gate(check_bench, record, fresh) == []
+
+
+def test_phaseless_records_still_compare(check_bench):
+    """A record without per-layer timings still gates the end-to-end ones."""
+    record = _record(check_bench)
+    for entry in record["workloads"].values():
+        entry["per_layer"] = {}
+    fresh = copy.deepcopy(record)
+    assert _gate(check_bench, record, fresh) == []
+    fresh["workloads"]["replay-ddpm-b4"]["end_to_end"]["peak_rss_mb"] = 150.0
+    assert _gate(check_bench, record, fresh)[0].startswith("replay-ddpm-b4 peak_rss_mb:")
+
+
+def test_gate_fails_on_missing_entries(check_bench):
+    """A workload, end-to-end metric or per-layer timing without a value
+    fails: a failed perfbench run reports none."""
+    record = _record(check_bench)
+    fresh = copy.deepcopy(record)
+    del fresh["workloads"]["analyze-dit-b1"]
+    del fresh["workloads"]["serve-ddpm-c4"]["end_to_end"]["latency_p50_s"]
+    del fresh["workloads"]["replay-ddpm-b4"]["per_layer"]["core.plan.derive_s"]
+    assert sorted(_gate(check_bench, record, fresh)) == [
+        "analyze-dit-b1: missing from the fresh measurement",
+        "replay-ddpm-b4 core.plan.derive_s: no value",
+        "serve-ddpm-c4 latency_p50_s: no value",
+    ]
+    broken = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    entry = check_bench.summarize(broken, broken, 1.0)
+    assert (entry["correct"], entry["end_to_end"], entry["per_layer"]) == (False, {}, {})
+
+
+def test_gate_errors_on_unreadable_records(tmp_path, check_bench, monkeypatch):
+    def no_measure(workloads):
+        raise AssertionError("measured before reading the record")
+
+    monkeypatch.setattr(check_bench, "measure", no_measure)
+    assert check_bench.main(["--baseline", str(tmp_path / "missing.json")]) == 2
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert check_bench.main(["--baseline", str(bad)]) == 2
+
+
+def test_gate_against_committed_baseline(tmp_path, check_bench, monkeypatch, capsys):
+    """``main`` measures every BENCHMARK.json workload, writes the fresh
+    record, and passes the committed record against itself."""
+    committed = json.loads((_ROOT / "BENCH_PR25.json").read_text())
+    measured = []
+
+    def fake_measure(workloads):
+        measured.extend(workloads)
+        return committed
+
+    monkeypatch.setattr(check_bench, "measure", fake_measure)
+    monkeypatch.setattr(check_bench, "FRESH", tmp_path / "fresh.json")
+    assert check_bench.main(["--baseline", str(_ROOT / "BENCH_PR25.json")]) == 0
+    assert measured == [w["name"] for w in _SPEC["workloads"]]
+    assert json.loads((tmp_path / "fresh.json").read_text()) == committed
     assert "OK" in capsys.readouterr().out
 
 
-def test_gate_fails_on_synthetic_slowdown(tmp_path, check_bench, capsys):
-    base = _write(tmp_path, "base.json", _record())
-    slow = _write(
-        tmp_path, "slow.json",
-        _record(cold_total=1.6, cold_build=0.64, cold_run=0.96),
-    )
-    assert check_bench.main([slow, "--baseline", base, "--tol", "0.25"]) == 1
-    out = capsys.readouterr().out
-    assert "REGRESSED" in out
-    assert "FAIL" in out
+def test_write_mode_refuses_a_failed_measurement(tmp_path, check_bench, monkeypatch):
+    record = _record(check_bench)
+    monkeypatch.setattr(check_bench, "measure", lambda workloads: record)
+    monkeypatch.setattr(check_bench, "FRESH", tmp_path / "fresh.json")
+    out = tmp_path / "record.json"
+    assert check_bench.main(["--baseline", str(out), "--write"]) == 0
+    assert json.loads(out.read_text()) == record
+    record["workloads"]["serve-ddpm-c4"]["correct"] = False
+    out.unlink()
+    assert check_bench.main(["--baseline", str(out), "--write"]) == 1
+    assert not out.exists()
 
 
-def test_gate_tolerance_env_override(tmp_path, check_bench, monkeypatch):
-    base = _write(tmp_path, "base.json", _record())
-    slow = _write(
-        tmp_path, "slow.json",
-        _record(cold_total=1.6, cold_build=0.64, cold_run=0.96),
-    )
-    monkeypatch.setenv("REPRO_BENCH_TOL", "1.0")
-    assert check_bench.main([slow, "--baseline", base]) == 0
-    # Explicit --tol wins over the environment.
-    assert check_bench.main([slow, "--baseline", base, "--tol", "0.1"]) == 1
-
-
-def test_gate_ignores_sub_min_delta_jitter(tmp_path, check_bench):
-    # The warm cache load is sub-millisecond: a 3x blip is absolute noise
-    # and must not trip the relative gate.
-    base = _write(tmp_path, "base.json", _record(warm=0.0004))
-    fresh = _write(tmp_path, "fresh.json", _record(warm=0.0012))
-    assert check_bench.main([fresh, "--baseline", base]) == 0
-    # ...unless the caller insists on a zero absolute slack.
-    assert (
-        check_bench.main([fresh, "--baseline", base, "--min-delta", "0"]) == 1
-    )
-
-
-def test_gate_speedups_and_new_entries_pass(tmp_path, check_bench, capsys):
-    base = _write(tmp_path, "base.json", _record())
-    fresh_record = _record(cold_total=0.5, cold_build=0.2, cold_run=0.3)
-    fresh_record["benchmarks"]["SDM"] = {
-        "by_batch_size": {"4": {"cold_total_s": 9.9}}
-    }
-    fresh = _write(tmp_path, "fresh.json", fresh_record)
-    assert check_bench.main([fresh, "--baseline", base]) == 0
-
-
-def test_gate_warns_on_missing_entries(tmp_path, check_bench, capsys):
-    base = _write(tmp_path, "base.json", _record())
-    fresh_record = _record()
-    del fresh_record["benchmarks"]["DDPM"]["by_batch_size"]["1"]["warm_load_s"]
-    fresh = _write(tmp_path, "fresh.json", fresh_record)
-    assert check_bench.main([fresh, "--baseline", base]) == 0
-    assert "missing from fresh record" in capsys.readouterr().out
-
-
-def test_gate_normalizes_by_host_speed_index(tmp_path, check_bench, capsys):
-    """A 2x slower machine measuring 2x timings is NOT a regression once
-    both records carry the host speed probe - and a genuine slowdown still
-    fails after normalization."""
-    base = _write(tmp_path, "base.json", _record(speed=0.03))
-    slow_host = _write(
-        tmp_path, "slow_host.json",
-        _record(cold_total=2.0, cold_build=0.8, cold_run=1.2, speed=0.06),
-    )
-    assert check_bench.main([slow_host, "--baseline", base]) == 0
-    assert "host speed ratio 2.000" in capsys.readouterr().out
-    # Raw comparison (opt-out) still sees the 2x wall clock.
-    assert (
-        check_bench.main([slow_host, "--baseline", base, "--no-normalize"])
-        == 1
-    )
-    # A real 2x regression on an identical-speed host keeps failing.
-    real_slow = _write(
-        tmp_path, "real_slow.json",
-        _record(cold_total=2.0, cold_build=0.8, cold_run=1.2, speed=0.03),
-    )
-    assert check_bench.main([real_slow, "--baseline", base]) == 1
-
-
-def test_gate_falls_back_to_raw_without_speed_probe(tmp_path, check_bench, capsys):
-    base = _write(tmp_path, "base.json", _record(speed=0.03))
-    fresh = _write(tmp_path, "fresh.json", _record())  # no probe
-    assert check_bench.main([fresh, "--baseline", base]) == 0
-    assert "raw wall clock" in capsys.readouterr().out
-
-
-def test_gate_errors_on_unreadable_records(tmp_path, check_bench):
-    fresh = _write(tmp_path, "fresh.json", _record())
-    assert check_bench.main([fresh, "--baseline", "/nonexistent.json"]) == 2
-    empty = tmp_path / "empty.json"
-    empty.write_text("{}")
-    assert check_bench.main([str(empty), "--baseline", str(empty)]) == 2
-
-
-def test_gate_against_committed_baseline(check_bench, capsys):
-    """The committed BENCH_PR10.json compared to itself passes - the shape the
-    perf-smoke job consumes is exactly what `repro bench` wrote."""
-    baseline = str(Path(__file__).resolve().parents[1] / "BENCH_PR10.json")
-    assert check_bench.main([baseline, "--baseline", baseline]) == 0
-    assert "OK" in capsys.readouterr().out
-
-
-# -- per-phase gating (schema 3) ---------------------------------------------
-
-def test_build_win_cannot_mask_run_regression(tmp_path, check_bench, capsys):
-    """A big build-phase speedup plus a run-phase regression keeps the total
-    inside the tolerance - the per-phase gate must still fail on the run."""
-    base = _write(tmp_path, "base.json", _record())
-    fresh = _write(
-        tmp_path, "fresh.json",
-        # build 0.4 -> 0.15 (win), run 0.6 -> 0.95 (+58%); total 1.0 -> 1.1
-        # stays under the 25% total tolerance.
-        _record(cold_total=1.1, cold_build=0.15, cold_run=0.95),
-    )
-    assert check_bench.main([fresh, "--baseline", base]) == 1
-    out = capsys.readouterr().out
-    assert "cold_run_s" in out and "REGRESSED" in out
-
-
-def test_phase_bucket_regression_fails_alone(tmp_path, check_bench, capsys):
-    """A regressed phases bucket fails even when every headline timing is
-    flat (attribution the totals can never give)."""
-    base = _write(
-        tmp_path, "base.json",
-        _record(phases={"build": {"calibration": 0.3}, "run": {"norm": 0.1}}),
-    )
-    fresh = _write(
-        tmp_path, "fresh.json",
-        _record(phases={"build": {"calibration": 0.3}, "run": {"norm": 0.4}}),
-    )
-    assert check_bench.main([fresh, "--baseline", base]) == 1
-    out = capsys.readouterr().out
-    assert "run.norm" in out and "REGRESSED" in out
-
-
-def test_phase_buckets_respect_min_delta_and_normalization(
-    tmp_path, check_bench
-):
-    # Tiny buckets ride the absolute slack like the warm load does...
-    base = _write(
-        tmp_path, "base.json",
-        _record(speed=0.03, phases={"build": {"quantize": 0.004}}),
-    )
-    fresh = _write(
-        tmp_path, "fresh.json",
-        _record(speed=0.03, phases={"build": {"quantize": 0.012}}),
-    )
-    assert check_bench.main([fresh, "--baseline", base]) == 0
-    # ...and large ones are compared in baseline-machine seconds.
-    base = _write(
-        tmp_path, "base2.json",
-        _record(speed=0.03, phases={"run": {"im2col": 0.4}}),
-    )
-    slow_host = _write(
-        tmp_path, "fresh2.json",
-        _record(speed=0.06, phases={"run": {"im2col": 0.8}}),
-    )
-    assert check_bench.main([slow_host, "--baseline", base]) == 0
-    same_host = _write(
-        tmp_path, "fresh3.json",
-        _record(speed=0.03, phases={"run": {"im2col": 0.8}}),
-    )
-    assert check_bench.main([same_host, "--baseline", base]) == 1
-
-
-# -- plan-then-execute floor check (PR 9) ------------------------------------
-
-def _plan_record(replay=0.10, plain=0.10, derive=0.3, **kwargs):
-    record = _record(**kwargs)
-    sized = record["benchmarks"]["DDPM"]["by_batch_size"]["1"]
-    sized["plan_derive_s"] = derive
-    sized["plan_replay_run_s"] = replay
-    sized["plain_run_s"] = plain
-    return record
-
-
-def test_plan_floor_passes_at_the_floor(tmp_path, check_bench, capsys):
-    base = _write(tmp_path, "base.json", _plan_record())
-    fresh = _write(tmp_path, "fresh.json", _plan_record())
-    assert check_bench.main([fresh, "--baseline", base]) == 0
-    out = capsys.readouterr().out
-    assert "plan floor" in out and "plan-floor check(s) passed" in out
-
-
-def test_plan_floor_fails_above_tolerance(tmp_path, check_bench, capsys):
-    # Replay 2x the plain floor, well past 15% and the 50 ms slack.
-    base = _write(tmp_path, "base.json", _plan_record())
-    fresh = _write(tmp_path, "fresh.json", _plan_record(replay=0.20, plain=0.10))
-    assert check_bench.main([fresh, "--baseline", base]) == 1
-    out = capsys.readouterr().out
-    assert "ABOVE FLOOR" in out and "plain-forward floor" in out
-
-
-def test_plan_floor_respects_min_delta_and_env_tol(tmp_path, check_bench,
-                                                   monkeypatch):
-    # A 2x blip on a tiny run rides the absolute slack...
-    base = _write(tmp_path, "base.json", _plan_record(replay=0.002, plain=0.001))
-    fresh = base
-    assert check_bench.main([fresh, "--baseline", base]) == 0
-    # ...and REPRO_PLAN_FLOOR_TOL loosens the relative gate.
-    slow = _write(tmp_path, "slow.json", _plan_record(replay=0.20, plain=0.10))
-    monkeypatch.setenv("REPRO_PLAN_FLOOR_TOL", "1.5")
-    assert check_bench.main([slow, "--baseline", slow]) == 0
-    # Explicit --plan-floor-tol wins over the environment.
-    assert check_bench.main(
-        [slow, "--baseline", slow, "--plan-floor-tol", "0.15"]
-    ) == 1
-
-
-def test_plan_floor_is_within_record_not_vs_baseline(tmp_path, check_bench):
-    """The floor check reads only the fresh record: a baseline without plan
-    fields never blocks it, and baseline plan timings gate cross-record via
-    the ordinary metric comparison (plan_replay_run_s is a gated metric)."""
-    base = _write(tmp_path, "base.json", _record())  # pre-PR9 baseline
-    fresh = _write(tmp_path, "fresh.json", _plan_record(replay=0.20, plain=0.10))
-    assert check_bench.main([fresh, "--baseline", base]) == 1
-    base_plan = _write(tmp_path, "base2.json", _plan_record(replay=0.05))
-    slow_replay = _write(
-        tmp_path, "fresh2.json", _plan_record(replay=0.11, plain=0.10)
-    )
-    # Replay regressed 0.05 -> 0.11 vs baseline (>25% and >50 ms) even though
-    # it sits within 15% of its own plain floor.
-    assert check_bench.main([slow_replay, "--baseline", base_plan]) == 1
-
-
-# -- stride-2 im2col parity check (PR 10) ------------------------------------
-
-def _parity_record(s1=0.2, s1_elems=1000.0, s2=0.2, s2_elems=1000.0, **kwargs):
-    record = _record(**kwargs)
-    sized = record["benchmarks"]["DDPM"]["by_batch_size"]["1"]
-    sized.setdefault("phases", {})["run"] = {
-        "im2col_s1": s1, "im2col_s1_elems": s1_elems,
-        "im2col_s2": s2, "im2col_s2_elems": s2_elems,
-    }
-    return record
-
-
-def test_im2col_parity_passes_at_equal_rates(tmp_path, check_bench, capsys):
-    rec = _write(tmp_path, "rec.json", _parity_record())
-    assert check_bench.main([rec, "--baseline", rec]) == 0
-    out = capsys.readouterr().out
-    assert "im2col parity" in out and "im2col-parity check(s) passed" in out
-
-
-def test_im2col_parity_fails_beyond_tolerance(tmp_path, check_bench, capsys):
-    # Same element count, 3x the seconds: the stride-2 per-element rate is
-    # 3x stride-1, past the default within-2x tolerance.
-    rec = _write(tmp_path, "rec.json", _parity_record(s2=0.6))
-    assert check_bench.main([rec, "--baseline", rec]) == 1
-    out = capsys.readouterr().out
-    assert "OFF PARITY" in out and "FAIL" in out
-
-
-def test_im2col_parity_is_per_element_not_per_second(tmp_path, check_bench):
-    """3x the wall clock over 4x the elements is a parity *win*: only the
-    per-element gather rate is gated, never the bucket totals (those are
-    covered by the ordinary cross-record phase gate)."""
-    rec = _write(
-        tmp_path, "rec.json", _parity_record(s2=0.6, s2_elems=4000.0)
-    )
-    assert check_bench.main([rec, "--baseline", rec]) == 0
-
-
-def test_im2col_parity_tol_flag_and_env(tmp_path, check_bench, monkeypatch):
-    rec = _write(tmp_path, "rec.json", _parity_record(s2=0.6))
-    monkeypatch.setenv("REPRO_IM2COL_TOL", "3.0")
-    assert check_bench.main([rec, "--baseline", rec]) == 0
-    # Explicit --im2col-parity-tol wins over the environment.
-    assert check_bench.main(
-        [rec, "--baseline", rec, "--im2col-parity-tol", "0.5"]
-    ) == 1
-
-
-def test_im2col_parity_skips_tiny_buckets_and_missing_fields(
-    tmp_path, check_bench
-):
-    # Buckets under the parity signal floor (5 ms default) are per-call
-    # overhead, not gather throughput.
-    tiny = _write(
-        tmp_path, "tiny.json", _parity_record(s1=0.002, s2=0.006)
-    )
-    assert check_bench.main([tiny, "--baseline", tiny]) == 0
-    # Lowering the floor re-engages the check (rate ratio 3x here).
-    assert check_bench.main(
-        [tiny, "--baseline", tiny, "--im2col-min-seconds", "0.001"]
-    ) == 1
-    # Records without the stride sub-buckets (pre-PR10) never trip the check.
-    plain = _write(
-        tmp_path, "plain.json",
-        _record(phases={"run": {"im2col": 0.4}}),
-    )
-    assert check_bench.main([plain, "--baseline", plain]) == 0
-
-
-def test_elems_counters_are_not_gated_as_timings(tmp_path, check_bench):
-    """The *_elems buckets are deterministic element counts, not seconds:
-    a fresh record unfolding 10x the elements must not read as a 10x phase
-    regression (and must never be speed-normalized)."""
-    base = _write(tmp_path, "base.json", _parity_record(speed=0.03))
-    fresh = _write(
-        tmp_path, "fresh.json",
-        _parity_record(
-            s1_elems=10000.0, s2_elems=10000.0, s1=2.0, s2=2.0, speed=0.03
-        ),
-    )
-    # The seconds buckets regressed 10x and fail; the elems growth itself
-    # is reported nowhere in the regression list.
-    assert check_bench.main([fresh, "--baseline", base]) == 1
-    # Elems-only growth with flat seconds passes cleanly.
-    fresh_flat = _write(
-        tmp_path, "fresh_flat.json",
-        _parity_record(s1_elems=10000.0, s2_elems=10000.0, speed=0.03),
-    )
-    assert check_bench.main([fresh_flat, "--baseline", base]) == 0
-
-
-def test_phaseless_records_still_compare(tmp_path, check_bench):
-    """Pre-schema-3 records (no phases dict) flow through the gate; a fresh
-    record growing new phase buckets never fails, and a baseline bucket
-    missing from the fresh record only warns."""
-    base = _write(tmp_path, "base.json", _record())
-    fresh = _write(
-        tmp_path, "fresh.json",
-        _record(phases={"run": {"norm": 0.1}}),
-    )
-    assert check_bench.main([fresh, "--baseline", base]) == 0
-    assert check_bench.main([base, "--baseline", fresh]) == 0
+def test_committed_record_covers_every_workload_and_metric(check_bench):
+    """A workload or end-to-end metric added to BENCHMARK.json cannot go
+    ungated: the committed record has exactly their product, every
+    per-layer timing, and passed its own checks."""
+    committed = json.loads((_ROOT / "BENCH_PR25.json").read_text())
+    assert (committed["seed"], committed["seconds"]) == (check_bench.SEED, check_bench.SECONDS)
+    assert set(committed["workloads"]) == {w["name"] for w in _SPEC["workloads"]}
+    per_layer = {name + check_bench.PER_CALL_SUFFIX for name in check_bench.PER_CALL}
+    per_layer |= set(check_bench.PER_RUN)
+    for entry in committed["workloads"].values():
+        assert set(entry["end_to_end"]) == {m["name"] for m in _SPEC["end_to_end"]}
+        assert set(entry["per_layer"]) == per_layer
+        assert entry["correct"] and entry["failed"] == 0
