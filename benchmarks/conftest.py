@@ -33,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import runtime as lint_runtime
+from repro.nn import sanitizer
 from repro.runtime import EngineRunner
 from repro.workloads import SUITE
 
@@ -50,10 +50,10 @@ def _numeric_sanitizer():
     unwrapped (they re-import repro fresh), which is fine - the CI sanitize
     leg runs single-process.
     """
-    if not lint_runtime.enabled():
+    if not sanitizer.enabled():
         yield
         return
-    with lint_runtime.sanitized():
+    with sanitizer.sanitized():
         yield
 
 

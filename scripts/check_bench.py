@@ -5,11 +5,12 @@
     python scripts/check_bench.py --baseline BENCH_PR25.json --write  # re-record
 
 For every workload in ``BENCHMARK.json`` the gate runs ``perfbench/run.py``
-twice at ``SEED`` for ``SECONDS``: untraced (``--trace 0``) for the
-end-to-end metrics and traced (``--trace 1``) for the per-layer ones.  It
-writes the fresh measurement to ``perfbench-fresh.json`` and fails when
+at ``SEED`` for ``SECONDS``: once untraced (``--trace 0``) for the
+end-to-end metrics and ``PASSES`` times traced (``--trace 1``) for the
+per-layer ones.  It writes the fresh measurement to ``perfbench-fresh.json``
+and fails when
 
-* a run reports ``correct: false`` or ``failed > 0``, or prints no result;
+* any run reports ``correct: false`` or ``failed > 0``, or prints no result;
 * a workload or end-to-end metric of ``BENCHMARK.json`` has no value in the
   record or in the fresh measurement;
 * an end-to-end metric is worse than the record by more than ``FACTOR``,
@@ -17,14 +18,15 @@ writes the fresh measurement to ``perfbench-fresh.json`` and fails when
 * a per-layer timing is worse than the record by more than ``FACTOR`` and
   by more than ``MIN_DELTA_S``.
 
-The per-layer timings are the traced run's ``norm``, ``im2col``,
+The per-layer timings are a traced pass's ``norm``, ``im2col``,
 ``quantize``, ``gemm`` and conv self time per denoiser call, and its
-``calibrate``, ``build``, ``derive`` and ``cache.get`` time.  They are
+``calibrate``, ``build``, ``derive`` and ``cache.get`` time.  Each pass is
 scaled to reference-host seconds by perfbench's own ``HostProbe``, timed
-just before and just after each traced run, as perfbench scales its
-end-to-end times.  A per-call timing's excess counts against
-``MIN_DELTA_S`` summed over the record's denoiser calls, so the floor is
-one traced pass's worth of time, like the set-up timings'.
+just before and just after it, as perfbench scales its end-to-end times;
+the gate reads each timing's median over the passes, since one pass can
+read 2-3x slow on a shared host.  A per-call timing's excess counts
+against ``MIN_DELTA_S`` summed over the record's denoiser calls, so the
+floor is one traced pass's worth of time, like the set-up timings'.
 
 ``--write`` records the fresh measurement as the new record instead of
 comparing; it refuses a measurement that failed its checks.
@@ -36,6 +38,7 @@ import argparse
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +50,7 @@ FRESH = ROOT / "perfbench-fresh.json"
 
 SEED = 25
 SECONDS = 8.0
+PASSES = 3  # traced passes per workload; per-layer timings are their median
 FACTOR = 2.0  # fail when worse by more than this ratio ...
 MIN_DELTA_S = 0.05  # ... and, for per-layer timings, by more than this
 
@@ -100,30 +104,42 @@ def run_perfbench(workload: str, trace: int) -> dict:
     return result
 
 
-def summarize(plain: dict, traced: dict, scale: float) -> dict:
-    """One workload's record entry from its untraced and traced results;
-    ``scale`` converts the traced run's seconds to reference-host seconds."""
+def _per_layer(traced: dict, scale: float) -> dict:
+    """One traced pass's per-layer timings in reference-host seconds."""
     layer = {name: entry["value"] for name, entry in traced["metrics"].items()}
-    per_layer = {}
-    if layer:
-        calls = layer[CALLS]
-        for name in PER_CALL:
-            per_layer[name + PER_CALL_SUFFIX] = layer[name] * scale / max(calls, 1.0)
-        for name in PER_RUN:
-            per_layer[name] = layer[name] * scale
+    if not layer:
+        return {}
+    calls = layer[CALLS]
+    timings = {name + PER_CALL_SUFFIX: layer[name] * scale / max(calls, 1.0)
+               for name in PER_CALL}
+    timings.update({name: layer[name] * scale for name in PER_RUN})
+    timings[CALLS] = calls
+    return timings
+
+
+def summarize(plain: dict, traced: list, scales: list) -> dict:
+    """One workload's record entry from its untraced result and its traced
+    passes; ``scales[i]`` converts pass ``i``'s seconds to reference-host
+    seconds.  Each per-layer timing is its median over the passes."""
+    passes = [timings for timings in map(_per_layer, traced, scales) if timings]
+    per_layer = {name: statistics.median(timings[name] for timings in passes)
+                 for name in (passes[0] if passes else ())}
+    calls = per_layer.pop(CALLS, 0.0)
+    runs = [plain, *traced]
     return {
-        "correct": bool(plain["correct"] and traced["correct"]),
-        "attempted": plain["attempted"] + traced["attempted"],
-        "failed": plain["failed"] + traced["failed"],
+        "correct": all(run["correct"] for run in runs),
+        "attempted": sum(run["attempted"] for run in runs),
+        "failed": sum(run["failed"] for run in runs),
         "end_to_end": {name: e["value"] for name, e in plain["metrics"].items()},
         "per_layer": per_layer,
-        "model_calls": layer.get(CALLS, 0.0),
-        "probe_scale": scale,
+        "model_calls": calls,
+        "probe_scale": statistics.median(scales),
     }
 
 
 def measure(workloads) -> dict:
-    """Run every workload untraced and traced; the fresh measurement."""
+    """Run every workload untraced once and traced ``PASSES`` times; the
+    fresh measurement."""
     perfbench = _perfbench()
     for var in perfbench.BLAS_THREAD_VARS:  # the probe runs as perfbench does
         os.environ[var] = "1"
@@ -131,12 +147,14 @@ def measure(workloads) -> dict:
     entries = {}
     for name in workloads:
         plain = run_perfbench(name, 0)
-        before = probe()
-        traced = run_perfbench(name, 1)
-        scale = perfbench.scale_factors([before, probe()])[0]
-        entries[name] = summarize(plain, traced, scale)
-        print(f"measured {name}: correct {entries[name]['correct']}, "
-              f"host-probe scale {scale:.3f}")
+        traced, scales = [], []
+        for _ in range(PASSES):
+            before = probe()
+            traced.append(run_perfbench(name, 1))
+            scales.append(perfbench.scale_factors([before, probe()])[0])
+        entries[name] = summarize(plain, traced, scales)
+        print(f"measured {name}: correct {entries[name]['correct']}, host-probe "
+              f"scales {', '.join(f'{scale:.3f}' for scale in scales)}")
     return {"seed": SEED, "seconds": SECONDS, "workloads": entries}
 
 

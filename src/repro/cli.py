@@ -224,15 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="cache location (default: $REPRO_CACHE_DIR or ~/.cache/ditto-repro)",
     )
-
-    lint_p = sub.add_parser(
-        "lint",
-        help="run the AST invariant checkers (RPL001, RPL011)",
-        add_help=False,
-    )
-    # All flags are owned by repro.lint.main (one source of truth); forward
-    # everything after "lint" verbatim, including --help.
-    lint_p.add_argument("lint_args", nargs=argparse.REMAINDER)
     return parser
 
 
@@ -362,14 +353,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["lint"]:
-        # Forwarded before parsing: argparse.REMAINDER cannot carry leading
-        # optionals ("repro lint --list-rules"), and repro.lint.main owns
-        # every lint flag including --help.
-        from .lint import main as lint_main
-
-        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
@@ -383,10 +366,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_serve(args)
     if args.command == "cache":
         return _cmd_cache(args)
-    if args.command == "lint":
-        from .lint import main as lint_main
-
-        return lint_main(args.lint_args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

@@ -9,8 +9,9 @@ are the pure-numpy ones in :mod:`repro.nn.functional`, verbatim.
 
 The call goes through this object rather than straight to
 ``repro.nn.functional`` for one reason: it is the single entry point a
-profiler wraps to count every GEMM and unfold, and lint rule RPL011 keeps
-quantized GEMMs on it so the per-layer ledger misses none.
+profiler wraps to count every GEMM and unfold, and source rule RPL011
+(``tests/test_source_rules.py``) keeps quantized GEMMs on it so the
+per-layer ledger misses none.
 
 **Exactness.** Every quantized GEMM runs behind the float32-exactness
 gate: a temporal difference spans ``2^bits - 1`` and a quantized operand

@@ -16,10 +16,6 @@ installs the kernel wrappers for the whole session (one CI matrix leg runs
 this way).  ``calibration_precision`` always marks its region via
 :func:`calibration_region` - the marker is a cheap thread-local push/pop, so
 production runs pay nothing when the wrappers are not installed.
-
-This module deliberately imports nothing from ``repro`` at import time (the
-kernel module is resolved lazily inside :func:`install`) so
-``quant.calibration`` can import it without cycles.
 """
 
 from __future__ import annotations
@@ -30,6 +26,8 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional
 
 import numpy as np
+
+from . import functional as F
 
 __all__ = [
     "SanitizerError",
@@ -110,7 +108,6 @@ def install() -> None:
     """Wrap the hot kernels in ``repro.nn.functional`` with invariant checks."""
     if _originals:
         return
-    from ..nn import functional as F
 
     def wrap_dtype(name: str) -> None:
         original = getattr(F, name)
@@ -146,7 +143,6 @@ def uninstall() -> None:
     """Restore the original kernels."""
     if not _originals:
         return
-    from ..nn import functional as F
 
     for name, original in _originals.items():
         setattr(F, name, original)

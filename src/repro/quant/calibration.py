@@ -17,8 +17,8 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from ..lint import runtime as sanitizer
 from ..nn import functional as F
+from ..nn import sanitizer
 from ..nn.attention import Attention
 from ..nn.layers import Conv2d, Linear
 from ..nn.module import Module
@@ -106,7 +106,7 @@ def calibration_precision(model: Module, pipeline, dtype):
         pipeline.predict_noise_rows = cast_predict
         F.set_embedding_dtype(dt)
         # Mark the dynamic extent for the opt-in runtime sanitizer
-        # (repro.lint.runtime): under REPRO_SANITIZE=1 any float64 array
+        # (repro.nn.sanitizer): under REPRO_SANITIZE=1 any float64 array
         # reaching a kernel in here is a promotion leak and raises.
         with sanitizer.calibration_region(dt):
             yield

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.diffusion import DiffusionSchedule
-from repro.lint import runtime as lint_runtime
+from repro.nn import sanitizer
 
 from helpers import make_tiny_engine
 
@@ -17,10 +17,10 @@ def _numeric_sanitizer():
     checked for float64 leaks inside float32 calibration regions and for
     non-C-contiguous cols entering the integer GEMMs.
     """
-    if not lint_runtime.enabled():
+    if not sanitizer.enabled():
         yield
         return
-    with lint_runtime.sanitized():
+    with sanitizer.sanitized():
         yield
 
 

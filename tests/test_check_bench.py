@@ -135,12 +135,9 @@ def test_phase_buckets_respect_min_delta_and_normalization(check_bench):
         assert bool(_gate(check_bench, record, fresh)) is fails
     traced = _traced_result(check_bench, seconds=0.4, calls=400.0)
     plain = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
-    slow_host = copy.deepcopy(traced)
-    for entry in slow_host["metrics"].values():
-        if entry["unit"] == "s":
-            entry["value"] *= 2.0
-    assert (check_bench.summarize(plain, slow_host, 0.5)["per_layer"]
-            == check_bench.summarize(plain, traced, 1.0)["per_layer"])
+    slow_host = _slow_pass(traced, 2.0)
+    assert (check_bench.summarize(plain, [slow_host], [0.5])["per_layer"]
+            == check_bench.summarize(plain, [traced], [1.0])["per_layer"])
 
 
 def _traced_result(check_bench, seconds, calls):
@@ -162,7 +159,7 @@ def test_gate_normalizes_by_host_speed_index(check_bench):
         "correct": True, "attempted": 2, "failed": 0,
         "metrics": {"setup_s": {"value": 0.3, "unit": "s"}},
     }
-    entry = check_bench.summarize(plain, traced, 0.5)
+    entry = check_bench.summarize(plain, [traced], [0.5])
     for name in check_bench.PER_CALL:
         assert entry["per_layer"][name + check_bench.PER_CALL_SUFFIX] == pytest.approx(1e-3)
     for name in check_bench.PER_RUN:
@@ -171,10 +168,50 @@ def test_gate_normalizes_by_host_speed_index(check_bench):
     assert (entry["correct"], entry["attempted"], entry["model_calls"]) == (True, 3, 200.0)
 
 
+def _slow_pass(traced, factor):
+    slow = copy.deepcopy(traced)
+    for entry in slow["metrics"].values():
+        if entry["unit"] == "s":
+            entry["value"] *= factor
+    return slow
+
+
+def test_per_layer_timings_are_the_median_of_the_traced_passes(check_bench):
+    """One traced pass at 3x (or 10x, which a mean would not absorb) out of
+    three passes the gate; two at 3x fail it on every per-layer timing."""
+    traced = _traced_result(check_bench, seconds=0.4, calls=400.0)
+    plain = {
+        "correct": True, "attempted": 1, "failed": 0,
+        "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in _SPEC["end_to_end"]},
+    }
+    assert check_bench.PASSES == 3
+    recorded = check_bench.summarize(plain, [traced] * 3, [1.0] * 3)
+    record = {"workloads": {w["name"]: recorded for w in _SPEC["workloads"]}}
+    for factor, slow_passes, fails in ((3.0, 1, False), (10.0, 1, False), (3.0, 2, True)):
+        fresh = copy.deepcopy(record)
+        passes = [_slow_pass(traced, factor)] * slow_passes + [traced] * (3 - slow_passes)
+        fresh["workloads"]["analyze-dit-b1"] = check_bench.summarize(plain, passes, [1.0] * 3)
+        failed = sorted(f.split(": ")[0] for f in _gate(check_bench, record, fresh))
+        assert failed == ([f"analyze-dit-b1 {metric}" for metric in sorted(recorded["per_layer"])]
+                          if fails else [])
+
+
+def test_every_traced_pass_counts_for_correctness(check_bench):
+    traced = _traced_result(check_bench, seconds=0.4, calls=400.0)
+    plain = {"correct": True, "attempted": 2, "failed": 0, "metrics": {}}
+    failed_pass = {**traced, "failed": 1}
+    entry = check_bench.summarize(plain, [traced, failed_pass, traced], [1.0] * 3)
+    assert (entry["correct"], entry["attempted"], entry["failed"]) == (True, 5, 1)
+    broken = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    entry = check_bench.summarize(plain, [traced, traced, broken], [1.0] * 3)
+    assert entry["correct"] is False
+    assert entry["per_layer"] == check_bench.summarize(plain, [traced], [1.0])["per_layer"]
+
+
 def test_elems_counters_are_not_gated_as_timings(check_bench):
     traced = _traced_result(check_bench, seconds=0.4, calls=200.0)
     plain = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
-    per_layer = check_bench.summarize(plain, traced, 1.0)["per_layer"]
+    per_layer = check_bench.summarize(plain, [traced], [1.0])["per_layer"]
     assert set(per_layer) == (
         {name + check_bench.PER_CALL_SUFFIX for name in check_bench.PER_CALL}
         | set(check_bench.PER_RUN)
@@ -217,7 +254,7 @@ def test_gate_fails_on_missing_entries(check_bench):
         "serve-ddpm-c4 latency_p50_s: no value",
     ]
     broken = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
-    entry = check_bench.summarize(broken, broken, 1.0)
+    entry = check_bench.summarize(broken, [broken], [1.0])
     assert (entry["correct"], entry["end_to_end"], entry["per_layer"]) == (False, {}, {})
 
 

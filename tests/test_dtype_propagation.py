@@ -4,7 +4,7 @@ The NEP-50 leak class RPL001 guards against: a numpy float64 *scalar*
 (e.g. ``np.sqrt(python_float)``) is "strong" and silently promotes float32
 arrays, re-widening the float32 calibration fast path.  These tests pin the
 contract per module so a reintroduced leak fails immediately, not just in
-the linter.
+the source-rule scan (``tests/test_source_rules.py``).
 """
 
 import numpy as np

@@ -1,20 +1,20 @@
-"""Tests for the opt-in runtime numeric sanitizer (``repro.lint.runtime``)."""
+"""Tests for the opt-in runtime numeric sanitizer (``repro.nn.sanitizer``)."""
 
 import numpy as np
 import pytest
 
-from repro.lint import runtime as lint_runtime
 from repro.nn import backends
 from repro.nn import functional as F
+from repro.nn import sanitizer as nn_sanitizer
 from repro.nn.layers import Linear
 from repro.quant.calibration import calibration_precision
 
 
 @pytest.fixture
 def sanitizer():
-    with lint_runtime.sanitized():
-        yield lint_runtime
-    assert not lint_runtime.installed()
+    with nn_sanitizer.sanitized():
+        yield nn_sanitizer
+    assert not nn_sanitizer.installed()
 
 
 class _FakePipeline:
@@ -99,38 +99,38 @@ def test_noncontiguous_cols_trip_through_the_dispatch(sanitizer, monkeypatch):
 
 def test_install_uninstall_restores_kernels():
     originals = {name: getattr(F, name) for name in ("linear", "conv2d", "group_norm")}
-    lint_runtime.install()
+    nn_sanitizer.install()
     try:
         assert F.linear is not originals["linear"]
-        lint_runtime.install()  # idempotent
+        nn_sanitizer.install()  # idempotent
     finally:
-        lint_runtime.uninstall()
+        nn_sanitizer.uninstall()
     for name, fn in originals.items():
         assert getattr(F, name) is fn
-    lint_runtime.uninstall()  # idempotent on the uninstalled state too
+    nn_sanitizer.uninstall()  # idempotent on the uninstalled state too
 
 
 def test_enabled_env_parsing(monkeypatch):
     for value, expected in [("1", True), ("true", True), ("", False), ("0", False)]:
         monkeypatch.setenv("REPRO_SANITIZE", value)
-        assert lint_runtime.enabled() is expected
+        assert nn_sanitizer.enabled() is expected
     monkeypatch.delenv("REPRO_SANITIZE")
-    assert lint_runtime.enabled() is False
+    assert nn_sanitizer.enabled() is False
 
 
 def test_calibration_precision_marks_region():
     model = Linear(4, 4)
     pipeline = _FakePipeline()
-    assert lint_runtime.active_calibration_dtype() is None
+    assert nn_sanitizer.active_calibration_dtype() is None
     with calibration_precision(model, pipeline, np.float32):
-        assert lint_runtime.active_calibration_dtype() == np.dtype(np.float32)
-    assert lint_runtime.active_calibration_dtype() is None
+        assert nn_sanitizer.active_calibration_dtype() == np.dtype(np.float32)
+    assert nn_sanitizer.active_calibration_dtype() is None
 
 
 def test_calibration_precision_float64_is_unmarked():
     # The float64 escape hatch is a no-op and must not open a region.
     with calibration_precision(Linear(4, 4), _FakePipeline(), np.float64):
-        assert lint_runtime.active_calibration_dtype() is None
+        assert nn_sanitizer.active_calibration_dtype() is None
 
 
 def test_sanitized_calibration_region_catches_injected_float64(sanitizer):
