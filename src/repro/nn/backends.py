@@ -19,7 +19,10 @@ gate: a temporal difference spans ``2^bits - 1`` and a quantized operand
 ``dot_len * (2^bits - 1) * 2^(bits-1) < 2^24`` (at most 514 terms at 8
 bits) keeps every partial sum an exactly representable integer and any
 accumulation order yields identical bits.  Longer dot products run in
-float64, exact up to ``2^53`` by the same argument.
+float64, exact up to ``2^53`` by the same argument.  ``dot_len`` is one
+GEMM's: a stride-1 conv gates each of its k row-shift slice GEMMs
+(``C*k`` terms) and sums their products in float64 when the whole
+``C*k*k`` dot product is past the bound.
 
 See ``docs/backends.md`` for the full contract.
 """

@@ -64,10 +64,15 @@ __all__ = [
 # zero).
 from ..scratch import scratch_buffer
 
+try:  # the clip ufunc itself: np.clip reaches it through four Python frames
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 
 def silu(x: np.ndarray) -> np.ndarray:
     """SiLU / swish: ``x * sigmoid(x)`` computed stably for large ``|x|``."""
-    t = np.clip(x, -60.0, 60.0, out=scratch_buffer("silu", x.shape, x.dtype))
+    t = _clip(x, -60.0, 60.0, out=scratch_buffer("silu", x.shape, x.dtype))
     np.negative(t, out=t)
     np.exp(t, out=t)
     t += 1.0
@@ -102,9 +107,10 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)  # fresh; reuse in place
+    # The reductions np.max / np.sum run, minus their Python wrapper frames.
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)  # fresh; reuse in place
     np.exp(shifted, out=shifted)
-    shifted /= np.sum(shifted, axis=axis, keepdims=True)
+    shifted /= np.add.reduce(shifted, axis=axis, keepdims=True)
     return shifted
 
 
@@ -117,15 +123,16 @@ def _finish_moments(s1: np.ndarray, s2: np.ndarray, count: int, eps: float):
     mean, and in float32 that can annihilate the variance entirely - float64
     keeps the cancellation error at ~``eps64 * mean^2/var``, i.e. last-ulp
     territory for any realistic normalization statistics.  It can still go
-    infinitesimally negative from rounding; clip before the sqrt so the
-    fused path can never produce NaNs the two-pass formulation would not.
-    All arrays here are per-group scalars (tiny), so the extra elementwise
-    ops are free compared to the full-tensor passes they replace.
+    infinitesimally negative from rounding; floor it at zero before the
+    sqrt so the fused path can never produce NaNs the two-pass formulation
+    would not.  All arrays here are per-group scalars (tiny), so each op
+    costs its call overhead: every one runs in place, overwriting the
+    caller's fresh ``s1`` and ``s2``.
     """
-    mean = s1 / count
-    var = s2 / count
+    mean = np.divide(s1, count, out=s1)
+    var = np.divide(s2, count, out=s2)
     var -= mean * mean
-    np.clip(var, 0.0, None, out=var)
+    np.maximum(var, 0.0, out=var)
     var += eps
     np.sqrt(var, out=var)
     inv_std = np.divide(1.0, var, out=var)
@@ -158,20 +165,23 @@ def group_norm(
     # still cheaper than the centered temporaries it replaces - elsewhere).
     flat = x.reshape(n * num_groups, count)
     # float64 accumulation regardless of input dtype - see _finish_moments.
-    s1 = flat.sum(axis=1, dtype=np.float64)
+    s1 = np.add.reduce(flat, axis=1, dtype=np.float64)
     s2 = np.einsum("ij,ij->i", flat, flat, dtype=np.float64)
-    mean, inv_std = _finish_moments(
-        s1.reshape(n, num_groups), s2.reshape(n, num_groups), count, eps
-    )
-    # Fold the affine into per-(n, c) scale/shift (tiny arrays), then apply
-    # in two full passes: one multiply into a fresh output, one in-place add.
+    mean, inv_std = _finish_moments(s1, s2, count, eps)
+    # Fold the affine into per-(n, c) scale/shift (tiny arrays, (n, groups,
+    # per_group)), then apply in two full passes: one multiply into a fresh
+    # output, one in-place add.  shift = bias - mean * scale, the same bits
+    # as (-mean * scale) + bias.
+    inv_std = inv_std.reshape(n, num_groups, 1)
     if weight is not None:
-        scale = inv_std[:, :, None] * weight.reshape(num_groups, per_group)[None]
+        scale = inv_std * weight.reshape(num_groups, per_group)
     else:
-        scale = np.repeat(inv_std[:, :, None], per_group, axis=2)
-    shift = -mean[:, :, None] * scale
+        scale = np.repeat(inv_std, per_group, axis=2)
+    shift = np.multiply(mean.reshape(n, num_groups, 1), scale)
     if bias is not None:
-        shift += bias.reshape(num_groups, per_group)[None]
+        np.subtract(bias.reshape(num_groups, per_group), shift, out=shift)
+    else:
+        np.negative(shift, out=shift)
     # Cast the folded affine back to the input dtype: a float64 scale array
     # would silently promote the whole float32 calibration trajectory.
     scale = scale.reshape(n, c, 1, 1).astype(x.dtype, copy=False)
@@ -196,10 +206,12 @@ def layer_norm(
     """
     d = x.shape[-1]
     # float64 accumulation regardless of input dtype - see _finish_moments.
-    s1 = x.sum(axis=-1, keepdims=True, dtype=np.float64)
+    s1 = np.add.reduce(x, axis=-1, dtype=np.float64, keepdims=True)
     s2 = np.einsum("...i,...i->...", x, x, dtype=np.float64)[..., None]
     mean, inv_std = _finish_moments(s1, s2, d, eps)
-    shift = (-mean * inv_std).astype(x.dtype, copy=False)
+    # shift = -(mean * inv_std), the same bits as (-mean) * inv_std.
+    shift = np.multiply(mean, inv_std, out=mean)
+    shift = np.negative(shift, out=shift).astype(x.dtype, copy=False)
     inv_std = inv_std.astype(x.dtype, copy=False)
     out = x * inv_std
     out += shift

@@ -128,7 +128,9 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         output = self.forward(*args, **kwargs)
-        self.run_forward_hooks(args, output)
+        # Most modules have no hooks: skip the dispatch (and its list copy).
+        if self._forward_hooks:
+            self.run_forward_hooks(args, output)
         return output
 
     def run_forward_hooks(self, args: Tuple, output) -> None:

@@ -96,6 +96,15 @@ def _max_product(bits: int) -> int:
     return ((1 << bits) - 1) << (bits - 1)
 
 
+def _exact_f32(dot_len: int, bits: int) -> bool:
+    """Whether a ``dot_len``-term integer dot product is exact in float32:
+    every partial sum of worst-case products stays inside 2^24."""
+    return dot_len * _max_product(bits) < (1 << 24)
+
+
+_F32 = np.dtype(np.float32)
+
+
 def _spatial_diff_rows(mat: np.ndarray) -> np.ndarray:
     """Difference consecutive rows; the first row stays original (dense)."""
     d = mat.copy()
@@ -220,8 +229,7 @@ class QLayerBase(Module):
             # dtype bit-width classification runs on (repro.core.bitwidth).
             raise ValueError(f"at most 15-bit quantization is supported, got {bits}")
         self.layer_name = ""
-        self.mode = ExecutionMode.DENSE
-        self.record_temporal = False
+        self._set_flags(ExecutionMode.DENSE, False)
         self.bits = bits
         self.input_quant = SymmetricQuantizer(bits)
         self.nonlinear_after = True
@@ -236,26 +244,61 @@ class QLayerBase(Module):
         self._prev_out_int = None
         self._prev_scale = None
 
-    @property
-    def _executes_temporal(self) -> bool:
-        return self.mode is ExecutionMode.TEMPORAL
+    # -- mode flags ----------------------------------------------------------
+    # Every forward reads ``mode`` and ``record_temporal`` through two flags
+    # derived when either is set: ``_executes_temporal`` and ``_holds_state``
+    # (TEMPORAL or recording), so a plain dense forward checks one flag.
+    def _set_flags(self, mode: ExecutionMode, record_temporal: bool) -> None:
+        d = self.__dict__
+        d["_mode"], d["_record_temporal"] = mode, record_temporal
+        d["_executes_temporal"] = mode is ExecutionMode.TEMPORAL
+        d["_holds_state"] = d["_executes_temporal"] or bool(record_temporal)
 
-    def _keep_state(self, q_in: np.ndarray, out_int: np.ndarray) -> None:
-        """Hold this step's operands for the next step.
+    @property
+    def mode(self) -> ExecutionMode:
+        return self._mode
+
+    @mode.setter
+    def mode(self, mode: ExecutionMode) -> None:
+        self._set_flags(mode, self._record_temporal)
+
+    @property
+    def record_temporal(self) -> bool:
+        return self._record_temporal
+
+    @record_temporal.setter
+    def record_temporal(self, record_temporal: bool) -> None:
+        self._set_flags(self._mode, record_temporal)
+
+    def _keep_state(self, q_in: np.ndarray, acc: np.ndarray) -> None:
+        """Hold this step's operands for the next step (``_holds_state``
+        layers only; the caller checks).
 
         A recording layer holds the input it differences and its scale; a
         TEMPORAL layer also holds the integer output its next step adds the
-        difference's product to.  Any other layer is stateless, so plain
-        runs and serving sessions carry no ``_prev_*`` tensors.  Plain state
-        fields: skip Module.__setattr__'s checks.
+        difference's product to, as contiguous float64 whatever the dtype
+        and layout of the accumulator ``acc``.  Any other layer is
+        stateless, so plain runs and serving sessions carry no ``_prev_*``
+        tensors.  Plain state fields: skip Module.__setattr__'s checks.
         """
         d = self.__dict__
         if self._executes_temporal:
-            d["_prev_out_int"] = out_int
-        elif not self.record_temporal:
-            return
+            d["_prev_out_int"] = np.ascontiguousarray(acc, dtype=np.float64)
         d["_prev_q_in"] = q_in
         d["_prev_scale"] = self.input_quant.scale
+
+    def _epilogue(self, acc: np.ndarray) -> np.ndarray:
+        """``acc * (s_in * s_w) + bias`` in float64, straight from the
+        integer accumulator ``acc`` (the GEMM's float32 or float64, any
+        layout): float32 -> float64 is exact, so the products are those of
+        a converted copy.  ``_epi_scale`` / ``_epi_bias`` are the weight
+        scale and bias shaped at construction to broadcast over the output;
+        the output takes ``acc``'s axis order, C-contiguous for every
+        accumulator a layer makes."""
+        out = np.multiply(acc, self.input_quant.scale * self._epi_scale, dtype=np.float64)
+        if self._epi_bias is not None:
+            out += self._epi_bias
+        return out
 
     def _temporal_diff(self, q_in: np.ndarray) -> Optional[np.ndarray]:
         prev = self._prev_q_in
@@ -277,15 +320,17 @@ class QLayerBase(Module):
 
         Quantizes with this layer's input quantizer, differences against
         its held state and runs the one GEMM; returns ``(q_in, diff,
-        out_int)``.  :class:`QLinear` projects through its own weight;
-        self-attention projects Q/K/V at once through the stacked weight,
-        holding the state itself (see :class:`QAttention`).
+        out_int)``, ``out_int`` in the GEMM's dtype (float64 once a
+        temporal step adds the held output).  :class:`QLinear`
+        projects through its own weight; self-attention projects Q/K/V at
+        once through the stacked weight, holding the state itself (see
+        :class:`QAttention`).
         """
         # The weight is stored in the dtype its GEMM runs (the exact-f32
         # gate); quantized values are exact small integers, so a float32
         # q_in halves the traffic of every downstream scan.
         q_in = self.input_quant.quantize(
-            x, out_dtype=np.float32 if q_weight.dtype == np.float32 else None
+            x, out_dtype=_F32 if q_weight.dtype == _F32 else None
         )
         diff = self._temporal_diff(q_in)
         bk = backends.active()
@@ -296,8 +341,6 @@ class QLayerBase(Module):
             # Dense and spatial paths share arithmetic: the spatial path's
             # row-cumulative reconstruction telescopes to the plain matmul.
             out_int = bk.linear(q_in, q_weight)
-            if out_int.dtype != np.float64:
-                out_int = out_int.astype(np.float64)
         return q_in, diff, out_int
 
 
@@ -345,8 +388,7 @@ def _linear_gemm_dtype(in_features: int, bits: int) -> np.dtype:
     """The dtype a linear layer's integer GEMM runs in (see QConv2d): f32
     while every partial dot product stays inside float32's 2^24
     exact-integer range, else f64."""
-    exact_f32 = in_features * _max_product(bits) < (1 << 24)
-    return np.dtype(np.float32 if exact_f32 else np.float64)
+    return np.dtype(np.float32 if _exact_f32(in_features, bits) else np.float64)
 
 
 def _linear_stats(q_in: np.ndarray, diff: Optional[np.ndarray]) -> tuple:
@@ -390,6 +432,9 @@ class QLinear(QLayerBase):
             weight, bits, per_channel, out=weight_t.T
         )
         self.bias = None if bias is None else np.array(bias, dtype=np.float64)
+        # weight_scale is a scalar (per-tensor) or an (out,) vector
+        # (per-channel); both broadcast over the trailing output dim.
+        self._epi_scale, self._epi_bias = self.weight_scale, self.bias
 
     @classmethod
     def from_float(
@@ -403,31 +448,23 @@ class QLinear(QLayerBase):
         return cls(layer.weight.data, bias, bits, per_channel, weight_t)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        q_in, diff, out_int = self._project(x, self.q_weight)
-        out = self._epilogue(out_int)
-        self._record(q_in, diff, out_int)
-        self._keep_state(q_in, out_int)
-        return out
-
-    def _epilogue(self, out_int: np.ndarray) -> np.ndarray:
-        """Dequantize this projection's integer output and add the bias."""
-        # weight_scale is a scalar (per-tensor) or an (out,) vector
-        # (per-channel); both broadcast over the trailing output dim.
-        out = out_int * (self.input_quant.scale * self.weight_scale)
-        if self.bias is not None:
-            out += self.bias
+        q_in, diff, acc = self._project(x, self.q_weight)
+        out = self._epilogue(acc)
+        self._record(q_in, diff, out)
+        if self._holds_state:
+            self._keep_state(q_in, acc)
         return out
 
     def _record(
         self,
         q_in: np.ndarray,
         diff: Optional[np.ndarray],
-        out_int: np.ndarray,
+        out: np.ndarray,
         stats: Optional[tuple] = None,
     ) -> None:
-        """Record this projection's step; ``stats`` (see
-        :func:`_linear_stats`) is passed in when another projection of the
-        same operand already computed it."""
+        """Record this projection's step (``out`` gives the output shape);
+        ``stats`` (see :func:`_linear_stats`) is passed in when another
+        projection of the same operand already computed it."""
         if TraceRecorder.current() is None:
             return  # nobody is listening; skip the stats passes entirely
         dense, spatial, temporal = stats or _linear_stats(q_in, diff)
@@ -439,14 +476,14 @@ class QLinear(QLayerBase):
                 kind=self.kind,
                 macs=int(macs),
                 in_elems=int(q_in.size),
-                out_elems=int(out_int.size),
+                out_elems=int(out.size),
                 weight_elems=int(self.q_weight.size),
                 data_elems=int(q_in.size),
                 stats_dense=dense,
                 stats_spatial=spatial,
                 stats_temporal=temporal,
                 sub_ops_temporal=1,
-                vpu_elems=int(out_int.size) if self.nonlinear_after else 0,
+                vpu_elems=int(out.size) if self.nonlinear_after else 0,
                 nonlinear_after=self.nonlinear_after,
                 chained_input=self.chained_input,
                 producer_kind=self.producer_kind,
@@ -481,15 +518,25 @@ class QConv2d(QLayerBase):
         # range for the worst-case operands (see _max_product - temporal
         # *differences* span twice the quantized range).  Then the f32 kernel
         # is bit-exact while halving unfold/stat memory traffic and doubling
-        # GEMM rate.
-        dot_len = self.in_channels * self.kernel_size * self.kernel_size
-        self._use_f32 = dot_len * _max_product(bits) < (1 << 24)
+        # GEMM rate.  A stride-1 conv runs one GEMM of C*k terms per row-shift
+        # slice (see _conv), so it gates per slice; when the whole C*k*k dot
+        # product could leave float32's exact range, its k exact partials
+        # are summed in float64 (_sum_f64).
+        k = self.kernel_size
+        dot_len = self.in_channels * k * k
+        self._use_f32 = _exact_f32(dot_len // k if stride == 1 else dot_len, bits)
+        self._sum_f64 = not _exact_f32(dot_len, bits)
         self._cols_dtype = np.dtype(np.float32 if self._use_f32 else np.float64)
         # One integer weight copy, in the dtype this layer's GEMM runs.
         self.q_weight, self.weight_scale = _quantize_weight(
             weight, bits, per_channel, out=np.empty(weight.shape, self._cols_dtype)
         )
         self.bias = None if bias is None else np.array(bias, dtype=np.float64)
+        # The epilogue's weight scale and bias, shaped to broadcast over NCHW.
+        self._epi_scale = self.weight_scale
+        if per_channel:
+            self._epi_scale = self.weight_scale.reshape(1, -1, 1, 1)
+        self._epi_bias = None if bias is None else self.bias.reshape(1, -1, 1, 1)
         # Stride-1 convs run the row-shift GEMMs (see _conv), one per
         # vertical tap: _w_rows[ki][o, c*k + kj] == q_weight[o, c, ki, kj].
         self._w_rows = None
@@ -552,8 +599,9 @@ class QConv2d(QLayerBase):
         rows further on, so the conv is ``k`` GEMMs over overlapping slices
         of it, summed.  Each slice spans ``out_h`` whole padded rows; the
         ``Wp - out_w`` columns per row that wrap into the next row are
-        dropped by the returned view.  Every partial sum is an integer
-        inside the exact-f32 gate's bound, so the k-way sum is exact.
+        dropped by the returned view.  Each slice GEMM is exact by the
+        per-slice gate, and the k-way sum runs in float64 unless the whole
+        dot product is inside the gate's bound too, so the sum is exact.
         """
         bk = backends.active()
         if self.stride != 1:
@@ -562,6 +610,8 @@ class QConv2d(QLayerBase):
         wp = out_w + self.kernel_size - 1
         span = out_h * wp
         conv = bk.matmul(self._w_rows[0], cols[:, :, :span])
+        if self._sum_f64:
+            conv = conv.astype(np.float64, copy=False)
         for ki in range(1, self.kernel_size):
             conv += bk.matmul(self._w_rows[ki], cols[:, :, ki * wp : ki * wp + span])
         return conv.reshape(cols.shape[0], self.out_channels, out_h, wp)[..., :out_w]
@@ -570,7 +620,7 @@ class QConv2d(QLayerBase):
         # Values are exact small integers; float32 halves the memory traffic
         # of every downstream scan (diff, stats, unfold).
         q_in = self.input_quant.quantize(
-            x, out_dtype=np.float32 if self._use_f32 else None
+            x, out_dtype=_F32 if self._use_f32 else None
         )
         diff = self._temporal_diff(q_in)
         temporal = diff is not None and self._executes_temporal
@@ -579,27 +629,21 @@ class QConv2d(QLayerBase):
         # in both operands, so conv(unfold(q - prev_q)) == conv(q) -
         # conv(prev_q) exactly (the f32 gate already bounds differences).
         cols, out_hw = self._unfold(diff if temporal else q_in)
-        conv = self._conv(cols, out_hw)
+        acc = self._conv(cols, out_hw)
         if temporal:
             # float64 + float32 upcasts exactly; the sum runs in float64.
-            out_int = self._prev_out_int + conv
-        else:
-            out_int = np.ascontiguousarray(conv, dtype=np.float64)
-        w_scale = self.weight_scale
-        if self.per_channel:
-            w_scale = np.asarray(w_scale).reshape(1, -1, 1, 1)
-        out = out_int * (self.input_quant.scale * w_scale)
-        if self.bias is not None:
-            out += self.bias.reshape(1, -1, 1, 1)
-        self._record(q_in, diff, out_int, None if temporal else cols)
-        self._keep_state(q_in, out_int)
+            acc = self._prev_out_int + acc
+        out = self._epilogue(acc)
+        self._record(q_in, diff, out, None if temporal else cols)
+        if self._holds_state:
+            self._keep_state(q_in, acc)
         return out
 
     def _record(
         self,
         q_in: np.ndarray,
         diff: Optional[np.ndarray],
-        out_int: np.ndarray,
+        out: np.ndarray,
         cols: Optional[np.ndarray],
     ) -> None:
         if TraceRecorder.current() is None:
@@ -611,11 +655,11 @@ class QConv2d(QLayerBase):
         if cols is None:
             cols, _ = self._unfold(q_in)
         if self.stride == 1:
-            spatial = _rows_spatial_stats(cols, self.kernel_size, out_int.shape[2:])
+            spatial = _rows_spatial_stats(cols, self.kernel_size, out.shape[2:])
         else:
             spatial = _cols_spatial_stats_t(cols)
         dot_len = self.in_channels * self.kernel_size * self.kernel_size
-        macs = (out_int.size // self.out_channels) * dot_len * self.out_channels
+        macs = (out.size // self.out_channels) * dot_len * self.out_channels
         record_step(
             RichLayerStep(
                 step_index=_current_step(),
@@ -623,14 +667,14 @@ class QConv2d(QLayerBase):
                 kind=self.kind,
                 macs=int(macs),
                 in_elems=int(q_in.size),
-                out_elems=int(out_int.size),
+                out_elems=int(out.size),
                 weight_elems=int(self.q_weight.size),
                 data_elems=int(q_in.size),
                 stats_dense=classify(q_in),
                 stats_spatial=spatial,
                 stats_temporal=None if diff is None else classify(diff),
                 sub_ops_temporal=1,
-                vpu_elems=int(out_int.size) if self.nonlinear_after else 0,
+                vpu_elems=int(out.size) if self.nonlinear_after else 0,
                 nonlinear_after=self.nonlinear_after,
                 chained_input=self.chained_input,
                 producer_kind=self.producer_kind,
@@ -696,6 +740,18 @@ class QAttention(QLayerBase):
         )
         if not self.is_cross:
             self.share_projection_quantizer(self.to_q.input_quant)
+            # The shared projection's epilogue: the three children's weight
+            # scales and biases as (3*dim,) vectors, so one multiply-add
+            # dequantizes Q, K and V, each a column block of the result.
+            children = (self.to_q, self.to_k, self.to_v)
+            self._epi_scale = np.concatenate(
+                [np.broadcast_to(c.weight_scale, (self.dim,)) for c in children]
+            )
+            self._epi_bias = None
+            if any(c.bias is not None for c in children):
+                self._epi_bias = np.concatenate(
+                    [np.zeros(self.dim) if c.bias is None else c.bias for c in children]
+                )
         self.to_out = QLinear.from_float(attn.to_out, bits, per_channel)
         # The P x V product feeds the linear output projection directly.
         self.to_out.chained_input = True
@@ -768,46 +824,49 @@ class QAttention(QLayerBase):
         v = self._split(v_full)
         # Exact-f32 gating for the activation x activation matmuls: the
         # longest dot product runs over max(head_dim, token count) operands.
-        inner = max(self.head_dim, k.shape[2])
-        f32_ok = inner * _max_product(self.bits) < (1 << 24)
-        dtype = np.float32 if f32_ok else None
+        dtype = _F32 if _exact_f32(max(self.head_dim, k.shape[2]), self.bits) else None
         qq = self.q_quant.quantize(q, out_dtype=dtype)
         qk = self.k_quant.quantize(k, out_dtype=dtype)
         qv = self.v_quant.quantize(v, out_dtype=dtype)
-        s_int = self._qk_matmul(qq, qk)
-        # float(...) keeps the divisor weak (NEP 50) so a float32 s_int stays
-        # float32 on the exact-f32 path; bit-identical arithmetic otherwise.
-        scores = (
-            s_int * (self.q_quant.scale * self.k_quant.scale) / float(np.sqrt(self.head_dim))
-        )
+        s_acc = self._qk_matmul(qq, qk)
+        # s_int * (s_q * s_k) / sqrt(head_dim) in float64, the multiply
+        # straight from the accumulator (f32 -> f64 is exact).
+        scores = np.multiply(
+            s_acc, self.q_quant.scale * self.k_quant.scale, dtype=np.float64
+        ) / float(np.sqrt(self.head_dim))
         probs = F.softmax(scores, axis=-1)
-        qp = self.p_quant.quantize(
-            probs, out_dtype=np.float32 if qv.dtype == np.float32 else None
+        qp = self.p_quant.quantize(probs, out_dtype=_F32 if qv.dtype == _F32 else None)
+        o_acc = self._pv_matmul(qp, qv)
+        # Dequantize straight into the merged-heads (b, t, h, d) layout: one
+        # pass instead of a multiply and a transposing copy.
+        b, h, t, d = o_acc.shape
+        merged = np.empty((b, t, h, d))
+        np.multiply(
+            o_acc,
+            self.p_quant.scale * self.v_quant.scale,
+            out=merged.transpose(0, 2, 1, 3),
+            dtype=np.float64,
         )
-        o_int = self._pv_matmul(qp, qv)
-        out = o_int * (self.p_quant.scale * self.v_quant.scale)
-        b, h, t, d = out.shape
-        merged = out.transpose(0, 2, 1, 3).reshape(b, t, h * d)
-        return self.to_out(merged)
+        return self.to_out(merged.reshape(b, t, h * d))
 
     def _project_qkv(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Self-attention's Q, K and V: one quantize, difference, stats pass
-        and GEMM over the stacked weight, then each child's epilogue, trace
+        """Self-attention's Q, K and V: one quantize, difference, stats pass,
+        GEMM and epilogue over the stacked weight, then each child's trace
         record and forward hooks on its column block - the outputs and
         records of three separate ``QLinear`` forwards, bit for bit."""
-        q_in, diff, out_int = self._project(x, self._qkv_weight)
+        q_in, diff, acc = self._project(x, self._qkv_weight)
+        out = self._epilogue(acc)
         stats = None
         if TraceRecorder.current() is not None:
             stats = _linear_stats(q_in, diff)
-        outs = []
-        for i, child in enumerate((self.to_q, self.to_k, self.to_v)):
-            block = out_int[..., i * self.dim : (i + 1) * self.dim]
-            out = child._epilogue(block)
+        outs = tuple(out[..., i * self.dim : (i + 1) * self.dim] for i in range(3))
+        for child, block in zip((self.to_q, self.to_k, self.to_v), outs):
             child._record(q_in, diff, block, stats)
-            child.run_forward_hooks((x,), out)
-            outs.append(out)
-        self._keep_state(q_in, out_int)
-        return tuple(outs)
+            if child._forward_hooks:
+                child.run_forward_hooks((x,), block)
+        if self._holds_state:
+            self._keep_state(q_in, acc)
+        return outs
 
     def _context_kv(self, context: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         cached = self._context_cache.get(id(context))
@@ -842,11 +901,11 @@ class QAttention(QLayerBase):
 
     def _keep_operands(self, product_name: str, product: np.ndarray, **operands) -> None:
         """Hold this matmul's operands for the next step's differences; the
-        temporal executor also holds its integer product."""
-        if self._executes_temporal:
-            self._prev[product_name] = product
-        elif not self.record_temporal:
+        temporal executor also holds its integer product, as float64."""
+        if not self._holds_state:
             return
+        if self._executes_temporal:
+            self._prev[product_name] = np.ascontiguousarray(product, dtype=np.float64)
         self._prev.update(operands)
 
     def _qk_matmul(self, qq: np.ndarray, qk: np.ndarray) -> np.ndarray:
@@ -868,8 +927,6 @@ class QAttention(QLayerBase):
                 + bk.matmul(qq, dk.transpose(0, 1, 3, 2))
                 + bk.matmul(dq, self._prev["k"].transpose(0, 1, 3, 2))
             )
-        if s_int.dtype != np.float64:  # exact-f32 GEMM, f64 state downstream
-            s_int = s_int.astype(np.float64)
         self._record_matmul(
             suffix="qk",
             data=qq,
@@ -894,8 +951,6 @@ class QAttention(QLayerBase):
         else:
             # P_t V_t = O_{t+1} + P_t dV + dP V_{t+1}
             o_int = prev_o + bk.matmul(qp, dv) + bk.matmul(dp, self._prev["v"])
-        if o_int.dtype != np.float64:  # exact-f32 GEMM, f64 state downstream
-            o_int = o_int.astype(np.float64)
         self._record_matmul(
             suffix="pv",
             data=qp,

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..nn.functional import _clip
 from ..scratch import scratch_buffer
 
 __all__ = ["SymmetricQuantizer", "quantize", "dequantize", "qrange"]
@@ -25,6 +26,34 @@ __all__ = ["SymmetricQuantizer", "quantize", "dequantize", "qrange"]
 def qrange(bits: int) -> tuple:
     """(qmin, qmax) of a signed two's-complement integer of ``bits`` bits."""
     return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+
+
+def _check_scale(scale):
+    """Raise unless ``scale`` is positive (a scalar, or an array of per-row
+    scales); returns it.  Quantizers check a scale where it is set, so
+    their per-call path runs unchecked."""
+    if isinstance(scale, np.ndarray):
+        if scale.size == 0 or np.any(scale <= 0.0):
+            raise ValueError("per-row scales must all be positive")
+    elif scale <= 0.0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    return scale
+
+
+def _quantize(x: np.ndarray, scale, qmin: int, qmax: int, out_dtype=None) -> np.ndarray:
+    """:func:`quantize` of an array by a checked ``scale``: divide, rint and
+    one clip call, the first two in ``x``'s precision."""
+    if out_dtype is not None and out_dtype != x.dtype:
+        # The full-precision quotient is a transient here: rint computes in
+        # the input precision and cast-stores the exact integer result
+        # directly into the (fresh) target buffer.
+        q = np.divide(x, scale, out=scratch_buffer("quantize-div", x.shape, x.dtype))
+        q = np.rint(q, out=np.empty(q.shape, dtype=out_dtype), casting="same_kind")
+    else:
+        # One temporary instead of three: divide, then round/clip in place.
+        q = np.divide(x, scale)
+        np.rint(q, out=q)
+    return _clip(q, qmin, qmax, out=q)
 
 
 def quantize(
@@ -44,25 +73,11 @@ def quantize(
     (the per-row scale vectors of timestep-clustered quantizers when batch
     rows sit in different step clusters, see :mod:`repro.quant.tdq`).
     """
-    if isinstance(scale, np.ndarray):
-        if scale.size == 0 or np.any(scale <= 0.0):
-            raise ValueError("per-row scales must all be positive")
-    elif scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    _check_scale(scale)
     qmin, qmax = qrange(bits)
     if not isinstance(x, np.ndarray):
         return np.clip(np.rint(x / scale), qmin, qmax)
-    if out_dtype is not None and np.dtype(out_dtype) != x.dtype:
-        # The full-precision quotient is a transient here: rint computes in
-        # the input precision and cast-stores the exact integer result
-        # directly into the (fresh) target buffer.
-        q = np.divide(x, scale, out=scratch_buffer("quantize-div", x.shape, x.dtype))
-        q = np.rint(q, out=np.empty(q.shape, dtype=out_dtype), casting="same_kind")
-    else:
-        # One temporary instead of three: divide, then round/clip in place.
-        q = x / scale
-        q = np.rint(q, out=q)
-    return np.clip(q, qmin, qmax, out=q)
+    return _quantize(x, scale, qmin, qmax, out_dtype)
 
 
 def dequantize(q: np.ndarray, scale: float) -> np.ndarray:
@@ -77,7 +92,7 @@ class SymmetricQuantizer:
             raise ValueError("need at least 2 bits for signed quantization")
         self.bits = bits
         self.qmin, self.qmax = qrange(bits)
-        self.scale = scale
+        self.scale = None if scale is None else _check_scale(scale)
         self._observed_max = 0.0
 
     # -- calibration -------------------------------------------------------
@@ -99,7 +114,7 @@ class SymmetricQuantizer:
     def freeze(self) -> float:
         """Fix the scale from observed ranges; returns the chosen scale."""
         peak = self._observed_max if self._observed_max > 0.0 else 1.0
-        self.scale = peak / self.qmax
+        self.scale = _check_scale(peak / self.qmax)
         return self.scale
 
     @property
@@ -119,8 +134,13 @@ class SymmetricQuantizer:
 
     # -- conversion -----------------------------------------------------------
     def quantize(self, x: np.ndarray, out_dtype=None) -> np.ndarray:
-        scale = self.ensure_scale(x)
-        return quantize(x, scale, self.bits, out_dtype=out_dtype)
+        """:func:`quantize` of the array ``x`` by this quantizer's scale,
+        frozen on first use.  The scale was checked where it was set
+        (construction, :meth:`freeze`), so this runs unchecked."""
+        scale = self.scale
+        if scale is None:
+            scale = self.ensure_scale(x)
+        return _quantize(x, scale, self.qmin, self.qmax, out_dtype)
 
     def dequantize(self, q: np.ndarray) -> np.ndarray:
         if self.scale is None:

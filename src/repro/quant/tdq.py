@@ -31,7 +31,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .quantizer import SymmetricQuantizer, quantize
+from .quantizer import SymmetricQuantizer, _check_scale, _quantize
 
 __all__ = [
     "TimestepClusteredQuantizer",
@@ -117,7 +117,7 @@ class TimestepClusteredQuantizer(SymmetricQuantizer):
             if peak <= 0.0:
                 # Fall back to the widest observed range (or unit scale).
                 peak = max(self._observed) or 1.0
-            scales.append(peak / self.qmax)
+            scales.append(_check_scale(peak / self.qmax))
         self._cluster_scales = scales
         self.scale = scales[0]
         return scales
@@ -171,7 +171,8 @@ class TimestepClusteredQuantizer(SymmetricQuantizer):
         return super().ensure_scale(x)
 
     def quantize(self, x: np.ndarray, out_dtype=None) -> np.ndarray:
-        return quantize(x, self.ensure_scale(x), self.bits, out_dtype=out_dtype)
+        # Cluster scales are checked at freeze_clusters.
+        return _quantize(x, self.ensure_scale(x), self.qmin, self.qmax, out_dtype)
 
     def grid(self) -> tuple:
         return super().grid() + (tuple(self._cluster_scales), tuple(self._bounds))

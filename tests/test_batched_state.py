@@ -556,7 +556,9 @@ def test_conv_state_is_base_temporal_state_only():
             buffers = {
                 name for name, value in vars(conv).items()
                 if isinstance(value, np.ndarray)
-                and name not in ("q_weight", "_w_rows", "bias", "weight_scale")
+                and name not in (
+                    "q_weight", "_w_rows", "bias", "weight_scale", "_epi_scale", "_epi_bias"
+                )
             }
             assert buffers <= base, buffers - base
             assert conv._prev_q_in is not None

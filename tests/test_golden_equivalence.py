@@ -227,10 +227,15 @@ def _reference_conv_record(layer: QConv2d, q_in, diff):
 # id -> (padding, stride, kernel, (H, W)).  Every stride-1 case runs the
 # row-shift spatial stats: padding 0/1/2, the 1x1 no-copy operand, a
 # non-square input, and out_w == 1 (no within-row differences at all).
+# The stride-2 cases run the transposed im2col: padded and unpadded 3x3,
+# DiT's 2x2 patch embed, and a padded 3x3 over an odd, non-square input.
 _CONV_STATS_CASES = {
     "1-1": (1, 1, 3, (8, 8)),
     "0-1": (0, 1, 3, (8, 8)),
     "1-2": (1, 2, 3, (8, 8)),
+    "0-2": (0, 2, 3, (8, 8)),
+    "patch2": (0, 2, 2, (8, 8)),
+    "odd-2": (1, 2, 3, (9, 7)),
     "2-1": (2, 1, 3, (8, 8)),
     "1x1": (0, 1, 1, (8, 8)),
     "nonsquare": (1, 1, 3, (5, 9)),
@@ -297,14 +302,26 @@ def test_f32_gate_covers_difference_range():
 
     A 64-channel 3x3 conv (dot_len 576) passes the naive dense-operand bound
     (576 * 2^14 < 2^24) but a temporal-difference dot product can reach
-    576 * 255 * 128 > 2^24, where float32 accumulation rounds.  Such layers
-    must stay on the float64 path.
+    576 * 255 * 128 > 2^24, where float32 accumulation rounds.  At stride 1
+    the conv runs one GEMM per row-shift slice of 64 * 3 = 192 terms, inside
+    the bound: the slices run in float32 and their partial sums add in
+    float64.  A single GEMM of 576 terms (stride 2) stays on the float64
+    path.
     """
     rng = np.random.default_rng(2)
     wide = QConv2d(rng.standard_normal((4, 64, 3, 3)), None, padding=1)
-    assert not wide._use_f32  # dot_len 576 > 2^24 / 2^15
+    assert wide._use_f32 and wide._sum_f64  # slices of 192 <= 514 < 576
+    assert wide.q_weight.dtype == wide._w_rows.dtype == np.float32
+    q_in = wide.input_quant.quantize(
+        rng.standard_normal((1, 64, 5, 5)), out_dtype=np.dtype(np.float32)
+    )
+    cols, out_hw = wide._unfold(q_in)
+    assert cols.dtype == np.float32
+    assert wide._conv(cols, out_hw).dtype == np.float64  # f64 partial sums
+    strided = QConv2d(rng.standard_normal((4, 64, 3, 3)), None, stride=2, padding=1)
+    assert not strided._use_f32  # one GEMM over all 576 terms
     narrow = QConv2d(rng.standard_normal((4, 32, 3, 3)), None, padding=1)
-    assert narrow._use_f32  # dot_len 288 <= 514
+    assert narrow._use_f32 and not narrow._sum_f64  # dot_len 288 <= 514
     # The reviewer's counterexample, end to end: saturated differences whose
     # exact dot product is odd and above 2^24 must survive bit-exactly.
     from repro.quant.qlayers import QLinear
@@ -358,6 +375,38 @@ def test_f32_gate_edge_saturated_temporal_step_exact():
     # The temporal dot product 255 * (513 * 127 - 128) is odd and within
     # 2^24; the integer accumulator holds (-128 + 255) times the weight sum.
     assert fast._prev_out_int.ravel()[0] == 127 * (513 * 127 - 128)
+
+
+def test_f32_gate_per_slice_saturated_temporal_step_exact():
+    """The 576-term conv's saturated temporal step runs bit-identical to a
+    forced-float64 twin.  Every difference is 127 - (-128) = 255 and the
+    weights are 127 but one 126, so the temporal dot product
+    255 * (575 * 127 + 126) = 18,653,505 is odd and above 2^24.  Each
+    float32 row-shift slice (192 terms) stays exact; a float32 sum of the
+    three would round the odd total to even, the float64 sum does not."""
+    weight = np.ones((1, 64, 3, 3))
+    weight[0, 0, 0, 0] = 126.0 / 127.0
+    fast = QConv2d(weight, None)
+    slow = QConv2d(weight, None)
+    assert fast._use_f32 and fast._sum_f64
+    assert fast.q_weight[0, 0, 0, 0] == 126 and np.sum(fast.q_weight == 127) == 575
+    slow._use_f32 = False
+    slow._cols_dtype = np.dtype(np.float64)
+    slow.q_weight = slow.q_weight.astype(np.float64)
+    slow._w_rows = slow._w_rows.astype(np.float64)
+    outs = []
+    for layer in (fast, slow):
+        layer.input_quant.scale = 1.0
+        layer.mode = ExecutionMode.TEMPORAL
+        layer(np.full((1, 64, 3, 3), -128.0))  # no state yet: executes dense
+        with TraceRecorder() as rec:
+            outs.append(layer(np.full((1, 64, 3, 3), 127.0)))
+        assert rec.trace[0].stats_temporal is not None  # executed temporal
+    np.testing.assert_array_equal(outs[0], outs[1])
+    weight_sum = 575 * 127 + 126
+    assert 255 * weight_sum > 2**24 and (255 * weight_sum) % 2 == 1
+    # The integer accumulator holds (-128 + 255) times the weight sum.
+    assert fast._prev_out_int.ravel()[0] == 127 * weight_sum
 
 
 def test_pad_workspace_not_shared_across_padding_widths():

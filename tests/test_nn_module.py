@@ -98,3 +98,44 @@ def test_register_module_replaces_attribute():
     tree.register_module("a", new_leaf)
     assert tree.a is new_leaf
     assert tree._modules["a"] is new_leaf
+
+
+def test_hooks_fire_once_per_forward_and_late_hooks_take_effect():
+    """A call dispatches hooks only when the module has some, so a hook on a
+    quantized conv, on a fused Q/K/V child (which fires through
+    ``run_forward_hooks``, not its own call) and on a float GroupNorm fires
+    exactly once per forward, and a hook added between two forwards fires on
+    the second.  GraphAnalyzer and the calibration collector rely on both."""
+    from repro.models.blocks import AttentionBlock
+    from repro.nn import Conv2d
+    from repro.quant import quantize_model
+
+    class Net(Module):
+        def __init__(self):
+            super().__init__()
+            rng = np.random.default_rng(0)
+            self.conv = Conv2d(3, 8, 3, padding=1, rng=rng)
+            self.block = AttentionBlock(8, num_heads=2, rng=rng)
+
+        def forward(self, x):
+            return self.block(self.conv(x))
+
+    net = quantize_model(Net())
+    attn = net.block.attn
+    calls = []
+
+    def hook(module, args, output):
+        calls.append((module, output.shape))
+
+    for module in (net.conv, attn.to_q, attn.to_v, net.block.norm):
+        module.register_forward_hook(hook)
+    x = np.random.default_rng(1).standard_normal((2, 3, 4, 4))
+    net(x)
+    fired = [module for module, _ in calls]
+    assert fired == [net.conv, net.block.norm, attn.to_q, attn.to_v]
+    assert dict(calls)[attn.to_q] == (2, 16, 8)
+    calls.clear()
+    attn.to_k.register_forward_hook(hook)
+    net(x)
+    fired = [module for module, _ in calls]
+    assert fired == [net.conv, net.block.norm, attn.to_q, attn.to_k, attn.to_v]

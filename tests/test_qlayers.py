@@ -127,8 +127,9 @@ def test_qlinear_weight_matches_clipped_reference(seed, out_features, magnitude,
 # ---------------------------------------------------------------------------
 
 # (in_c, out_c, kernel, stride, padding, hw): both paddings, the stride-2
-# Downsample, the 1x1 skip, and a 3x3 past the exact-f32 gate (64 * 9 *
-# 2^15 >= 2^24), which takes the float64 path.
+# Downsample, the 1x1 skip, and a 3x3 whose whole dot product is past the
+# exact-f32 gate (64 * 9 * 255 * 128 >= 2^24): its float32 row-shift slices
+# (64 * 3 terms each) sum in float64.
 _CONV_CASES = [
     (3, 5, 3, 1, 0, 6),
     (3, 5, 3, 1, 1, 6),
@@ -150,7 +151,11 @@ def test_qconv_temporal_exactness(seed):
         q_dense = QConv2d.from_float(fp)
         q_temp = QConv2d.from_float(fp)
         q_temp.mode = ExecutionMode.TEMPORAL
-        assert q_temp._use_f32 == (in_c < 64)
+        # Stride-1 convs gate per row-shift slice (in_c * kernel terms), so
+        # every case runs float32 GEMMs; only the 576-term dot product sums
+        # its slices in float64.
+        assert q_temp._use_f32
+        assert q_temp._sum_f64 == (in_c * kernel * kernel > 514)
         x = rng.normal(size=(3, in_c, hw, hw))
         scales = np.full((3, 1, 1, 1), np.abs(x).max() / 127.0)
         temporal_stats = []
