@@ -13,23 +13,23 @@ Commands
 ``sweep``
     Run every benchmark and print the Fig. 13-style summary matrix.
 ``serve BENCH``
-    Simulate the paper's serving scenario: a request queue with a
-    configurable arrival pattern driven at ``--batch-sizes`` (default
+    Simulate the paper's serving scenario: a request queue with Poisson
+    or burst arrivals (``--pattern``) driven at ``--batch-sizes`` (default
     1 2 4 8) through one step-level scheduler whose admission rule is
     ``--scheduler fixed`` (lockstep micro-batches after a ``--window``)
     or ``--scheduler continuous`` (admission at every step boundary, rows
     at their own timesteps); reports throughput, latency percentiles and
     utilization per batch size, and the temporal-mode MAC savings of the
     engine's ExecutionPlan (loaded from the cache or derived once).
-    ``--pool-budget-mb`` caps batch sizes by scratch-memory footprint;
     ``--verify`` asserts every request is bit-exact with its seeded
-    batch-1 reference.  Fault tolerance (both schedulers):
-    ``--deadline``/``--slo`` set per-request/per-class latency targets,
-    ``--fault-spec`` (or ``$REPRO_FAULTS``) injects deterministic step
-    errors, kills, latency, cancellations, and cache corruption;
-    ``--max-retries`` bounds exact-replay retries and ``--no-recover``
-    disables crash recovery.  The report then carries per-class SLO
-    accounting (every request completed/cancelled/expired/failed).
+    batch-1 reference.  Fault tolerance (both schedulers): ``--slo`` sets
+    per-class latency targets (``--slo default:D`` gives every request
+    the deadline D), ``--fault-spec`` (or ``$REPRO_FAULTS``) injects
+    deterministic step errors, kills, latency, cancellations, and cache
+    corruption; failed steps are retried as exact replays and killed
+    sessions recovered.  The report then carries per-class SLO accounting
+    (every request completed/cancelled/expired/failed).  Invalid options
+    (e.g. a negative ``--window``) are refused with the reason.
 ``cache info|clear``
     Inspect or reclaim the on-disk result cache.
 
@@ -141,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
              "its own timestep)",
     )
     serve_p.add_argument(
-        "--pool-budget-mb", type=float, default=None, metavar="MB",
-        help="scratch-pool memory budget; caps every batch size at the "
-             "largest row count that fits (refuses budgets below one row)",
-    )
-    serve_p.add_argument(
         "--sampler", choices=["ddim", "ddpm", "plms", "dpmpp"], default=None,
         help="override the benchmark's sampler (e.g. ddpm for stochastic "
              "ancestral sampling)",
@@ -163,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mean request arrival rate (requests/second)",
     )
     serve_p.add_argument(
-        "--pattern", choices=["poisson", "uniform", "burst"], default="poisson",
+        "--pattern", choices=["poisson", "burst"], default="poisson",
         help="arrival pattern of the request trace",
     )
     serve_p.add_argument(
@@ -181,15 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run every served request batch-1 and assert bit-exactness",
     )
     serve_p.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        dest="deadline_s",
-        help="per-request completion deadline from arrival; expired rows "
-             "are evicted at step boundaries",
-    )
-    serve_p.add_argument(
         "--slo", default=None, metavar="SPEC",
         help="per-class SLOs 'name:deadline[:weight],...' (empty/none "
-             "deadline = no target); requests are assigned to classes "
+             "deadline = no target; 'default:D' gives every request the "
+             "deadline D); requests are assigned to classes "
              "weight-proportionally and reported per class",
     )
     serve_p.add_argument(
@@ -198,20 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
              "'error@req=1,step=2;kill@req=2,step=3;delay@req=5,step=1,"
              "ms=30000' (default: $REPRO_FAULTS; see README 'Robustness & "
              "failure model' for the grammar)",
-    )
-    serve_p.add_argument(
-        "--fault-seed", type=int, default=0, metavar="N",
-        help="seed for probabilistic (p=...) fault entries",
-    )
-    serve_p.add_argument(
-        "--max-retries", type=int, default=3, metavar="N",
-        help="exact-replay retries per step before the session is declared "
-             "unhealthy",
-    )
-    serve_p.add_argument(
-        "--no-recover", dest="recover", action="store_false", default=True,
-        help="disable crash recovery: a killed session fails its in-flight "
-             "requests instead of rebuilding and re-admitting them",
     )
     serve_p.add_argument(
         "--out", default=None, metavar="PATH",
@@ -308,28 +284,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .runtime.serving import simulate_serving
 
-    report = simulate_serving(
-        args.benchmark,
-        batch_sizes=args.batch_sizes,
-        num_requests=args.requests,
-        rate_rps=args.rate,
-        pattern=args.pattern,
-        window_s=args.window,
-        num_steps=args.steps,
-        seed=args.seed,
-        guidance_scale=args.guidance,
-        verify_invariance=args.verify,
-        scheduler=args.scheduler,
-        pool_budget_mb=args.pool_budget_mb,
-        sampler=args.sampler,
-        sampler_eta=args.eta,
-        deadline_s=args.deadline_s,
-        slo=args.slo,
-        fault_spec=args.fault_spec,
-        fault_seed=args.fault_seed,
-        max_retries=args.max_retries,
-        recover=args.recover,
-    )
+    try:
+        report = simulate_serving(
+            args.benchmark,
+            batch_sizes=args.batch_sizes,
+            num_requests=args.requests,
+            rate_rps=args.rate,
+            pattern=args.pattern,
+            window_s=args.window,
+            num_steps=args.steps,
+            seed=args.seed,
+            guidance_scale=args.guidance,
+            verify_invariance=args.verify,
+            scheduler=args.scheduler,
+            sampler=args.sampler,
+            sampler_eta=args.eta,
+            slo=args.slo,
+            fault_spec=args.fault_spec,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro serve: error: {exc}") from None
     print(report.summary())
     if args.out:
         import json

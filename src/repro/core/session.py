@@ -292,12 +292,11 @@ class EngineSession:
         if self._composition_changed:
             # The scratch pool keys buffers by (tag, shape) and never
             # evicts; occupancy churn would otherwise accumulate one buffer
-            # set per distinct batch size (~capacity^2/2 rows at peak,
-            # breaking the linear-growth assumption the --pool-budget-mb
-            # cap relies on).  Dropping the pool at composition changes
-            # costs one buffer-set reallocation per admission/eviction -
-            # negligible against a denoiser step - and pins peak scratch to
-            # the current batch size.
+            # set per distinct batch size (~capacity^2/2 rows at peak).
+            # Dropping the pool at composition changes costs one
+            # buffer-set reallocation per admission/eviction - negligible
+            # against a denoiser step - and pins peak scratch to the
+            # current batch size.
             clear_scratch()
             self._composition_changed = False
         steps = np.array([row.step for row in self._rows])

@@ -43,10 +43,8 @@ from .serving import (
     SLOClass,
     SLOClassReport,
     assign_slo_classes,
-    estimate_row_footprint,
     generate_requests,
     parse_slo_spec,
-    pool_budget_row_cap,
     simulate_serving,
 )
 
@@ -76,12 +74,10 @@ __all__ = [
     "default_cache_dir",
     "engine_build_key",
     "engine_key",
-    "estimate_row_footprint",
     "generate_requests",
     "normalize_batch_sizes",
     "parse_slo_spec",
     "plan_key",
-    "pool_budget_row_cap",
     "similarity_key",
     "simulate_serving",
     "stable_hash",

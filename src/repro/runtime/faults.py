@@ -4,7 +4,7 @@ Serving (PR 3-4) assumed every step succeeds and every request runs to
 completion.  This module supplies the primitives that drop that assumption
 without giving up the repo's bit-exactness contract:
 
-* :class:`FaultPlan` - a seeded, declarative schedule of injected failures
+* :class:`FaultPlan` - a declarative schedule of injected failures
   (step exceptions, session kills, artificial step latency, cache-read
   corruption, cancellations) addressed by (request, step) coordinates, so
   every recovery path is exercised *reproducibly* in tests and CI;
@@ -22,8 +22,8 @@ Fault-spec grammar (``--fault-spec`` / ``$REPRO_FAULTS``)::
     spec   := entry (';' entry)*
     entry  := kind '@' key=value (',' key=value)*
 
-    error  @ [req=R,] step=S [,times=N|*] [,p=F]   raise before the forward
-    kill   @ [req=R,] step=S [,times=N|*] [,p=F]   kill the session (unhealthy)
+    error  @ [req=R,] step=S [,times=N|*]          raise before the forward
+    kill   @ [req=R,] step=S [,times=N|*]          kill the session (unhealthy)
     delay  @ [req=R,] step=S, ms=M [,times=N|*]    add M ms simulated latency
     cancel @ req=R, (at=T | step=S)                trip R's cancellation token
     corrupt@ [read=N|*] [,times=N|*]               scribble over a cache read
@@ -31,9 +31,8 @@ Fault-spec grammar (``--fault-spec`` / ``$REPRO_FAULTS``)::
 With ``req=R`` the coordinate means "request R is in flight at its row-step
 S"; without it, ``step=S`` addresses the S-th step *attempt* of the drain
 (0-based, counted across retries and recoveries).  ``times`` caps how often
-an entry fires (default once, ``*`` = unlimited); ``p`` makes a matching
-entry fire with that probability, drawn from the plan's own seeded stream -
-still fully deterministic for a fixed ``(spec, seed)``.
+an entry fires (default once, ``*`` = unlimited), so a plan fires the same
+faults at the same coordinates on every replay of the same trace.
 
 Injected latency and cancellation trip times live on the *simulated* clock
 (the one arrivals and deadlines use), so a ``delay`` entry deterministically
@@ -183,7 +182,6 @@ class FaultEntry:
     ms: float = 0.0
     read: Optional[int] = None
     times: Optional[int] = 1  # None = unlimited
-    p: float = 1.0
 
     def spent(self) -> bool:
         """Whether the firing budget is exhausted (``times=None`` never spends)."""
@@ -211,7 +209,7 @@ def _parse_int_or_star(value: str, key: str) -> Optional[int]:
 
 
 class FaultPlan:
-    """A seeded schedule of injected failures (see the module docstring).
+    """A deterministic schedule of injected failures (see the module docstring).
 
     A plan is stateful: entries carry firing budgets, and the plan counts
     step attempts and cache reads to resolve attempt-/read-indexed
@@ -220,26 +218,21 @@ class FaultPlan:
     """
 
     def __init__(
-        self,
-        entries: Sequence[FaultEntry],
-        seed: int = 0,
-        spec: Optional[str] = None,
+        self, entries: Sequence[FaultEntry], spec: Optional[str] = None
     ) -> None:
         self.entries = list(entries)
-        self.seed = seed
         self.spec = spec
         self.step_attempts = 0
         self.cache_reads = 0
-        self._rng = np.random.default_rng(seed)
 
     @classmethod
-    def from_spec(cls, spec: str, seed: int = 0) -> "FaultPlan":
+    def from_spec(cls, spec: str) -> "FaultPlan":
         """Parse a ``;``-separated fault-spec string into a fresh plan.
 
         Each entry is ``kind@key=value,...`` (see the module docstring for
         the grammar and ``FAULT_KINDS`` for the kinds).  Raises
-        ``ValueError`` on unknown kinds, malformed keys, or out-of-range
-        probabilities.
+        ``ValueError`` on unknown kinds, unknown or malformed keys, or
+        missing coordinates.
         """
         entries: List[FaultEntry] = []
         for raw in spec.split(";"):
@@ -271,13 +264,11 @@ class FaultPlan:
                     entry.read = _parse_int_or_star(value, key)
                 elif key == "times":
                     entry.times = _parse_int_or_star(value, key)
-                elif key == "p":
-                    entry.p = float(value)
                 else:
                     raise ValueError(f"fault entry {raw!r}: unknown key {key!r}")
             cls._validate(raw, entry)
             entries.append(entry)
-        return cls(entries, seed=seed, spec=spec)
+        return cls(entries, spec=spec)
 
     @staticmethod
     def _validate(raw: str, entry: FaultEntry) -> None:
@@ -291,14 +282,11 @@ class FaultPlan:
                     f"fault entry {raw!r}: cancel needs req=R and exactly one "
                     "of at=T (simulated seconds) or step=S"
                 )
-        if not 0.0 < entry.p <= 1.0:
-            raise ValueError(f"fault entry {raw!r}: p must be in (0, 1]")
 
     # -- firing --------------------------------------------------------------
-    def _fires(self, entry: FaultEntry) -> bool:
+    @staticmethod
+    def _fires(entry: FaultEntry) -> bool:
         if entry.spent():
-            return False
-        if entry.p < 1.0 and float(self._rng.random()) >= entry.p:
             return False
         entry.consume()
         return True

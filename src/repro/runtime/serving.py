@@ -7,7 +7,7 @@ occupancy, and a denoiser driven at ``batch_size > 1``.  This module
 simulates exactly that on top of :class:`~repro.core.engine.DittoEngine`:
 
 * :func:`generate_requests` draws a request trace with a configurable
-  arrival pattern (``poisson`` / ``uniform`` / ``burst``), each request
+  arrival pattern (``poisson`` / ``burst``), each request
   carrying its own noise seed;
 * :func:`simulate_serving` replays the same trace against every requested
   batch capacity.  One drain drives a persistent
@@ -97,13 +97,21 @@ __all__ = [
     "assign_slo_classes",
     "generate_requests",
     "simulate_serving",
-    "estimate_row_footprint",
-    "pool_budget_row_cap",
 ]
 
-ARRIVAL_PATTERNS = ("poisson", "uniform", "burst")
+ARRIVAL_PATTERNS = ("poisson", "burst")
 SCHEDULERS = ("fixed", "continuous")
 REQUEST_OUTCOMES = ("completed", "cancelled", "expired", "failed")
+
+# The drain's failure policy.  A failed step is retried up to MAX_RETRIES
+# times, the n-th retry after min(RETRY_BACKOFF_S * 2**(n-1),
+# RETRY_BACKOFF_CAP_S) simulated seconds; a session that is killed or out
+# of retries is rebuilt at most MAX_RECOVERIES times per drain, after which
+# its in-flight rows fail.
+MAX_RETRIES = 3
+RETRY_BACKOFF_S = 0.05
+RETRY_BACKOFF_CAP_S = 2.0
+MAX_RECOVERIES = 8
 
 
 @dataclass(frozen=True)
@@ -412,8 +420,6 @@ class ServingReport:
     plan_drift: Dict[str, object]
     scheduler: str = "fixed"
     sampler: Optional[str] = None
-    pool_budget_mb: Optional[float] = None
-    pool_row_cap: Optional[int] = None
     fault_spec: Optional[str] = None
     slo_spec: Optional[str] = None
     # Request ids --verify actually re-ran batch-1 and matched bit-exactly
@@ -494,11 +500,6 @@ class ServingReport:
                 else ""
             )
         )
-        if self.pool_row_cap is not None:
-            head += (
-                f"\npool budget {self.pool_budget_mb:g} MB caps the batch at "
-                f"{self.pool_row_cap} row(s)"
-            )
         if self.fault_spec:
             head += f"\nfault plan: {self.fault_spec}"
         head += (
@@ -549,8 +550,6 @@ class ServingReport:
             "invariance_checked": self.invariance_checked,
             "scheduler": self.scheduler,
             "sampler": self.sampler,
-            "pool_budget_mb": self.pool_budget_mb,
-            "pool_row_cap": self.pool_row_cap,
             "fault_spec": self.fault_spec,
             "slo_spec": self.slo_spec,
             "verified_requests": list(self.verified_requests),
@@ -574,8 +573,8 @@ def generate_requests(
     """Draw a request trace with the given arrival pattern.
 
     ``poisson`` draws exponential inter-arrival gaps at ``rate_rps``;
-    ``uniform`` spaces arrivals exactly ``1/rate_rps`` apart; ``burst``
-    drops every request at t=0 (the worst case for the micro-batcher).
+    ``burst`` drops every request at t=0 (the worst case for the
+    micro-batcher).
     Each request gets a private, reproducible noise seed derived from
     ``(seed, req_id)``, so its sample is identical no matter which
     micro-batch it lands in.  ``slo`` assigns each request a service class
@@ -588,14 +587,12 @@ def generate_requests(
         raise ValueError(
             f"unknown arrival pattern {pattern!r}; choose from {ARRIVAL_PATTERNS}"
         )
-    if pattern != "burst" and rate_rps <= 0.0:
-        raise ValueError("rate_rps must be positive")
     if pattern == "poisson":
+        if rate_rps <= 0.0:
+            raise ValueError("rate_rps must be positive")
         rng = np.random.default_rng(seed)
         gaps = rng.exponential(1.0 / rate_rps, size=num_requests)
         arrivals = np.cumsum(gaps) - gaps[0]  # first request arrives at t=0
-    elif pattern == "uniform":
-        arrivals = np.arange(num_requests) / rate_rps
     else:  # burst
         arrivals = np.zeros(num_requests)
     classes = (
@@ -633,11 +630,6 @@ def _drain(
     fault_plan: Optional[faults.FaultPlan] = None,
     cancel_tokens: Optional[Dict[int, faults.CancelToken]] = None,
     rebuild: Optional[Callable[[], DittoEngine]] = None,
-    max_retries: int = 3,
-    retry_backoff_s: float = 0.05,
-    retry_backoff_cap_s: float = 2.0,
-    recover: bool = True,
-    max_recoveries: int = 8,
 ) -> Tuple[
     List[ServedRequest],
     List[float],
@@ -666,15 +658,16 @@ def _drain(
     Each step boundary runs the fault-tolerance policy, in order: trip
     plan-scheduled cancellations, evict cancelled rows, evict
     deadline-expired rows, record cancelled/expired queued requests at
-    admission, admit.  A step that raises is retried up to ``max_retries``
-    times with capped exponential backoff on the simulated clock - exact
-    replay is guaranteed by the session (stateless dense step + rewound rng
-    streams).  A killed session (or exhausted retries) triggers crash
-    recovery: snapshot the rows, rebuild the engine via ``rebuild``,
-    re-admit every row at its recorded step with its stream fast-forwarded
-    past its recorded draws.  With recovery disabled or exhausted
-    (``max_recoveries``), the in-flight rows are recorded ``failed`` and the
-    remaining queue continues on a fresh session.
+    admission, admit.  A step that raises is retried up to
+    :data:`MAX_RETRIES` times with capped exponential backoff on the
+    simulated clock - exact replay is guaranteed by the session (stateless
+    dense step + rewound rng streams).  A killed session (or exhausted
+    retries) triggers crash recovery: snapshot the rows, rebuild the engine
+    via ``rebuild``, re-admit every row at its recorded step with its
+    stream fast-forwarded past its recorded draws.  Without a ``rebuild``,
+    or once :data:`MAX_RECOVERIES` recoveries are spent, the in-flight rows
+    are recorded ``failed`` and the remaining queue continues on a fresh
+    session.
 
     Returns the terminal records (one per request), per-step wall-clock
     times, per-step occupancies, each completed request's sample (for
@@ -732,7 +725,7 @@ def _drain(
         inflight = dead.snapshot()
         draws = {tag: streams[tag].draws if streams.get(tag) else 0 for tag, *_ in inflight}
         dead.close()  # resets the shared layer state; safe when unhealthy
-        if recover and rebuild is not None and stats.recoveries < max_recoveries:
+        if rebuild is not None and stats.recoveries < MAX_RECOVERIES:
             stats.recoveries += 1
             engine = rebuild()
             fresh = engine.open_session(capacity=capacity)
@@ -832,7 +825,7 @@ def _drain(
                     # can trip deadlines but costs no wall time.
                     now += time.perf_counter() - t0
                     attempt += 1
-                    if attempt > max_retries:
+                    if attempt > MAX_RETRIES:
                         session.mark_unhealthy(
                             f"step failed {attempt} times: {exc}"
                         )
@@ -840,8 +833,8 @@ def _drain(
                         break
                     stats.retries += 1
                     now += min(
-                        retry_backoff_s * 2.0 ** (attempt - 1),
-                        retry_backoff_cap_s,
+                        RETRY_BACKOFF_S * 2.0 ** (attempt - 1),
+                        RETRY_BACKOFF_CAP_S,
                     )
             if not stepped:
                 continue  # recovered (rows re-admitted) or failed (rows retired)
@@ -861,52 +854,6 @@ def _drain(
     return served, step_times, occupancies, samples, stats, engine
 
 
-def estimate_row_footprint(engine: DittoEngine) -> int:
-    """Measured scratch bytes of one batch row.
-
-    Runs one dense probe forward at batch 2 - the mode every served row
-    executes, which holds no temporal state - and tallies the thread's
-    scratch pool (the shared conv unfold buffers and GEMM temporaries).  It
-    grows linearly with the batch, so half the batch-2 total is one row and
-    ``budget // row_bytes`` bounds the admissible batch size.
-    """
-    from ..quant.qlayers import reset_model_state, set_model_mode
-    from ..scratch import clear_scratch, scratch_pool_bytes
-
-    engine._freeze_scales(1)
-    clear_scratch()
-    reset_model_state(engine.qmodel)
-    set_model_mode(engine.qmodel, ExecutionMode.DENSE)
-    engine._probe_fn(2)()
-    total = scratch_pool_bytes()
-    clear_scratch()
-    return -(-total // 2)  # ceil: never under-report a row
-
-
-def pool_budget_row_cap(engine: DittoEngine, budget_mb: float) -> int:
-    """Largest batch the scratch-pool budget admits; raises if below 1 row.
-
-    The graceful refusal the ROADMAP asked for: a budget smaller than a
-    single row's footprint cannot serve anything, so it fails loudly with
-    the measured requirement instead of thrashing.
-    """
-    if budget_mb <= 0:
-        raise ValueError(f"pool budget must be positive, got {budget_mb} MB")
-    row_bytes = estimate_row_footprint(engine)
-    cap = int(budget_mb * 2**20) // max(row_bytes, 1)
-    if cap < 1:
-        # Report the measured footprint AND the smallest budget that would
-        # admit one row (ceiling at 0.01 MB so the suggestion always works).
-        min_mb = math.ceil(row_bytes / 2**20 * 100.0) / 100.0
-        raise ValueError(
-            f"pool budget {budget_mb:g} MB is below one batch row's "
-            f"measured footprint ({row_bytes / 2**20:.2f} MB = {row_bytes} "
-            f"bytes); pass --pool-budget-mb {min_mb:.2f} or more, or shrink "
-            "the model"
-        )
-    return cap
-
-
 def simulate_serving(
     spec_or_name,
     batch_sizes: Iterable[int] = (1, 2, 4, 8),
@@ -918,14 +865,8 @@ def simulate_serving(
     verify_invariance: bool = False,
     engine: Optional[DittoEngine] = None,
     scheduler: str = "fixed",
-    pool_budget_mb: Optional[float] = None,
-    deadline_s: Optional[float] = None,
-    slo: Optional[object] = None,
+    slo: Optional[str] = None,
     fault_spec: Optional[str] = None,
-    fault_seed: int = 0,
-    max_retries: int = 3,
-    retry_backoff_s: float = 0.05,
-    recover: bool = True,
     use_plan: bool = True,
     plan_cache_dir=None,
     **axes,
@@ -937,8 +878,6 @@ def simulate_serving(
     the persistent session's *capacity*.  ``scheduler`` picks the admission
     rule: ``"fixed"`` launches lockstep micro-batches after a ``window_s``
     batching window, ``"continuous"`` admits at every step boundary.
-    ``pool_budget_mb`` caps every batch size at what the scratch-pool
-    memory budget admits.
 
     The engine's identity is one :class:`~repro.core.config.EngineConfig`.
     A prebuilt ``engine`` supplies it (``engine.config``), and any axis
@@ -956,16 +895,15 @@ def simulate_serving(
     its seeded batch-1 reference, and so is one stacked batch of the first
     requests; the report records which request ids were verified.
 
-    Fault tolerance (both schedulers): ``deadline_s`` applies one
-    deadline to every request; ``slo`` (a spec string for
-    :func:`parse_slo_spec` or a list of :class:`SLOClass`) assigns
-    per-class deadlines instead.  ``fault_spec`` (default:
+    Fault tolerance (both schedulers): ``slo`` (a spec string for
+    :func:`parse_slo_spec`; ``"default:D"`` gives every request the
+    deadline ``D``) assigns per-class deadlines.  ``fault_spec`` (default:
     ``$REPRO_FAULTS``) injects deterministic failures - a *fresh*
     :class:`~repro.runtime.faults.FaultPlan` is built per batch size so
-    firing budgets never leak across the sweep.  ``max_retries`` /
-    ``retry_backoff_s`` bound the exact-replay retry loop; ``recover``
-    toggles crash recovery, which rebuilds a spec-built engine warm from
-    the content-addressed engine-object cache
+    firing budgets never leak across the sweep.  Retries and crash
+    recovery follow the module's failure policy (:data:`MAX_RETRIES`,
+    :data:`MAX_RECOVERIES`); recovery rebuilds a spec-built engine warm
+    from the content-addressed engine-object cache
     (:meth:`~repro.runtime.runner.EngineRunner.build_engine`) and reopens a
     prebuilt one.
 
@@ -992,6 +930,10 @@ def simulate_serving(
         raise ValueError(
             f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
         )
+    if window_s < 0:
+        # A window closing before the first waiting request arrived would
+        # admit no one, and the fixed drain would spin on that arrival.
+        raise ValueError(f"batching window must be >= 0 s, got {window_s:g}")
     if not use_plan:
         raise ValueError(
             "every serve reads its numbers from an ExecutionPlan; "
@@ -1005,11 +947,7 @@ def simulate_serving(
     )
     if fault_spec is None:
         fault_spec = os.environ.get("REPRO_FAULTS") or None
-    slo_classes: Optional[List[SLOClass]] = None
-    if slo is not None:
-        slo_classes = parse_slo_spec(slo) if isinstance(slo, str) else list(slo)
-    elif deadline_s is not None:
-        slo_classes = [SLOClass(DEFAULT_SLO_CLASS.name, deadline_s)]
+    slo_classes = parse_slo_spec(slo) if slo is not None else None
     sizes = normalize_batch_sizes(batch_sizes)
     if prebuilt:
         # Reopening the same object is a valid rebuild: EngineSession
@@ -1055,10 +993,6 @@ def simulate_serving(
             "matches": not mismatches,
             "mismatches": mismatches,
         }
-    pool_row_cap = None
-    if pool_budget_mb is not None:
-        pool_row_cap = pool_budget_row_cap(engine, pool_budget_mb)
-        sizes = normalize_batch_sizes(min(s, pool_row_cap) for s in sizes)
     requests = generate_requests(
         num_requests, rate_rps, pattern, seed, slo=slo_classes
     )
@@ -1075,10 +1009,8 @@ def simulate_serving(
         invariance_checked=False,
         scheduler=scheduler,
         sampler=config.sampler,
-        pool_budget_mb=pool_budget_mb,
-        pool_row_cap=pool_row_cap,
         fault_spec=fault_spec,
-        slo_spec=slo if isinstance(slo, str) else None,
+        slo_spec=slo,
         plan_source=plan_source,
         plan_digest=execution_plan.digest,
         plan_drift=plan_drift,
@@ -1095,11 +1027,7 @@ def simulate_serving(
         clear_classification_pool()
         # A fresh plan per batch size: entry firing budgets must not leak
         # from one replay of the trace into the next.
-        plan = (
-            faults.FaultPlan.from_spec(fault_spec, seed=fault_seed)
-            if fault_spec
-            else None
-        )
+        plan = faults.FaultPlan.from_spec(fault_spec) if fault_spec else None
         tokens = {req.req_id: faults.CancelToken() for req in requests}
         with faults.install(plan):
             served, step_times, occupancies, samples, stats, engine = _drain(
@@ -1112,9 +1040,6 @@ def simulate_serving(
                 fault_plan=plan,
                 cancel_tokens=tokens,
                 rebuild=rebuild,
-                max_retries=max_retries,
-                retry_backoff_s=retry_backoff_s,
-                recover=recover,
             )
         mean_fill = float(np.mean(occupancies)) if occupancies else 0.0
         completed = [s for s in served if s.outcome == "completed"]

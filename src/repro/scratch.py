@@ -42,9 +42,8 @@ def clear_scratch() -> None:
 def scratch_pool_bytes() -> int:
     """Total bytes currently held by this thread's pooled buffers.
 
-    The serving runtime uses this (together with per-layer state bytes) to
-    measure one batch row's scratch footprint and derive the batch-size cap
-    implied by a ``--pool-budget-mb`` memory budget.
+    The tests read it after one dense probe forward to bound a batch row's
+    scratch footprint, which pins the memory of the conv unfold layout.
     """
     buffers = getattr(_SCRATCH, "buffers", None)
     if not buffers:

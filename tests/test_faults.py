@@ -27,6 +27,7 @@ from repro.runtime.faults import (
     SessionKilled,
 )
 from repro.runtime.serving import (
+    MAX_RECOVERIES,
     SLOClass,
     assign_slo_classes,
     generate_requests,
@@ -66,7 +67,7 @@ def test_fault_spec_parses_entries():
         ("cancel@req=1", "exactly one"),
         ("cancel@req=1,at=0.5,step=2", "exactly one"),
         ("cancel@at=0.5", "needs req"),
-        ("error@step=1,p=2.0", "p must be"),
+        ("error@step=1,p=0.5", "unknown key"),
         ("error@step=1,boom=3", "unknown key"),
         ("error@step", "key=value"),
         ("error@step=1,times=soon", "int or"),
@@ -103,23 +104,6 @@ def test_global_attempt_coordinate_counts_attempts():
 def test_session_killed_is_an_injected_fault():
     assert issubclass(SessionKilled, InjectedFault)
     assert issubclass(InjectedFault, RuntimeError)
-
-
-def test_probabilistic_entries_are_seed_deterministic():
-    def firing_pattern(seed):
-        plan = FaultPlan.from_spec("error@req=0,step=0,times=*,p=0.5", seed=seed)
-        fired = []
-        for _ in range(32):
-            try:
-                plan.on_step_attempt([0], [0])
-                fired.append(False)
-            except InjectedFault:
-                fired.append(True)
-        return fired
-
-    a, b = firing_pattern(3), firing_pattern(3)
-    assert a == b  # same (spec, seed) -> same schedule
-    assert any(a) and not all(a)  # p=0.5 really is probabilistic
 
 
 def test_service_delay_matches_attempt_and_row():
@@ -436,21 +420,24 @@ def test_session_kill_recovers_bit_exact(monkeypatch, tmp_path):
     assert ResultCache(cache_dir=tmp_path).entry_count() >= 1
 
 
-def test_recovery_disabled_fails_inflight_rows():
+def test_recovery_exhaustion_fails_inflight_rows(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     report = _chaos_serve(
-        "error@req=0,step=1,times=*",
+        "kill@req=0,step=1,times=*",
         sampler=None,  # deterministic ddim: no streams to rebuild
         verify=False,
-        max_retries=1,
-        recover=False,
     )
     batch = report.per_batch[2]
-    # Retries exhausted with recovery off: both in-flight rows fail, the
-    # queued request then completes on a fresh session.
-    assert batch.retries == 1
-    assert batch.recoveries == 0
+    # Every recovery re-admits request 0 at row-step 1, where it is killed
+    # again: once MAX_RECOVERIES rebuilds are spent, both in-flight rows
+    # fail and the queued request completes on a fresh session.
+    assert batch.retries == 0
+    assert batch.recoveries == MAX_RECOVERIES
     assert _nonzero_counts(batch) == {"failed": 2, "completed": 1}
     assert batch.outcomes == {0: "failed", 1: "failed", 2: "completed"}
+    by_id = {s.req_id: s for s in batch.served}
+    assert by_id[2].launch_s >= by_id[0].finish_s == by_id[1].finish_s
+    assert by_id[2].batch_fill == 1
 
 
 def test_injected_delay_expires_deadlines():
@@ -458,7 +445,7 @@ def test_injected_delay_expires_deadlines():
         "delay@step=0,ms=5000",
         sampler=None,
         verify=False,
-        deadline_s=1.0,
+        slo="default:1.0",
     )
     batch = report.per_batch[2]
     # The 5 s injected latency lands on the simulated clock after the first
@@ -474,7 +461,7 @@ def test_injected_delay_expires_deadlines():
 
 def test_verify_refuses_when_nothing_completed():
     with pytest.raises(AssertionError, match="nothing to check"):
-        _chaos_serve("delay@step=0,ms=5000", sampler=None, deadline_s=1.0)
+        _chaos_serve("delay@step=0,ms=5000", sampler=None, slo="default:1.0")
 
 
 def test_cancel_evicts_mid_flight_survivors_exact(monkeypatch, tmp_path):
@@ -630,3 +617,16 @@ def test_cli_serve_fault_flags_smoke(capsys, monkeypatch, tmp_path):
     assert "SLO accounting" in out
     assert "session recovery(ies)" in out
     assert "verified bit-exact" in out
+
+
+def test_cli_serve_refuses_zero_deadline(capsys):
+    """A single deadline is stated as one SLO class, so it passes the SLO
+    parser's check: a zero deadline, which would expire every request at
+    admission, is refused before any engine is built."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as err:
+        main(["serve", "DDPM", "--steps", "2", "--requests", "2",
+              "--batch-sizes", "2", "--slo", "default:0"])
+    assert "deadline must be > 0" in str(err.value.code)
+    assert "DDPM: 2 requests" not in capsys.readouterr().out

@@ -38,7 +38,7 @@ def _serve(tmp_path, **kwargs):
         batch_sizes=(1, 2),
         num_requests=4,
         rate_rps=50.0,
-        pattern="uniform",
+        pattern="poisson",
         window_s=0.05,
         seed=0,
         calibrate=False,

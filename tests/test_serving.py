@@ -9,9 +9,7 @@ from repro.runtime.serving import (
     ARRIVAL_PATTERNS,
     SCHEDULERS,
     Request,
-    estimate_row_footprint,
     generate_requests,
-    pool_budget_row_cap,
     simulate_serving,
     _drain,
 )
@@ -29,11 +27,6 @@ def test_arrival_patterns_shapes():
         arrivals = [r.arrival_s for r in reqs]
         assert arrivals[0] == 0.0
         assert all(b >= a for a, b in zip(arrivals, arrivals[1:]))
-
-
-def test_uniform_arrivals_spacing():
-    reqs = generate_requests(5, rate_rps=2.0, pattern="uniform")
-    assert [r.arrival_s for r in reqs] == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
 def test_burst_arrivals_all_at_zero():
@@ -140,7 +133,7 @@ def tiny_report():
         batch_sizes=(1, 2),
         num_requests=4,
         rate_rps=50.0,
-        pattern="uniform",
+        pattern="poisson",
         window_s=0.05,
         seed=0,
         calibrate=False,
@@ -259,7 +252,7 @@ def continuous_report():
         batch_sizes=(1, 2),
         num_requests=4,
         rate_rps=50.0,
-        pattern="uniform",
+        pattern="poisson",
         seed=0,
         calibrate=False,
         scheduler="continuous",
@@ -406,10 +399,31 @@ def test_serving_rejects_unknown_build_axis():
 
 def test_runtime_package_exports_serving_surface():
     from repro.runtime import (  # noqa: F401
+        ARRIVAL_PATTERNS,
         SCHEDULERS,
-        estimate_row_footprint,
-        pool_budget_row_cap,
+        simulate_serving,
     )
+
+    assert ARRIVAL_PATTERNS == ("poisson", "burst")
+
+
+def test_negative_window_refused_before_any_work(monkeypatch):
+    """A window that closes before the first waiting request arrives would
+    admit no one, and the fixed drain would spin on that arrival forever;
+    the serve refuses it before building an engine or deriving a plan."""
+    from repro.core import DittoEngine
+    from repro.runtime import serving
+
+    def never(*args, **kwargs):
+        raise AssertionError("a negative window reached the serve's work")
+
+    monkeypatch.setattr(DittoEngine, "from_benchmark", never)
+    monkeypatch.setattr(serving, "_drain", never)
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        simulate_serving(
+            make_tiny_spec("tinyNegWindow", num_steps=2),
+            batch_sizes=(2,), num_requests=2, window_s=-0.1,
+        )
 
 
 def test_unknown_scheduler_rejected():
@@ -444,23 +458,25 @@ def test_continuous_stochastic_sampler_verified():
     assert report.sampler == "ddpm"
 
 
-# -- pool budget --------------------------------------------------------------
+# -- per-row scratch footprint ----------------------------------------------
 
-def test_row_footprint_measured_positive():
-    from repro.core import DittoEngine
+def _row_scratch_bytes(engine):
+    """Scratch bytes of one batch row: one dense batch-2 probe forward (the
+    mode every served row executes, holding no temporal state), then half
+    the thread's scratch pool, rounded up."""
+    from repro.core.modes import ExecutionMode
+    from repro.quant.qlayers import reset_model_state, set_model_mode
+    from repro.scratch import clear_scratch, scratch_pool_bytes
 
-    engine = DittoEngine.from_benchmark(
-        make_tiny_spec("tinyFoot", num_steps=2), calibrate=False
-    )
-    row_bytes = estimate_row_footprint(engine)
-    assert row_bytes > 0
-    # A generous budget admits many rows; the measured floor refuses.
-    assert pool_budget_row_cap(engine, 64.0) >= 1
-    tiny_mb = row_bytes / 2**20 / 4.0
-    with pytest.raises(ValueError, match="below one batch row"):
-        pool_budget_row_cap(engine, tiny_mb)
-    with pytest.raises(ValueError, match="positive"):
-        pool_budget_row_cap(engine, 0.0)
+    engine._freeze_scales(1)
+    clear_scratch()
+    reset_model_state(engine.qmodel)
+    set_model_mode(engine.qmodel, ExecutionMode.DENSE)
+    engine._probe_fn(2)()
+    total = scratch_pool_bytes()
+    clear_scratch()
+    assert total > 0
+    return -(-total // 2)
 
 
 def test_ddpm_row_footprint_guard():
@@ -475,7 +491,7 @@ def test_ddpm_row_footprint_guard():
     engine = DittoEngine.from_benchmark(
         get_benchmark("DDPM"), num_steps=2, calibrate=False
     )
-    assert estimate_row_footprint(engine) <= 2 * 2**20
+    assert _row_scratch_bytes(engine) <= 2 * 2**20
 
 
 def test_dit_row_footprint_guard():
@@ -487,51 +503,7 @@ def test_dit_row_footprint_guard():
     engine = DittoEngine.from_benchmark(
         get_benchmark("DiT"), num_steps=2, calibrate=False
     )
-    assert estimate_row_footprint(engine) <= 1.5 * 2**20
-
-
-def test_pool_budget_refusal_names_footprint_and_floor():
-    """The refusal must be actionable: it reports the measured per-row
-    footprint (MB and bytes) AND the smallest --pool-budget-mb that would
-    admit one row - and that suggestion must actually work."""
-    import math
-
-    from repro.core import DittoEngine
-
-    engine = DittoEngine.from_benchmark(
-        make_tiny_spec("tinyFloor", num_steps=2), calibrate=False
-    )
-    row_bytes = estimate_row_footprint(engine)
-    min_mb = math.ceil(row_bytes / 2**20 * 100.0) / 100.0
-    with pytest.raises(ValueError) as err:
-        pool_budget_row_cap(engine, row_bytes / 2**20 / 4.0)
-    message = str(err.value)
-    assert f"{row_bytes / 2**20:.2f} MB = {row_bytes} bytes" in message
-    assert f"pass --pool-budget-mb {min_mb:.2f} or more" in message
-    assert pool_budget_row_cap(engine, min_mb) >= 1
-
-
-def test_pool_budget_caps_batch_sizes():
-    from repro.core import DittoEngine
-
-    spec = make_tiny_spec("tinyPool", num_steps=2)
-    # Size a budget that fits ~2 rows of the measured footprint (a twin
-    # engine from the same spec has the same buffer shapes).
-    twin = DittoEngine.from_benchmark(spec, calibrate=False)
-    budget_mb = 2.5 * estimate_row_footprint(twin) / 2**20
-    report = simulate_serving(
-        spec,
-        batch_sizes=(1, 64),
-        num_requests=3,
-        rate_rps=50.0,
-        pattern="burst",
-        calibrate=False,
-        scheduler="continuous",
-        pool_budget_mb=budget_mb,
-    )
-    assert report.pool_row_cap == 2
-    assert max(report.per_batch) <= report.pool_row_cap
-    assert "pool budget" in report.summary()
+    assert _row_scratch_bytes(engine) <= 1.5 * 2**20
 
 
 # -- per-request sampler streams ----------------------------------------------
@@ -555,7 +527,7 @@ def test_cli_serve_continuous_smoke(capsys):
         [
             "serve", "DDPM", "--steps", "3", "--requests", "3",
             "--batch-sizes", "2", "--scheduler", "continuous",
-            "--rate", "20", "--pattern", "uniform", "--verify",
+            "--rate", "20", "--pattern", "poisson", "--verify",
         ]
     )
     out = capsys.readouterr().out
@@ -571,7 +543,7 @@ def test_cli_serve_smoke(capsys):
     code = main(
         [
             "serve", "DDPM", "--steps", "3", "--requests", "3",
-            "--batch-sizes", "1", "2", "--rate", "20", "--pattern", "uniform",
+            "--batch-sizes", "1", "2", "--rate", "20", "--pattern", "poisson",
             "--window", "0.02",
         ]
     )
@@ -579,3 +551,13 @@ def test_cli_serve_smoke(capsys):
     assert code == 0
     assert "DDPM: 3 requests" in out
     assert "MAC sav%" in out
+
+
+def test_cli_serve_refuses_negative_window(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as err:
+        main(["serve", "DDPM", "--steps", "2", "--requests", "2",
+              "--batch-sizes", "2", "--window", "-0.1"])
+    assert "window must be >= 0" in str(err.value.code)
+    assert "DDPM: 2 requests" not in capsys.readouterr().out
