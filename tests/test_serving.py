@@ -463,7 +463,7 @@ def test_continuous_stochastic_sampler_verified():
 def _row_scratch_bytes(engine):
     """Scratch bytes of one batch row: one dense batch-2 probe forward (the
     mode every served row executes, holding no temporal state), then half
-    the thread's scratch pool, rounded up."""
+    the thread's scratch pool, which grows linearly with the batch."""
     from repro.core.modes import ExecutionMode
     from repro.quant.qlayers import reset_model_state, set_model_mode
     from repro.scratch import clear_scratch, scratch_pool_bytes
@@ -476,7 +476,7 @@ def _row_scratch_bytes(engine):
     total = scratch_pool_bytes()
     clear_scratch()
     assert total > 0
-    return -(-total // 2)
+    return total / 2
 
 
 def test_ddpm_row_footprint_guard():
