@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """CI perf gate: run perfbench's workloads and compare them with a record.
 
-    python scripts/check_bench.py --baseline BENCH_PR28.json          # gate
-    python scripts/check_bench.py --baseline BENCH_PR28.json --write  # re-record
+    python scripts/check_bench.py --baseline BENCH_PR32.json          # gate
+    python scripts/check_bench.py --baseline BENCH_PR32.json --write  # re-record
 
 For every workload in ``BENCHMARK.json`` the gate runs ``perfbench/run.py``
 at ``SEED`` for ``SECONDS``: once untraced (``--trace 0``) for the
@@ -212,8 +212,8 @@ def compare(spec: dict, record: dict, fresh: dict):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--baseline", default="BENCH_PR28.json", metavar="PATH",
-        help="the committed record (default: BENCH_PR28.json)",
+        "--baseline", default="BENCH_PR32.json", metavar="PATH",
+        help="the committed record (default: BENCH_PR32.json)",
     )
     parser.add_argument(
         "--write", action="store_true",

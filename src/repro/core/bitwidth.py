@@ -145,7 +145,27 @@ def stats_from_counts(total: int, zero: int, low_or_zero: int) -> BitWidthStats:
     )
 
 
-def classify(values: np.ndarray) -> BitWidthStats:
+def _range_counts(values: np.ndarray, ranges) -> list:
+    """``(total, zero, low_or_zero)`` of each ``(start, stop)`` range of the
+    flat int16 scratch buffer ``values``, which the band test overwrites.
+
+    Zeros are counted per range first.  Then one in-place pass shifts the
+    band to start at zero, as :func:`_bucket_counts` does, and a second
+    shifts out its four low bits, so exactly the values outside the band
+    stay nonzero: no narrow or boolean temporary is written.
+    """
+    flat = values.reshape(-1)
+    zeros = [(stop - start) - int(np.count_nonzero(flat[start:stop])) for start, stop in ranges]
+    band = flat.view(np.uint16)
+    np.add(band, np.uint16(-_LOW_MIN), out=band)
+    np.right_shift(band, np.uint16(LOW_BITS), out=band)
+    return [
+        (stop - start, zero, (stop - start) - int(np.count_nonzero(band[start:stop])))
+        for (start, stop), zero in zip(ranges, zeros)
+    ]
+
+
+def classify(values: np.ndarray, ranges=None):
     """Bucket integer-valued ``values`` into zero / 4-bit / over-4-bit.
 
     ``values`` must already be in the quantized integer domain (the output of
@@ -154,8 +174,16 @@ def classify(values: np.ndarray) -> BitWidthStats:
     narrows to int16.  A ``bits``-bit quantized value or difference spans
     ``|v| <= 2^bits - 1``, and the quantized layers reject ``bits > 15``, so
     every operand they classify satisfies this by construction.
+
+    With ``ranges``, a sequence of ``(start, stop)`` offsets into the flat
+    int16 ``values`` (they may overlap), returns one :class:`BitWidthStats`
+    per range from one pass, and ``values`` is scratch the pass overwrites:
+    a quantized layer writes one layer step's dense, spatial and temporal
+    operands into the slots of one pooled buffer.
     """
-    return stats_from_counts(*_bucket_counts(values))
+    if ranges is None:
+        return stats_from_counts(*_bucket_counts(values))
+    return [stats_from_counts(*c) for c in _range_counts(values, ranges)]
 
 
 def classify_many(*arrays: np.ndarray) -> BitWidthStats:

@@ -1,23 +1,25 @@
 """Layer-step execution traces - the interface between algorithm and hardware.
 
 When a quantized model runs under the Ditto engine, every linear-layer
-execution at every time step appends one :class:`RichLayerStep` to the active
-:class:`TraceRecorder`.  Because every Ditto execution mode (dense, temporal
-difference, spatial difference) reconstructs the *identical* quantized
-result, a single instrumented generation run can record the operand
-composition of all three modes at once; policies (Defo, Defo+, ideal oracle,
-Cambricon-D software, ...) and hardware models are then evaluated as pure
-post-processing over the rich trace.  This mirrors the paper's methodology of
-hooking PyTorch layers and feeding observed value statistics into the
-Sparse-DySta simulator.
+execution at every time step appends one record (the fields of a
+:class:`RichLayerStep`) to the active :class:`TraceRecorder`.  Because every
+Ditto execution mode (dense, temporal difference, spatial difference)
+reconstructs the *identical* quantized result, a single instrumented
+generation run can record the operand composition of all three modes at
+once; policies (Defo, Defo+, ideal oracle, Cambricon-D software, ...) and
+hardware models are then evaluated as pure post-processing over the rich
+trace.  This mirrors the paper's methodology of hooking PyTorch layers and
+feeding observed value statistics into the Sparse-DySta simulator.
 
 Storage is columnar (structure-of-arrays): every trace keeps one numpy-backed
 column per scalar field plus interned string tables for layer / kind /
 producer names, so post-processing (BOPs, Defo, the hardware cycle models)
 runs as column arithmetic, and pickled traces are a handful of flat arrays
 instead of tens of thousands of dataclass objects.  A :class:`RichTrace` is
-recorded one :class:`RichLayerStep` at a time and also offers them back as
-views (``trace[i]``, ``trace.steps``, iteration, ``by_step`` / ``by_layer``).
+recorded one layer step at a time (:func:`record_step` passes the fields
+as is, no record object is built) and offers the records back as
+:class:`RichLayerStep` views (``trace[i]``, ``trace.steps``, iteration,
+``by_step`` / ``by_layer``).
 
 :meth:`RichTrace.lower_modes` lowers a rich trace to the hardware-facing
 :class:`Trace`: one chosen mode per record, its operand stats and its byte
@@ -91,6 +93,8 @@ class RichLayerStep:
         return self.stats_temporal is not None
 
 
+_NO_STATS = BitWidthStats.empty()
+
 # Non-linearities whose difference can be reconstructed by Cambricon-D's
 # sign-mask dataflow without re-reading the previous step's input.
 SIGN_MASK_KINDS = ("silu", "groupnorm")
@@ -102,6 +106,8 @@ class _ColumnarTrace:
     ``col(name)`` returns a column as a flat numpy array (int64, bool for
     flags), cached until the trace changes.  Layer / kind names are interned
     into per-trace string tables, so every per-record field is a scalar.
+    Readers go through :meth:`_flush`, which :class:`RichTrace` uses to move
+    the rows recorded since into the columns.
     """
 
     _INT_FIELDS: Tuple[str, ...] = ()
@@ -116,9 +122,13 @@ class _ColumnarTrace:
         self._kinds: List[str] = []
         self._array_cache: Dict[str, np.ndarray] = {}
 
+    def _flush(self) -> None:
+        """Bring the columns up to date (a :class:`Trace` always is)."""
+
     # -- column access ------------------------------------------------------
     def col(self, name: str) -> np.ndarray:
         """The sealed numpy column for ``name`` (int64, bool for flags)."""
+        self._flush()
         arr = self._array_cache.get(name)
         if arr is None:
             dtype = np.bool_ if name in self._BOOL_FIELDS else np.int64
@@ -130,6 +140,7 @@ class _ColumnarTrace:
         self._array_cache.clear()
 
     def __len__(self) -> int:
+        self._flush()
         return len(self._cols["step_index"])
 
     def layer_names(self) -> List[str]:
@@ -152,6 +163,7 @@ class _ColumnarTrace:
         persisted traces are a handful of flat arrays rather than one object
         graph per record.
         """
+        self._flush()
         for name in self._cols:
             self._cols[name] = self.col(name)
         self._sealed = True
@@ -257,14 +269,16 @@ _RICH_INT_FIELDS = (
     "producer_id",
 )
 _RICH_BOOL_FIELDS = ("has_temporal", "nonlinear_after", "chained_input")
+_RICH_FIELDS = _RICH_INT_FIELDS + _RICH_BOOL_FIELDS
 
 
 class RichTrace(_ColumnarTrace):
     """Algorithm-level trace: columnar storage of :class:`RichLayerStep`.
 
-    Columns live as plain Python lists while recording (cheap appends) and
-    are sealed into flat numpy arrays when pickled; an append after sealing
-    converts them back.  Records come back as :class:`RichLayerStep` views.
+    Recording appends one tuple per record, in :data:`_RICH_FIELDS` order;
+    the first read moves the pending rows into the columns, which live as
+    plain Python lists and are sealed into flat numpy arrays when pickled.
+    Records come back as :class:`RichLayerStep` views.
     """
 
     _INT_FIELDS = _RICH_INT_FIELDS
@@ -277,12 +291,28 @@ class RichTrace(_ColumnarTrace):
         self._producers: List[str] = []
         self._producer_ids: Dict[str, int] = {}
         self._view_cache: Optional[List[RichLayerStep]] = None
+        self._pending: List[tuple] = []
         for step in steps or ():
             self.append(step)
 
     def _invalidate(self) -> None:
         super()._invalidate()
         self._view_cache = None
+
+    def _flush(self) -> None:
+        if not self._pending:
+            return
+        if self._sealed:
+            self._cols = {name: values.tolist() for name, values in self._cols.items()}
+            self._sealed = False
+        for name, values in zip(_RICH_FIELDS, zip(*self._pending)):
+            self._cols[name].extend(values)
+        self._pending = []
+        self._invalidate()
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._pending = []
 
     # -- recording ----------------------------------------------------------
     def _intern(self, table: List[str], ids: Dict[str, int], value: str) -> int:
@@ -294,42 +324,51 @@ class RichTrace(_ColumnarTrace):
         return idx
 
     def append(self, rich: RichLayerStep) -> None:
-        if self._sealed:
-            self._cols = {name: values.tolist() for name, values in self._cols.items()}
-            self._sealed = False
-        c = self._cols
-        c["step_index"].append(rich.step_index)
-        c["layer_id"].append(self._intern(self._names, self._name_ids, rich.layer_name))
-        c["kind_id"].append(self._intern(self._kinds, self._kind_ids, rich.kind))
-        c["macs"].append(rich.macs)
-        c["in_elems"].append(rich.in_elems)
-        c["out_elems"].append(rich.out_elems)
-        c["weight_elems"].append(rich.weight_elems)
-        c["data_elems"].append(rich.data_elems)
-        dense = rich.stats_dense
-        c["d_total"].append(dense.total)
-        c["d_zero"].append(dense.zero)
-        c["d_low"].append(dense.low)
-        c["d_high"].append(dense.high)
-        spatial = rich.stats_spatial
-        c["s_total"].append(spatial.total)
-        c["s_zero"].append(spatial.zero)
-        c["s_low"].append(spatial.low)
-        c["s_high"].append(spatial.high)
-        temporal = rich.stats_temporal
-        c["has_temporal"].append(temporal is not None)
-        c["t_total"].append(0 if temporal is None else temporal.total)
-        c["t_zero"].append(0 if temporal is None else temporal.zero)
-        c["t_low"].append(0 if temporal is None else temporal.low)
-        c["t_high"].append(0 if temporal is None else temporal.high)
-        c["sub_ops_temporal"].append(rich.sub_ops_temporal)
-        c["vpu_elems"].append(rich.vpu_elems)
-        c["nonlinear_after"].append(rich.nonlinear_after)
-        c["chained_input"].append(rich.chained_input)
-        c["producer_id"].append(
-            self._intern(self._producers, self._producer_ids, rich.producer_kind)
-        )
-        self._invalidate()
+        self.add(**vars(rich))
+
+    def add(
+        self,
+        step_index: int,
+        layer_name: str,
+        kind: str,
+        macs: int,
+        in_elems: int,
+        out_elems: int,
+        weight_elems: int,
+        data_elems: int,
+        stats_dense: BitWidthStats,
+        stats_spatial: BitWidthStats,
+        stats_temporal: Optional[BitWidthStats],
+        sub_ops_temporal: int = 1,
+        vpu_elems: int = 0,
+        nonlinear_after: bool = True,
+        chained_input: bool = False,
+        producer_kind: str = "other",
+    ) -> None:
+        """Append one record from :class:`RichLayerStep`'s fields."""
+        d, s, t = stats_dense, stats_spatial, stats_temporal
+        has_temporal = t is not None
+        if not has_temporal:
+            t = _NO_STATS
+        self._pending.append((
+            step_index,
+            self._intern(self._names, self._name_ids, layer_name),
+            self._intern(self._kinds, self._kind_ids, kind),
+            macs,
+            in_elems,
+            out_elems,
+            weight_elems,
+            data_elems,
+            d.total, d.zero, d.low, d.high,
+            s.total, s.zero, s.low, s.high,
+            t.total, t.zero, t.low, t.high,
+            sub_ops_temporal,
+            vpu_elems,
+            self._intern(self._producers, self._producer_ids, producer_kind),
+            has_temporal,
+            nonlinear_after,
+            chained_input,
+        ))
 
     # -- record views --------------------------------------------------------
     def __iter__(self) -> Iterator[RichLayerStep]:
@@ -348,6 +387,7 @@ class RichTrace(_ColumnarTrace):
     @property
     def steps(self) -> List[RichLayerStep]:
         """All records materialized as dataclass views (cached)."""
+        self._flush()
         if self._view_cache is None:
             self._view_cache = [self._view(i) for i in range(len(self))]
         return self._view_cache
@@ -365,6 +405,7 @@ class RichTrace(_ColumnarTrace):
         return grouped
 
     def _view(self, index: int) -> RichLayerStep:
+        self._flush()
         c = self._cols
         temporal = None
         if c["has_temporal"][index]:
@@ -538,8 +579,13 @@ class TraceRecorder:
         self.trace.append(step)
 
 
-def record_step(step: RichLayerStep) -> None:
-    """Append ``step`` to the active recorder, if any."""
+def record_step(**fields) -> None:
+    """Append one layer step to the active recorder, if any.
+
+    ``fields`` are :class:`RichLayerStep`'s, passed straight to
+    :meth:`RichTrace.add`: the quantized layers record ~30 steps per
+    denoiser call, and no record object is built for them.
+    """
     recorder = TraceRecorder.current()
     if recorder is not None:
-        recorder.record(step)
+        recorder.trace.add(**fields)

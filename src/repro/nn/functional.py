@@ -483,10 +483,20 @@ def conv2d(
 def linear(
     x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Affine map over the trailing dimension; ``weight`` is ``(out, in)``."""
-    out = x @ weight.T
+    """Affine map over the trailing dimension; ``weight`` is ``(out, in)``.
+
+    Weight-first: the GEMM is ``weight @ x.mT``, so the C-contiguous weight
+    streams through the kernel in storage order (see ``docs/backends.md``).
+    A 3-D ``x`` runs one GEMM per leading index, as ``x @ weight.T`` did:
+    OpenBLAS picks its kernel by GEMM shape, and on the float paths the
+    kernel fixes the bits.  The result is the ``(..., out)`` view of the
+    ``(..., out, rows)`` accumulator, not C-contiguous: with ``bias`` the
+    epilogue adds it into a fresh C-contiguous array, without one the
+    caller's epilogue writes the C-contiguous result.
+    """
+    out = np.swapaxes(np.matmul(weight, np.swapaxes(x, -1, -2)), -1, -2)
     if bias is not None:
-        out = out + bias
+        out = np.add(out, bias, order="C")
     return out
 
 

@@ -66,7 +66,9 @@ class Linear(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.data if self.bias is not None else None
-        return backends.active().linear(x, self.weight.data, bias)
+        # The bias epilogue writes C order; without a bias, copy the GEMM's
+        # transposed accumulator into it.
+        return np.ascontiguousarray(backends.active().linear(x, self.weight.data, bias))
 
     def extra_repr(self) -> str:
         return f"in={self.in_features}, out={self.out_features}"

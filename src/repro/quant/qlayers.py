@@ -14,17 +14,20 @@ On the host every mode gives the same bits (the zero-state algebra,
 trace by :mod:`repro.hw`, not realised here.  So instrumented runs record
 temporal and execute dense: a *recording* layer (``record_temporal``) holds
 only the operands it differences (``_prev_q_in`` / ``_prev_scale``,
-attention's ``q`` / ``k`` / ``p`` / ``v``), takes each difference straight
-into int16 for classification and runs the dense GEMM.  Only a TEMPORAL
-layer - the executor behind the exactness tests and ``--verify``'s
-references - also holds its integer outputs (``_prev_out_int``, attention's
-``s`` / ``o``) and multiplies the differences.  Any other layer is
+attention's ``q`` / ``k`` / ``p`` / ``v``), narrowed once to int16, takes
+its differences int16 - int16 for classification and runs the dense GEMM.
+Only a TEMPORAL layer - the executor behind the exactness tests and
+``--verify``'s references - holds its operands in the GEMM's float dtype,
+because it multiplies their differences, and also holds its integer
+outputs (``_prev_out_int``, attention's ``s`` / ``o``).  Any other layer is
 stateless.  A layer with no state yet executes dense and records no
 temporal stats.
 
-Every forward records a :class:`~repro.core.trace.RichLayerStep` carrying the
-operand composition (zero / 4-bit / 8-bit) of *all three* paths, so the
-hardware models and Defo can be evaluated post-hoc on a single run.
+Every forward records one trace record (a
+:class:`~repro.core.trace.RichLayerStep`'s fields) carrying the operand
+composition (zero / 4-bit / 8-bit) of *all three* paths, so the hardware
+models and Defo can be evaluated post-hoc on a single run.  One classify
+pass per record buckets them (:func:`_step_stats`).
 
 Attention gets the paper's two algebraic tricks: self-attention temporal
 processing uses ``Q_t K_t = Q_{t+1} K_{t+1} + Q_t dK + dQ K_{t+1}`` (two
@@ -34,17 +37,19 @@ context projections K'/V' as weights.
 Self-attention's Q/K/V projections read the same tensor through one shared
 input quantizer, so they run as **one projection**: one quantize, one
 temporal difference, one set of dense / spatial / temporal stats and one
-GEMM against the three weights stacked as column blocks of an
-``(in, 3*dim)`` array; each block then gets its own projection's epilogue
-and trace record, bit-identical to three separate forwards.  The attention
+GEMM against the three weights stacked as row blocks of one
+``(3*dim, in)`` array; each block then gets its own projection's trace
+record, bit-identical to three separate forwards.  The epilogue output is
+quantized for the attention products in one pass too, by the q / k / v
+scales as one ``(3*dim,)`` vector.  The attention
 layer holds that projection's temporal state; ``to_q`` / ``to_k`` /
 ``to_v`` hold none.
 
 Weight layout: a :class:`QLinear` stores its integer weight once,
-C-contiguous in GEMM-native ``(in, out)`` order; ``q_weight`` is the
-``(out, in)`` transposed view, so ``x @ q_weight.T`` is a plain NN GEMM.
-Self-attention's ``to_q`` / ``to_k`` / ``to_v`` weights are column blocks
-of the stacked array, so no weight is stored twice.
+C-contiguous ``(out, in)``, and the GEMM runs weight-first
+(``backends.linear``), reading it in storage order.  Self-attention's
+``to_q`` / ``to_k`` / ``to_v`` weights are row blocks of the stacked
+array, so no weight is stored twice.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import numpy as np
 
 from ..core.bitwidth import BitWidthStats, classify, classify_many
 from ..core.modes import ExecutionMode
-from ..core.trace import RichLayerStep, TraceRecorder, record_step
+from ..core.trace import TraceRecorder, record_step
 from ..nn import backends
 from ..nn import functional as F
 from ..nn.attention import Attention
@@ -105,53 +110,77 @@ def _exact_f32(dot_len: int, bits: int) -> bool:
 _F32 = np.dtype(np.float32)
 
 
-def _spatial_diff_rows(mat: np.ndarray) -> np.ndarray:
-    """Difference consecutive rows; the first row stays original (dense)."""
-    d = mat.copy()
-    if mat.shape[0] > 1:
-        d[1:] -= mat[:-1]
-    return d
+# Operands that are only classified are int16 throughout: a quantized value
+# spans |q| <= 2^(bits-1) and a difference of two |d| <= 2^bits - 1 <= 32767
+# (QLayerBase caps ``bits`` at 15), and int16 is the dtype classify reads
+# without a narrowing copy.  A recording layer holds its operands narrowed
+# once (``_hold``), so its differences are int16 - int16.
+_I16 = np.dtype(np.int16)
 
 
-# Difference scratch that is only classified is int16 throughout: a
-# difference of two ``bits``-bit quantized values spans |d| <= 2^bits - 1 <=
-# 32767 (QLayerBase caps ``bits`` at 15), and int16 is the dtype classify
-# reads without a narrowing copy.
+def _difference(cur: np.ndarray, prev: np.ndarray, tag: str) -> np.ndarray:
+    """``cur - prev`` for the temporal executor, in ``cur``'s dtype (the
+    GEMM's).  It is consumed within this forward, before any other layer
+    runs, so it lives in the shared per-thread scratch pool under ``tag``."""
+    return np.subtract(cur, prev, out=F.scratch_buffer(tag, cur.shape, cur.dtype))
 
 
-def _difference(
-    cur: np.ndarray, prev: Optional[np.ndarray], execute: bool, tag: str
-) -> Optional[np.ndarray]:
-    """``cur - prev`` of two quantized operands; None without a same-shape
-    ``prev``.
+def _step_stats(data, prev_data=None, other=None, prev_other=None, rows=True):
+    """``(dense, spatial, temporal)`` stats of one layer step, in one pass.
 
-    The temporal executor (``execute``) multiplies the difference, so it
-    keeps ``cur``'s dtype, the GEMM's; a recording layer only classifies it,
-    so it goes straight into int16 (exact, see above).  Either way it is
-    consumed within this forward, before any other layer runs, so it lives
-    in the shared per-thread scratch pool under ``tag``.
+    The operands are written into the slots of one pooled int16 buffer and
+    classified by range (``classify(buf, ranges=...)``)::
+
+        [ row diffs of data | other | data | data - prev | other - prev ]
+        '----- spatial -----------'
+                           '--- dense ----'
+                                           '------ temporal ------------'
+
+    ``data`` is the operand whose token rows are differenced (Diffy: the
+    first row stays dense, the rest are consecutive-row differences over
+    the trailing feature axis).  ``other`` is self-attention's second
+    activation operand, which counts undifferenced in the dense and the
+    spatial mix alike.  ``rows=False`` (a conv: its spatial stats come from
+    its unfold) drops the row slot and returns spatial ``None``; temporal
+    is ``None`` without the held operands.  The differences read the int16
+    slots, so a recording layer's int16 operands difference int16 - int16.
     """
-    if prev is None or prev.shape != cur.shape:
-        return None
-    dtype = cur.dtype if execute else np.int16
-    return np.subtract(
-        cur, prev, out=F.scratch_buffer(tag, cur.shape, dtype), casting="unsafe"
+    n_data, n_other = data.size, (0 if other is None else other.size)
+    lead = n_data if rows else 0
+    start = lead + n_other  # the data slot
+    temporal = prev_data is not None and (other is None or prev_other is not None)
+    size = start + n_data + (n_data + n_other if temporal else 0)
+    buf = F.scratch_buffer("step-stats", (size,), _I16)
+    data_slot = buf[start : start + n_data].reshape(data.shape)
+    np.copyto(data_slot, data, casting="unsafe")
+    if other is not None:
+        other_slot = buf[lead:start].reshape(other.shape)
+        np.copyto(other_slot, other, casting="unsafe")
+    ranges = [(lead, start + n_data)]
+    if rows:
+        src = _flatten_rows(data_slot)
+        diffs = buf[:n_data].reshape(src.shape)
+        diffs[:1] = src[:1]
+        np.subtract(src[1:], src[:-1], out=diffs[1:])
+        ranges.append((0, start))
+    if temporal:
+        end = start + 2 * n_data
+        np.subtract(
+            data_slot, prev_data,
+            out=buf[start + n_data : end].reshape(data.shape), casting="unsafe",
+        )
+        if other is not None:
+            np.subtract(
+                other_slot, prev_other,
+                out=buf[end:].reshape(other.shape), casting="unsafe",
+            )
+        ranges.append((start + n_data, size))
+    stats = classify(buf, ranges=ranges)
+    return (
+        stats[0],
+        stats[1] if rows else None,
+        stats[-1] if temporal else None,
     )
-
-
-def _row_diff_stats(mat: np.ndarray) -> BitWidthStats:
-    """Stats of Diffy row differencing, ``classify(_spatial_diff_rows(mat))``.
-
-    The token-row matrices this sees (linear / attention operands) are small,
-    so one fused scan of a scratch-buffered difference image beats scanning
-    the first row and the differences separately.
-    """
-    if mat.shape[0] <= 1:
-        return classify(mat)
-    buf = F.scratch_buffer("rowdiff", mat.shape, np.int16)
-    buf[:1] = mat[:1]  # exact: values are small integers
-    np.subtract(mat[1:], mat[:-1], out=buf[1:], casting="unsafe")
-    return classify(buf)
 
 
 def _cols_spatial_stats_t(cols_t: np.ndarray) -> BitWidthStats:
@@ -270,22 +299,33 @@ class QLayerBase(Module):
     def record_temporal(self, record_temporal: bool) -> None:
         self._set_flags(self._mode, record_temporal)
 
-    def _keep_state(self, q_in: np.ndarray, acc: np.ndarray) -> None:
-        """Hold this step's operands for the next step (``_holds_state``
-        layers only; the caller checks).
+    def _hold(self, q: np.ndarray) -> np.ndarray:
+        """Quantized operand ``q`` as this layer holds and classifies it:
+        narrowed once to int16 by a recording layer (exact, see
+        :func:`_step_stats`), as is by the temporal executor, which
+        multiplies its differences, and by a stateless layer."""
+        if self._holds_state and not self._executes_temporal:
+            return q.astype(_I16)
+        return q
 
-        A recording layer holds the input it differences and its scale; a
-        TEMPORAL layer also holds the integer output its next step adds the
-        difference's product to, as contiguous float64 whatever the dtype
-        and layout of the accumulator ``acc``.  Any other layer is
-        stateless, so plain runs and serving sessions carry no ``_prev_*``
-        tensors.  Plain state fields: skip Module.__setattr__'s checks.
+    def _keep_state(self, q_in: np.ndarray, acc: np.ndarray) -> np.ndarray:
+        """Hold this step's operands for the next step (``_holds_state``
+        layers only; the caller checks); returns the held input.
+
+        A recording layer holds the input it differences, as int16, and its
+        scale; a TEMPORAL layer holds the input as is and also the integer
+        output its next step adds the difference's product to, as
+        contiguous float64 whatever the dtype and layout of the accumulator
+        ``acc``.  Any other layer is stateless, so plain runs and serving
+        sessions carry no ``_prev_*`` tensors.  Plain state fields: skip
+        Module.__setattr__'s checks.
         """
         d = self.__dict__
         if self._executes_temporal:
             d["_prev_out_int"] = np.ascontiguousarray(acc, dtype=np.float64)
-        d["_prev_q_in"] = q_in
+        held = d["_prev_q_in"] = self._hold(q_in)
         d["_prev_scale"] = self.input_quant.scale
+        return held
 
     def _epilogue(self, acc: np.ndarray) -> np.ndarray:
         """``acc * (s_in * s_w) + bias`` in float64, straight from the
@@ -293,14 +333,17 @@ class QLayerBase(Module):
         layout): float32 -> float64 is exact, so the products are those of
         a converted copy.  ``_epi_scale`` / ``_epi_bias`` are the weight
         scale and bias shaped at construction to broadcast over the output;
-        the output takes ``acc``'s axis order, C-contiguous for every
-        accumulator a layer makes."""
-        out = np.multiply(acc, self.input_quant.scale * self._epi_scale, dtype=np.float64)
+        the output is C-contiguous whatever ``acc``'s layout (a linear's is
+        the weight-first GEMM's transposed view)."""
+        out = np.multiply(
+            acc, self.input_quant.scale * self._epi_scale, dtype=np.float64, order="C"
+        )
         if self._epi_bias is not None:
             out += self._epi_bias
         return out
 
-    def _temporal_diff(self, q_in: np.ndarray) -> Optional[np.ndarray]:
+    def _held_input(self, q_in: np.ndarray) -> Optional[np.ndarray]:
+        """The held input ``q_in`` differences against, or None."""
         prev = self._prev_q_in
         if prev is None or prev.shape != q_in.shape:
             return None
@@ -313,15 +356,17 @@ class QLayerBase(Module):
         prev_scale, scale = self._prev_scale, self.input_quant.scale
         if prev_scale is not scale and np.any(prev_scale != scale):
             return None
-        return _difference(q_in, prev, self._executes_temporal, "temporal-diff")
+        return prev
 
     def _project(self, x: np.ndarray, q_weight: np.ndarray):
         """Integer linear projection of ``x`` against ``q_weight`` (out, in).
 
-        Quantizes with this layer's input quantizer, differences against
-        its held state and runs the one GEMM; returns ``(q_in, diff,
-        out_int)``, ``out_int`` in the GEMM's dtype (float64 once a
-        temporal step adds the held output).  :class:`QLinear`
+        Quantizes with this layer's input quantizer, finds its held state
+        and runs the one GEMM, on the difference when executing temporal;
+        returns ``(q_in, prev, out_int)``: ``prev`` the held input (None
+        when there is none to difference), ``out_int`` the GEMM's
+        ``(..., out)`` accumulator view (float64 once a temporal step adds
+        the held output).  :class:`QLinear`
         projects through its own weight; self-attention projects Q/K/V at
         once through the stacked weight, holding the state itself (see
         :class:`QAttention`).
@@ -332,16 +377,17 @@ class QLayerBase(Module):
         q_in = self.input_quant.quantize(
             x, out_dtype=_F32 if q_weight.dtype == _F32 else None
         )
-        diff = self._temporal_diff(q_in)
+        prev = self._held_input(q_in)
         bk = backends.active()
-        if diff is not None and self._executes_temporal:
+        if prev is not None and self._executes_temporal:
+            diff = _difference(q_in, prev, "temporal-diff")
             # float64 + float32 upcasts exactly; the sum runs in float64.
             out_int = self._prev_out_int + bk.linear(diff, q_weight)
         else:
             # Dense and spatial paths share arithmetic: the spatial path's
             # row-cumulative reconstruction telescopes to the plain matmul.
             out_int = bk.linear(q_in, q_weight)
-        return q_in, diff, out_int
+        return q_in, prev, out_int
 
 
 def _quantize_weight(
@@ -354,9 +400,9 @@ def _quantize_weight(
     across steps.  Per-channel scales tighten the weight grid and therefore
     the end accuracy, at zero cost to difference processing.
 
-    The integer weight is written into ``out`` (``weight``'s shape, any
-    layout, the dtype the layer's GEMM runs): the cast and any layout
-    change ride on the one copy out of the rounding pass.  No clip pass:
+    The integer weight is written into ``out`` (``weight``'s shape, the
+    dtype the layer's GEMM runs): the cast rides on the one copy out of the
+    rounding pass.  No clip pass:
     every scale is its own tensor's (or channel's) peak over ``qmax``, so
     ``|weight / scale| <= qmax`` up to one rounding and ``rint`` stays on
     the grid.
@@ -371,16 +417,9 @@ def _quantize_weight(
         quantizer = SymmetricQuantizer(bits)
         quantizer.observe(weight)
         scales = divisor = quantizer.freeze()
-    # Blocks of 32 rows through one cache-resident buffer: into a
-    # transposed ``out`` a whole-array pass walks one side with a large
-    # stride and runs 2-4x slower on tall weights.
-    block = np.empty((min(32, weight.shape[0]),) + weight.shape[1:])
-    for i in range(0, weight.shape[0], 32):
-        rows = weight[i : i + 32]
-        q = block[: rows.shape[0]]
-        np.divide(rows, divisor[i : i + 32] if per_channel else divisor, out=q)
-        np.rint(q, out=q)
-        out[i : i + 32] = q
+    q = np.divide(weight, divisor, dtype=np.float64)
+    np.rint(q, out=q)
+    out[...] = q
     return out, scales
 
 
@@ -391,22 +430,12 @@ def _linear_gemm_dtype(in_features: int, bits: int) -> np.dtype:
     return np.dtype(np.float32 if _exact_f32(in_features, bits) else np.float64)
 
 
-def _linear_stats(q_in: np.ndarray, diff: Optional[np.ndarray]) -> tuple:
-    """Dense, spatial (token-row) and temporal stats of one projection's
-    operand - shared by every projection that reads it."""
-    return (
-        classify(q_in),
-        _row_diff_stats(_flatten_rows(q_in)),
-        None if diff is None else classify(diff),
-    )
-
-
 class QLinear(QLayerBase):
     """Quantized fully-connected layer with difference processing.
 
-    ``weight_t``, when given, is the ``(in, out)`` array the integer weight
-    is written into - self-attention passes column blocks of its stacked
-    Q/K/V weight; by default the layer allocates its own.
+    ``storage``, when given, is the C-contiguous ``(out, in)`` array the
+    integer weight is written into - self-attention passes row blocks of
+    its stacked Q/K/V weight; by default the layer allocates its own.
     """
 
     kind = "fc"
@@ -417,19 +446,19 @@ class QLinear(QLayerBase):
         bias: Optional[np.ndarray],
         bits: int = 8,
         per_channel: bool = False,
-        weight_t: Optional[np.ndarray] = None,
+        storage: Optional[np.ndarray] = None,
     ) -> None:
         super().__init__(bits)
         self.out_features, self.in_features = weight.shape
         self.per_channel = per_channel
         dtype = _linear_gemm_dtype(self.in_features, bits)
         self._use_f32 = dtype == np.float32
-        if weight_t is None:
-            weight_t = np.empty((self.in_features, self.out_features), dtype)
-        # One integer weight copy, GEMM-native: C-contiguous (in, out) in the
-        # dtype this layer's GEMM runs.  q_weight is its (out, in) view.
+        if storage is None:
+            storage = np.empty(weight.shape, dtype)
+        # One integer weight copy, C-contiguous (out, in) in the dtype this
+        # layer's GEMM runs.
         self.q_weight, self.weight_scale = _quantize_weight(
-            weight, bits, per_channel, out=weight_t.T
+            weight, bits, per_channel, out=storage
         )
         self.bias = None if bias is None else np.array(bias, dtype=np.float64)
         # weight_scale is a scalar (per-tensor) or an (out,) vector
@@ -442,52 +471,51 @@ class QLinear(QLayerBase):
         layer: Linear,
         bits: int = 8,
         per_channel: bool = False,
-        weight_t: Optional[np.ndarray] = None,
+        storage: Optional[np.ndarray] = None,
     ) -> "QLinear":
         bias = layer.bias.data if layer.bias is not None else None
-        return cls(layer.weight.data, bias, bits, per_channel, weight_t)
+        return cls(layer.weight.data, bias, bits, per_channel, storage)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        q_in, diff, acc = self._project(x, self.q_weight)
+        q_in, prev, acc = self._project(x, self.q_weight)
         out = self._epilogue(acc)
-        self._record(q_in, diff, out)
         if self._holds_state:
-            self._keep_state(q_in, acc)
+            q_in = self._keep_state(q_in, acc)
+        self._record(q_in, prev, out)
         return out
 
     def _record(
         self,
         q_in: np.ndarray,
-        diff: Optional[np.ndarray],
+        prev: Optional[np.ndarray],
         out: np.ndarray,
         stats: Optional[tuple] = None,
     ) -> None:
-        """Record this projection's step (``out`` gives the output shape);
-        ``stats`` (see :func:`_linear_stats`) is passed in when another
-        projection of the same operand already computed it."""
+        """Record this projection's step: ``q_in`` the input as held,
+        ``prev`` the held input it differences against, ``out`` gives the
+        output shape.  ``stats`` (see :func:`_step_stats`) is passed in when
+        another projection of the same operand already computed it."""
         if TraceRecorder.current() is None:
             return  # nobody is listening; skip the stats passes entirely
-        dense, spatial, temporal = stats or _linear_stats(q_in, diff)
-        macs = _flatten_rows(q_in).shape[0] * self.in_features * self.out_features
+        dense, spatial, temporal = stats or _step_stats(q_in, prev)
+        macs = q_in.size * self.out_features
         record_step(
-            RichLayerStep(
-                step_index=_current_step(),
-                layer_name=self.layer_name,
-                kind=self.kind,
-                macs=int(macs),
-                in_elems=int(q_in.size),
-                out_elems=int(out.size),
-                weight_elems=int(self.q_weight.size),
-                data_elems=int(q_in.size),
-                stats_dense=dense,
-                stats_spatial=spatial,
-                stats_temporal=temporal,
-                sub_ops_temporal=1,
-                vpu_elems=int(out.size) if self.nonlinear_after else 0,
-                nonlinear_after=self.nonlinear_after,
-                chained_input=self.chained_input,
-                producer_kind=self.producer_kind,
-            )
+            step_index=_current_step(),
+            layer_name=self.layer_name,
+            kind=self.kind,
+            macs=macs,
+            in_elems=q_in.size,
+            out_elems=out.size,
+            weight_elems=self.q_weight.size,
+            data_elems=q_in.size,
+            stats_dense=dense,
+            stats_spatial=spatial,
+            stats_temporal=temporal,
+            sub_ops_temporal=1,
+            vpu_elems=out.size if self.nonlinear_after else 0,
+            nonlinear_after=self.nonlinear_after,
+            chained_input=self.chained_input,
+            producer_kind=self.producer_kind,
         )
 
     def extra_repr(self) -> str:
@@ -622,63 +650,66 @@ class QConv2d(QLayerBase):
         q_in = self.input_quant.quantize(
             x, out_dtype=_F32 if self._use_f32 else None
         )
-        diff = self._temporal_diff(q_in)
-        temporal = diff is not None and self._executes_temporal
+        prev = self._held_input(q_in)
+        temporal = prev is not None and self._executes_temporal
         # Temporal mode unfolds the input-sized difference, not the input:
         # the unfold is linear and the zero padding border unfolds to zero
         # in both operands, so conv(unfold(q - prev_q)) == conv(q) -
         # conv(prev_q) exactly (the f32 gate already bounds differences).
-        cols, out_hw = self._unfold(diff if temporal else q_in)
+        cols, out_hw = self._unfold(
+            _difference(q_in, prev, "temporal-diff") if temporal else q_in
+        )
         acc = self._conv(cols, out_hw)
         if temporal:
             # float64 + float32 upcasts exactly; the sum runs in float64.
             acc = self._prev_out_int + acc
         out = self._epilogue(acc)
-        self._record(q_in, diff, out, None if temporal else cols)
         if self._holds_state:
-            self._keep_state(q_in, acc)
+            q_in = self._keep_state(q_in, acc)
+        self._record(q_in, prev, out, None if temporal else cols)
         return out
 
     def _record(
         self,
         q_in: np.ndarray,
-        diff: Optional[np.ndarray],
+        prev: Optional[np.ndarray],
         out: np.ndarray,
         cols: Optional[np.ndarray],
     ) -> None:
+        """Record this conv's step: ``q_in`` the input as held, ``prev`` the
+        held input it differences against, ``cols`` the dense forward's
+        unfold (None after a temporal forward)."""
         if TraceRecorder.current() is None:
             return  # nobody is listening; skip the stats passes entirely
         # Spatial (Diffy) differences live between consecutive sliding
         # windows - reused from a dense forward's unfold; the temporal
-        # executor unfolded the difference, so the input is unfolded here
-        # (the GEMM is already done).
+        # executor unfolded the difference, so the input (held as is) is
+        # unfolded here (the GEMM is already done).
         if cols is None:
             cols, _ = self._unfold(q_in)
         if self.stride == 1:
             spatial = _rows_spatial_stats(cols, self.kernel_size, out.shape[2:])
         else:
             spatial = _cols_spatial_stats_t(cols)
+        dense, _, temporal = _step_stats(q_in, prev, rows=False)
         dot_len = self.in_channels * self.kernel_size * self.kernel_size
-        macs = (out.size // self.out_channels) * dot_len * self.out_channels
         record_step(
-            RichLayerStep(
-                step_index=_current_step(),
-                layer_name=self.layer_name,
-                kind=self.kind,
-                macs=int(macs),
-                in_elems=int(q_in.size),
-                out_elems=int(out.size),
-                weight_elems=int(self.q_weight.size),
-                data_elems=int(q_in.size),
-                stats_dense=classify(q_in),
-                stats_spatial=spatial,
-                stats_temporal=None if diff is None else classify(diff),
-                sub_ops_temporal=1,
-                vpu_elems=int(out.size) if self.nonlinear_after else 0,
-                nonlinear_after=self.nonlinear_after,
-                chained_input=self.chained_input,
-                producer_kind=self.producer_kind,
-            )
+            step_index=_current_step(),
+            layer_name=self.layer_name,
+            kind=self.kind,
+            macs=out.size * dot_len,
+            in_elems=q_in.size,
+            out_elems=out.size,
+            weight_elems=self.q_weight.size,
+            data_elems=q_in.size,
+            stats_dense=dense,
+            stats_spatial=spatial,
+            stats_temporal=temporal,
+            sub_ops_temporal=1,
+            vpu_elems=out.size if self.nonlinear_after else 0,
+            nonlinear_after=self.nonlinear_after,
+            chained_input=self.chained_input,
+            producer_kind=self.producer_kind,
         )
 
     def extra_repr(self) -> str:
@@ -700,7 +731,7 @@ class QAttention(QLayerBase):
     Self-attention runs ``to_q`` / ``to_k`` / ``to_v`` as one shared
     projection (:meth:`_project_qkv`): the three share one input quantizer
     object - this layer's ``input_quant`` - and their ``q_weight`` arrays
-    are views of column blocks of one stacked ``(in, 3*dim)`` weight.  This
+    are row blocks of one stacked C-contiguous ``(3*dim, in)`` weight.  This
     layer holds the shared projection's temporal state (``_prev_q_in`` /
     ``_prev_out_int`` / ``_prev_scale``, over all three blocks) and it runs
     in this layer's mode; the three children hold no state.
@@ -725,17 +756,16 @@ class QAttention(QLayerBase):
             self._qkv_weight = None
             blocks = (None, None, None)
         else:
-            # The shared projection's weight: Q, K and V column blocks of
-            # one GEMM-native (in, 3*dim) array, written in place by each
-            # child's weight quantization.
+            # The shared projection's weight: Q, K and V row blocks of one
+            # (3*dim, in) array, written in place by each child's weight
+            # quantization.
             in_features = attn.to_q.in_features
-            stacked = np.empty(
-                (in_features, 3 * self.dim), _linear_gemm_dtype(in_features, bits)
+            self._qkv_weight = np.empty(
+                (3 * self.dim, in_features), _linear_gemm_dtype(in_features, bits)
             )
-            self._qkv_weight = stacked.T
-            blocks = [stacked[:, i * self.dim : (i + 1) * self.dim] for i in range(3)]
+            blocks = [self._qkv_weight[i * self.dim : (i + 1) * self.dim] for i in range(3)]
         self.to_q, self.to_k, self.to_v = (
-            QLinear.from_float(proj, bits, per_channel, weight_t=block)
+            QLinear.from_float(proj, bits, per_channel, storage=block)
             for proj, block in zip(projections, blocks)
         )
         if not self.is_cross:
@@ -768,6 +798,10 @@ class QAttention(QLayerBase):
         # change.
         self._context_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._prev: Dict[str, np.ndarray] = {}
+        # The fused Q/K/V output's quantizer (see _qkv_quantizer) and the
+        # q / k / v scales it was built from.
+        self._qkv_scales: Optional[tuple] = None
+        self._qkv_quant: Optional[SymmetricQuantizer] = None
         self.layer_name = ""  # re-assign now that the projections exist
 
     @property
@@ -813,22 +847,26 @@ class QAttention(QLayerBase):
     # -- forward -----------------------------------------------------------
     def forward(self, x: np.ndarray, context: Optional[np.ndarray] = None) -> np.ndarray:
         if not self.is_cross:
-            q_full, k_full, v_full = self._project_qkv(x)
+            qkv = self._project_qkv(x)
+            dtype = self._operand_dtype(x.shape[1])
+            q_qkv = self._qkv_quantizer(qkv).quantize(qkv, out_dtype=dtype)
+            qq, qk, qv = self._split_qkv(q_qkv)
+            held_q, held_k, held_v = self._split_qkv(self._hold(q_qkv))
         elif context is None:
             raise ValueError(f"cross attention {self.layer_name!r} needs context")
         else:
             q_full = self.to_q(x)
             k_full, v_full = self._context_kv(context)
-        q = self._split(q_full)
-        k = self._split(k_full)
-        v = self._split(v_full)
-        # Exact-f32 gating for the activation x activation matmuls: the
-        # longest dot product runs over max(head_dim, token count) operands.
-        dtype = _F32 if _exact_f32(max(self.head_dim, k.shape[2]), self.bits) else None
-        qq = self.q_quant.quantize(q, out_dtype=dtype)
-        qk = self.k_quant.quantize(k, out_dtype=dtype)
-        qv = self.v_quant.quantize(v, out_dtype=dtype)
-        s_acc = self._qk_matmul(qq, qk)
+            dtype = self._operand_dtype(k_full.shape[1])
+            qq, qk, qv = (
+                quant.quantize(self._split(t), out_dtype=dtype)
+                for quant, t in (
+                    (self.q_quant, q_full), (self.k_quant, k_full), (self.v_quant, v_full)
+                )
+            )
+            # K'/V' are constant weights: never differenced, held as is.
+            held_q, held_k, held_v = self._hold(qq), qk, qv
+        s_acc = self._qk_matmul(qq, qk, held_q, held_k)
         # s_int * (s_q * s_k) / sqrt(head_dim) in float64, the multiply
         # straight from the accumulator (f32 -> f64 is exact).
         scores = np.multiply(
@@ -836,7 +874,7 @@ class QAttention(QLayerBase):
         ) / float(np.sqrt(self.head_dim))
         probs = F.softmax(scores, axis=-1)
         qp = self.p_quant.quantize(probs, out_dtype=_F32 if qv.dtype == _F32 else None)
-        o_acc = self._pv_matmul(qp, qv)
+        o_acc = self._pv_matmul(qp, qv, self._hold(qp), held_v)
         # Dequantize straight into the merged-heads (b, t, h, d) layout: one
         # pass instead of a multiply and a transposing copy.
         b, h, t, d = o_acc.shape
@@ -849,24 +887,56 @@ class QAttention(QLayerBase):
         )
         return self.to_out(merged.reshape(b, t, h * d))
 
-    def _project_qkv(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Self-attention's Q, K and V: one quantize, difference, stats pass,
-        GEMM and epilogue over the stacked weight, then each child's trace
-        record and forward hooks on its column block - the outputs and
-        records of three separate ``QLinear`` forwards, bit for bit."""
-        q_in, diff, acc = self._project(x, self._qkv_weight)
+    def _operand_dtype(self, kv_tokens: int):
+        """Exact-f32 gating for the activation x activation matmuls: the
+        longest dot product runs over max(head_dim, K/V token count)
+        operands."""
+        return _F32 if _exact_f32(max(self.head_dim, kv_tokens), self.bits) else None
+
+    def _split_qkv(self, qkv: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The Q, K and V column blocks of a ``(b, t, 3*dim)`` array as
+        ``(b, heads, t, head_dim)`` views."""
+        return tuple(
+            self._split(qkv[..., i * self.dim : (i + 1) * self.dim]) for i in range(3)
+        )
+
+    def _qkv_quantizer(self, qkv: np.ndarray) -> SymmetricQuantizer:
+        """The fused projection output's quantizer: the q / k / v scales as
+        one ``(3*dim,)`` vector, so one pass quantizes the three column
+        blocks, each element divided by its block's scale - the IEEE
+        division a per-block quantize makes.  A sticky scale still freezes
+        on its own block's first tensor (the block's peak is its heads')."""
+        quants = (self.q_quant, self.k_quant, self.v_quant)
+        scales = tuple(
+            quant.ensure_scale(qkv[..., i * self.dim : (i + 1) * self.dim])
+            for i, quant in enumerate(quants)
+        )
+        if scales != self._qkv_scales:
+            d = self.__dict__
+            d["_qkv_scales"] = scales
+            d["_qkv_quant"] = SymmetricQuantizer(self.bits, np.repeat(scales, self.dim))
+        return self._qkv_quant
+
+    def _project_qkv(self, x: np.ndarray) -> np.ndarray:
+        """Self-attention's Q, K and V as the column blocks of one ``(b, t,
+        3*dim)`` array: one quantize, stats pass, GEMM and epilogue over
+        the stacked weight, then each child's trace record and forward
+        hooks on its block - the outputs and records of three separate
+        ``QLinear`` forwards, bit for bit."""
+        q_in, prev, acc = self._project(x, self._qkv_weight)
         out = self._epilogue(acc)
+        if self._holds_state:
+            q_in = self._keep_state(q_in, acc)
         stats = None
         if TraceRecorder.current() is not None:
-            stats = _linear_stats(q_in, diff)
-        outs = tuple(out[..., i * self.dim : (i + 1) * self.dim] for i in range(3))
-        for child, block in zip((self.to_q, self.to_k, self.to_v), outs):
-            child._record(q_in, diff, block, stats)
+            stats = _step_stats(q_in, prev)
+        children = (self.to_q, self.to_k, self.to_v)
+        for i, child in enumerate(children):
+            block = out[..., i * self.dim : (i + 1) * self.dim]
+            child._record(q_in, prev, block, stats)
             if child._forward_hooks:
                 child.run_forward_hooks((x,), block)
-        if self._holds_state:
-            self._keep_state(q_in, acc)
-        return outs
+        return out
 
     def _context_kv(self, context: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         cached = self._context_cache.get(id(context))
@@ -878,39 +948,42 @@ class QAttention(QLayerBase):
         return k_full, v_full
 
     # -- the two activation x activation matmuls ---------------------------
-    def _operand_diffs(self, data_name, data, other_name, other):
-        """Temporal differences of one matmul's two operands (None where no
-        same-shape operand is held).  Cross attention's ``other`` is the
-        constant K'/V' - a weight - so only its ``data`` is differenced."""
-        execute = self._executes_temporal
-        d_data = _difference(
-            data, self._prev.get(data_name), execute, f"temporal-diff-{data_name}"
-        )
-        d_other = None
-        if not self.is_cross:
-            d_other = _difference(
-                other, self._prev.get(other_name), execute, f"temporal-diff-{other_name}"
-            )
-        return d_data, d_other
+    def _held_operand(self, name: str, cur: np.ndarray) -> Optional[np.ndarray]:
+        """The held operand ``name`` that ``cur`` differences against (None
+        where none of ``cur``'s shape is held)."""
+        prev = self._prev.get(name)
+        return prev if prev is not None and prev.shape == cur.shape else None
 
-    def _held_product(self, name: str, d_data, d_other) -> Optional[np.ndarray]:
+    def _held_operands(self, data_name, data, other_name, other):
+        """The held operands one matmul's two operands difference against.
+        Cross attention's ``other`` is the constant K'/V' - a weight - so
+        only its ``data`` is differenced."""
+        prev_other = None
+        if not self.is_cross:
+            prev_other = self._held_operand(other_name, other)
+        return self._held_operand(data_name, data), prev_other
+
+    def _held_product(self, name: str, prev_data, prev_other) -> Optional[np.ndarray]:
         """The previous step's integer product ``name`` when the temporal
         executor can difference this step against it, else None."""
-        differenced = d_data is not None and (self.is_cross or d_other is not None)
+        differenced = prev_data is not None and (self.is_cross or prev_other is not None)
         return self._prev.get(name) if differenced and self._executes_temporal else None
 
     def _keep_operands(self, product_name: str, product: np.ndarray, **operands) -> None:
-        """Hold this matmul's operands for the next step's differences; the
-        temporal executor also holds its integer product, as float64."""
+        """Hold this matmul's operands (as :meth:`_hold` gives them) for the
+        next step's differences; the temporal executor also holds its
+        integer product, as float64."""
         if not self._holds_state:
             return
         if self._executes_temporal:
             self._prev[product_name] = np.ascontiguousarray(product, dtype=np.float64)
         self._prev.update(operands)
 
-    def _qk_matmul(self, qq: np.ndarray, qk: np.ndarray) -> np.ndarray:
-        dq, dk = self._operand_diffs("q", qq, "k", qk)
-        prev_s = self._held_product("s", dq, dk)
+    def _qk_matmul(self, qq, qk, held_q, held_k) -> np.ndarray:
+        """``Q K^T`` of the quantized ``qq`` / ``qk``; ``held_*`` are the
+        same operands as this layer holds and classifies them."""
+        prev_q, prev_k = self._held_operands("q", held_q, "k", held_k)
+        prev_s = self._held_product("s", prev_q, prev_k)
         bk = backends.active()
         kt = qk.transpose(0, 1, 3, 2)
         # The transposed-K views below are intentional: batched matmul eats
@@ -919,49 +992,38 @@ class QAttention(QLayerBase):
         if prev_s is None:
             s_int = bk.matmul(qq, kt)
         elif self.is_cross:
-            s_int = prev_s + bk.matmul(dq, kt)
+            s_int = prev_s + bk.matmul(_difference(qq, prev_q, "temporal-diff-q"), kt)
         else:
             # Q_t K_t^T = S_{t+1} + Q_t dK^T + dQ K_{t+1}^T
+            dq = _difference(qq, prev_q, "temporal-diff-q")
+            dk = _difference(qk, prev_k, "temporal-diff-k")
             s_int = (
                 prev_s
                 + bk.matmul(qq, dk.transpose(0, 1, 3, 2))
-                + bk.matmul(dq, self._prev["k"].transpose(0, 1, 3, 2))
+                + bk.matmul(dq, prev_k.transpose(0, 1, 3, 2))
             )
-        self._record_matmul(
-            suffix="qk",
-            data=qq,
-            other=qk,
-            out_int=s_int,
-            d_data=dq,
-            d_other=dk,
-            other_is_weight=self.is_cross,
-            vpu_out=True,  # softmax + requantization follow
-        )
-        self._keep_operands("s", s_int, q=qq, k=qk)
+        self._record_matmul("qk", held_q, held_k, prev_q, prev_k, s_int, vpu_out=True)
+        self._keep_operands("s", s_int, q=held_q, k=held_k)
         return s_int
 
-    def _pv_matmul(self, qp: np.ndarray, qv: np.ndarray) -> np.ndarray:
-        dp, dv = self._operand_diffs("p", qp, "v", qv)
-        prev_o = self._held_product("o", dp, dv)
+    def _pv_matmul(self, qp, qv, held_p, held_v) -> np.ndarray:
+        """``P V`` of the quantized ``qp`` / ``qv``; ``held_*`` as in
+        :meth:`_qk_matmul`."""
+        prev_p, prev_v = self._held_operands("p", held_p, "v", held_v)
+        prev_o = self._held_product("o", prev_p, prev_v)
         bk = backends.active()
         if prev_o is None:
             o_int = bk.matmul(qp, qv)
         elif self.is_cross:
-            o_int = prev_o + bk.matmul(dp, qv)
+            o_int = prev_o + bk.matmul(_difference(qp, prev_p, "temporal-diff-p"), qv)
         else:
             # P_t V_t = O_{t+1} + P_t dV + dP V_{t+1}
-            o_int = prev_o + bk.matmul(qp, dv) + bk.matmul(dp, self._prev["v"])
-        self._record_matmul(
-            suffix="pv",
-            data=qp,
-            other=qv,
-            out_int=o_int,
-            d_data=dp,
-            d_other=dv,
-            other_is_weight=self.is_cross,
-            vpu_out=False,  # output feeds the linear projection directly
-        )
-        self._keep_operands("o", o_int, p=qp, v=qv)
+            dp = _difference(qp, prev_p, "temporal-diff-p")
+            dv = _difference(qv, prev_v, "temporal-diff-v")
+            o_int = prev_o + bk.matmul(qp, dv) + bk.matmul(dp, prev_v)
+        # The output feeds the linear projection directly: no VPU work.
+        self._record_matmul("pv", held_p, held_v, prev_p, prev_v, o_int, vpu_out=False)
+        self._keep_operands("o", o_int, p=held_p, v=held_v)
         return o_int
 
     def _record_matmul(
@@ -969,56 +1031,40 @@ class QAttention(QLayerBase):
         suffix: str,
         data: np.ndarray,
         other: np.ndarray,
+        prev_data: Optional[np.ndarray],
+        prev_other: Optional[np.ndarray],
         out_int: np.ndarray,
-        d_data: Optional[np.ndarray],
-        d_other: Optional[np.ndarray],
-        other_is_weight: bool,
         vpu_out: bool,
     ) -> None:
         if TraceRecorder.current() is None:
             return  # nobody is listening; skip the stats passes entirely
         b, h, t_data, inner = data.shape
-        t_other = other.shape[2]
-        macs = b * h * t_data * t_other * inner
-        stats_dense = classify(data)
-        stats_spatial = _row_diff_stats(_flatten_rows(data))
-        if other_is_weight:
-            stats_temporal = None if d_data is None else classify(d_data)
-            sub_ops = 1
-            in_elems = data.size
-            weight_elems = other.size
+        macs = b * h * t_data * other.shape[2] * inner
+        if self.is_cross:
+            # The constant K'/V' is a weight: neither classified nor
+            # differenced.
+            dense, spatial, temporal = _step_stats(data, prev_data)
+            sub_ops, data_elems, weight_elems = 1, data.size, other.size
         else:
-            # The activation operand counts (undifferenced) in both the dense
-            # and the spatial mix: classify it once.
-            other_stats = classify(other)
-            stats_dense = stats_dense.merge(other_stats)
-            stats_spatial = stats_spatial.merge(other_stats)
-            if d_data is None or d_other is None:
-                stats_temporal = None
-            else:
-                stats_temporal = classify_many(d_data, d_other)
-            sub_ops = 2
-            in_elems = data.size + other.size
-            weight_elems = 0
+            dense, spatial, temporal = _step_stats(data, prev_data, other, prev_other)
+            sub_ops, data_elems, weight_elems = 2, data.size + other.size, 0
         record_step(
-            RichLayerStep(
-                step_index=_current_step(),
-                layer_name=f"{self.layer_name}.{suffix}",
-                kind=f"attn_{suffix}",
-                macs=int(macs),
-                in_elems=int(in_elems),
-                out_elems=int(out_int.size),
-                weight_elems=int(weight_elems),
-                data_elems=int(data.size + (0 if other_is_weight else other.size)),
-                stats_dense=stats_dense,
-                stats_spatial=stats_spatial,
-                stats_temporal=stats_temporal,
-                sub_ops_temporal=sub_ops,
-                vpu_elems=int(out_int.size) if vpu_out else 0,
-                nonlinear_after=vpu_out,
-                chained_input=False,
-                producer_kind="other",
-            )
+            step_index=_current_step(),
+            layer_name=f"{self.layer_name}.{suffix}",
+            kind=f"attn_{suffix}",
+            macs=macs,
+            in_elems=data_elems,
+            out_elems=out_int.size,
+            weight_elems=weight_elems,
+            data_elems=data_elems,
+            stats_dense=dense,
+            stats_spatial=spatial,
+            stats_temporal=temporal,
+            sub_ops_temporal=sub_ops,
+            vpu_elems=out_int.size if vpu_out else 0,
+            nonlinear_after=vpu_out,
+            chained_input=False,
+            producer_kind="other",
         )
 
     def extra_repr(self) -> str:

@@ -407,7 +407,7 @@ class ServingReport:
     benchmark: str
     num_steps: int
     pattern: str
-    rate_rps: float
+    rate_rps: Optional[float]  # None for burst arrivals, which have no rate
     window_s: float
     num_requests: int
     guidance_scale: Optional[float]
@@ -490,7 +490,9 @@ class ServingReport:
 
         head = (
             f"{self.benchmark}: {self.num_requests} requests, "
-            f"{self.pattern} arrivals @ {self.rate_rps:g} req/s, "
+            f"{self.pattern} arrivals"
+            + ("" if self.rate_rps is None else f" @ {self.rate_rps:g} req/s")
+            + ", "
             f"window {self.window_s * 1e3:g} ms, {self.num_steps} steps, "
             f"{self.scheduler} scheduler"
             + (f" [{self.sampler}]" if self.sampler else "")
@@ -949,6 +951,13 @@ def simulate_serving(
         fault_spec = os.environ.get("REPRO_FAULTS") or None
     slo_classes = parse_slo_spec(slo) if slo is not None else None
     sizes = normalize_batch_sizes(batch_sizes)
+    if verify_invariance and min(sizes[-1], num_requests) < 2:
+        # --verify must never silently verify nothing; refuse before any
+        # engine is built or plan derived.
+        raise ValueError(
+            "verify_invariance needs a multi-request batch: got "
+            f"max batch size {sizes[-1]} and {num_requests} request(s)"
+        )
     if prebuilt:
         # Reopening the same object is a valid rebuild: EngineSession
         # resets every layer's state on open, and an injected kill corrupts
@@ -1002,7 +1011,8 @@ def simulate_serving(
         benchmark=spec.name,
         num_steps=config.num_steps,
         pattern=pattern,
-        rate_rps=rate_rps,
+        # Burst arrivals all land at t=0: the rate shapes nothing.
+        rate_rps=None if pattern == "burst" else rate_rps,
         window_s=window_s,
         num_requests=num_requests,
         guidance_scale=config.guidance_scale,
@@ -1167,12 +1177,7 @@ def _verify(
             f"--verify has nothing to check: no request of {name} completed "
             f"(outcomes: {outcomes})"
         )
-    fill = min(max_batch, len(requests))
-    if fill < 2:
-        raise ValueError(
-            "verify_invariance needs a multi-request batch: got "
-            f"max batch size {max_batch} and {len(requests)} request(s)"
-        )
+    fill = min(max_batch, len(requests))  # >= 2, checked by simulate_serving
     num_steps = len(engine.pipeline.sampler.timesteps)
     members = list(range(fill))
     batched = engine.run(

@@ -3,7 +3,7 @@
 The gate runs perfbench and compares the measurement with a committed
 record.  These tests start no perfbench run: they gate synthetic records
 through ``compare`` and ``main`` (with ``measure`` replaced), and check the
-committed ``BENCH_PR28.json`` against ``BENCHMARK.json``.
+committed ``BENCH_PR32.json`` against ``BENCHMARK.json``.
 """
 
 import copy
@@ -272,7 +272,7 @@ def test_gate_errors_on_unreadable_records(tmp_path, check_bench, monkeypatch):
 def test_gate_against_committed_baseline(tmp_path, check_bench, monkeypatch, capsys):
     """``main`` measures every BENCHMARK.json workload, writes the fresh
     record, and passes the committed record against itself."""
-    committed = json.loads((_ROOT / "BENCH_PR28.json").read_text())
+    committed = json.loads((_ROOT / "BENCH_PR32.json").read_text())
     measured = []
 
     def fake_measure(workloads):
@@ -281,7 +281,7 @@ def test_gate_against_committed_baseline(tmp_path, check_bench, monkeypatch, cap
 
     monkeypatch.setattr(check_bench, "measure", fake_measure)
     monkeypatch.setattr(check_bench, "FRESH", tmp_path / "fresh.json")
-    assert check_bench.main(["--baseline", str(_ROOT / "BENCH_PR28.json")]) == 0
+    assert check_bench.main(["--baseline", str(_ROOT / "BENCH_PR32.json")]) == 0
     assert measured == [w["name"] for w in _SPEC["workloads"]]
     assert json.loads((tmp_path / "fresh.json").read_text()) == committed
     assert "OK" in capsys.readouterr().out
@@ -304,7 +304,7 @@ def test_committed_record_covers_every_workload_and_metric(check_bench):
     """A workload or end-to-end metric added to BENCHMARK.json cannot go
     ungated: the committed record has exactly their product, every
     per-layer timing, and passed its own checks."""
-    committed = json.loads((_ROOT / "BENCH_PR28.json").read_text())
+    committed = json.loads((_ROOT / "BENCH_PR32.json").read_text())
     assert (committed["seed"], committed["seconds"]) == (check_bench.SEED, check_bench.SECONDS)
     assert set(committed["workloads"]) == {w["name"] for w in _SPEC["workloads"]}
     per_layer = {name + check_bench.PER_CALL_SUFFIX for name in check_bench.PER_CALL}

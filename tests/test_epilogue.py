@@ -181,3 +181,115 @@ def test_temporal_state_is_float64_after_the_dense_first_step():
         assert layer._prev_out_int.dtype == np.float64
     assert conv._use_f32 and lin._use_f32
     assert attn._prev["s"].dtype == attn._prev["o"].dtype == np.float64
+
+
+# -- weight-first linear GEMMs and int16 recording ---------------------------
+
+def _i64(a):
+    return np.asarray(a).astype(np.int64)
+
+
+def _int64_linear(q_in, q_weight):
+    return np.einsum("...i,oi->...o", _i64(q_in), _i64(q_weight))
+
+
+# (in, out) of DiT's fused Q/K/V projection and MLP output, and DDPM's fused
+# Q/K/V projection.
+LINEAR_SHAPES = [(256, 768), (512, 256), (32, 96)]
+
+
+@pytest.mark.parametrize("execution", list(EXECUTIONS))
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("shape", LINEAR_SHAPES, ids=lambda s: "{}to{}".format(*s))
+def test_qlinear_matches_int64_einsum(shape, batch, execution):
+    """The weight-first GEMM's transposed accumulator, dequantized into a
+    C-contiguous output, equals the int64 product exactly; the temporal
+    executor's held output is that product."""
+    in_features, out_features = shape
+    rng = np.random.default_rng(in_features + batch)
+    layer = QLinear.from_float(Linear(in_features, out_features, rng=rng))
+    assert layer.q_weight.flags.c_contiguous
+    assert layer.q_weight.shape == (out_features, in_features)
+    layer.input_quant.scale = 0.02
+    for x, out in _steps(layer, execution, _inputs(rng, (batch, 5, in_features))):
+        q_in = layer.input_quant.quantize(x)
+        exact = _int64_linear(q_in, layer.q_weight)
+        np.testing.assert_array_equal(
+            out, _naive(exact, 0.02, layer.weight_scale, layer.bias)
+        )
+        assert out.shape == (batch, 5, out_features) and out.flags.c_contiguous
+        if execution == "temporal":
+            np.testing.assert_array_equal(layer._prev_out_int, exact)
+    _assert_held_input(layer, q_in, execution)
+
+
+def _assert_held_input(layer, q_in, execution):
+    """A recording layer holds its input narrowed to int16, the temporal
+    executor in the GEMM's float32, a dense layer nothing."""
+    held = layer._prev_q_in
+    if execution == "dense":
+        assert held is None
+        return
+    assert held.dtype == (np.int16 if execution == "recording" else np.float32)
+    np.testing.assert_array_equal(held, q_in)
+
+
+@pytest.mark.parametrize("execution", list(EXECUTIONS))
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("dim, heads", [(256, 4), (32, 2)], ids=["dit", "ddpm"])
+def test_fused_qkv_matches_int64_einsum(dim, heads, batch, execution):
+    """Self-attention's fused Q/K/V projection: each child's block of the
+    one (3*dim, in) GEMM equals its own int64 product, and the attention
+    holds int16 operands when recording, float ones when executing."""
+    rng = np.random.default_rng(dim + batch)
+    layer = QAttention.from_float(Attention(dim, num_heads=heads, rng=rng))
+    assert layer._qkv_weight.shape == (3 * dim, dim)
+    layer.input_quant.scale = 0.02
+    layer.to_out.input_quant.scale = 0.02
+    children = (layer.to_q, layer.to_k, layer.to_v)
+    seen = {}
+    for child in children:
+        child.register_forward_hook(lambda m, args, out: seen.__setitem__(m, out))
+        child.mode, child.record_temporal = EXECUTIONS[execution]
+    layer.to_out.mode, layer.to_out.record_temporal = EXECUTIONS[execution]
+    for x, _ in _steps(layer, execution, _inputs(rng, (batch, 6, dim))):
+        q_in = layer.input_quant.quantize(x)
+        for child in children:
+            exact = _int64_linear(q_in, child.q_weight)
+            np.testing.assert_array_equal(
+                seen[child], _naive(exact, 0.02, child.weight_scale, child.bias)
+            )
+        if execution == "temporal":
+            np.testing.assert_array_equal(
+                layer._prev_out_int, _int64_linear(q_in, layer._qkv_weight)
+            )
+    _assert_held_input(layer, q_in, execution)
+    if execution == "dense":
+        assert not layer._prev
+        return
+    assert set(layer._prev) >= {"q", "k", "p", "v"}
+    dtype = np.int16 if execution == "recording" else np.float32
+    assert all(layer._prev[name].dtype == dtype for name in "qkpv")
+    q, k, v = (
+        quant.quantize(layer._split(block), out_dtype=np.float32)
+        for quant, block in zip(
+            (layer.q_quant, layer.k_quant, layer.v_quant),
+            (seen[child] for child in children),
+        )
+    )
+    for name, expected in zip("qkv", (q, k, v)):
+        np.testing.assert_array_equal(layer._prev[name], expected)
+
+
+def test_recording_holds_int16_beyond_8_bits():
+    """A 12-bit recording layer's held int16 input keeps values an int8
+    narrowing would wrap."""
+    rng = np.random.default_rng(12)
+    layer = QLinear.from_float(Linear(16, 4, rng=rng), bits=12)
+    layer.input_quant.scale = 0.001
+    x = rng.standard_normal((2, 16))
+    for _, _ in _steps(layer, "recording", [x, x]):
+        pass
+    q_in = layer.input_quant.quantize(x)
+    assert np.abs(q_in).max() > 127
+    _assert_held_input(layer, q_in, "recording")

@@ -110,7 +110,7 @@ def test_qlinear_shape_change_resets_diff(rng):
     per_channel=st.booleans(),
 )
 def test_qlinear_weight_matches_clipped_reference(seed, out_features, magnitude, per_channel):
-    """Weight quantization writes the GEMM-native (in, out) copy directly
+    """Weight quantization writes the C-contiguous (out, in) copy directly
     and skips the clip: the grid must still equal the clipped reference."""
     rng = np.random.default_rng(seed)
     weight = rng.normal(size=(out_features, 9)) * magnitude
@@ -119,7 +119,7 @@ def test_qlinear_weight_matches_clipped_reference(seed, out_features, magnitude,
     scale = np.asarray(q.weight_scale).reshape(-1, 1)
     expected = np.clip(np.rint(weight / scale), -128, 127)
     np.testing.assert_array_equal(q.q_weight, expected)
-    assert q.q_weight.T.flags.c_contiguous and q.q_weight.dtype == np.float32
+    assert q.q_weight.flags.c_contiguous and q.q_weight.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +339,14 @@ def test_recorded_attention_p_difference_is_exact_at_its_edges(rng):
     qv0 = np.full((1, 2, 3, 4), -128.0, dtype=np.float32)
     qv1 = qv0.copy()
     qv1[..., :2] = 127.0
-    att._pv_matmul(qp0, qv0)
+    att._pv_matmul(qp0, qv0, att._hold(qp0), att._hold(qv0))
     with TraceRecorder() as rec:
-        o_int = att._pv_matmul(qp1, qv1)
+        o_int = att._pv_matmul(qp1, qv1, att._hold(qp1), att._hold(qv1))
     d_p, d_v = qp1.astype(np.float64) - qp0, qv1.astype(np.float64) - qv0
     assert {d_p.max(), d_p.min(), d_v.max()} == {127.0, -127.0, 255.0}
     assert rec.trace[0].stats_temporal == _unnarrowed_stats(d_p, d_v)
     assert set(att._prev) == {"p", "v"}  # operands only, no product
+    assert att._prev["p"].dtype == att._prev["v"].dtype == np.int16
     np.testing.assert_array_equal(o_int, np.matmul(qp1, qv1))
 
 
@@ -433,15 +434,16 @@ def test_shared_qkv_projection_matches_unfused_reference(mode, quantizer, per_ch
 def test_shared_qkv_projection_stores_each_weight_once(rng):
     fp = Attention(8, num_heads=2, rng=rng)
     q = QAttention.from_float(fp)
-    stacked = q._qkv_weight.T
-    assert stacked.flags.c_contiguous and stacked.shape == (8, 24)
+    stacked = q._qkv_weight
+    assert stacked.flags.c_contiguous and stacked.shape == (24, 8)
     children = (q.to_q, q.to_k, q.to_v)
     for i, child in enumerate(children):
-        assert child.q_weight.base is q._qkv_weight.base  # one allocation
-        np.testing.assert_array_equal(child.q_weight, stacked[:, 8 * i : 8 * i + 8].T)
+        assert child.q_weight.base is stacked  # one allocation
+        np.testing.assert_array_equal(child.q_weight, stacked[8 * i : 8 * i + 8])
+        assert child.q_weight.flags.c_contiguous  # a row block
         assert child.input_quant is q.input_quant
-    # A standalone projection is GEMM-native: (in, out) C-contiguous storage.
-    assert q.to_out.q_weight.T.flags.c_contiguous
+    # A standalone projection stores (out, in) C-contiguous too.
+    assert q.to_out.q_weight.flags.c_contiguous
 
 
 def test_shared_qkv_state_lives_on_the_attention(rng):

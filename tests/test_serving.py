@@ -175,6 +175,15 @@ def test_serving_verify_smoke():
     )
     assert report.invariance_checked
     assert not any("backend" in key for key in report.to_json())
+    # Burst arrivals all land at t=0: the report claims no arrival rate.
+    assert report.rate_rps is None and report.to_json()["rate_rps"] is None
+    assert "burst arrivals, window" in report.summary()
+    assert "req/s" not in report.summary().splitlines()[0]
+
+
+def test_poisson_report_states_its_rate(tiny_report):
+    assert tiny_report.to_json()["rate_rps"] == 50.0
+    assert "poisson arrivals @ 50 req/s," in tiny_report.summary()
 
 
 def test_verify_references_execute_temporal(tmp_path):
@@ -230,17 +239,27 @@ def test_simulate_serving_validates_batch_sizes():
         simulate_serving(make_tiny_spec(), batch_sizes=(0,), num_requests=2)
 
 
-def test_verify_refuses_when_no_multi_request_batch_possible():
-    # --verify must never silently verify nothing: with a max batch of 1
-    # no multi-request batch can exist, so it fails loudly.
-    with pytest.raises(ValueError, match="multi-request batch"):
-        simulate_serving(
-            make_tiny_spec("tinyV", num_steps=2),
-            batch_sizes=(1,),
-            num_requests=4,
-            calibrate=False,
-            verify_invariance=True,
-        )
+def test_verify_refuses_when_no_multi_request_batch_possible(monkeypatch):
+    """--verify must never silently verify nothing: with a max batch of 1,
+    or a single request, no multi-request batch can exist, so it fails
+    loudly - with the argument checks, before any engine is built or plan
+    derived."""
+    from repro.core import DittoEngine
+
+    def never(*args, **kwargs):
+        raise AssertionError("the refusal came after serving work started")
+
+    monkeypatch.setattr(DittoEngine, "from_benchmark", classmethod(never))
+    monkeypatch.setattr(DittoEngine, "derive_plan", never)
+    for sizes, requests in (((1,), 4), ((1, 4), 1)):
+        with pytest.raises(ValueError, match="multi-request batch"):
+            simulate_serving(
+                make_tiny_spec("tinyV", num_steps=2),
+                batch_sizes=sizes,
+                num_requests=requests,
+                calibrate=False,
+                verify_invariance=True,
+            )
 
 
 # -- continuous scheduler ----------------------------------------------------
